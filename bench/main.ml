@@ -279,11 +279,10 @@ let run_parallel_bench ctx =
 (* ------------------------------------------------------------------ *)
 
 (* Measures the compile-once/restamp-many execution path against the
-   legacy rebuild-everything path at three levels — the raw DC Newton
-   solve, a whole DC observable probe, and the end-to-end generation
-   run — plus allocation pressure per solve, and writes the figures to
-   BENCH_hotpath.json.  [--smoke] shrinks the measurement windows and
-   the end-to-end dictionary so CI can run it on every push. *)
+   rebuild-everything reference path at two levels — the raw DC Newton
+   solve and a whole DC observable probe — plus allocation pressure per
+   solve, and writes the figures to BENCH_hotpath.json.  [--smoke]
+   shrinks the measurement windows so CI can run it on every push. *)
 let run_hotpath_bench ~fast ~smoke =
   let profile =
     if fast then Execute.fast_profile else Execute.default_profile
@@ -382,24 +381,6 @@ let run_hotpath_bench ~fast ~smoke =
   prerr_endline "hotpath bench: DC observable probe...";
   let probe_legacy_rate = rate ~seconds:window probe_legacy in
   let probe_compiled_rate = rate ~seconds:window probe_compiled in
-  (* level 3: the generation run, legacy vs compiled evaluators *)
-  let end_to_end mode =
-    let ctx = Experiments.Setup.iv ~profile ~mode () in
-    let ctx = if smoke then Experiments.Setup.reduced ctx ~n_faults:4 else ctx in
-    let t0 = Unix.gettimeofday () in
-    let run = Experiments.Runs.engine_run ctx in
-    (Unix.gettimeofday () -. t0, run)
-  in
-  prerr_endline "hotpath bench: end-to-end generation (legacy)...";
-  let legacy_dt, legacy_run = end_to_end `Legacy in
-  prerr_endline "hotpath bench: end-to-end generation (compiled)...";
-  let compiled_dt, compiled_run = end_to_end `Compiled in
-  let identical =
-    Session.to_string legacy_run.Engine.results
-    = Session.to_string compiled_run.Engine.results
-  in
-  if not identical then
-    prerr_endline "hotpath bench: WARNING compiled run diverged from legacy!";
   let dc_speedup = dc_compiled /. Float.max 1e-9 dc_legacy in
   let probe_speedup =
     probe_compiled_rate /. Float.max 1e-9 probe_legacy_rate
@@ -433,17 +414,8 @@ let run_hotpath_bench ~fast ~smoke =
   Buffer.add_string buf
     (Printf.sprintf
        "  \"dc_probe\": {\"legacy_probes_per_sec\": %.1f, \
-        \"compiled_probes_per_sec\": %.1f, \"speedup\": %.3f},\n"
+        \"compiled_probes_per_sec\": %.1f, \"speedup\": %.3f}\n"
        probe_legacy_rate probe_compiled_rate probe_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"end_to_end\": {\"faults\": %d, \"legacy_wall_seconds\": %.3f, \
-        \"compiled_wall_seconds\": %.3f, \"speedup\": %.3f, \
-        \"identical_results\": %b}\n"
-       (List.length compiled_run.Engine.results)
-       legacy_dt compiled_dt
-       (legacy_dt /. Float.max 1e-9 compiled_dt)
-       identical);
   Buffer.add_string buf "}\n";
   let path = "BENCH_hotpath.json" in
   let oc = open_out path in
@@ -451,238 +423,14 @@ let run_hotpath_bench ~fast ~smoke =
   close_out oc;
   Printf.eprintf "hotpath bench: wrote %s\n%!" path;
   Printf.eprintf
-    "hotpath bench: DC sweep %.0f -> %.0f solves/s (%.2fx), probe %.2fx, \
-     end-to-end %.2fs -> %.2fs (%.2fx)\n%!"
-    dc_legacy dc_compiled dc_speedup probe_speedup legacy_dt compiled_dt
-    (legacy_dt /. Float.max 1e-9 compiled_dt);
-  if not (identical && sweep_identical) then exit 1;
+    "hotpath bench: DC sweep %.0f -> %.0f solves/s (%.2fx), probe %.2fx\n%!"
+    dc_legacy dc_compiled dc_speedup probe_speedup;
+  if not sweep_identical then exit 1;
   (* the acceptance bar for the full (non-smoke) benchmark *)
   if (not smoke) && dc_speedup < 3. then begin
     Printf.eprintf
       "hotpath bench: FAIL DC sweep speedup %.2fx below the 3x bar\n%!"
       dc_speedup;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Impact ladder: rank-1 warm-start continuation vs compiled restamp    *)
-(* ------------------------------------------------------------------ *)
-
-(* Measures the fault-impact ladder kernel — the sequence of sensitivity
-   probes Generate's impact walk performs at one fault site — under the
-   three evaluator modes: legacy rebuild-per-probe, compiled restamp
-   (the default), and compiled restamp with warm-start continuation
-   (Newton seeded from the previous impact level, rank-1 first steps on
-   the held factorization).  Writes BENCH_impact.json.  The outcome
-   contract is checked at two levels: the ladder sensitivities (legacy
-   vs compiled must be bitwise identical; continuation must reach the
-   same detect verdicts with a small relative deviation) and an
-   end-to-end generation run (the continuation run must name the same
-   surviving configuration per fault and agree on the critical impact
-   within the log-bisection tolerance). *)
-let run_impact_bench ~fast ~smoke =
-  let profile =
-    if fast then Execute.fast_profile else Execute.default_profile
-  in
-  let window = if smoke then 0.2 else 1.0 in
-  let macro = Macros.Iv_converter.macro in
-  let nominal =
-    Experiments.Setup.target_of_macro macro Macros.Process.nominal
-  in
-  let corners =
-    List.map (Experiments.Setup.target_of_macro macro)
-      (Macros.Process.corners ())
-  in
-  let config = Experiments.Iv_configs.config1 in
-  prerr_endline "impact bench: calibrating tolerance box...";
-  let box_model = Tolerance.calibrate ~profile config ~nominal ~corners () in
-  let evaluator ?continuation mode =
-    Evaluator.create ~profile ~mode ?continuation config ~nominal ~box_model
-  in
-  let ev_legacy = evaluator `Legacy in
-  let ev_compiled = evaluator `Compiled in
-  let ev_cont = evaluator ~continuation:true `Compiled in
-  let bridge = Faults.Fault.bridge "n1" "vout" ~resistance:10e3 in
-  let r_dict = Faults.Fault.impact_resistance bridge in
-  let n_levels = 16 in
-  (* the impact walk's geometric ladder around the dictionary impact *)
-  let ladder =
-    Array.init n_levels (fun i -> r_dict *. (2. ** float_of_int (i - 3)))
-  in
-  let values = Test_param.seeds_of config.Test_config.params in
-  let probe ev r =
-    Evaluator.sensitivity ~continue:true ev
-      (Faults.Fault.with_impact bridge r)
-      values
-  in
-  (* outcome parity on the ladder itself *)
-  let s_legacy = Array.map (probe ev_legacy) ladder in
-  let s_compiled = Array.map (probe ev_compiled) ladder in
-  let s_cont = Array.map (probe ev_cont) ladder in
-  let ladder_bit_identical = bitwise_equal s_legacy s_compiled in
-  if not ladder_bit_identical then
-    prerr_endline "impact bench: WARNING compiled ladder diverged from legacy!";
-  let verdicts_agree =
-    Array.for_all2
-      (fun a b -> Sensitivity.detects a = Sensitivity.detects b)
-      s_cont s_compiled
-  in
-  if not verdicts_agree then
-    prerr_endline
-      "impact bench: WARNING continuation detect verdicts diverged!";
-  let max_rel_dev =
-    Array.map2
-      (fun a b -> Float.abs (a -. b) /. Float.max 1e-9 (Float.abs b))
-      s_cont s_compiled
-    |> Array.fold_left Float.max 0.
-  in
-  (* throughput and allocation pressure per ladder probe *)
-  let ladder_pass ev () = Array.iter (fun r -> ignore (probe ev r)) ladder in
-  let per_probe x = x *. float_of_int n_levels in
-  let words_reps = if smoke then 10 else 100 in
-  prerr_endline "impact bench: ladder kernel (legacy)...";
-  let legacy_rate = per_probe (rate ~seconds:window (ladder_pass ev_legacy)) in
-  let legacy_words =
-    minor_words_per ~reps:words_reps (ladder_pass ev_legacy)
-    /. float_of_int n_levels
-  in
-  prerr_endline "impact bench: ladder kernel (compiled)...";
-  let compiled_rate =
-    per_probe (rate ~seconds:window (ladder_pass ev_compiled))
-  in
-  let compiled_words =
-    minor_words_per ~reps:words_reps (ladder_pass ev_compiled)
-    /. float_of_int n_levels
-  in
-  prerr_endline "impact bench: ladder kernel (continuation)...";
-  let cont_rate = per_probe (rate ~seconds:window (ladder_pass ev_cont)) in
-  let cont_words =
-    minor_words_per ~reps:words_reps (ladder_pass ev_cont)
-    /. float_of_int n_levels
-  in
-  (* end-to-end generation: the continuation contract on real outcomes *)
-  let end_to_end ?continuation mode =
-    let ctx = Experiments.Setup.iv ~profile ~mode ?continuation () in
-    let ctx =
-      if smoke then Experiments.Setup.reduced ctx ~n_faults:4 else ctx
-    in
-    let t0 = Unix.gettimeofday () in
-    let run = Experiments.Runs.engine_run ctx in
-    (Unix.gettimeofday () -. t0, run)
-  in
-  prerr_endline "impact bench: end-to-end generation (legacy)...";
-  let legacy_dt, legacy_run = end_to_end `Legacy in
-  prerr_endline "impact bench: end-to-end generation (compiled)...";
-  let compiled_dt, compiled_run = end_to_end `Compiled in
-  prerr_endline "impact bench: end-to-end generation (continuation)...";
-  let cont_dt, cont_run = end_to_end ~continuation:true `Compiled in
-  let bytes_identical =
-    Session.to_string legacy_run.Engine.results
-    = Session.to_string compiled_run.Engine.results
-  in
-  if not bytes_identical then
-    prerr_endline
-      "impact bench: WARNING compiled session diverged from legacy!";
-  let mismatch (a : Generate.result) (b : Generate.result) =
-    if a.Generate.fault_id <> b.Generate.fault_id then
-      Some
-        (Printf.sprintf "fault order: %s vs %s" a.Generate.fault_id
-           b.Generate.fault_id)
-    else if Generate.best_config_id a <> Generate.best_config_id b then
-      Some
-        (Printf.sprintf "%s: config #%d vs #%d" a.Generate.fault_id
-           (Generate.best_config_id a)
-           (Generate.best_config_id b))
-    else
-      match (a.Generate.outcome, b.Generate.outcome) with
-      | ( Generate.Unique { critical_impact = ca; _ },
-          Generate.Unique { critical_impact = cb; _ } ) ->
-          (* refine_critical bisects until hi/lo <= 1.1; two
-             tolerance-identical runs can land one bisection bracket
-             apart *)
-          let ratio = if ca > cb then ca /. cb else cb /. ca in
-          if ratio <= 1.25 then None
-          else
-            Some
-              (Printf.sprintf "%s: critical impact %.1f vs %.1f"
-                 a.Generate.fault_id ca cb)
-      | Generate.Undetectable _, Generate.Undetectable _ -> None
-      | Generate.Unique _, Generate.Undetectable _ ->
-          Some (a.Generate.fault_id ^ ": unique vs undetectable")
-      | Generate.Undetectable _, Generate.Unique _ ->
-          Some (a.Generate.fault_id ^ ": undetectable vs unique")
-  in
-  let outcome_compatible =
-    List.length compiled_run.Engine.results
-    = List.length cont_run.Engine.results
-    &&
-    let mismatches =
-      List.filter_map Fun.id
-        (List.map2 mismatch compiled_run.Engine.results
-           cont_run.Engine.results)
-    in
-    List.iter
-      (fun m -> Printf.eprintf "impact bench: outcome mismatch: %s\n%!" m)
-      mismatches;
-    mismatches = []
-  in
-  if not outcome_compatible then
-    prerr_endline
-      "impact bench: WARNING continuation outcomes diverged from compiled!";
-  let identical_outcomes =
-    ladder_bit_identical && verdicts_agree && bytes_identical
-    && outcome_compatible
-  in
-  let cont_speedup = cont_rate /. Float.max 1e-9 compiled_rate in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"profile\": \"%s\",\n"
-       (if fast then "fast" else "default"));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"ladder\": {\"levels\": %d, \"r_dict\": %.1f, \
-        \"legacy_probes_per_sec\": %.1f, \"compiled_probes_per_sec\": %.1f, \
-        \"continuation_probes_per_sec\": %.1f, \"speedup_vs_compiled\": %.3f, \
-        \"speedup_vs_legacy\": %.3f, \"legacy_minor_words_per_probe\": %.1f, \
-        \"compiled_minor_words_per_probe\": %.1f, \
-        \"continuation_minor_words_per_probe\": %.1f, \
-        \"max_rel_deviation\": %.3e},\n"
-       n_levels r_dict legacy_rate compiled_rate cont_rate cont_speedup
-       (cont_rate /. Float.max 1e-9 legacy_rate)
-       legacy_words compiled_words cont_words max_rel_dev);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"end_to_end\": {\"faults\": %d, \"legacy_wall_seconds\": %.3f, \
-        \"compiled_wall_seconds\": %.3f, \"continuation_wall_seconds\": %.3f, \
-        \"speedup_vs_compiled\": %.3f, \"identical_session_bytes\": %b, \
-        \"outcome_compatible\": %b},\n"
-       (List.length cont_run.Engine.results)
-       legacy_dt compiled_dt cont_dt
-       (compiled_dt /. Float.max 1e-9 cont_dt)
-       bytes_identical outcome_compatible);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identical_outcomes\": %b\n" identical_outcomes);
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_impact.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.eprintf "impact bench: wrote %s\n%!" path;
-  Printf.eprintf
-    "impact bench: ladder %.0f -> %.0f -> %.0f probes/s (continuation %.2fx \
-     vs compiled), end-to-end %.2fs -> %.2fs -> %.2fs\n%!"
-    legacy_rate compiled_rate cont_rate cont_speedup legacy_dt compiled_dt
-    cont_dt;
-  if not identical_outcomes then exit 1;
-  (* the acceptance bar for the full (non-smoke) benchmark *)
-  if (not smoke) && cont_speedup < 2. then begin
-    Printf.eprintf
-      "impact bench: FAIL continuation speedup %.2fx below the 2x bar\n%!"
-      cont_speedup;
     exit 1
   end
 
@@ -1333,71 +1081,7 @@ let run_sparse_bench ~fast ~smoke =
   in
   let rows = List.map restamp_row [ 4; 16; 32 ] in
   let _, _, _, _, top_speedup, _ = List.nth rows (List.length rows - 1) in
-  (* 2: batched multi-fault DC levels vs the sequential path *)
-  let batch_stages = 16 in
-  let batch_macro = Macros.Filter_chain.sk_chain ~stages:batch_stages in
-  let n_levels = 4 in
-  let batch_config =
-    Test_config.create ~id:950 ~name:"Sparse bench DC sweep"
-      ~macro_type:batch_macro.Macros.Macro.macro_type ~control_node:"in"
-      ~params:
-        [
-          Test_param.create ~name:"v" ~units:"V" ~lower:1.0 ~upper:4.0
-            ~seed:2.5;
-        ]
-      ~analysis:
-        (Test_config.Dc_levels
-           (fun v ->
-             List.init n_levels (fun k ->
-                 Circuit.Waveform.Dc (v.(0) +. (0.25 *. float_of_int k)))))
-      ~returns:Test_config.Per_component
-      ~return_names:(List.init n_levels (Printf.sprintf "V(out)@%d"))
-      ~accuracy_floor:(List.init n_levels (fun _ -> 1e-3))
-      ~summary:"dc levels for the batched-solve benchmark"
-  in
-  let batch_ev =
-    Evaluator.create ~profile ~backend:Circuit.Mna.Sparse batch_config
-      ~nominal:
-        (Experiments.Setup.target_of_macro batch_macro
-           Macros.Process.nominal)
-      ~box_model:(Tolerance.floor_only batch_config)
-  in
-  let base_fault = Faults.Fault.bridge "in" "s4o" ~resistance:10e3 in
-  let batch_faults =
-    List.map (Faults.Fault.with_impact base_fault) (Array.to_list impact_ladder)
-  in
-  let values = Test_param.seeds_of batch_config.Test_config.params in
-  Printf.eprintf "sparse bench: batched multi-fault solve...\n%!";
-  let t0 = Unix.gettimeofday () in
-  let batched =
-    match Evaluator.batched_sensitivities batch_ev ~faults:batch_faults values with
-    | Some rows -> rows
-    | None ->
-        Printf.eprintf "sparse bench: FAIL batched path refused the plan\n%!";
-        exit 1
-  in
-  let batched_dt = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let sequential =
-    List.map
-      (fun f -> Evaluator.sensitivity_and_deviation batch_ev f values)
-      batch_faults
-  in
-  let sequential_dt = Unix.gettimeofday () -. t0 in
-  let max_diff =
-    List.fold_left2
-      (fun acc (sb, _) (ss, _) -> Float.max acc (Float.abs (sb -. ss)))
-      0.
-      (Array.to_list batched |> List.map (fun (s, d) -> (s, d)))
-      sequential
-  in
-  let batch_tol = 1e-6 in
-  Printf.eprintf
-    "sparse bench: batch %d faults x %d levels: %.4fs vs %.4fs sequential, \
-     max |dS| %.2e\n\
-     %!"
-    (List.length batch_faults) n_levels batched_dt sequential_dt max_diff;
-  (* 3: end-to-end generation, dense vs sparse *)
+  (* 2: end-to-end generation, dense vs sparse *)
   let end_to_end backend =
     let ctx = Experiments.Setup.iv ~profile ~backend () in
     let ctx =
@@ -1459,16 +1143,6 @@ let run_sparse_bench ~fast ~smoke =
     (Printf.sprintf "  \"factorization_speedup_largest\": %.3f,\n" top_speedup);
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"batched\": {\"macro\": \"%s\", \"faults\": %d, \"levels\": %d, \
-        \"sequential_seconds\": %.4f, \"batched_seconds\": %.4f, \
-        \"speedup\": %.3f, \"max_abs_diff\": %.3e, \"agrees\": %b},\n"
-       batch_macro.Macros.Macro.macro_name (List.length batch_faults)
-       n_levels sequential_dt batched_dt
-       (sequential_dt /. Float.max 1e-9 batched_dt)
-       max_diff
-       (max_diff <= batch_tol));
-  Buffer.add_string buf
-    (Printf.sprintf
        "  \"generation\": {\"faults\": %d, \"dense_seconds\": %.3f, \
         \"sparse_seconds\": %.3f, \"verdict_compat\": %.4f, \
         \"identical_session_bytes\": %b}\n"
@@ -1489,10 +1163,6 @@ let run_sparse_bench ~fast ~smoke =
   if not bytes_identical then fail "session bytes differ across backends";
   if verdict_compat < 1.0 then
     fail (Printf.sprintf "verdict compat %.4f below 1.0" verdict_compat);
-  if max_diff > batch_tol then
-    fail
-      (Printf.sprintf "batched sensitivities diverged (max |dS| %.2e)"
-         max_diff);
   if (not smoke) && top_speedup < 5. then
     fail
       (Printf.sprintf "factorization speedup %.2fx below the 5x bar"
@@ -1751,7 +1421,6 @@ let () =
   let bench_only = Array.exists (String.equal "--bench-only") Sys.argv in
   let parallel = Array.exists (String.equal "--parallel") Sys.argv in
   let hotpath = Array.exists (String.equal "--hotpath") Sys.argv in
-  let impact = Array.exists (String.equal "--impact") Sys.argv in
   let smoke = Array.exists (String.equal "--smoke") Sys.argv in
   let fuzz = Array.exists (String.equal "--fuzz") Sys.argv in
   let adjoint = Array.exists (String.equal "--adjoint") Sys.argv in
@@ -1763,7 +1432,6 @@ let () =
   else if sparse then run_sparse_bench ~fast ~smoke
   else if adjoint then run_adjoint_bench ~fast ~smoke
   else if fuzz then run_fuzz_bench ~smoke
-  else if impact then run_impact_bench ~fast ~smoke
   else if hotpath then run_hotpath_bench ~fast ~smoke
   else begin
     let profile =

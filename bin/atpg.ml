@@ -316,31 +316,26 @@ let noise_cmd =
 
 (* -- context-backed commands ------------------------------------------ *)
 
-let iv_context ?(legacy = false) ?(continuation = false) ?(batching = true)
-    ?(backend = Circuit.Mna.Dense) ~fast () =
+let iv_context ?(backend = Circuit.Mna.Dense) ~fast () =
   prerr_endline "calibrating tolerance boxes...";
-  Experiments.Setup.iv ~profile:(profile_of fast)
-    ~mode:(if legacy then `Legacy else `Compiled)
-    ~continuation ~batching ~backend ()
+  Experiments.Setup.iv ~profile:(profile_of fast) ~backend ()
 
 (* Generation context for any --macro: the IV-converter gets the paper's
    calibrated setup, every other macro the deterministic probe context.
    Identical construction to Serve.Server's context cache, so the serve
    and one-shot paths pose bit-identical problems (the basis of the
    bench's verdict-compatibility gate). *)
-let generation_context ?(legacy = false) ?(continuation = false)
-    ?(batching = true) ?(backend = Circuit.Mna.Dense) ~macro_name ~fast () =
+let generation_context ?(backend = Circuit.Mna.Dense) ~macro_name ~fast () =
   match macro_of_name macro_name with
   | Error e -> Error e
   | Ok macro ->
       warn_dense_backend ~backend (Macros.Macro.nominal_netlist macro);
       if String.equal macro_name "iv" then
-        Ok (iv_context ~legacy ~continuation ~batching ~backend ~fast (), None)
+        Ok (iv_context ~backend ~fast (), None)
       else
         Ok
-          ( Experiments.Setup.probe ~profile:(profile_of fast)
-              ~mode:(if legacy then `Legacy else `Compiled)
-              ~continuation ~batching ~backend ~macro (),
+          ( Experiments.Setup.probe ~profile:(profile_of fast) ~backend ~macro
+              (),
             Some Experiments.Setup.probe_options )
 
 let progress ~done_ ~total ~fault_id =
@@ -631,37 +626,6 @@ let finish_run ?save (run_result : Engine.run) =
   in
   if save_code <> 0 then save_code else Engine.exit_status run_result
 
-let legacy_eval_arg =
-  let doc =
-    "Evaluate with the legacy rebuild-per-probe simulation path instead \
-     of the compiled restamp hot path. Results, reports and checkpoint \
-     files are bit-for-bit identical either way; this flag keeps the \
-     reference implementation reachable for verifying that claim."
-  in
-  Arg.(value & flag & info [ "legacy-eval" ] ~doc)
-
-let continuation_arg =
-  let doc =
-    "Warm-start each fault's impact-ladder solves from the previous \
-     impact level (homotopy continuation with rank-1 first steps). \
-     Faster, and deterministic across $(b,--jobs); converged results \
-     satisfy the same solver tolerances but are not guaranteed \
-     bit-identical to the default cold-start path. Incompatible with \
-     $(b,--legacy-eval)."
-  in
-  Arg.(value & flag & info [ "continuation" ] ~doc)
-
-let no_batch_arg =
-  let doc =
-    "Disable config-major batched fault evaluation (one held \
-     factorization per fault, the whole probe cross-product solved \
-     against it) and force the sequential per-(fault, test) reference \
-     path. Results, reports and checkpoint files are bit-for-bit \
-     identical either way; this flag keeps the reference implementation \
-     reachable for verifying that claim."
-  in
-  Arg.(value & flag & info [ "no-batch" ] ~doc)
-
 let grad_arg =
   let doc =
     "Optimize candidate tests by projected gradient descent on the \
@@ -670,26 +634,13 @@ let grad_arg =
      typically 5-10x fewer probe solves per candidate. Configurations \
      without an analytic gradient fall back to the bracketing path \
      automatically; detect verdicts are cross-checked against the \
-     finite-difference oracle by $(b,bench --adjoint). Incompatible \
-     with $(b,--legacy-eval)."
+     finite-difference oracle by $(b,bench --adjoint)."
   in
   Arg.(value & flag & info [ "grad" ] ~doc)
 
 let generate_cmd =
   let run fast macro fault_id take save max_retries fail_fast resume inject
-      inject_seed jobs legacy continuation no_batch grad backend trace =
-    if legacy && continuation then begin
-      prerr_endline "atpg: --continuation requires the compiled path";
-      exit 2
-    end;
-    if legacy && grad then begin
-      prerr_endline "atpg: --grad requires the compiled path";
-      exit 2
-    end;
-    if legacy && backend = Circuit.Mna.Sparse then begin
-      prerr_endline "atpg: --backend sparse requires the compiled path";
-      exit 2
-    end;
+      inject_seed jobs grad backend trace =
     match parse_inject_specs inject with
     | Error e ->
         prerr_endline e;
@@ -698,10 +649,7 @@ let generate_cmd =
         with_trace trace (fun () ->
             (* build the context first: injection targets the resilient
                generation run, not the tolerance-box setup *)
-            match
-              generation_context ~legacy ~continuation
-                ~batching:(not no_batch) ~backend ~macro_name:macro ~fast ()
-            with
+            match generation_context ~backend ~macro_name:macro ~fast () with
             | Error e ->
                 prerr_endline e;
                 1
@@ -754,17 +702,13 @@ let generate_cmd =
     Term.(
       const run $ fast_arg $ macro_arg $ fault_arg $ take_arg $ save_arg
       $ max_retries_arg $ fail_fast_arg $ resume_arg $ inject_arg
-      $ inject_seed_arg $ jobs_arg $ legacy_eval_arg $ continuation_arg
-      $ no_batch_arg $ grad_arg $ backend_arg $ trace_arg)
+      $ inject_seed_arg $ jobs_arg $ grad_arg $ backend_arg $ trace_arg)
 
 let compact_cmd =
-  let run fast macro backend no_batch take delta load save max_retries
-      fail_fast resume jobs trace =
+  let run fast macro backend take delta load save max_retries fail_fast
+      resume jobs trace =
     with_trace trace (fun () ->
-        match
-          generation_context ~batching:(not no_batch) ~backend
-            ~macro_name:macro ~fast ()
-        with
+        match generation_context ~backend ~macro_name:macro ~fast () with
         | Error e ->
             prerr_endline e;
             1
@@ -795,17 +739,14 @@ let compact_cmd =
        ~doc:"Generate (or --load) and collapse the compact test set \
              (paper sec. 4).")
     Term.(
-      const run $ fast_arg $ macro_arg $ backend_arg $ no_batch_arg $ take_arg
-      $ delta_arg $ load_arg $ save_arg $ max_retries_arg $ fail_fast_arg
-      $ resume_arg $ jobs_arg $ trace_arg)
+      const run $ fast_arg $ macro_arg $ backend_arg $ take_arg $ delta_arg
+      $ load_arg $ save_arg $ max_retries_arg $ fail_fast_arg $ resume_arg
+      $ jobs_arg $ trace_arg)
 
 let baseline_cmd =
-  let run fast macro backend no_batch take jobs trace =
+  let run fast macro backend take jobs trace =
     with_trace trace (fun () ->
-        match
-          generation_context ~batching:(not no_batch) ~backend
-            ~macro_name:macro ~fast ()
-        with
+        match generation_context ~backend ~macro_name:macro ~fast () with
         | Error e ->
             prerr_endline e;
             1
@@ -826,8 +767,8 @@ let baseline_cmd =
     (Cmd.info "baseline"
        ~doc:"Compare optimized generation against fixed-seed selection.")
     Term.(
-      const run $ fast_arg $ macro_arg $ backend_arg $ no_batch_arg $ take_arg
-      $ jobs_arg $ trace_arg)
+      const run $ fast_arg $ macro_arg $ backend_arg $ take_arg $ jobs_arg
+      $ trace_arg)
 
 (* -- profile ------------------------------------------------------------ *)
 

@@ -16,7 +16,6 @@ let default_options =
 type report = {
   solution : Vec.t;
   newton_iterations : int;
-  factorizations : int;
   pattern_reuses : int;
   gmin_steps : int;
   source_steps : int;
@@ -52,57 +51,10 @@ let h_newton =
   Obs.Histogram.create "solver.dc.newton_per_solve"
     ~bounds:[| 2; 4; 8; 16; 32; 64 |]
 
-(* Continuation counters: bumped (active-guarded) once per solve from the
-   continuation bookkeeping, never inside the Newton loop. *)
-let c_rank1 = Obs.Counter.create "solver.dc.rank1_solves"
 let c_reuse = Obs.Counter.create "solver.dc.pattern_reuses"
-let c_rank1_fb = Obs.Counter.create "solver.dc.rank1_fallbacks"
-let c_warm_saved = Obs.Counter.create "solver.dc.warm_start_iters_saved"
-
-(* Caller-owned continuation state for homotopy along the impact ladder:
-   the previous converged solution (the Newton warm start), a held copy
-   of the last factorization produced by a full solve, and the impact
-   override under which that factorization was assembled.  When the next
-   solve differs from the held one only in the impact resistance, the
-   first Newton step solves against the held factorization through
-   {!Mat.rank1_solve} (the fault stamp is rank-1) instead of paying a
-   fresh O(n^3) factorization; later iterations — and the guard-fallback
-   path — factor normally, so the converged fixed point is the same one
-   the cold solver finds, within solver tolerance. *)
-type continuation = {
-  ct_size : int;
-  mutable ct_have_x : bool;
-  ct_x : Vec.t;
-  ct_held : Mna.held;
-  mutable ct_impact : (string * float) option;
-  ct_u : Vec.t;
-  mutable ct_cold_iters : int;
-}
-
-let continuation sys =
-  let n = Mna.size sys in
-  {
-    ct_size = n;
-    ct_have_x = false;
-    ct_x = Vec.create n 0.;
-    ct_held = Mna.held sys;
-    ct_impact = None;
-    ct_u = Vec.create n 0.;
-    ct_cold_iters = 0;
-  }
-
-(* Per-solve rank-1 context handed to the workspace Newton loop for its
-   first iteration only. *)
-type rank1_ctx = {
-  rk_held : Mna.held;
-  rk_u : Vec.t;
-  rk_dg : float;
-  mutable rk_used : int;
-  mutable rk_fallback : int;
-}
 
 (* One Newton attempt at fixed gmin and source scale, allocating a fresh
-   system per iteration — the legacy build-per-solve arithmetic, kept as
+   system per iteration — the build-per-solve arithmetic, kept as
    the reference implementation for the compiled hot path.  Returns the
    solution and iteration count, or None on failure. *)
 let newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys ~time
@@ -160,14 +112,13 @@ let newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys ~time
    [newton_alloc] term for term (the [x +. alpha *. (x_new -. x)] form is
    kept even at [alpha = 1.], where it is not a bitwise no-op), so both
    paths converge along identical trajectories. *)
-let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys ws
-    ~time ~start =
+let newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws ~time
+    ~start =
   let n_nodes = Mna.n_nodes sys in
   let size = Vec.dim start in
   Array.blit start 0 ws.Mna.w_x 0 size;
   let converged = ref false in
   let iters = ref 0 in
-  let factors = ref 0 in
   let reuses = ref 0 in
   (try
      while (not !converged) && !iters < options.max_newton do
@@ -175,31 +126,8 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys ws
        if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
        Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ~source_scale
          ?restamp ~gmin ();
-       (* The first iteration of a continuation solve goes through the
-          held factorization by Sherman-Morrison when the conditioning
-          guard admits it; everything else is the ordinary
-          factor-and-solve, bit-identical to the non-continuation path. *)
-       let solved_rank1 =
-         match rank1 with
-         | Some rk when !iters = 1 ->
-             if
-               Mna.held_rank1_solve rk.rk_held ~u:rk.rk_u ~v:rk.rk_u
-                 ~dg:rk.rk_dg ~b:ws.Mna.w_z ~x:ws.Mna.w_x_new
-             then begin
-               rk.rk_used <- rk.rk_used + 1;
-               true
-             end
-             else begin
-               rk.rk_fallback <- rk.rk_fallback + 1;
-               false
-             end
-         | Some _ | None -> false
-       in
-       if not solved_rank1 then begin
-         if Mna.ws_factor ws then incr reuses;
-         incr factors;
-         Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new
-       end;
+       if Mna.ws_factor ws then incr reuses;
+       Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new;
        let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
        if Failpoint.should_fail "dc.nan_solution" then
          Array.fill x_new 0 size Float.nan;
@@ -227,27 +155,17 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys ws
        ws.Mna.w_x_new <- x
      done
    with Mat.Singular _ | Diverged -> converged := false);
-  if !converged then Some (Vec.copy ws.Mna.w_x, !iters, !factors, !reuses)
+  if !converged then Some (Vec.copy ws.Mna.w_x, !iters, !reuses)
   else None
 
 let solve_u ?(options = default_options) ?guess ?companions
-    ?(source_scale = 1.) ?workspace ?restamp ?continuation sys ~time =
+    ?(source_scale = 1.) ?workspace ?restamp sys ~time =
   if Failpoint.should_fail "dc.no_convergence" then
     raise
       (No_convergence
          (Printf.sprintf "injected failure at dc.no_convergence (%S)"
             (Netlist.title (Mna.netlist sys))));
-  (match continuation with
-  | Some ct when ct.ct_size <> Mna.size sys ->
-      invalid_arg "Dc.solve: continuation size mismatch"
-  | Some _ | None -> ());
-  (* The continuation's stored iterate takes precedence over the caller's
-     guess: the ladder's previous converged solution is the homotopy
-     start point. *)
-  let warm =
-    match continuation with Some ct -> ct.ct_have_x | None -> false
-  in
-  let cold_start =
+  let start =
     match guess with
     | Some g ->
         if Vec.dim g <> Mna.size sys then
@@ -255,128 +173,53 @@ let solve_u ?(options = default_options) ?guess ?companions
         g
     | None -> Vec.create (Mna.size sys) 0.
   in
-  let start = if warm then (Option.get continuation).ct_x else cold_start in
   (match workspace with
   | Some ws when ws.Mna.w_size <> Mna.size sys ->
       invalid_arg "Dc.solve: workspace size mismatch"
   | Some _ | None -> ());
-  (* The rank-1 first-step context applies only to the direct attempt
-     (nominal gmin, full source scale) and only when the held
-     factorization differs from the requested system purely in the
-     impact resistance of one named resistor. *)
-  let rank1_ctx =
-    match (continuation, workspace, restamp) with
-    | Some ct, Some _, Some { Mna.impact = Some (dev, r_new); _ }
-      when Mna.held_factored ct.ct_held -> begin
-        match ct.ct_impact with
-        | Some (dev0, r_old) when String.equal dev dev0 && r_new <> r_old
-          -> begin
-            match Mna.impact_rank1 sys ~device:dev ~r_from:r_old ~r_to:r_new
-            with
-            | Some r1 ->
-                Mna.rank1_direction sys r1 ct.ct_u;
-                Some
-                  {
-                    rk_held = ct.ct_held;
-                    rk_u = ct.ct_u;
-                    rk_dg = r1.Mna.r1_dg;
-                    rk_used = 0;
-                    rk_fallback = 0;
-                  }
-            | None -> None
-          end
-        | Some _ | None -> None
-      end
-    | _ -> None
-  in
-  let attempt ?rank1 ~gmin ~scale ~start () =
+  let attempt ~gmin ~scale ~start =
     let source_scale = scale *. source_scale in
     match workspace with
     | Some ws ->
-        newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys
-          ws ~time ~start
+        newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws
+          ~time ~start
     | None -> (
-        (* the allocating reference path factors once per iteration *)
         match
           newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys
             ~time ~start
         with
-        | Some (x, it) -> Some (x, it, it, 0)
+        | Some (x, it) -> Some (x, it, 0)
         | None -> None)
   in
-  (* Continuation bookkeeping for a converged solve: retain the solution
-     as the next warm start; retain the workspace factorization (and the
-     impact it was assembled under) whenever this solve actually
-     factored — a solve that converged purely through the rank-1 path
-     leaves the previously held factorization in place, which stays
-     consistent because the next delta is always computed against the
-     held impact. *)
-  let finish ~x ~it ~factors ~reuses ~gmin_steps ~source_steps =
-    (match continuation with
-    | Some ct ->
-        Array.blit x 0 ct.ct_x 0 ct.ct_size;
-        ct.ct_have_x <- true;
-        (match workspace with
-        | Some ws when factors > 0 ->
-            Mna.hold ws ct.ct_held;
-            ct.ct_impact <-
-              (match restamp with Some r -> r.Mna.impact | None -> None)
-        | Some _ | None -> ());
-        (match rank1_ctx with
-        | Some rk ->
-            Obs.Counter.bump c_rank1 rk.rk_used;
-            Obs.Counter.bump c_rank1_fb rk.rk_fallback
-        | None -> ());
-        if warm then begin
-          if ct.ct_cold_iters > 0 then
-            Obs.Counter.bump c_warm_saved (max 0 (ct.ct_cold_iters - it))
-        end
-        else ct.ct_cold_iters <- it
-    | None -> ());
+  let finish ~x ~it ~reuses ~gmin_steps ~source_steps =
     {
       solution = x;
       newton_iterations = it;
-      factorizations = factors;
       pattern_reuses = reuses;
       gmin_steps;
       source_steps;
     }
   in
-  let direct =
-    match attempt ?rank1:rank1_ctx ~gmin:options.gmin ~scale:1. ~start () with
-    | Some _ as converged -> converged
-    | None when warm ->
-        (* A poisoned warm start must never cost convergence: near a
-           discontinuity of the solution branch (a fault railing the
-           circuit at one impact, releasing it at the next) the previous
-           iterate can sit in a basin Newton cannot leave.  Replay the
-           cold path exactly — same start, no rank-1 — before escalating
-           to the stepping ladders. *)
-        attempt ~gmin:options.gmin ~scale:1. ~start:cold_start ()
-    | None -> None
-  in
-  match direct with
-  | Some (x, it, factors, reuses) ->
-      finish ~x ~it ~factors ~reuses ~gmin_steps:0 ~source_steps:0
+  match attempt ~gmin:options.gmin ~scale:1. ~start with
+  | Some (x, it, reuses) ->
+      finish ~x ~it ~reuses ~gmin_steps:0 ~source_steps:0
   | None -> begin
-      (* gmin stepping: relax then tighten — seeded from the cold start,
-         like the cold path, never from a failed warm iterate *)
-      let start = cold_start in
+      (* gmin stepping: relax then tighten *)
       let gmins = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; options.gmin ] in
       let rec gmin_walk x_opt steps = function
         | [] -> (x_opt, steps)
         | g :: rest -> begin
             let start =
-              match x_opt with Some (x, _, _, _) -> x | None -> start
+              match x_opt with Some (x, _, _) -> x | None -> start
             in
-            match attempt ~gmin:g ~scale:1. ~start () with
+            match attempt ~gmin:g ~scale:1. ~start with
             | Some r -> gmin_walk (Some r) (steps + 1) rest
             | None -> (None, steps)  (* chain broken: give up on this path *)
           end
       in
       match gmin_walk None 0 gmins with
-      | Some (x, it, factors, reuses), steps ->
-          finish ~x ~it ~factors ~reuses ~gmin_steps:steps ~source_steps:0
+      | Some (x, it, reuses), steps ->
+          finish ~x ~it ~reuses ~gmin_steps:steps ~source_steps:0
       | None, _ -> begin
           (* source stepping at final gmin *)
           let scales = [ 0.; 0.1; 0.2; 0.35; 0.5; 0.65; 0.8; 0.9; 1. ] in
@@ -384,16 +227,16 @@ let solve_u ?(options = default_options) ?guess ?companions
             | [] -> (x_opt, steps)
             | s :: rest -> begin
                 let start =
-                  match x_opt with Some (x, _, _, _) -> x | None -> start
+                  match x_opt with Some (x, _, _) -> x | None -> start
                 in
-                match attempt ~gmin:options.gmin ~scale:s ~start () with
+                match attempt ~gmin:options.gmin ~scale:s ~start with
                 | Some r -> src_walk (Some r) (steps + 1) rest
                 | None -> (None, steps)
               end
           in
           match src_walk None 0 scales with
-          | Some (x, it, factors, reuses), steps ->
-              finish ~x ~it ~factors ~reuses ~gmin_steps:(List.length gmins)
+          | Some (x, it, reuses), steps ->
+              finish ~x ~it ~reuses ~gmin_steps:(List.length gmins)
                 ~source_steps:steps
           | None, _ ->
               raise
@@ -405,20 +248,20 @@ let solve_u ?(options = default_options) ?guess ?companions
         end
     end
 
-let solve ?options ?guess ?companions ?source_scale ?workspace ?restamp
-    ?continuation sys ~time =
+let solve ?options ?guess ?companions ?source_scale ?workspace ?restamp sys
+    ~time =
   if not (Obs.active ()) then
-    solve_u ?options ?guess ?companions ?source_scale ?workspace ?restamp
-      ?continuation sys ~time
+    solve_u ?options ?guess ?companions ?source_scale ?workspace ?restamp sys
+      ~time
   else
     match
-      solve_u ?options ?guess ?companions ?source_scale ?workspace ?restamp
-        ?continuation sys ~time
+      solve_u ?options ?guess ?companions ?source_scale ?workspace ?restamp sys
+        ~time
     with
     | report ->
         Obs.Counter.add c_solves 1;
         Obs.Counter.add c_newton report.newton_iterations;
-        Obs.Counter.add c_lu report.factorizations;
+        Obs.Counter.add c_lu report.newton_iterations;
         Obs.Counter.add c_reuse report.pattern_reuses;
         Obs.Counter.add c_gmin report.gmin_steps;
         Obs.Counter.add c_src report.source_steps;

@@ -89,7 +89,7 @@ let c_simulations = Obs.Counter.create "solver.tran.simulations"
 let c_steps = Obs.Counter.create "solver.tran.steps"
 
 let simulate ?(options = Dc.default_options) ?(method_ = Backward_euler)
-    ?workspace ?restamp ?continuation sys ~tstop ~dt ~observe =
+    ?workspace ?restamp sys ~tstop ~dt ~observe =
   if tstop <= 0. then invalid_arg "Tran.simulate: tstop must be > 0";
   if dt <= 0. then invalid_arg "Tran.simulate: dt must be > 0";
   let reactive_list = reactives sys in
@@ -103,14 +103,8 @@ let simulate ?(options = Dc.default_options) ?(method_ = Backward_euler)
   let companion_tbl =
     match workspace with Some _ -> Some (Hashtbl.create 8) | None -> None
   in
-  (* Only the initial operating point takes the continuation: per-step
-     solves already warm-start from the previous step, and their
-     companion-laden systems would poison the held factorization for the
-     next probe's t=0 solve. *)
   let x0 =
-    (Dc.solve ~options ?workspace ?restamp ?continuation sys
-       ~time:(`Time 0.))
-      .Dc.solution
+    (Dc.solve ~options ?workspace ?restamp sys ~time:(`Time 0.)).Dc.solution
   in
   List.iter (fun (n, arr) -> arr.(0) <- Mna.voltage sys x0 n) records;
   let x = ref x0 in

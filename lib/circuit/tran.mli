@@ -25,7 +25,6 @@ val simulate :
   ?method_:method_ ->
   ?workspace:Mna.workspace ->
   ?restamp:Mna.restamp ->
-  ?continuation:Dc.continuation ->
   Mna.t ->
   tstop:float ->
   dt:float ->
@@ -41,7 +40,5 @@ val simulate :
     caller's preallocated system in place and one companion table is
     refilled per step — the compiled hot path, bit-identical to the
     allocating default (see {!Dc.solve}).  [restamp] substitutes
-    stimulus/fault-impact values at stamp time.  [continuation] applies
-    to the initial operating point only (per-step solves already
-    warm-start from the previous step) — see {!Dc.solve}.
+    stimulus/fault-impact values at stamp time.
     @raise Invalid_argument on non-positive [tstop] or [dt]. *)

@@ -1,6 +1,4 @@
 
-type mode = [ `Legacy | `Compiled ]
-
 (* Per-evaluator accounting lives in unregistered Obs counters: the same
    atomic cells whether tracing is on or off, with fork/absorb giving the
    commutative merge Parallel relies on.  The registered globals below
@@ -11,8 +9,6 @@ type t = {
   profile : Execute.profile;
   nominal : Execute.target;
   box_model : Tolerance.t;
-  mode : mode;
-  continuation : bool;
   batching : bool;
   backend : Circuit.Mna.backend;
   nominal_cache : (string, float array) Hashtbl.t;
@@ -21,11 +17,6 @@ type t = {
      shared by every fault's gradient probe at that point. *)
   ngrad_cache : (string, float array * float array array) Hashtbl.t;
   compiled_cache : (string, Execute.compiled) Hashtbl.t;
-  (* Warm-start stores keyed like the plan cache (per fault site): the
-     ladder of probes of one fault continues through one store, so each
-     fault's results stay a pure function of that fault — the property
-     that keeps continuation runs identical across --jobs N. *)
-  cont_cache : (string, Execute.continuation) Hashtbl.t;
   evals : Obs.Counter.t;
   budget : int option ref;
   cache_hits : Obs.Counter.t;
@@ -47,22 +38,18 @@ let g_batch_panels = Obs.Counter.create "evaluator.batch.panels"
 
 exception Budget_exhausted of { config_id : int; budget : int }
 
-let create ?(profile = Execute.default_profile) ?(mode = `Compiled)
-    ?(continuation = false) ?(batching = true) ?(backend = Circuit.Mna.Dense)
-    config ~nominal ~box_model =
+let create ?(profile = Execute.default_profile) ?(batching = true)
+    ?(backend = Circuit.Mna.Dense) config ~nominal ~box_model =
   {
     config;
     profile;
     nominal;
     box_model;
-    mode;
-    continuation;
     batching;
     backend;
     nominal_cache = Hashtbl.create 64;
     ngrad_cache = Hashtbl.create 64;
     compiled_cache = Hashtbl.create 16;
-    cont_cache = Hashtbl.create 16;
     evals = Obs.Counter.unregistered "evaluator.evals";
     budget = ref None;
     cache_hits = Obs.Counter.unregistered "evaluator.cache_hits";
@@ -98,7 +85,6 @@ let fork t =
     nominal_cache = Hashtbl.copy t.nominal_cache;
     ngrad_cache = Hashtbl.copy t.ngrad_cache;
     compiled_cache = Hashtbl.create 16;
-    cont_cache = Hashtbl.create 16;
     evals = Obs.Counter.fork t.evals;
     budget = ref None;
     cache_hits = Obs.Counter.fork t.cache_hits;
@@ -130,8 +116,6 @@ let absorb ~into child =
 
 let config t = t.config
 let config_id t = t.config.Test_config.config_id
-let mode t = t.mode
-let continuation_enabled t = t.continuation
 let batching_enabled t = t.batching
 let nominal_target t = t.nominal
 let profile t = t.profile
@@ -189,14 +173,9 @@ let nominal_observables t values =
          failure draws would break per-fault injection determinism *)
       let obs =
         Numerics.Failpoint.without (fun () ->
-            match t.mode with
-            | `Legacy ->
-                Execute.observables ~profile:t.profile t.config t.nominal
-                  values
-            | `Compiled ->
-                Execute.compiled_observables ~profile:t.profile
-                  (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
-                  values)
+            Execute.compiled_observables ~profile:t.profile
+              (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
+              values)
       in
       Hashtbl.replace t.nominal_cache key obs;
       obs
@@ -211,46 +190,22 @@ let faulty_target t fault =
     Execute.netlist = Faults.Inject.apply t.nominal.Execute.netlist fault;
   }
 
-(* Continuation engages only when the caller says this probe walks the
-   impact ladder ([continue]): warm-starting is a homotopy in the impact
-   resistance at fixed parameter values, so optimizer probes — which vary
-   the parameters at a fixed impact — stay on the cold path and remain
-   bit-identical to a non-continuation run.  Keeping the optimizer exact
-   matters because it drives sensitivities toward the detection boundary,
-   where any last-digit deviation in the optimum flips knife-edge detect
-   verdicts across decades of impact. *)
-let faulty_observables ?(continue = false) t fault values =
+let faulty_observables t fault values =
   charge t;
-  match t.mode with
-  | `Legacy ->
-      Execute.observables ~profile:t.profile t.config (faulty_target t fault)
-        values
-  | `Compiled ->
-      let key = Faults.Fault.id fault in
-      let plan = compiled_plan t ~key (fun () -> faulty_target t fault) in
-      let continuation =
-        if not (t.continuation && continue) then None
-        else
-          match Hashtbl.find_opt t.cont_cache key with
-          | Some c -> Some c
-          | None ->
-              let c = Execute.continuation () in
-              Hashtbl.replace t.cont_cache key c;
-              Some c
-      in
-      Execute.compiled_observables ~profile:t.profile
-        ~impact:(Faults.Inject.impact_override fault) ?continuation plan
-        values
+  let key = Faults.Fault.id fault in
+  let plan = compiled_plan t ~key (fun () -> faulty_target t fault) in
+  Execute.compiled_observables ~profile:t.profile
+    ~impact:(Faults.Inject.impact_override fault) plan values
 
 (* A faulty circuit that genuinely cannot be simulated is trivially
    detected (the sentinel below) — but a failure *injected* by the chaos
    harness is an infrastructure event that belongs to the retry ladder,
    not evidence of detection.  The failpoint epoch distinguishes the two:
    when it moved across the faulty evaluation, re-raise. *)
-let sensitivity_and_deviation ?continue t fault values =
+let sensitivity_and_deviation t fault values =
   let nominal = nominal_observables t values in
   let epoch = Numerics.Failpoint.epoch () in
-  match faulty_observables ?continue t fault values with
+  match faulty_observables t fault values with
   | faulty ->
       let dev = Execute.deviations t.config ~nominal ~faulty in
       let s =
@@ -261,11 +216,10 @@ let sensitivity_and_deviation ?continue t fault values =
     when Numerics.Failpoint.epoch () = epoch ->
       (detected_sentinel, [||])
 
-let sensitivity ?continue t fault values =
-  fst (sensitivity_and_deviation ?continue t fault values)
+let sensitivity t fault values = fst (sensitivity_and_deviation t fault values)
 
 (* Adjoint sensitivity gradient: [Some (s, dS/dp)] when both responses
-   admit the analytic gradient (compiled mode, Dc_levels analysis),
+   admit the analytic gradient (a Dc_levels analysis),
    [None] when the caller must fall back to finite-difference probing.
    The value part is bit-identical to {!sensitivity}: same solver
    trajectories, same box arithmetic — only the gradient rides along.
@@ -275,27 +229,24 @@ let sensitivity ?continue t fault values =
    gradient costs exactly one {!charge}, so [optimizer_evaluations]
    accounting compares probe-for-probe with the oracle path. *)
 let nominal_gradient t values =
-  match t.mode with
-  | `Legacy -> None
-  | `Compiled -> (
-      let key = cache_key values in
-      match Hashtbl.find_opt t.ngrad_cache key with
-      | Some g -> Some g
-      | None -> (
-          let g =
-            Numerics.Failpoint.without (fun () ->
-                Execute.compiled_gradient ~profile:t.profile
-                  (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
-                  values)
-          in
-          match g with
-          | None -> None
-          | Some g ->
-              if not (Hashtbl.mem t.nominal_cache key) then
-                Hashtbl.replace t.nominal_cache key g.Execute.g_obs;
-              let entry = (g.Execute.g_obs, g.Execute.g_dobs) in
-              Hashtbl.replace t.ngrad_cache key entry;
-              Some entry))
+  let key = cache_key values in
+  match Hashtbl.find_opt t.ngrad_cache key with
+  | Some g -> Some g
+  | None -> (
+      let g =
+        Numerics.Failpoint.without (fun () ->
+            Execute.compiled_gradient ~profile:t.profile
+              (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
+              values)
+      in
+      match g with
+      | None -> None
+      | Some g ->
+          if not (Hashtbl.mem t.nominal_cache key) then
+            Hashtbl.replace t.nominal_cache key g.Execute.g_obs;
+          let entry = (g.Execute.g_obs, g.Execute.g_dobs) in
+          Hashtbl.replace t.ngrad_cache key entry;
+          Some entry)
 
 let sensitivity_gradient t fault values =
   match nominal_gradient t values with
@@ -320,49 +271,6 @@ let sensitivity_gradient t fault values =
           (* trivially detected, and flat: the descent stops here *)
           Some (detected_sentinel, Array.make (Numerics.Vec.dim values) 0.))
 
-(* Batched evaluation of faults sharing one site (same {!Faults.Fault.id},
-   hence one compiled topology and one stamp pattern): the whole group is
-   swept through {!Execute.compiled_dc_levels_batch}, each fault still
-   paying one {!charge}.  [None] sends the caller back to the sequential
-   per-fault path: legacy mode, an empty or mixed-site group, or a plan
-   outside the batchable (linear, DC-levels) family. *)
-let batched_sensitivities t ~faults values =
-  match (t.mode, faults) with
-  | `Legacy, _ | _, [] -> None
-  | `Compiled, f0 :: rest ->
-      let key = Faults.Fault.id f0 in
-      if
-        not
-          (List.for_all (fun f -> String.equal (Faults.Fault.id f) key) rest)
-      then None
-      else begin
-        let plan = compiled_plan t ~key (fun () -> faulty_target t f0) in
-        let impacts =
-          Array.of_list
-            (List.map (fun f -> Some (Faults.Inject.impact_override f)) faults)
-        in
-        match
-          Execute.compiled_dc_levels_batch ~profile:t.profile plan ~impacts
-            values
-        with
-        | None -> None
-        | Some rows ->
-            let nominal = nominal_observables t values in
-            let box = box t values in
-            Some
-              (Array.map
-                 (fun faulty ->
-                   charge t;
-                   let dev =
-                     Execute.deviations t.config ~nominal ~faulty
-                   in
-                   let s =
-                     Sensitivity.compute t.config ~box ~nominal ~faulty
-                   in
-                   (s, dev))
-                 rows)
-      end
-
 (* Config-major batched evaluation of an arbitrary fault set against an
    arbitrary set of parameter points — the engine behind the coverage,
    compaction, collapse and lattice-seeding cross-products.  Faults are
@@ -381,20 +289,13 @@ let batched_sensitivities t ~faults values =
    ladders) fall back to the verbatim sequential call, per pair.
 
    [None] — caller runs its sequential loop unchanged — when batching is
-   disabled, the evaluator is in legacy or continuation mode (warm-start
-   trajectories are tolerance-, not bit-identical, so batching them would
-   change bits), the plan family is non-batchable, or failure injection
-   is active: batching reorders evaluations, so letting it run under an
+   disabled, the plan family is non-batchable, or failure injection is
+   active: batching reorders evaluations, so letting it run under an
    active injection config would change which draw hits which fault and
    break per-fault injection determinism. *)
 let batched_fault_sensitivities t ~faults ~points =
   let nf = Array.length faults and np = Array.length points in
-  if
-    nf = 0 || np = 0
-    || (not t.batching)
-    || t.continuation
-    || t.mode = `Legacy
-  then None
+  if nf = 0 || np = 0 || not t.batching then None
   else if Numerics.Failpoint.active () then begin
     Obs.Counter.add g_batch_fallback (nf * np);
     None

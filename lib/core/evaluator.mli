@@ -4,19 +4,18 @@
     this configuration?": the nominal target, the calibrated box model
     and an execution profile.  Nominal observables are memoized per
     parameter value set, which makes the impact-convergence loop (many
-    impacts, same [T]) cheap. *)
+    impacts, same [T]) cheap.
+
+    Every measurement goes through one cached compiled execution plan
+    per topology — the nominal netlist, and one per fault {e site}
+    ({!Faults.Fault.id} excludes the impact resistance, which restamps
+    as a value) — so each optimizer probe restamps a preallocated
+    workspace instead of rewriting and re-indexing the netlist.  The
+    results are bit-identical to {!Execute.observables} on the
+    fault-injected netlist, the rebuild-per-probe reference the parity
+    tests compare against. *)
 
 type t
-
-type mode = [ `Legacy | `Compiled ]
-(** How measurements reach the simulator.  [`Compiled] (the default)
-    caches one compiled execution plan per topology — the nominal
-    netlist, and one per fault {e site} ({!Faults.Fault.id} excludes the
-    impact resistance, which restamps as a value) — so each optimizer
-    probe restamps a preallocated workspace instead of rewriting and
-    re-indexing the netlist.  [`Legacy] rebuilds per probe; it exists as
-    the reference implementation for parity tests and benchmarks.  Both
-    modes produce bit-identical observables. *)
 
 exception Budget_exhausted of { config_id : int; budget : int }
 (** Raised by a faulty-circuit evaluation once the shared evaluation
@@ -27,8 +26,6 @@ exception Budget_exhausted of { config_id : int; budget : int }
 
 val create :
   ?profile:Execute.profile ->
-  ?mode:mode ->
-  ?continuation:bool ->
   ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   Test_config.t ->
@@ -43,18 +40,8 @@ val create :
     sweeps into config-major batched evaluation
     ({!batched_fault_sensitivities}); disabling it forces every consumer
     onto the sequential per-(fault, point) path — the reference
-    implementation batched results are bit-compared against.
-
-    [continuation] (default [false]) opts impact-ladder probes
-    ({!sensitivity} with [~continue:true]) on the compiled path into
-    warm-start continuation: ladder probes of one fault site share an
-    {!Execute.continuation} store, so the impact ladder's solves seed
-    Newton from the previous level and may take rank-1 first steps (see
-    {!Circuit.Dc.solve}).  Optimizer probes and nominal observables are
-    never continued, and each fault's store is private to that fault, so
-    results stay a pure function of the fault — identical across
-    [--jobs N] — but are tolerance-identical rather than bit-identical
-    to a non-continuation run. *)
+    implementation batched results are bit-compared against (a test
+    seam, not a user option). *)
 
 val with_profile : t -> Execute.profile -> t
 (** A derived evaluator with a different execution profile (used by the
@@ -86,10 +73,6 @@ val config : t -> Test_config.t
 val config_id : t -> int
 val nominal_target : t -> Execute.target
 val profile : t -> Execute.profile
-val mode : t -> mode
-
-val continuation_enabled : t -> bool
-(** Whether {!create} enabled warm-start continuation. *)
 
 val batching_enabled : t -> bool
 (** Whether {!create} admitted config-major batched evaluation. *)
@@ -110,27 +93,15 @@ val detected_sentinel : float
     all (-1e6): a macro whose faulty version does not even reach an
     operating point is trivially caught on the tester. *)
 
-val sensitivity :
-  ?continue:bool -> t -> Faults.Fault.t -> Numerics.Vec.t -> float
+val sensitivity : t -> Faults.Fault.t -> Numerics.Vec.t -> float
 (** [S_f(T)]: injects the fault into the nominal netlist, measures, and
     scores against the memoized nominal response and the box model.
     Returns {!detected_sentinel} if the faulty simulation fails.
-
-    [continue] (default [false]) marks this probe as part of the fault's
-    impact ladder: on an evaluator created with [~continuation:true] it
-    warm-starts the solves from the previous ladder level.  Leave it off
-    for probes that vary the parameter values (the optimizer), which
-    must stay bit-identical to a non-continuation run — continuation is
-    a homotopy in the impact, not in [T].
     @raise Execute.Execution_failure if the {e nominal} simulation fails
     (a setup error, not a fault effect). *)
 
 val sensitivity_and_deviation :
-  ?continue:bool ->
-  t ->
-  Faults.Fault.t ->
-  Numerics.Vec.t ->
-  float * float array
+  t -> Faults.Fault.t -> Numerics.Vec.t -> float * float array
 (** Sensitivity together with the per-return-value deviations (reports).
     The deviation array is empty when the faulty simulation failed. *)
 
@@ -139,7 +110,7 @@ val sensitivity_gradient :
 (** [Some (S_f(T), dS/dp)] by the adjoint chain — one faulty solve plus
     one transpose solve per operating point instead of one solve per
     parameter — when the configuration admits the analytic gradient
-    (compiled mode, [Dc_levels] analysis); [None] tells the caller to
+    (a [Dc_levels] analysis); [None] tells the caller to
     fall back to finite-difference probing, at no evaluation cost.  The
     value part is bit-identical to {!sensitivity} at the same point:
     same solver trajectories, same box arithmetic.  A successful call
@@ -151,29 +122,10 @@ val sensitivity_gradient :
     @raise Execute.Execution_failure if the {e nominal} simulation
     fails. *)
 
-val faulty_observables :
-  ?continue:bool -> t -> Faults.Fault.t -> Numerics.Vec.t -> float array
-(** Raw faulty measurement (no memoization).  [continue] as in
-    {!sensitivity}.
+val faulty_observables : t -> Faults.Fault.t -> Numerics.Vec.t -> float array
+(** Raw faulty measurement (no memoization) through the fault site's
+    compiled plan.
     @raise Execute.Execution_failure on simulator failure. *)
-
-val batched_sensitivities :
-  t ->
-  faults:Faults.Fault.t list ->
-  Numerics.Vec.t ->
-  (float * float array) array option
-(** Batched sensitivities-and-deviations for faults sharing one site
-    (one {!Faults.Fault.id}, hence one compiled topology and stamp
-    pattern): the whole group is swept through
-    {!Execute.compiled_dc_levels_batch} — per fault one restamp and one
-    pattern-reuse refactorization, all probe levels solved in one
-    blocked triangular sweep on the sparse backend.  Each fault still
-    charges one evaluation.  [None] sends the caller to the sequential
-    per-fault path: legacy mode, an empty or mixed-site group, or a
-    plan outside the batchable (linear, DC-levels) family; results are
-    then taken fault by fault via {!sensitivity_and_deviation}, which
-    this path matches to solver tolerance.
-    @raise Execute.Execution_failure if the nominal simulation fails. *)
 
 val batched_fault_sensitivities :
   t ->
@@ -197,8 +149,7 @@ val batched_fault_sensitivities :
     [evaluator.batch.fallback_seq]).
 
     [None] — caller keeps its sequential loop — when batching is
-    disabled, the evaluator is in legacy or continuation mode, the plan
-    family is non-batchable (nonlinear topology or a non-DC-levels
+    disabled, the plan family is non-batchable (nonlinear topology or a non-DC-levels
     analysis), or failure injection is active (batching would reorder
     the injection draws).
     @raise Execute.Execution_failure if the nominal simulation fails.

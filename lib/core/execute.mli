@@ -68,7 +68,7 @@ val compile : ?backend:Circuit.Mna.backend -> Test_config.t -> target -> compile
     The plan is built from the stimulus-normalized netlist (the stimulus
     source moved to the end of device order, exactly where every
     per-probe {!with_stimulus} rewrite puts it), so unknown numbering —
-    and therefore pivoting and arithmetic — matches the legacy path
+    and therefore pivoting and arithmetic — matches {!observables}
     bit for bit.  [backend] (default [Dense]) selects the plan's
     linear-algebra engine; both produce bit-identical results
     (see {!Circuit.Mna.backend}).
@@ -78,21 +78,9 @@ val compile : ?backend:Circuit.Mna.backend -> Test_config.t -> target -> compile
 val compiled_target : compiled -> target
 val compiled_config : compiled -> Test_config.t
 
-type continuation
-(** Warm-start state for a ladder of probes over one compiled plan: one
-    {!Circuit.Dc.continuation} per DC solve site of a probe, paired by
-    position (the k-th solve of each probe continues from the k-th solve
-    of the previous one).  Belongs to one plan and one domain, like the
-    plan's workspace. *)
-
-val continuation : unit -> continuation
-(** A fresh (cold) continuation store; slots are allocated lazily on
-    first use. *)
-
 val compiled_observables :
   ?profile:profile ->
   ?impact:string * float ->
-  ?continuation:continuation ->
   compiled ->
   Numerics.Vec.t ->
   float array
@@ -102,45 +90,11 @@ val compiled_observables :
     value phase of a fault whose injected topology the plan was compiled
     from (see [Faults.Inject.impact_override]).  The same failpoint
     ["execute.observables"] fires at entry, after the same number of
-    draws as the legacy path.
+    draws as the direct path.
 
-    [continuation] opts this probe into warm-start continuation: every
-    DC operating point (including the transient initial condition) seeds
-    Newton from the matching solve of the previous probe and may take a
-    rank-1 first step against its held factorization when only the
-    impact resistance changed (see {!Circuit.Dc.solve}).  Results are
-    then tolerance-identical rather than bit-identical to the cold path.
     @raise Execution_failure on simulator failure.
     @raise Invalid_argument on value-count mismatch or an invalid probe
-    waveform (same rejection as netlist insertion on the legacy path). *)
-
-val compiled_dc_levels_batch :
-  ?profile:profile ->
-  compiled ->
-  impacts:(string * float) option array ->
-  Numerics.Vec.t ->
-  float array array option
-(** Batched multi-fault DC-levels sweep over one compiled plan: faults
-    at one site share the plan's stamp pattern and differ only in the
-    impact resistance, so per impact the system is restamped and
-    refactored once (a numeric-only pattern replay on the sparse
-    backend) and all probe levels solve against that single
-    factorization — one blocked triangular sweep
-    ({!Numerics.Smat.solve_block}) on sparse, sequential solves on
-    dense.  Returns one observable row per entry of [impacts] (an entry
-    of [None] is the nominal-value stamp).
-
-    [None] when the plan is outside the batchable family: a non-DC-levels
-    analysis, or a nonlinear (MOSFET-bearing) topology — there the
-    system matrix depends on the stimulus level through the iterate and
-    the caller must walk {!compiled_observables} fault by fault.  For
-    linear plans the assembled system is exact, so each row equals the
-    operating points the sequential path converges to (to solver
-    tolerance; the sequential path's damped Newton trajectory may differ
-    in low-order bits).
-    @raise Execution_failure on a singular system.
-    @raise Invalid_argument on value-count mismatch or an invalid probe
-    waveform. *)
+    waveform (same rejection as netlist insertion on the direct path). *)
 
 type fault_batch = {
   fb_obs : float array option array array;
@@ -220,9 +174,7 @@ val compiled_gradient :
 (** {!gradient} over a compiled plan, with the fault-impact override of
     {!compiled_observables}.  When [impact] is given, the result also
     carries each observable's derivative along the impact resistance
-    ([g_dimpact]).  Never rides the warm-start continuation: gradient
-    probes vary the parameters at fixed impact, which is exactly the
-    cold-path contract optimizer probes already obey. *)
+    ([g_dimpact]). *)
 
 val deviations :
   Test_config.t -> nominal:float array -> faulty:float array -> float array

@@ -356,8 +356,7 @@ let sensitivity_at m (ev, cand) impact =
   | Some s -> s
   | None ->
       let f = Faults.Fault.with_impact m.base_fault impact in
-      (* ladder probe: same [T], new impact — the continuation homotopy *)
-      let s = Evaluator.sensitivity ~continue:true ev f cand.cand_params in
+      let s = Evaluator.sensitivity ev f cand.cand_params in
       Hashtbl.replace m.cache key s;
       s
 
@@ -374,25 +373,10 @@ let detecting_at m impact =
   m.steps <- { impact; detecting = det } :: m.steps;
   det
 
-(* Selection probes (which configuration survives a tie-break) must not
-   ride the continuation: near-tied candidates — vref faults see configs
-   within 1e-9 of each other — would let the warm start's last-digit
-   deviation flip the argmin and name a different survivor than the
-   default path.  On a continuation evaluator, re-probe cold: the value
-   is bit-identical to the non-continuation run's, so both runs pick the
-   same winner.  Plain evaluators keep the cached ladder value — the
-   default path stays bit-identical, probe count included. *)
-let selection_sensitivity m (ev, cand) impact =
-  if Evaluator.continuation_enabled ev then
-    Evaluator.sensitivity ev
-      (Faults.Fault.with_impact m.base_fault impact)
-      cand.cand_params
-  else sensitivity_at m (ev, cand) impact
-
 let most_sensitive m impact =
   List.fold_left
     (fun (best_pair, best_s) (ev, cand) ->
-      let s = selection_sensitivity m (ev, cand) impact in
+      let s = sensitivity_at m (ev, cand) impact in
       match best_pair with
       | None -> (Some (ev, cand), s)
       | Some _ when s < best_s -> (Some (ev, cand), s)

@@ -15,8 +15,8 @@ let target_of_macro (macro : Macros.Macro.t) point =
     observe_node = macro.Macros.Macro.observe_node;
   }
 
-let create ?(profile = Execute.default_profile) ?mode ?continuation ?batching
-    ?backend ?grid ?guardband ?corners ~macro ~configs () =
+let create ?(profile = Execute.default_profile) ?batching ?backend ?grid
+    ?guardband ?corners ~macro ~configs () =
   let corner_points =
     match corners with Some c -> c | None -> Macros.Process.corners ()
   in
@@ -29,8 +29,8 @@ let create ?(profile = Execute.default_profile) ?mode ?continuation ?batching
           Tolerance.calibrate ~profile ?grid ?guardband config ~nominal
             ~corners:corner_targets ()
         in
-        Evaluator.create ~profile ?mode ?continuation ?batching ?backend
-          config ~nominal ~box_model)
+        Evaluator.create ~profile ?batching ?backend config ~nominal
+          ~box_model)
       configs
   in
   {
@@ -41,9 +41,9 @@ let create ?(profile = Execute.default_profile) ?mode ?continuation ?batching
     profile;
   }
 
-let iv ?profile ?mode ?continuation ?batching ?backend ?grid () =
-  create ?profile ?mode ?continuation ?batching ?backend ?grid
-    ~macro:Macros.Iv_converter.macro ~configs:Iv_configs.all ()
+let iv ?profile ?batching ?backend ?grid () =
+  create ?profile ?batching ?backend ?grid ~macro:Macros.Iv_converter.macro
+    ~configs:Iv_configs.all ()
 
 (* -- generic probe contexts -------------------------------------------- *)
 
@@ -98,8 +98,8 @@ let probe_configs ~configs ~levels ~floor macro =
         ~accuracy_floor:(List.init levels (fun _ -> floor))
         ~summary:"deterministic dc levels at the control node")
 
-let probe ?(profile = Execute.fast_profile) ?mode ?continuation ?batching
-    ?backend ?(configs = 3) ?(levels = 2) ?(floor = 1e-3) ~macro () =
+let probe ?(profile = Execute.fast_profile) ?batching ?backend ?(configs = 3)
+    ?(levels = 2) ?(floor = 1e-3) ~macro () =
   if configs < 1 then invalid_arg "Setup.probe: configs must be >= 1";
   if levels < 1 then invalid_arg "Setup.probe: levels must be >= 1";
   let configs = probe_configs ~configs ~levels ~floor macro in
@@ -107,8 +107,8 @@ let probe ?(profile = Execute.fast_profile) ?mode ?continuation ?batching
   let evaluators =
     List.map
       (fun config ->
-        Evaluator.create ~profile ?mode ?continuation ?batching ?backend
-          config ~nominal ~box_model:(Tolerance.floor_only config))
+        Evaluator.create ~profile ?batching ?backend config ~nominal
+          ~box_model:(Tolerance.floor_only config))
       configs
   in
   {

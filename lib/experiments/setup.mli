@@ -16,8 +16,6 @@ val target_of_macro :
 
 val create :
   ?profile:Testgen.Execute.profile ->
-  ?mode:Testgen.Evaluator.mode ->
-  ?continuation:bool ->
   ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   ?grid:int ->
@@ -29,12 +27,7 @@ val create :
   t
 (** Calibrate a box model per configuration over the process [corners]
     (default {!Macros.Process.corners}) and bundle evaluators plus the
-    macro's exhaustive fault dictionary.  [mode] selects the evaluators'
-    execution path (default [`Compiled]; [`Legacy] rebuilds the netlist
-    per probe — the benchmark baseline).  [continuation] (default
-    [false]) enables warm-start continuation along each fault's impact
-    ladder — tolerance-identical, faster; see {!Testgen.Evaluator.create}.
-    [batching] (default [true]) admits cross-product sweeps into
+    macro's exhaustive fault dictionary.  [batching] (default [true]) admits cross-product sweeps into
     config-major batched evaluation — bit-identical, faster; see
     {!Testgen.Evaluator.create}.  [backend] (default [Dense]) selects
     the evaluators' linear-algebra engine; results are bit-identical
@@ -42,8 +35,6 @@ val create :
 
 val iv :
   ?profile:Testgen.Execute.profile ->
-  ?mode:Testgen.Evaluator.mode ->
-  ?continuation:bool ->
   ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   ?grid:int ->
@@ -54,8 +45,6 @@ val iv :
 
 val probe :
   ?profile:Testgen.Execute.profile ->
-  ?mode:Testgen.Evaluator.mode ->
-  ?continuation:bool ->
   ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   ?configs:int ->

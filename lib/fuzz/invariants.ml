@@ -287,52 +287,72 @@ let crash_safety ctx =
                 end
             end))
 
-(* -- continuation-compat ------------------------------------------------ *)
+(* -- batch-parity --------------------------------------------------------- *)
 
-let continuation_compat ctx =
-  let cont_built = Scenario.build ~continuation:true ctx.built.Scenario.spec in
-  let crun = base_run cont_built in
-  let pair =
-    try
-      Some
-        (List.combine ctx.run.Engine.results crun.Engine.results)
-    with Invalid_argument _ -> None
+(* Everything a compaction reports, floats in exact hex form. *)
+let compaction_fingerprint (r : Compactor.result) =
+  let hex v =
+    String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") v))
   in
-  match pair with
-  | None ->
-      fail "continuation run produced %d results, baseline %d"
-        (List.length crun.Engine.results)
-        (List.length ctx.run.Engine.results)
-  | Some pairs ->
-      let bad =
-        List.filter_map
-          (fun (a, b) ->
-            if not (String.equal a.Generate.fault_id b.Generate.fault_id) then
-              Some (a.Generate.fault_id ^ ": fault order differs")
-            else
-              match (a.Generate.outcome, b.Generate.outcome) with
-              | ( Generate.Unique { config_id = ca; critical_impact = ia; _ },
-                  Generate.Unique { config_id = cb; critical_impact = ib; _ } )
-                ->
-                  if ca <> cb then
-                    Some
-                      (Printf.sprintf "%s: winner #%d vs #%d" a.Generate.fault_id
-                         ca cb)
-                  else
-                    let ratio = Float.max (ia /. ib) (ib /. ia) in
-                    if ratio > 1.25 then
-                      Some
-                        (Printf.sprintf "%s: critical impact ratio %.3f"
-                           a.Generate.fault_id ratio)
-                    else None
-              | Generate.Undetectable _, Generate.Undetectable _ -> None
-              | Generate.Unique _, Generate.Undetectable _
-              | Generate.Undetectable _, Generate.Unique _ ->
-                  Some (a.Generate.fault_id ^ ": outcome flavour differs"))
-          pairs
-      in
-      if bad = [] then Pass
-      else fail "continuation incompatible: %s" (String.concat "; " bad)
+  let tests =
+    List.map
+      (fun t ->
+        Printf.sprintf "%s #%d [%s] {%s}" t.Compactor.ct_label
+          t.Compactor.ct_config_id (hex t.Compactor.ct_params)
+          (String.concat "," t.Compactor.ct_fault_ids))
+      r.Compactor.compact_tests
+  in
+  let detections =
+    List.map
+      (fun d ->
+        Printf.sprintf "%s <- {%s} %h" d.Coverage.det_fault_id
+          (String.concat "," d.Coverage.detected_by)
+          d.Coverage.best_sensitivity)
+      r.Compactor.coverage.Coverage.detections
+  in
+  String.concat "\n" (tests @ detections)
+
+(* The same scenario with config-major batching switched off walks every
+   (fault, point) pair through the sequential reference path; the batch
+   engine's bitwise contract says nothing observable may change — not
+   the generation run, and not the compaction of it, whose coverage,
+   collapse and member checks are the batch engine's main consumers. *)
+let batch_parity ctx =
+  let seq_built = Scenario.build ~batching:false ctx.built.Scenario.spec in
+  let srun = base_run seq_built in
+  let report_shape (r : Engine.fault_report) =
+    match r.Engine.report_outcome with
+    | Resilience.Ok _ -> r.Engine.report_fault_id ^ ":ok"
+    | Resilience.Recovered _ as o ->
+        r.Engine.report_fault_id ^ ":recovered:"
+        ^ Option.value ~default:"?" (Resilience.recovery_rung o)
+    | Resilience.Failed _ -> r.Engine.report_fault_id ^ ":failed"
+  in
+  let compaction (b : Scenario.built) run =
+    compaction_fingerprint
+      (Compactor.compact ~delta:0.1 ~evaluators:b.Scenario.evaluators
+         b.Scenario.dictionary run)
+  in
+  match runs_agree "batched vs sequential" ctx.run srun with
+  | (Skip _ | Fail _) as o -> o
+  | Pass ->
+      if
+        List.map report_shape ctx.run.Engine.reports
+        <> List.map report_shape srun.Engine.reports
+      then Fail "batched vs sequential: fault reports differ"
+      else if
+        ctx.run.Engine.total_fault_simulations
+        <> srun.Engine.total_fault_simulations
+      then
+        fail "batched vs sequential: %d vs %d fault simulations"
+          ctx.run.Engine.total_fault_simulations
+          srun.Engine.total_fault_simulations
+      else if
+        not
+          (String.equal (compaction ctx.built ctx.run)
+             (compaction seq_built srun))
+      then Fail "batched vs sequential: compaction reports differ"
+      else Pass
 
 (* -- self-test ----------------------------------------------------------- *)
 
@@ -358,7 +378,7 @@ let all =
     { name = "inject-contract"; check = inject_contract };
     { name = "inject-parity"; check = inject_parity };
     { name = "crash-safety"; check = crash_safety };
-    { name = "continuation-compat"; check = continuation_compat };
+    { name = "batch-parity"; check = batch_parity };
   ]
 
 let self_test_invariant = { name = "self-test"; check = self_test }

@@ -24,9 +24,11 @@
       [session.torn_write] failure point) recovers with
       {!Testgen.Session.checkpoint_resume} and finishes to a checkpoint
       file byte-identical to an uninterrupted run's;
-    - [continuation-compat] — warm-start continuation keeps every
-      fault's outcome flavour and winning configuration, with critical
-      impacts within a factor 1.25. *)
+    - [batch-parity] — the same scenario built with
+      [~batching:false] (every cross-product pair on the sequential
+      reference path) gives identical session bytes, rung stats, fault
+      reports and fault-simulation counts, and a bit-identical
+      compaction (compact tests and coverage report) at delta 0.1. *)
 
 type outcome = Pass | Skip of string | Fail of string
 

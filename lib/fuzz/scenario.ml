@@ -179,24 +179,22 @@ type built = {
   evaluators : Evaluator.t list;
 }
 
-let evaluators_of ?(continuation = false) ?backend macro configs =
+let evaluators_of ?batching ?backend macro configs =
   let nominal =
     Experiments.Setup.target_of_macro macro Macros.Process.nominal
   in
   List.map
     (fun config ->
-      Evaluator.create ~profile:Execute.fast_profile ~continuation ?backend
-        config ~nominal
+      Evaluator.create ~profile:Execute.fast_profile ?batching ?backend config
+        ~nominal
         ~box_model:(Tolerance.floor_only config))
     configs
 
-let build ?continuation s =
+let build ?batching s =
   let macro = macro_of_topology s.topology in
   let configs = configs_of_spec s macro in
   let dictionary = dictionary_of_spec s macro in
-  let evaluators =
-    evaluators_of ?continuation ~backend:s.backend macro configs
-  in
+  let evaluators = evaluators_of ?batching ~backend:s.backend macro configs in
   { spec = s; macro; configs; dictionary; evaluators }
 
 (* Reduced optimizer budgets: fuzz campaigns trade optimality for

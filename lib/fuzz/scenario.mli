@@ -55,15 +55,15 @@ type built = {
   evaluators : Testgen.Evaluator.t list;
 }
 
-val build : ?continuation:bool -> spec -> built
+val build : ?batching:bool -> spec -> built
 (** Expand a spec (deterministically) into a runnable scenario:
     floor-only tolerance boxes, the fast execution profile, compiled
-    evaluators.  [continuation] (default false) enables warm-start
-    continuation, the variant the continuation-compatibility invariant
-    compares against. *)
+    evaluators.  [batching] (default true) is passed to
+    {!Testgen.Evaluator.create}; [false] builds the sequential-reference
+    variant the batch-parity invariant compares against. *)
 
 val evaluators_of :
-  ?continuation:bool ->
+  ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   Macros.Macro.t ->
   Testgen.Test_config.t list ->

@@ -3,8 +3,8 @@
     Two linear (MOSFET-free) chains sized for the sparse MNA backend:
     cascades deep enough to produce 100+-node netlists and bridge
     universes in the hundreds, while staying exactly solvable in one
-    factorization — the family the batched multi-fault DC-levels path
-    ({!Core.Execute.compiled_dc_levels_batch}) accepts.
+    factorization — the family the config-major batched fault path
+    ({!Testgen.Execute.compiled_batch_over_faults}) accepts.
 
     Unknown counts: a Sallen-Key chain contributes 4 unknowns per stage
     (three nodes plus the buffer's branch current), an OTA cascade 2

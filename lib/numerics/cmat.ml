@@ -31,22 +31,6 @@ let transpose m =
   done;
   t
 
-(* The fault-impact view of a bridge/pinhole resistor: a symmetric
-   conductance delta between two nodes, i.e. the rank-1 stamp
-   dg * (e_i - e_j)(e_i - e_j)^T with the ground row/column (index -1)
-   dropped.  Applying it in place turns "reassemble the whole AC matrix
-   for a new impact resistance" into four element updates. *)
-let rank1_update m ~i ~j ~dg =
-  if m.r <> m.c then invalid_arg "Cmat.rank1_update: not square";
-  if i >= m.r || j >= m.r then invalid_arg "Cmat.rank1_update: index out of range";
-  if i >= 0 then add_to m i i dg;
-  if j >= 0 then add_to m j j dg;
-  if i >= 0 && j >= 0 then begin
-    let ndg = Complex.neg dg in
-    add_to m i j ndg;
-    add_to m j i ndg
-  end
-
 exception Singular of int
 
 let solve m b =

@@ -249,48 +249,6 @@ let solve_transpose_into ws b x =
     x.(piv.(i)) <- y.(i)
   done
 
-let lu_blit ~src ~dst =
-  if src.n <> dst.n then invalid_arg "Mat.lu_blit: size mismatch";
-  if not src.factored then invalid_arg "Mat.lu_blit: source not factored";
-  Array.blit src.lu 0 dst.lu 0 (src.n * src.n);
-  Array.blit src.piv 0 dst.piv 0 src.n;
-  dst.sign <- src.sign;
-  dst.factored <- true
-
-type rank1 = { r1_n : int; r1_y : float array; r1_w : float array }
-
-let rank1_workspace n =
-  if n < 0 then invalid_arg "Mat.rank1_workspace";
-  { r1_n = n; r1_y = Array.make n 0.; r1_w = Array.make n 0. }
-
-let rank1_solve ws r1 ~u ~v ~dg ~b ~x =
-  if not ws.factored then invalid_arg "Mat.rank1_solve: workspace not factored";
-  let n = ws.n in
-  if r1.r1_n <> n then invalid_arg "Mat.rank1_solve: scratch size mismatch";
-  if Vec.dim u <> n || Vec.dim v <> n || Vec.dim b <> n || Vec.dim x <> n then
-    invalid_arg "Mat.rank1_solve: dimension mismatch";
-  if b == x then invalid_arg "Mat.rank1_solve: aliased input and output";
-  solve_into ws b r1.r1_y;
-  solve_into ws u r1.r1_w;
-  let vty = Vec.dot v r1.r1_y in
-  let vtw = Vec.dot v r1.r1_w in
-  let denom = 1. +. (dg *. vtw) in
-  (* Guard against catastrophic cancellation: when dg*vtw ~ -1 the
-     denominator loses all its significant digits and the update would
-     amplify rounding error unboundedly.  The relative test compares the
-     surviving magnitude against the magnitude of the terms that cancelled. *)
-  if
-    (not (Float.is_finite denom))
-    || Float.abs denom <= 1e-10 *. (1. +. Float.abs (dg *. vtw))
-  then false
-  else begin
-    let coef = dg *. vty /. denom in
-    for i = 0 to n - 1 do
-      x.(i) <- r1.r1_y.(i) -. (coef *. r1.r1_w.(i))
-    done;
-    true
-  end
-
 let lu_solve { n; lu = a; piv; _ } b =
   if Vec.dim b <> n then invalid_arg "Mat.lu_solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(piv.(i))) in

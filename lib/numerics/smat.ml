@@ -716,32 +716,6 @@ let solve_transpose_into ws b x =
     x.(ws.piv.(i)) <- y.(i)
   done
 
-let lu_blit ~src ~dst =
-  if src.ln <> dst.ln then invalid_arg "Smat.lu_blit: size mismatch";
-  if not src.factored then invalid_arg "Smat.lu_blit: source not factored";
-  let n = src.ln in
-  Array.blit src.piv 0 dst.piv 0 n;
-  Array.blit src.r_len 0 dst.r_len 0 n;
-  Array.blit src.r_diag 0 dst.r_diag 0 n;
-  for i = 0 to n - 1 do
-    let len = src.r_len.(i) in
-    ensure_row dst i len ~keep:0;
-    Array.blit src.r_ci.(i) 0 dst.r_ci.(i) 0 len;
-    Array.blit src.r_vx.(i) 0 dst.r_vx.(i) 0 len
-  done;
-  dst.cl_ptr <- Array.copy src.cl_ptr;
-  dst.cl_row <- Array.sub src.cl_row 0 src.cl_ptr.(n);
-  dst.cl_slot <- Array.sub src.cl_slot 0 src.cl_ptr.(n);
-  dst.cu_ptr <- Array.copy src.cu_ptr;
-  dst.cu_row <- Array.sub src.cu_row 0 src.cu_ptr.(n);
-  dst.cu_slot <- Array.sub src.cu_slot 0 src.cu_ptr.(n);
-  dst.sign <- src.sign;
-  dst.factored <- true;
-  dst.has_pattern <- true;
-  (* the schedule is tied to the source's A pattern; the copy serves
-     solves and replays the slow path if ever refactored directly *)
-  dst.sched_valid <- false
-
 type block = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 
 (* The [block] annotations matter: they monomorphize the element kind

@@ -131,12 +131,6 @@ val solve_transpose_into : lu -> Vec.t -> Vec.t -> unit
     @raise Invalid_argument on dimension mismatch, aliasing, or an
     unfactored workspace. *)
 
-val lu_blit : src:lu -> dst:lu -> unit
-(** Copy a factorization (values, pattern, pivots, column views) into
-    another workspace of the same size — the continuation hot path's
-    held-factor retention.  Destination storage is grown as needed.
-    @raise Invalid_argument on size mismatch or an unfactored source. *)
-
 type block = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 (** A dense block of right-hand sides / solutions: dimensions
     [n * m] where column [r] is one system.  C layout keeps each

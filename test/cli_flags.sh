@@ -63,7 +63,6 @@ reject "unknown fuzz check"  fuzz --campaigns 1 --check no-such-invariant
 reject "--backend garbage"   op --macro iv --backend banana
 reject "parametric macro 0"  op --macro skc0
 reject "parametric macro big" op --macro rc9999
-reject "sparse on legacy"    generate --fast --take 1 --legacy --backend sparse
 
 # The dense-path guard: a 100+-node macro on the dense backend prints a
 # note suggesting --backend sparse; the sparse backend stays quiet, and

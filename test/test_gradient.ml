@@ -112,8 +112,8 @@ let iv_evaluator ?(box = `Floor) config =
         Tolerance.calibrate ~profile:tight_profile config ~nominal:iv_target
           ~corners:(Lazy.force iv_corners) ()
   in
-  Evaluator.create ~profile:tight_profile ~mode:`Compiled config
-    ~nominal:iv_target ~box_model
+  Evaluator.create ~profile:tight_profile config ~nominal:iv_target
+    ~box_model
 
 let iv_ev1 = lazy (iv_evaluator Experiments.Iv_configs.config1)
 let iv_ev2 = lazy (iv_evaluator Experiments.Iv_configs.config2)
@@ -550,11 +550,10 @@ let test_fallback_is_free () =
    with
   | None -> ()
   | Some _ -> Alcotest.fail "THD configuration claimed an analytic gradient");
-  (* the legacy evaluator path declines too, without charging *)
-  let config = Experiments.Iv_configs.config1 in
+  (* the evaluator declines such a configuration too, without charging *)
+  let config = Experiments.Iv_configs.config3 in
   let ev =
-    Evaluator.create ~profile:tight_profile ~mode:`Legacy config
-      ~nominal:iv_target
+    Evaluator.create ~profile:tight_profile config ~nominal:iv_target
       ~box_model:(Tolerance.floor_only config)
   in
   let before = Evaluator.evaluation_count ev in
@@ -563,7 +562,7 @@ let test_fallback_is_free () =
        (Test_param.seeds_of config.Test_config.params)
    with
   | None -> ()
-  | Some _ -> Alcotest.fail "legacy evaluator claimed an analytic gradient");
+  | Some _ -> Alcotest.fail "THD evaluator claimed an analytic gradient");
   Alcotest.(check int) "declining costs no evaluations" before
     (Evaluator.evaluation_count ev)
 
@@ -577,7 +576,7 @@ let grad_options =
 let parity_evaluators () =
   List.map
     (fun config ->
-      Evaluator.create ~mode:`Compiled config ~nominal:iv_target
+      Evaluator.create config ~nominal:iv_target
         ~box_model:(Tolerance.floor_only config))
     [ Experiments.Iv_configs.config1; Experiments.Iv_configs.config2 ]
 

@@ -1,8 +1,8 @@
 (* Compiled hot-path parity: the compile-once/restamp-many execution
-   path must reproduce the legacy build-per-probe path bit for bit —
-   per-arm observables, whole [Engine.run] records and session
-   checkpoint bytes, with and without fault-impact overrides and
-   failure injection — plus the dt_divisor decimation contract. *)
+   path must reproduce the direct build-per-probe path bit for bit —
+   per-arm observables, and every probe the engine makes over the full
+   IV dictionary, with and without failure injection — plus the
+   dt_divisor decimation contract. *)
 
 open Testgen
 module Fp = Numerics.Failpoint
@@ -29,14 +29,14 @@ let injected fault =
 
 (* Every analysis arm (DC levels, THD, step train, IMD, noise, AC), on
    the nominal topology and on a bridge and a pinhole topology: the
-   compiled plan must reproduce the legacy per-probe rebuild bitwise. *)
+   compiled plan must reproduce the direct per-probe rebuild bitwise. *)
 let test_observables_parity () =
   let profile = Execute.fast_profile in
   List.iter
     (fun config ->
       let values = Test_param.seeds_of config.Test_config.params in
       let check_target label target impact =
-        let legacy = Execute.observables ~profile config target values in
+        let direct = Execute.observables ~profile config target values in
         let compiled =
           Execute.compiled_observables ~profile ?impact
             (Execute.compile config target)
@@ -44,7 +44,7 @@ let test_observables_parity () =
         in
         check_bitwise
           (Printf.sprintf "config %d %s" config.Test_config.config_id label)
-          legacy compiled
+          direct compiled
       in
       check_target "nominal" iv_target None;
       check_target "bridge" (injected bridge)
@@ -55,7 +55,7 @@ let test_observables_parity () =
 
 (* One plan per fault site, restamped per impact: a plan compiled from
    the 10k bridge answers queries for the 3k bridge through the impact
-   override alone, still matching a legacy run that injects 3k afresh. *)
+   override alone, still matching a direct run that injects 3k afresh. *)
 let test_impact_restamp_parity () =
   let config = Experiments.Iv_configs.config1 in
   let values = Test_param.seeds_of config.Test_config.params in
@@ -63,13 +63,13 @@ let test_impact_restamp_parity () =
   List.iter
     (fun ohms ->
       let variant = Faults.Fault.with_impact bridge ohms in
-      let legacy = Execute.observables config (injected variant) values in
+      let direct = Execute.observables config (injected variant) values in
       let compiled =
         Execute.compiled_observables
           ~impact:(Faults.Inject.impact_override variant)
           plan values
       in
-      check_bitwise (Printf.sprintf "bridge at %g ohm" ohms) legacy compiled)
+      check_bitwise (Printf.sprintf "bridge at %g ohm" ohms) direct compiled)
     [ 10e3; 3e3; 330.; 1e6 ]
 
 (* The impact override must also reach the small-signal and noise
@@ -78,207 +78,138 @@ let test_impact_restamp_parity () =
 let test_impact_reaches_noise_and_ac () =
   let values fault config =
     let v = Test_param.seeds_of config.Test_config.params in
-    let legacy = Execute.observables config (injected fault) v in
+    let direct = Execute.observables config (injected fault) v in
     let compiled =
       Execute.compiled_observables
         ~impact:(Faults.Inject.impact_override fault)
         (Execute.compile config (injected fault))
         v
     in
-    (legacy, compiled)
+    (direct, compiled)
   in
   List.iter
     (fun config ->
       List.iter
         (fun fault ->
-          let legacy, compiled = values fault config in
+          let direct, compiled = values fault config in
           check_bitwise
             (Printf.sprintf "config %d, fault %s" config.Test_config.config_id
                (Faults.Fault.id fault))
-            legacy compiled)
+            direct compiled)
         [ bridge; Faults.Fault.with_impact bridge 470.; pinhole ])
     [ Experiments.Iv_configs.config1 ]
 
-(* ------------------------------------------------------ engine parity *)
+(* ---------------------------------------------- per-probe differential *)
+
+(* The engine measures every probe through {!Evaluator.faulty_observables}
+   (one compiled plan per fault site, the impact restamped as a value);
+   the reference is {!Execute.observables} on the fault-injected netlist,
+   rebuilt per probe.  For every fault of the full IV dictionary the two
+   must agree bit for bit at the probes the engine makes: the seed point,
+   each candidate's optimized parameters, and the winning parameters at
+   the critical (or strongest) impact. *)
 
 let full_dictionary = Macros.Macro.dictionary Macros.Iv_converter.macro
+let config = Experiments.Iv_configs.config1
 
-let small_dictionary =
-  Faults.Dictionary.of_faults
-    [
-      Faults.Fault.bridge "n1" "vout" ~resistance:10e3;
-      Faults.Fault.bridge "0" "vdd" ~resistance:10e3;
-      Faults.Fault.pinhole "m6" ~r_shunt:2e3;
-    ]
-
-let evaluator mode =
-  let config = Experiments.Iv_configs.config1 in
-  Evaluator.create ~mode config ~nominal:iv_target
+let evaluator () =
+  Evaluator.create config ~nominal:iv_target
     ~box_model:(Tolerance.floor_only config)
 
-let outcome_label (o : Generate.result Resilience.outcome) =
-  match o with
-  | Resilience.Ok _ -> "ok"
-  | Resilience.Recovered _ ->
-      "recovered:" ^ Option.value ~default:"?" (Resilience.recovery_rung o)
-  | Resilience.Failed d -> "failed:" ^ d.Resilience.diag_error
+let engine_run executor =
+  Engine.run ~executor ~evaluators:[ evaluator () ] full_dictionary
 
-(* everything observable about a run except wall-clock time *)
-let fingerprint (run : Engine.run) =
-  ( Session.to_string run.Engine.results,
-    List.map
-      (fun (r : Engine.fault_report) ->
-        (r.Engine.report_fault_id, outcome_label r.Engine.report_outcome))
-      run.Engine.reports,
-    run.Engine.rung_stats,
-    run.Engine.recovered_count,
-    run.Engine.total_fault_simulations,
-    List.map (fun d -> d.Resilience.diag_fault_id) run.Engine.failed_faults )
+let sequential_run = lazy (engine_run Engine.sequential)
 
-let run_mode ?policy mode dictionary =
-  Engine.run ?policy ~executor:Engine.sequential ~evaluators:[ evaluator mode ]
-    dictionary
+let probes_of (r : Generate.result) =
+  let f = r.Generate.dictionary_fault in
+  let boundary =
+    match r.Generate.outcome with
+    | Generate.Unique { params; critical_impact; _ } ->
+        (Faults.Fault.with_impact f critical_impact, params)
+    | Generate.Undetectable { params; strongest_impact; _ } ->
+        (Faults.Fault.with_impact f strongest_impact, params)
+  in
+  ((f, Test_param.seeds_of config.Test_config.params)
+   :: List.map (fun c -> (f, c.Generate.cand_params)) r.Generate.candidates)
+  @ [ boundary ]
 
-(* Full dictionary, sequential: the legacy and compiled evaluators must
-   produce identical run records and identical session text — the bytes
-   that checkpoints, --resume and report generation all consume. *)
-let test_engine_parity () =
-  let legacy = run_mode `Legacy full_dictionary in
-  let compiled = run_mode `Compiled full_dictionary in
+let all_probes (run : Engine.run) =
+  Array.of_list (List.concat_map probes_of run.Engine.results)
+
+let measure f =
+  match f () with
+  | obs -> Ok (bits obs)
+  | exception Execute.Execution_failure m -> Error m
+
+let reference_probe (fault, values) =
+  measure (fun () -> Execute.observables config (injected fault) values)
+
+let engine_probe ev (fault, values) =
+  measure (fun () -> Evaluator.faulty_observables ev fault values)
+
+let probe_label (fault, values) =
+  Printf.sprintf "%s (%h ohm) at %s" (Faults.Fault.id fault)
+    (Faults.Fault.impact_resistance fault)
+    (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") values)))
+
+let check_probe label reference engine =
+  Alcotest.(check (result (array int64) string)) label reference engine
+
+let test_differential_sequential () =
+  let run = Lazy.force sequential_run in
   Alcotest.(check int) "whole dictionary simulated"
     (Faults.Dictionary.size full_dictionary)
-    (List.length compiled.Engine.results);
-  Alcotest.(check bool) "run records identical" true
-    (fingerprint legacy = fingerprint compiled);
-  Alcotest.(check string) "session text identical"
-    (Session.to_string legacy.Engine.results)
-    (Session.to_string compiled.Engine.results)
+    (List.length run.Engine.results);
+  let ev = evaluator () in
+  Array.iter
+    (fun p -> check_probe (probe_label p) (reference_probe p) (engine_probe ev p))
+    (all_probes run)
 
-(* A compiled parallel run against a legacy sequential run: compiled
-   plans are domain-private (fork compiles its own), so the pool must
-   not disturb parity either. *)
-let test_engine_parity_parallel () =
-  let legacy = run_mode `Legacy full_dictionary in
-  let compiled =
-    Engine.run
-      ~executor:(Parallel.executor ~jobs:2)
-      ~evaluators:[ evaluator `Compiled ]
-      full_dictionary
+(* The same differential over a pool of two domains: the engine run uses
+   the parallel executor, and the probes are re-measured on two domains,
+   each through its own fork of one evaluator — compiled plans are
+   domain-private, so neither may disturb the bits. *)
+let test_differential_pool () =
+  let run = engine_run (Parallel.executor ~jobs:2) in
+  Alcotest.(check string) "pool run = sequential run"
+    (Session.to_string (Lazy.force sequential_run).Engine.results)
+    (Session.to_string run.Engine.results);
+  let probes = all_probes run in
+  let parent = evaluator () in
+  let engine = Array.make (Array.length probes) (Error "unset") in
+  Parallel.fan_out ~jobs:2
+    ~make_ctx:(fun () -> Evaluator.fork parent)
+    ~f:(fun ev i -> engine_probe ev probes.(i))
+    ~emit:(fun i r -> engine.(i) <- r)
+    (Array.length probes);
+  Array.iteri
+    (fun i p -> check_probe (probe_label p) (reference_probe p) engine.(i))
+    probes
+
+(* Under probabilistic failure injection both paths must draw the same
+   failpoint sequence per probe (same solve count, same Newton iteration
+   counts), so every probe fails or succeeds identically. *)
+let test_differential_injected () =
+  let specs =
+    [
+      { Fp.point = "dc.no_convergence"; probability = 0.35; max_triggers = None };
+      { Fp.point = "execute.observables"; probability = 0.05; max_triggers = None };
+    ]
   in
-  Alcotest.(check bool) "legacy sequential = compiled pool" true
-    (fingerprint legacy = fingerprint compiled)
-
-(* Under probabilistic failure injection the two paths must draw the
-   same failpoint sequence (same solve count, same Newton iteration
-   counts), so recovery and quarantine patterns stay identical. *)
-let test_engine_parity_injected () =
-  let injected mode =
-    Fp.with_failpoints ~seed:23L
-      [
-        {
-          Fp.point = "dc.no_convergence";
-          probability = 0.35;
-          max_triggers = Some 2;
-        };
-        {
-          Fp.point = "execute.observables";
-          probability = 0.05;
-          max_triggers = None;
-        };
-      ]
-      (fun () -> run_mode mode small_dictionary)
-  in
-  let legacy = injected `Legacy in
-  Alcotest.(check bool) "injection exercised the ladder" true
-    (legacy.Engine.recovered_count > 0 || legacy.Engine.failed_faults <> []);
-  Alcotest.(check bool) "injected runs identical" true
-    (fingerprint legacy = fingerprint (injected `Compiled))
-
-(* ------------------------------------------ continuation compatibility *)
-
-(* Warm-start continuation is opt-in and scoped to ladder probes: on an
-   evaluator created with ~continuation:true, optimizer-style probes
-   (no [~continue]) must stay bit-identical to a plain compiled
-   evaluator, and ladder probes ([~continue:true]) must agree within
-   solver tolerance. *)
-let test_continuation_probe_gating () =
-  let config = Experiments.Iv_configs.config1 in
-  let mk continuation =
-    Evaluator.create ~mode:`Compiled ~continuation config ~nominal:iv_target
-      ~box_model:(Tolerance.floor_only config)
-  in
-  let plain = mk false and cont = mk true in
-  let values = Test_param.seeds_of config.Test_config.params in
-  List.iter
-    (fun ohms ->
-      let f = Faults.Fault.with_impact bridge ohms in
-      Alcotest.(check int64)
-        (Printf.sprintf "optimizer probe at %g ohm bit-identical" ohms)
-        (Int64.bits_of_float (Evaluator.sensitivity plain f values))
-        (Int64.bits_of_float (Evaluator.sensitivity cont f values)))
-    [ 10e3; 20e3; 40e3 ];
-  List.iter
-    (fun ohms ->
-      let f = Faults.Fault.with_impact bridge ohms in
-      let a = Evaluator.sensitivity plain f values in
-      let b = Evaluator.sensitivity ~continue:true cont f values in
-      Alcotest.(check bool)
-        (Printf.sprintf "ladder probe at %g ohm within tolerance (%.3g vs %.3g)"
-           ohms a b)
-        true
-        (Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs a)))
-    [ 10e3; 20e3; 40e3; 80e3; 160e3 ]
-
-let generate_result (r : Engine.fault_report) =
-  match r.Engine.report_outcome with
-  | Resilience.Ok g | Resilience.Recovered (g, _) -> Some g
-  | Resilience.Failed _ -> None
-
-(* End to end over the full dictionary: a continuation run must reach
-   the same verdicts as the legacy path — same fault order, same winning
-   configuration, same outcome flavour, and Unique critical impacts
-   within the tolerance-identity band (ratio <= 1.25). *)
-let test_engine_continuation_compatible () =
-  let legacy = run_mode `Legacy full_dictionary in
-  let config = Experiments.Iv_configs.config1 in
-  let cont_ev =
-    Evaluator.create ~mode:`Compiled ~continuation:true config
-      ~nominal:iv_target ~box_model:(Tolerance.floor_only config)
-  in
-  let cont =
-    Engine.run ~executor:Engine.sequential ~evaluators:[ cont_ev ]
-      full_dictionary
-  in
-  Alcotest.(check int) "same report count"
-    (List.length legacy.Engine.reports)
-    (List.length cont.Engine.reports);
-  List.iter2
-    (fun (l : Engine.fault_report) (c : Engine.fault_report) ->
-      Alcotest.(check string) "fault order" l.Engine.report_fault_id
-        c.Engine.report_fault_id;
-      match (generate_result l, generate_result c) with
-      | Some gl, Some gc -> begin
-          Alcotest.(check int)
-            (Printf.sprintf "%s: winning config" l.Engine.report_fault_id)
-            (Generate.best_config_id gl)
-            (Generate.best_config_id gc);
-          match (gl.Generate.outcome, gc.Generate.outcome) with
-          | ( Generate.Unique { critical_impact = a; _ },
-              Generate.Unique { critical_impact = b; _ } ) ->
-              let ratio = Float.max (a /. b) (b /. a) in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: critical impact ratio %.3f <= 1.25"
-                   l.Engine.report_fault_id ratio)
-                true (ratio <= 1.25)
-          | Generate.Undetectable _, Generate.Undetectable _ -> ()
-          | _ ->
-              Alcotest.fail
-                (l.Engine.report_fault_id ^ ": outcome flavour changed")
-        end
-      | None, None -> ()
-      | _ ->
-          Alcotest.fail (l.Engine.report_fault_id ^ ": failure pattern changed"))
-    legacy.Engine.reports cont.Engine.reports
+  let ev = evaluator () in
+  let failed = ref 0 in
+  Array.iteri
+    (fun i p ->
+      let seed = Int64.of_int (23 + i) in
+      let reference =
+        Fp.with_failpoints ~seed specs (fun () -> reference_probe p)
+      in
+      let engine = Fp.with_failpoints ~seed specs (fun () -> engine_probe ev p) in
+      if Result.is_error reference then incr failed;
+      check_probe (probe_label p) reference engine)
+    (all_probes (Lazy.force sequential_run));
+  Alcotest.(check bool) "injection failed some probes" true (!failed > 0)
 
 (* --------------------------------------------- dt_divisor decimation *)
 
@@ -399,17 +330,11 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "full dictionary, sequential" `Quick
-            test_engine_parity;
-          Alcotest.test_case "compiled pool vs legacy sequential" `Quick
-            test_engine_parity_parallel;
+            test_differential_sequential;
+          Alcotest.test_case "compiled pool vs direct reference" `Quick
+            test_differential_pool;
           Alcotest.test_case "under failure injection" `Quick
-            test_engine_parity_injected;
-        ] );
-      ( "continuation",
-        [
-          Alcotest.test_case "probe gating" `Quick test_continuation_probe_gating;
-          Alcotest.test_case "engine outcomes compatible" `Quick
-            test_engine_continuation_compatible;
+            test_differential_injected;
         ] );
       ( "decimation",
         [

@@ -98,7 +98,7 @@ let prop_lu_roundtrip =
       let b' = Mat.mul_vec a x in
       Vec.dist_inf b b' < 1e-8)
 
-(* ------------------------------------------------------- Mat rank-1 *)
+(* --------------------------------------------------- Mat refactoring *)
 
 let random_system rng n =
   let a = Mat.create n n in
@@ -111,83 +111,11 @@ let random_system rng n =
   let b = Array.init n (fun _ -> Rng.uniform rng ~lo:(-10.) ~hi:10.) in
   (a, b)
 
-let test_lu_blit () =
-  let rng = Rng.create 31L in
-  let n = 6 in
-  let a, b = random_system rng n in
-  let src = Mat.lu_workspace n in
-  Mat.factor_in_place a src;
-  let dst = Mat.lu_workspace n in
-  Mat.lu_blit ~src ~dst;
-  let x1 = Array.make n 0. and x2 = Array.make n 0. in
-  Mat.solve_into src b x1;
-  Mat.solve_into dst b x2;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool) "blit solve bit-identical" true
-        (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float x2.(i))))
-    x1;
-  (match Mat.lu_blit ~src ~dst:(Mat.lu_workspace (n + 1)) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument on size mismatch");
-  match Mat.lu_blit ~src:(Mat.lu_workspace n) ~dst with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument on unfactored source"
-
-let prop_rank1_parity =
-  QCheck.Test.make
-    ~name:"rank1_solve matches direct solve of the updated matrix" ~count:100
-    QCheck.(pair (int_range 2 8) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let rng = Rng.create (Int64.of_int (seed + 3)) in
-      let a, b = random_system rng n in
-      let u = Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
-      let v = Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
-      let dg = Rng.uniform rng ~lo:(-0.5) ~hi:0.5 in
-      let ws = Mat.lu_workspace n in
-      Mat.factor_in_place a ws;
-      let x = Array.make n 0. in
-      let ok =
-        Mat.rank1_solve ws (Mat.rank1_workspace n) ~u ~v ~dg ~b ~x
-      in
-      (* the perturbed matrix stays diagonally dominant for |dg| <= 0.5,
-         so the guard should never trip here *)
-      ok
-      &&
-      let a' = Mat.copy a in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Mat.add_to a' i j (dg *. u.(i) *. v.(j))
-        done
-      done;
-      let x_direct = Mat.solve a' b in
-      Vec.dist_inf x x_direct < 1e-8)
-
-let test_rank1_guard_trips () =
-  (* dg = -1 / (v^T A^-1 u) makes the Sherman-Morrison denominator
-     exactly zero: the updated matrix is singular and the guard must
-     refuse rather than divide *)
-  let n = 3 in
-  let rng = Rng.create 77L in
-  let a, b = random_system rng n in
-  let u = Array.init n (fun i -> float_of_int (i + 1)) in
-  let v = Array.init n (fun i -> float_of_int ((i * 2) + 1)) in
-  let ws = Mat.lu_workspace n in
-  Mat.factor_in_place a ws;
-  let w = Array.make n 0. in
-  Mat.solve_into ws u w;
-  let dg = -1. /. Vec.dot v w in
-  let x = Array.make n Float.nan in
-  let ok = Mat.rank1_solve ws (Mat.rank1_workspace n) ~u ~v ~dg ~b ~x in
-  Alcotest.(check bool) "guard refuses the singular update" false ok;
-  Alcotest.(check bool) "x untouched on refusal" true
-    (Array.for_all Float.is_nan x)
-
-let test_rank1_fallback_bit_exact () =
-  (* the caller's fallback (refactor the updated matrix, solve) must be
-     bit-exact with assembling and solving the updated matrix directly —
-     the property Dc relies on to keep the conditioning-guard path
-     invisible in results *)
+let test_refactor_bit_exact () =
+  (* refactoring a workspace that already holds another matrix's
+     factorization must be bit-exact with a fresh factorization — the
+     property the Newton loop relies on when it refactors one workspace
+     every iteration *)
   let n = 5 in
   let rng = Rng.create 13L in
   let a, b = random_system rng n in
@@ -200,39 +128,21 @@ let test_rank1_fallback_bit_exact () =
       Mat.add_to a' i j (dg *. u.(i) *. v.(j))
     done
   done;
-  (* fallback path: reuse the Newton workspace *)
+  (* the workspace holds the factorization of A, then is refactored *)
   let ws = Mat.lu_workspace n in
   Mat.factor_in_place a ws;
-  (* held factorization of A, as the continuation would hold *)
   Mat.factor_in_place a' ws;
-  let x_fallback = Array.make n 0. in
-  Mat.solve_into ws b x_fallback;
+  let x_refactored = Array.make n 0. in
+  Mat.solve_into ws b x_refactored;
   (* reference path: fresh factorization *)
   let x_direct = Mat.solve a' b in
   Array.iteri
     (fun i xi ->
-      Alcotest.(check bool) "fallback bit-exact" true
+      Alcotest.(check bool) "refactor bit-exact" true
         (Int64.equal
            (Int64.bits_of_float xi)
            (Int64.bits_of_float x_direct.(i))))
-    x_fallback
-
-let test_rank1_solve_validation () =
-  let n = 3 in
-  let ws = Mat.lu_workspace n in
-  let r1 = Mat.rank1_workspace n in
-  let z () = Array.make n 0. in
-  (match
-     Mat.rank1_solve ws r1 ~u:(z ()) ~v:(z ()) ~dg:0.1 ~b:(z ()) ~x:(z ())
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on unfactored workspace");
-  let rng = Rng.create 3L in
-  let a, b = random_system rng n in
-  Mat.factor_in_place a ws;
-  match Mat.rank1_solve ws r1 ~u:(z ()) ~v:(z ()) ~dg:0.1 ~b ~x:b with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on aliased b and x"
+    x_refactored
 
 (* ----------------------------------------------------------------- Cmat *)
 
@@ -243,57 +153,6 @@ let test_cmat_solve () =
   let x = Cmat.solve a [| { Complex.re = 0.; im = 2. } |] in
   check_float "re" 1. x.(0).Complex.re;
   check_float "im" 1. x.(0).Complex.im
-
-let test_cmat_rank1_update () =
-  let n = 4 in
-  let rng = Rng.create 19L in
-  let mk () =
-    let m = Cmat.create n n in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        Cmat.set m i j
-          {
-            Complex.re = Rng.uniform rng ~lo:(-1.) ~hi:1.;
-            im = Rng.uniform rng ~lo:(-1.) ~hi:1.;
-          }
-      done
-    done;
-    m
-  in
-  let a = mk () in
-  let reference = Cmat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Cmat.set reference i j (Cmat.get a i j)
-    done
-  done;
-  let dg = { Complex.re = 0.7; im = -0.3 } in
-  let i = 1 and j = 2 in
-  Cmat.rank1_update a ~i ~j ~dg;
-  Cmat.add_to reference i i dg;
-  Cmat.add_to reference j j dg;
-  Cmat.add_to reference i j (Complex.neg dg);
-  Cmat.add_to reference j i (Complex.neg dg);
-  for r = 0 to n - 1 do
-    for c = 0 to n - 1 do
-      let x = Cmat.get a r c and y = Cmat.get reference r c in
-      Alcotest.(check bool)
-        (Printf.sprintf "entry (%d,%d)" r c)
-        true
-        (x.Complex.re = y.Complex.re && x.Complex.im = y.Complex.im)
-    done
-  done;
-  (* a grounded terminal contributes only the surviving diagonal *)
-  let g = mk () in
-  let before = Cmat.get g 0 0 in
-  Cmat.rank1_update g ~i:0 ~j:(-1) ~dg;
-  let after = Cmat.get g 0 0 in
-  Alcotest.(check bool) "ground: diagonal bumped" true
-    (after.Complex.re = before.Complex.re +. dg.Complex.re
-    && after.Complex.im = before.Complex.im +. dg.Complex.im);
-  match Cmat.rank1_update g ~i:n ~j:0 ~dg with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument on out-of-range index"
 
 let test_cmat_residual () =
   let rng = Rng.create 42L in
@@ -636,23 +495,13 @@ let () =
           Alcotest.test_case "singular" `Quick test_mat_singular;
           Alcotest.test_case "determinant" `Quick test_mat_det;
           Alcotest.test_case "transpose and mul" `Quick test_mat_transpose_mul;
+          Alcotest.test_case "refactor in place bit-exact" `Quick
+            test_refactor_bit_exact;
           QCheck_alcotest.to_alcotest prop_lu_roundtrip;
-        ] );
-      ( "mat-rank1",
-        [
-          Alcotest.test_case "lu_blit" `Quick test_lu_blit;
-          QCheck_alcotest.to_alcotest prop_rank1_parity;
-          Alcotest.test_case "conditioning guard trips" `Quick
-            test_rank1_guard_trips;
-          Alcotest.test_case "fallback bit-exact" `Quick
-            test_rank1_fallback_bit_exact;
-          Alcotest.test_case "argument validation" `Quick
-            test_rank1_solve_validation;
         ] );
       ( "cmat",
         [
           Alcotest.test_case "1x1 complex" `Quick test_cmat_solve;
-          Alcotest.test_case "rank-1 update" `Quick test_cmat_rank1_update;
           Alcotest.test_case "residual" `Quick test_cmat_residual;
         ] );
       ( "brent",

@@ -181,36 +181,6 @@ let test_counters_match_across_jobs () =
         ref_histograms histograms)
     [ 2; 4 ]
 
-(* A continuation ladder must show up in the solver counters: the warm
-   levels take rank-1 first steps (rank1_solves) and converge in fewer
-   Newton iterations than the cold baseline (warm_start_iters_saved).
-   The conditioning-guard fallback counter is registered either way. *)
-let test_continuation_counters () =
-  Obs.enable ();
-  let config = Experiments.Iv_configs.config1 in
-  let ev =
-    Evaluator.create ~mode:`Compiled ~continuation:true config
-      ~nominal:iv_target ~box_model:(Tolerance.floor_only config)
-  in
-  let fault = Faults.Fault.bridge "n1" "vout" ~resistance:10e3 in
-  let values = Test_param.seeds_of config.Test_config.params in
-  List.iter
-    (fun ohms ->
-      ignore
-        (Evaluator.sensitivity ~continue:true ev
-           (Faults.Fault.with_impact fault ohms)
-           values))
-    [ 10e3; 12e3; 14.4e3; 17.3e3; 20.7e3; 24.9e3 ];
-  let counters = Obs.counters () in
-  Obs.shutdown ();
-  let get name = Option.value ~default:0 (List.assoc_opt name counters) in
-  Alcotest.(check bool) "rank-1 solves recorded" true
-    (get "solver.dc.rank1_solves" > 0);
-  Alcotest.(check bool) "warm starts saved Newton iterations" true
-    (get "solver.dc.warm_start_iters_saved" > 0);
-  Alcotest.(check bool) "fallback counter registered" true
-    (List.mem_assoc "solver.dc.rank1_fallbacks" counters)
-
 let test_engine_results_unchanged_by_tracing () =
   let plain =
     Engine.run
@@ -352,8 +322,6 @@ let () =
         [
           Alcotest.test_case "counters equal across jobs {1,2,4}" `Slow
             test_counters_match_across_jobs;
-          Alcotest.test_case "continuation ladder counters" `Quick
-            test_continuation_counters;
           Alcotest.test_case "engine results unchanged by tracing" `Slow
             test_engine_results_unchanged_by_tracing;
           Alcotest.test_case "trace schema + cross-jobs identity" `Slow

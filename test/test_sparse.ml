@@ -324,26 +324,6 @@ let test_refactor_reuses_pattern () =
   Alcotest.(check int) "one reuse" 1 st.Smat.pattern_reuses;
   Alcotest.(check bool) "factor holds fill" true (st.Smat.factor_nnz > 0)
 
-let test_lu_blit_roundtrip () =
-  let rng = Rng.create 99L in
-  let _, sparse = random_mna_pair rng ~nodes:7 ~branches:3 in
-  let n = Smat.size sparse in
-  let src = Smat.lu_workspace n in
-  Smat.factor_in_place sparse src;
-  let dst = Smat.lu_workspace n in
-  Smat.lu_blit ~src ~dst;
-  let b = random_rhs rng n in
-  let x1 = Vec.create n 0. and x2 = Vec.create n 0. in
-  Smat.solve_into src b x1;
-  Smat.solve_into dst b x2;
-  Alcotest.(check bool) "blit solves identically" true (vec_bits_equal x1 x2);
-  (match Smat.lu_blit ~src ~dst:(Smat.lu_workspace (n + 1)) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected size mismatch");
-  match Smat.lu_blit ~src:(Smat.lu_workspace n) ~dst with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected unfactored source"
-
 let arrow_matrix n =
   (* dense hub row/column: the worst case for natural-order elimination
      (eliminating the hub first fills the whole trailing block) *)
@@ -420,9 +400,6 @@ let test_backend_end_to_end_identity () =
       (label "newton iterations agree")
       d.Circuit.Dc.newton_iterations s.Circuit.Dc.newton_iterations;
     Alcotest.(check int)
-      (label "factorization counts agree")
-      d.Circuit.Dc.factorizations s.Circuit.Dc.factorizations;
-    Alcotest.(check int)
       (label "dense path never replays a pattern")
       0 d.Circuit.Dc.pattern_reuses
   in
@@ -432,10 +409,10 @@ let test_backend_end_to_end_identity () =
     ~restamp:{ Circuit.Mna.stimulus = None; impact = Some ("r1a", 470.) }
     (Macros.Filter_chain.sk_chain ~stages:8)
 
-(* Batched multi-fault solves against the sequential reference: a group
-   of impacts on one bridge site must go through the blocked path and
-   reproduce the per-fault sensitivities and deviations; a mixed-site
-   group must be refused (None) so the caller falls back. *)
+(* Config-major batched evaluation on the sparse backend against the
+   sequential reference: impacts on two bridge sites (two compiled
+   topologies, one blocked panel per fault) must reproduce the per-pair
+   sensitivities and deviations bit for bit. *)
 let test_batched_matches_sequential () =
   let macro = Macros.Filter_chain.sk_chain ~stages:4 in
   let n_levels = 3 in
@@ -463,37 +440,39 @@ let test_batched_matches_sequential () =
       ~box_model:(Testgen.Tolerance.floor_only config)
   in
   let base = Faults.Fault.bridge "in" "s2o" ~resistance:10e3 in
-  let impacts = [ 10e3; 1e3; 200.; 47e3 ] in
-  let faults = List.map (Faults.Fault.with_impact base) impacts in
-  let values = Testgen.Test_param.seeds_of config.Testgen.Test_config.params in
+  let other_site = Faults.Fault.bridge "in" "s1o" ~resistance:10e3 in
+  let faults =
+    Array.of_list
+      (other_site
+      :: List.map (Faults.Fault.with_impact base) [ 10e3; 1e3; 200.; 47e3 ])
+  in
+  let points = [| [| 2.0 |]; [| 1.25 |]; [| 3.5 |] |] in
   let batched =
-    match Testgen.Evaluator.batched_sensitivities ev ~faults values with
-    | Some rows -> rows
+    match Testgen.Evaluator.batched_fault_sensitivities ev ~faults ~points with
+    | Some cells -> cells
     | None -> Alcotest.fail "batched path refused a batchable plan"
   in
-  Alcotest.(check int) "one row per fault" (List.length faults)
-    (Array.length batched);
-  List.iteri
+  Array.iteri
     (fun i f ->
-      let s_seq, dev_seq = Testgen.Evaluator.sensitivity_and_deviation ev f values in
-      let s_bat, dev_bat = batched.(i) in
-      Alcotest.(check bool)
-        (Printf.sprintf "impact %g sensitivity agrees" (List.nth impacts i))
-        true
-        (Float.abs (s_bat -. s_seq) <= 1e-9 *. (1. +. Float.abs s_seq));
-      Alcotest.(check bool)
-        (Printf.sprintf "impact %g deviations agree" (List.nth impacts i))
-        true
-        (Array.length dev_bat = Array.length dev_seq
-        && vec_close ~eps:1e-9 dev_bat dev_seq))
+      Array.iteri
+        (fun p values ->
+          let s_seq, dev_seq =
+            Testgen.Evaluator.sensitivity_and_deviation ev f values
+          in
+          let s_bat, dev_bat = batched.(i).(p) in
+          let label what =
+            Printf.sprintf "%s at %g ohm, point %d: %s" (Faults.Fault.id f)
+              (Faults.Fault.impact_resistance f) p what
+          in
+          Alcotest.(check bool) (label "sensitivity bit-identical") true
+            (vec_bits_equal [| s_bat |] [| s_seq |]);
+          Alcotest.(check bool) (label "deviations bit-identical") true
+            (vec_bits_equal dev_bat dev_seq))
+        points)
     faults;
-  let other_site = Faults.Fault.bridge "in" "s1o" ~resistance:10e3 in
-  (match Testgen.Evaluator.batched_sensitivities ev ~faults:[ base; other_site ] values with
+  match Testgen.Evaluator.batched_fault_sensitivities ev ~faults:[||] ~points with
   | None -> ()
-  | Some _ -> Alcotest.fail "mixed-site group must fall back");
-  match Testgen.Evaluator.batched_sensitivities ev ~faults:[] values with
-  | None -> ()
-  | Some _ -> Alcotest.fail "empty group must fall back"
+  | Some _ -> Alcotest.fail "empty fault set must fall back"
 
 let () =
   Alcotest.run "sparse"
@@ -513,7 +492,6 @@ let () =
           Alcotest.test_case "guard falls back" `Quick
             test_refactor_guard_falls_back;
           Alcotest.test_case "pattern reuse" `Quick test_refactor_reuses_pattern;
-          Alcotest.test_case "lu_blit" `Quick test_lu_blit_roundtrip;
           QCheck_alcotest.to_alcotest prop_refactor_bit_exact;
           QCheck_alcotest.to_alcotest prop_solve_block_parity;
         ] );
