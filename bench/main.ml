@@ -705,21 +705,6 @@ let run_adjoint_bench ~fast ~smoke =
     exit 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* Sparse-backend benchmark: dense vs sparse MNA engines.               *)
-(* ------------------------------------------------------------------ *)
-
-(* [bench --sparse [--smoke]]: three measurements against the dense
-   baseline, written to BENCH_sparse.json.
-   1. A fault-impact restamp sweep (assemble + factor + solve) on
-      filter-chain macros of ~16, ~64 and ~128 unknowns; the non-smoke
-      acceptance bar is a >= 5x sparse speedup at the largest size.
-   2. A batched multi-fault DC-levels solve (one pattern-reuse
-      refactorization per fault, blocked RHS sweep) against the
-      sequential per-fault path, with a tolerance agreement check.
-   3. The end-to-end generation run on the paper's 55-fault dictionary
-      on both backends: detect verdicts and session bytes must be
-      identical — gated even in smoke mode. *)
 (* ---------------------------------------------------------------------- *)
 (* serve bench: daemon throughput/latency plus the correctness gates      *)
 (* that make concurrency trustworthy — verdict compatibility with the    *)
@@ -740,32 +725,23 @@ let run_serve_bench ~smoke =
         Printf.eprintf "serve bench: %s\n%!" m;
         exit 1
   in
-  (* the workload: generate requests over several macros and both
-     backends, every one at the fast profile with jobs=1 so the
-     reference runs below pose bit-identical problems *)
+  (* the workload: generate requests over several macros — dense LU
+     below the node-count crossover, sparse above (skc8) — every one at
+     the fast profile with jobs=1 so the reference runs below pose
+     bit-identical problems *)
   let base_specs =
-    if smoke then
-      [ ("iv", "dense", 4); ("rc10", "dense", 4); ("rc10", "sparse", 4) ]
-    else
-      [
-        ("iv", "dense", 8);
-        ("iv", "sparse", 8);
-        ("rc10", "dense", 6);
-        ("rc10", "sparse", 6);
-        ("skc8", "dense", 6);
-        ("skc8", "sparse", 6);
-      ]
+    if smoke then [ ("iv", 4); ("rc10", 4); ("skc8", 4) ]
+    else [ ("iv", 8); ("rc10", 6); ("skc8", 6) ]
   in
-  let repeats = if smoke then 2 else 2 in
+  let repeats = if smoke then 2 else 4 in
   let specs =
     List.concat_map (fun s -> List.init repeats (fun _ -> s)) base_specs
   in
-  let request_json ?(inject = []) ?(seed = 0L) (macro, backend, take) =
+  let request_json ?(inject = []) ?(seed = 0L) (macro, take) =
     Serve.Jsonl.Obj
       ([
          ("op", Serve.Jsonl.Str "generate");
          ("macro", Serve.Jsonl.Str macro);
-         ("backend", Serve.Jsonl.Str backend);
          ("fast", Serve.Jsonl.Bool true);
          ("take", Serve.Jsonl.Num (float_of_int take));
          ("jobs", Serve.Jsonl.Num 1.);
@@ -784,7 +760,7 @@ let run_serve_bench ~smoke =
   List.iteri (fun i s -> Queue.add (i, s) queue) specs;
   let qmutex = Mutex.create () in
   let results =
-    Array.make (List.length specs) (("", "", 0), None, 0.0, "w?")
+    Array.make (List.length specs) (("", 0), None, 0.0, "w?")
   in
   let worker () =
     let rec go () =
@@ -818,7 +794,7 @@ let run_serve_bench ~smoke =
      unperturbed (this is the de-globalized failpoint seam under real
      concurrency) *)
   prerr_endline "serve bench: injected-isolation pair...";
-  let iso_spec = ("rc10", "dense", 4) in
+  let iso_spec = ("rc10", 4) in
   let iso_clean = ref None and iso_inj = ref None in
   let iso_threads =
     [
@@ -847,17 +823,13 @@ let run_serve_bench ~smoke =
      uses, run in-process *)
   prerr_endline "serve bench: one-shot reference runs...";
   let reference = Hashtbl.create 8 in
-  let reference_verdicts ((macro_name, backend_str, take) as key) =
+  let reference_verdicts ((macro_name, take) as key) =
     match Hashtbl.find_opt reference key with
     | Some v -> v
     | None ->
-        let backend =
-          if String.equal backend_str "sparse" then Circuit.Mna.Sparse
-          else Circuit.Mna.Dense
-        in
         let ctx, options =
           if String.equal macro_name "iv" then
-            (Experiments.Setup.iv ~profile:Execute.fast_profile ~backend (), None)
+            (Experiments.Setup.iv ~profile:Execute.fast_profile (), None)
           else
             let macro =
               match Macros.Registry.find macro_name with
@@ -866,8 +838,7 @@ let run_serve_bench ~smoke =
                   Printf.eprintf "serve bench: %s\n%!" e;
                   exit 1
             in
-            ( Experiments.Setup.probe ~profile:Execute.fast_profile ~backend
-                ~macro (),
+            ( Experiments.Setup.probe ~profile:Execute.fast_profile ~macro (),
               Some Experiments.Setup.probe_options )
         in
         let ctx = Experiments.Setup.reduced ctx ~n_faults:take in
@@ -1022,6 +993,30 @@ let run_serve_bench ~smoke =
   if not trace_integrity then fail "trace integrity violated";
   if not (Float.is_finite p99) then fail "p99 latency missing"
 
+(* ------------------------------------------------------------------ *)
+(* Sparse-backend benchmark: dense vs sparse MNA engines.               *)
+(* ------------------------------------------------------------------ *)
+
+(* [bench --sparse [--smoke]]: two measurements, each forcing both
+   backends through the [~backend] seam, written to BENCH_sparse.json.
+   1. A fault-impact restamp sweep (assemble + factor + solve) on
+      filter-chain macros of ~16, ~64 and ~128 unknowns.  Each row also
+      records the backend [Mna.build] selects unforced.  Gated: the
+      largest row has 128+ unknowns, selects sparse and is not slower on
+      sparse; the smallest selects dense; the non-smoke bar is a >= 5x
+      sparse speedup at the largest size.
+   2. The end-to-end generation run on the paper's 55-fault dictionary
+      on both backends: detect verdicts and session bytes must be
+      identical — gated even in smoke mode. *)
+type sweep_row = {
+  sw_macro : string;
+  sw_unknowns : int;
+  sw_selected : Circuit.Mna.backend;  (** what [Mna.build] picks unforced *)
+  sw_dense_rate : float;
+  sw_sparse_rate : float;
+  sw_stats : Numerics.Smat.stats;
+}
+
 let run_sparse_bench ~fast ~smoke =
   let profile =
     if fast then Execute.fast_profile else Execute.default_profile
@@ -1063,25 +1058,32 @@ let run_sparse_bench ~fast ~smoke =
       | Some s -> s
       | None -> assert false
     in
-    let speedup = sparse_rate /. Float.max 1e-9 dense_rate in
+    let selected = Circuit.Mna.backend (Circuit.Mna.build nl) in
     Printf.eprintf
       "sparse bench: %d unknowns: dense %.1f/s, sparse %.1f/s (%.2fx), \
-       reuses %d/%d\n\
+       reuses %d/%d, selects %s\n\
        %!"
-      (Circuit.Mna.size dsys) dense_rate sparse_rate speedup
+      (Circuit.Mna.size dsys) dense_rate sparse_rate
+      (sparse_rate /. Float.max 1e-9 dense_rate)
       stats.Numerics.Smat.pattern_reuses
       (stats.Numerics.Smat.pattern_reuses
-      + stats.Numerics.Smat.full_factorizations);
-    ( macro.Macros.Macro.macro_name,
-      Circuit.Mna.size dsys,
-      dense_rate,
-      sparse_rate,
-      speedup,
-      stats )
+      + stats.Numerics.Smat.full_factorizations)
+      (Circuit.Mna.backend_name selected);
+    {
+      sw_macro = macro.Macros.Macro.macro_name;
+      sw_unknowns = Circuit.Mna.size dsys;
+      sw_selected = selected;
+      sw_dense_rate = dense_rate;
+      sw_sparse_rate = sparse_rate;
+      sw_stats = stats;
+    }
   in
+  let speedup r = r.sw_sparse_rate /. Float.max 1e-9 r.sw_dense_rate in
   let rows = List.map restamp_row [ 4; 16; 32 ] in
-  let _, _, _, _, top_speedup, _ = List.nth rows (List.length rows - 1) in
-  (* 2: end-to-end generation, dense vs sparse *)
+  let smallest = List.hd rows in
+  let largest = List.nth rows (List.length rows - 1) in
+  let top_speedup = speedup largest in
+  (* 2: end-to-end generation, dense vs sparse, both forced *)
   let end_to_end backend =
     let ctx = Experiments.Setup.iv ~profile ~backend () in
     let ctx =
@@ -1126,16 +1128,19 @@ let run_sparse_bench ~fast ~smoke =
        (if fast then "fast" else "default"));
   Buffer.add_string buf "  \"restamp_sweep\": [\n";
   List.iteri
-    (fun i (name, unknowns, dense_rate, sparse_rate, speedup, stats) ->
+    (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"macro\": \"%s\", \"unknowns\": %d, \"dense_per_sec\": \
-            %.1f, \"sparse_per_sec\": %.1f, \"speedup\": %.3f, \
-            \"sparse_full_factorizations\": %d, \"sparse_pattern_reuses\": \
-            %d, \"factor_nnz\": %d}%s\n"
-           name unknowns dense_rate sparse_rate speedup
-           stats.Numerics.Smat.full_factorizations
-           stats.Numerics.Smat.pattern_reuses stats.Numerics.Smat.factor_nnz
+           "    {\"macro\": \"%s\", \"unknowns\": %d, \"selected\": \"%s\", \
+            \"dense_per_sec\": %.1f, \"sparse_per_sec\": %.1f, \"speedup\": \
+            %.3f, \"sparse_full_factorizations\": %d, \
+            \"sparse_pattern_reuses\": %d, \"factor_nnz\": %d}%s\n"
+           r.sw_macro r.sw_unknowns
+           (Circuit.Mna.backend_name r.sw_selected)
+           r.sw_dense_rate r.sw_sparse_rate (speedup r)
+           r.sw_stats.Numerics.Smat.full_factorizations
+           r.sw_stats.Numerics.Smat.pattern_reuses
+           r.sw_stats.Numerics.Smat.factor_nnz
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -1163,6 +1168,19 @@ let run_sparse_bench ~fast ~smoke =
   if not bytes_identical then fail "session bytes differ across backends";
   if verdict_compat < 1.0 then
     fail (Printf.sprintf "verdict compat %.4f below 1.0" verdict_compat);
+  if largest.sw_unknowns < 128 then
+    fail
+      (Printf.sprintf
+         "largest sweep row has %d unknowns, expected a 128+-node macro"
+         largest.sw_unknowns);
+  if largest.sw_sparse_rate < largest.sw_dense_rate then
+    fail
+      (Printf.sprintf "sparse %.1f/s slower than dense %.1f/s at %d unknowns"
+         largest.sw_sparse_rate largest.sw_dense_rate largest.sw_unknowns);
+  if smallest.sw_selected <> Circuit.Mna.Dense then
+    fail (Printf.sprintf "%s does not select dense" smallest.sw_macro);
+  if largest.sw_selected <> Circuit.Mna.Sparse then
+    fail (Printf.sprintf "%s does not select sparse" largest.sw_macro);
   if (not smoke) && top_speedup < 5. then
     fail
       (Printf.sprintf "factorization speedup %.2fx below the 5x bar"

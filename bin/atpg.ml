@@ -13,25 +13,6 @@ let macro_arg =
   in
   Arg.(value & opt string "iv" & info [ "macro" ] ~docv:"NAME" ~doc)
 
-let backend_arg =
-  let doc =
-    "Linear-algebra backend: $(b,dense) factors the full MNA matrix, \
-     $(b,sparse) compiles the stamp pattern once and factors in \
-     compressed form. Detect verdicts and session bytes are \
-     bit-identical across backends."
-  in
-  Arg.(
-    value
-    & opt
-        (enum [ ("dense", Circuit.Mna.Dense); ("sparse", Circuit.Mna.Sparse) ])
-        Circuit.Mna.Dense
-    & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-let warn_dense_backend ~backend nl =
-  match Circuit.Mna.dense_guard_note ~backend nl with
-  | Some note -> Printf.eprintf "atpg: note: %s\n%!" note
-  | None -> ()
-
 let fast_arg =
   let doc = "Use the fast execution profile (coarser THD windows)." in
   Arg.(value & flag & info [ "fast" ] ~doc)
@@ -100,16 +81,17 @@ let netlist_cmd =
 (* -- op ---------------------------------------------------------------- *)
 
 let op_cmd =
-  let run macro_name backend =
+  let run macro_name =
     with_macro macro_name (fun macro ->
         let nl = Macros.Macro.nominal_netlist macro in
-        warn_dense_backend ~backend nl;
-        let sys = Circuit.Mna.build ~backend nl in
+        let sys = Circuit.Mna.build nl in
         let report = Circuit.Dc.solve sys ~time:`Dc in
         let x = report.Circuit.Dc.solution in
         Printf.printf
-          "operating point of %s (newton: %d iterations, %d gmin steps)\n\n"
-          macro.Macros.Macro.macro_name report.Circuit.Dc.newton_iterations
+          "operating point of %s (%s, newton: %d iterations, %d gmin steps)\n\n"
+          macro.Macros.Macro.macro_name
+          (Circuit.Mna.backend_name (Circuit.Mna.backend sys))
+          report.Circuit.Dc.newton_iterations
           report.Circuit.Dc.gmin_steps;
         List.iter
           (fun n ->
@@ -129,7 +111,7 @@ let op_cmd =
   in
   Cmd.v
     (Cmd.info "op" ~doc:"Solve and print the macro's DC operating point.")
-    Term.(const run $ macro_arg $ backend_arg)
+    Term.(const run $ macro_arg)
 
 (* -- faults ------------------------------------------------------------ *)
 
@@ -316,26 +298,23 @@ let noise_cmd =
 
 (* -- context-backed commands ------------------------------------------ *)
 
-let iv_context ?(backend = Circuit.Mna.Dense) ~fast () =
+let iv_context ~fast () =
   prerr_endline "calibrating tolerance boxes...";
-  Experiments.Setup.iv ~profile:(profile_of fast) ~backend ()
+  Experiments.Setup.iv ~profile:(profile_of fast) ()
 
 (* Generation context for any --macro: the IV-converter gets the paper's
    calibrated setup, every other macro the deterministic probe context.
    Identical construction to Serve.Server's context cache, so the serve
    and one-shot paths pose bit-identical problems (the basis of the
    bench's verdict-compatibility gate). *)
-let generation_context ?(backend = Circuit.Mna.Dense) ~macro_name ~fast () =
+let generation_context ~macro_name ~fast () =
   match macro_of_name macro_name with
   | Error e -> Error e
   | Ok macro ->
-      warn_dense_backend ~backend (Macros.Macro.nominal_netlist macro);
-      if String.equal macro_name "iv" then
-        Ok (iv_context ~backend ~fast (), None)
+      if String.equal macro_name "iv" then Ok (iv_context ~fast (), None)
       else
         Ok
-          ( Experiments.Setup.probe ~profile:(profile_of fast) ~backend ~macro
-              (),
+          ( Experiments.Setup.probe ~profile:(profile_of fast) ~macro (),
             Some Experiments.Setup.probe_options )
 
 let progress ~done_ ~total ~fault_id =
@@ -640,7 +619,7 @@ let grad_arg =
 
 let generate_cmd =
   let run fast macro fault_id take save max_retries fail_fast resume inject
-      inject_seed jobs grad backend trace =
+      inject_seed jobs grad trace =
     match parse_inject_specs inject with
     | Error e ->
         prerr_endline e;
@@ -649,7 +628,7 @@ let generate_cmd =
         with_trace trace (fun () ->
             (* build the context first: injection targets the resilient
                generation run, not the tolerance-box setup *)
-            match generation_context ~backend ~macro_name:macro ~fast () with
+            match generation_context ~macro_name:macro ~fast () with
             | Error e ->
                 prerr_endline e;
                 1
@@ -702,13 +681,13 @@ let generate_cmd =
     Term.(
       const run $ fast_arg $ macro_arg $ fault_arg $ take_arg $ save_arg
       $ max_retries_arg $ fail_fast_arg $ resume_arg $ inject_arg
-      $ inject_seed_arg $ jobs_arg $ grad_arg $ backend_arg $ trace_arg)
+      $ inject_seed_arg $ jobs_arg $ grad_arg $ trace_arg)
 
 let compact_cmd =
-  let run fast macro backend take delta load save max_retries fail_fast
+  let run fast macro take delta load save max_retries fail_fast
       resume jobs trace =
     with_trace trace (fun () ->
-        match generation_context ~backend ~macro_name:macro ~fast () with
+        match generation_context ~macro_name:macro ~fast () with
         | Error e ->
             prerr_endline e;
             1
@@ -739,14 +718,14 @@ let compact_cmd =
        ~doc:"Generate (or --load) and collapse the compact test set \
              (paper sec. 4).")
     Term.(
-      const run $ fast_arg $ macro_arg $ backend_arg $ take_arg $ delta_arg
+      const run $ fast_arg $ macro_arg $ take_arg $ delta_arg
       $ load_arg $ save_arg $ max_retries_arg $ fail_fast_arg $ resume_arg
       $ jobs_arg $ trace_arg)
 
 let baseline_cmd =
-  let run fast macro backend take jobs trace =
+  let run fast macro take jobs trace =
     with_trace trace (fun () ->
-        match generation_context ~backend ~macro_name:macro ~fast () with
+        match generation_context ~macro_name:macro ~fast () with
         | Error e ->
             prerr_endline e;
             1
@@ -767,8 +746,7 @@ let baseline_cmd =
     (Cmd.info "baseline"
        ~doc:"Compare optimized generation against fixed-seed selection.")
     Term.(
-      const run $ fast_arg $ macro_arg $ backend_arg $ take_arg $ jobs_arg
-      $ trace_arg)
+      const run $ fast_arg $ macro_arg $ take_arg $ jobs_arg $ trace_arg)
 
 (* -- profile ------------------------------------------------------------ *)
 
@@ -1013,8 +991,7 @@ let fuzz_cmd =
         let progress ~campaign ~total =
           Printf.eprintf "\rcampaign %d/%d%!" (campaign + 1) total
         in
-        let note n = Printf.eprintf "\ratpg: note: %s\n%!" n in
-        let result = Fuzz.Campaign.run ~progress ~note options in
+        let result = Fuzz.Campaign.run ~progress options in
         prerr_newline ();
         (match result with
         | Error m ->
@@ -1163,7 +1140,7 @@ let serve_cmd =
     Term.(const run $ socket_arg $ budget_arg $ spool_arg $ trace_arg)
 
 let client_cmd =
-  let run socket op req_id macro backend fast take jobs delta inject
+  let run socket op req_id macro fast take jobs delta inject
       inject_seed session linger_ms =
     let maybe name v f = match v with Some x -> [ (name, f x) ] | None -> [] in
     let request =
@@ -1171,8 +1148,6 @@ let client_cmd =
         ([
            ("op", Serve.Jsonl.Str op);
            ("macro", Serve.Jsonl.Str macro);
-           ("backend",
-            Serve.Jsonl.Str (Serve.Protocol.backend_to_string backend));
            ("fast", Serve.Jsonl.Bool fast);
            ("jobs", Serve.Jsonl.Num (float_of_int jobs));
            ("delta", Serve.Jsonl.Num delta);
@@ -1245,9 +1220,9 @@ let client_cmd =
           response events (exit code mirrors the daemon's verdict: 6 \
           rejected, 7 drained).")
     Term.(
-      const run $ socket_arg $ op_arg $ req_arg $ macro_arg $ backend_arg
-      $ fast_arg $ take_arg $ jobs_arg $ delta_arg $ inject_arg
-      $ inject_seed_arg $ session_arg $ linger_arg)
+      const run $ socket_arg $ op_arg $ req_arg $ macro_arg $ fast_arg
+      $ take_arg $ jobs_arg $ delta_arg $ inject_arg $ inject_seed_arg
+      $ session_arg $ linger_arg)
 
 let main_cmd =
   let doc =

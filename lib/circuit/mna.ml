@@ -38,11 +38,12 @@ type t = {
   device_array : Device.t array;
   stamp_plan : rstamp array;
   backend : backend;
-  sparse_pattern : (int * int) list;  (* [] on the dense backend *)
 }
 
-(* Every (row, col) slot the plan's stamps can touch, resolved once at
-   compile time — the symbolic half of the sparse backend.  Mirrors
+(* Every (row, col) slot the plan's stamps can touch, resolved when a
+   sparse workspace is created — the symbolic half of the sparse
+   backend.  Not kept on [t]: a compiled plan creates one workspace, and
+   the reference path builds topologies that never create one.  Mirrors
    [assemble_core] stamp for stamp (ground terminals dropped), plus the
    full diagonal: gmin lands there for nodes, and branch rows need their
    structurally-zero diagonal present so sparse elimination visits the
@@ -97,31 +98,24 @@ let plan_pattern ~size ~stamp_plan =
     stamp_plan;
   !acc
 
-(* Above this node count a dense factorization is paying O(n^3) per
-   Newton step for a matrix that is almost all structural zeros. *)
-let dense_guard_nodes = 48
+(* Above this node count the sparse backend wins: a dense factorization
+   pays O(n^3) per Newton step for a matrix that is almost all structural
+   zeros.  Below it dense wins (the 10-node IV-converter) or the gap is a
+   fraction of a second per run, so small netlists stay dense. *)
+let sparse_above_nodes = 24
 
-let dense_guard_note ?(backend = Dense) nl =
-  match backend with
-  | Sparse -> None
-  | Dense ->
-      let nodes = List.length (Netlist.nodes nl) in
-      if nodes > dense_guard_nodes then
-        Some
-          (Printf.sprintf
-             "netlist has %d nodes (> %d) on the dense backend; dense LU is \
-              O(n^3) per factorization — consider --backend sparse \
-              (bit-identical results)"
-             nodes dense_guard_nodes)
-      else None
-
-let build ?(backend = Dense) nl =
+let build ?backend nl =
   (match Netlist.connectivity_check nl with
   | Ok () -> ()
   | Error e -> invalid_arg ("Mna.build: " ^ e));
   let node_tbl = Hashtbl.create 32 in
   List.iteri (fun i n -> Hashtbl.replace node_tbl n i) (Netlist.nodes nl);
   let n_nodes = Hashtbl.length node_tbl in
+  let backend =
+    match backend with
+    | Some b -> b
+    | None -> if n_nodes > sparse_above_nodes then Sparse else Dense
+  in
   let branch_tbl = Hashtbl.create 8 in
   let next = ref n_nodes in
   List.iter
@@ -165,11 +159,6 @@ let build ?(backend = Dense) nl =
   in
   let device_array = Array.of_list (Netlist.devices nl) in
   let stamp_plan = Array.map resolve device_array in
-  let sparse_pattern =
-    match backend with
-    | Dense -> []
-    | Sparse -> plan_pattern ~size:!next ~stamp_plan
-  in
   {
     netlist = nl;
     node_tbl;
@@ -179,11 +168,11 @@ let build ?(backend = Dense) nl =
     device_array;
     stamp_plan;
     backend;
-    sparse_pattern;
   }
 
 let netlist t = t.netlist
 let backend t = t.backend
+let backend_name = function Dense -> "dense" | Sparse -> "sparse"
 let n_nodes t = t.n_nodes
 let size t = t.size
 
@@ -428,7 +417,9 @@ let workspace t =
     | Sparse ->
         E_sparse
           {
-            es = Smat.create t.size t.sparse_pattern;
+            es =
+              Smat.create t.size
+                (plan_pattern ~size:t.size ~stamp_plan:t.stamp_plan);
             eslu = Smat.lu_workspace t.size;
           }
   in

@@ -18,22 +18,26 @@ type backend = Dense | Sparse
     backend is a pure time/space trade, invisible to results. *)
 
 val build : ?backend:backend -> Netlist.t -> t
-(** Index the netlist ([backend] defaults to [Dense]).
+(** Index the netlist and choose its backend from the node count:
+    [Dense] for at most {!sparse_above_nodes} nodes, [Sparse] above.
+    [backend] forces one — tests and bench only; default chosen by
+    [Mna.build] from the node count.
     @raise Invalid_argument if the netlist fails
     {!Netlist.connectivity_check}. *)
 
-val dense_guard_nodes : int
-(** Node count above which dense LU is a measurably poor fit (48). *)
-
-val dense_guard_note : ?backend:backend -> Netlist.t -> string option
-(** [Some note] when [backend] is [Dense] and the netlist exceeds
-    {!dense_guard_nodes} nodes — the advisory every entry path accepting
-    a backend choice (CLI subcommands, fuzz campaigns, the serve
-    daemon) must surface, so no route silently runs a 100+-node macro
-    on dense LU.  [None] on [Sparse] or small netlists.  Advisory only:
-    results are bit-identical across backends either way. *)
+val sparse_above_nodes : int
+(** Node count above which {!build} selects [Sparse] (24), set from the
+    measured [atpg generate] crossover: dense wins on the 10-node
+    IV-converter, the two stay within a fraction of a second per run
+    from 11 to 17 nodes, and sparse wins from 25 nodes up (1.4-2.3x at
+    25, 2.6-2.8x at 49). *)
 
 val backend : t -> backend
+(** The backend {!build} chose, or was forced to. *)
+
+val backend_name : backend -> string
+(** ["dense"] or ["sparse"]. *)
+
 val netlist : t -> Netlist.t
 val n_nodes : t -> int
 val size : t -> int

@@ -10,7 +10,7 @@ type t = {
   nominal : Execute.target;
   box_model : Tolerance.t;
   batching : bool;
-  backend : Circuit.Mna.backend;
+  backend : Circuit.Mna.backend option;
   nominal_cache : (string, float array) Hashtbl.t;
   (* Memoized nominal observables *and* their parameter gradients, keyed
      like [nominal_cache]: the nominal response at a parameter point is
@@ -39,7 +39,7 @@ let g_batch_panels = Obs.Counter.create "evaluator.batch.panels"
 exception Budget_exhausted of { config_id : int; budget : int }
 
 let create ?(profile = Execute.default_profile) ?(batching = true)
-    ?(backend = Circuit.Mna.Dense) config ~nominal ~box_model =
+    ?backend config ~nominal ~box_model =
   {
     config;
     profile;
@@ -153,7 +153,7 @@ let compiled_plan t ~key target =
       plan
   | None ->
       Obs.Counter.bump g_plan_misses 1;
-      let plan = Execute.compile ~backend:t.backend t.config (target ()) in
+      let plan = Execute.compile ?backend:t.backend t.config (target ()) in
       Hashtbl.replace t.compiled_cache key plan;
       plan
 

@@ -32,9 +32,10 @@ val create :
   nominal:Execute.target ->
   box_model:Tolerance.t ->
   t
-(** [backend] (default [Dense]) selects the linear-algebra engine every
-    compiled plan of this evaluator is built on; results are
-    bit-identical across backends (see {!Circuit.Mna.backend}).
+(** [backend] forces the linear-algebra engine every compiled plan of
+    this evaluator is built on — tests and bench only; default chosen by
+    {!Circuit.Mna.build} from the node count.  Results are bit-identical
+    across backends (see {!Circuit.Mna.backend}).
 
     [batching] (default [true]) admits this evaluator's cross-product
     sweeps into config-major batched evaluation

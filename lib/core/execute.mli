@@ -69,9 +69,10 @@ val compile : ?backend:Circuit.Mna.backend -> Test_config.t -> target -> compile
     source moved to the end of device order, exactly where every
     per-probe {!with_stimulus} rewrite puts it), so unknown numbering —
     and therefore pivoting and arithmetic — matches {!observables}
-    bit for bit.  [backend] (default [Dense]) selects the plan's
-    linear-algebra engine; both produce bit-identical results
-    (see {!Circuit.Mna.backend}).
+    bit for bit.  [backend] forces the plan's linear-algebra engine —
+    tests and bench only; default chosen by {!Circuit.Mna.build} from
+    the node count.  Both produce bit-identical results (see
+    {!Circuit.Mna.backend}).
     @raise Invalid_argument if the stimulus source is missing or not an
     independent source. *)
 

@@ -29,8 +29,9 @@ val create :
     (default {!Macros.Process.corners}) and bundle evaluators plus the
     macro's exhaustive fault dictionary.  [batching] (default [true]) admits cross-product sweeps into
     config-major batched evaluation — bit-identical, faster; see
-    {!Testgen.Evaluator.create}.  [backend] (default [Dense]) selects
-    the evaluators' linear-algebra engine; results are bit-identical
+    {!Testgen.Evaluator.create}.  [backend] forces the evaluators'
+    linear-algebra engine — tests and bench only; default chosen by
+    {!Circuit.Mna.build} from the node count.  Results are bit-identical
     across backends. *)
 
 val iv :
@@ -59,9 +60,10 @@ val probe :
     levels per configuration, floor-only tolerance boxes at [floor]
     volts (default 1e-3) and the fast execution profile.  No corner
     calibration and no random draws — the context is a pure function of
-    [(macro, configs, levels, floor, backend)], so the CLI one-shot path
+    [(macro, configs, levels, floor)], so the CLI one-shot path
     and the serve daemon construct bit-identical problems from a macro
-    name.  Use {!probe_options} for engine runs over probe contexts. *)
+    name.  [batching] and [backend] are test seams as in {!create}.  Use
+    {!probe_options} for engine runs over probe contexts. *)
 
 val probe_options : Testgen.Generate.options
 (** Reduced optimizer budgets (coarse brackets, 1e-2 tolerance, short

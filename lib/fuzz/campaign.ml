@@ -37,9 +37,6 @@ type tally = { t_name : string; t_pass : int; t_skip : int; t_fail : int }
 type report = {
   r_options : options;
   r_scenarios : int;
-  r_dense_scenarios : int;
-  r_sparse_scenarios : int;
-  r_dense_guard_notes : int;
   r_build_failures : int;
   r_checks_run : int;
   r_checks_passed : int;
@@ -116,8 +113,7 @@ let shrink_failure ~jobs ~inject ~inject_seed inv spec detail =
   in
   go spec detail 0
 
-let run ?(progress = fun ~campaign:_ ~total:_ -> ())
-    ?(note = fun (_ : string) -> ()) options =
+let run ?(progress = fun ~campaign:_ ~total:_ -> ()) options =
   match invariants_of options with
   | Result.Error m -> Result.Error m
   | Result.Ok invariants ->
@@ -135,29 +131,13 @@ let run ?(progress = fun ~campaign:_ ~total:_ -> ())
       let violations = ref [] in
       let build_failures = ref 0 in
       let checks_run = ref 0 and checks_passed = ref 0 and checks_skipped = ref 0 in
-      let dense = ref 0 and sparse = ref 0 in
-      let guard_notes = ref 0 in
       for i = 0 to options.campaigns - 1 do
         progress ~campaign:i ~total:options.campaigns;
         let spec = spec_of_campaign options i in
-        (match spec.Scenario.backend with
-        | Circuit.Mna.Dense -> incr dense
-        | Circuit.Mna.Sparse -> incr sparse);
         let inject_seed = Int64.add options.seed (Int64.of_int i) in
         match Invariants.make_ctx ~jobs ~inject ~inject_seed spec with
         | exception _ -> incr build_failures
         | ctx ->
-            (* fuzz draws its own backend per scenario, so it is an entry
-               path for the dense-size advisory like any CLI route *)
-            (match
-               Circuit.Mna.dense_guard_note ~backend:spec.Scenario.backend
-                 (Macros.Macro.nominal_netlist ctx.Invariants.built.Scenario.macro)
-             with
-            | Some n ->
-                incr guard_notes;
-                note (Printf.sprintf "campaign %d (%s): %s" i
-                        (Scenario.to_string spec) n)
-            | None -> ());
             List.iter
               (fun inv ->
                 incr checks_run;
@@ -197,9 +177,6 @@ let run ?(progress = fun ~campaign:_ ~total:_ -> ())
         {
           r_options = options;
           r_scenarios = options.campaigns;
-          r_dense_scenarios = !dense;
-          r_sparse_scenarios = !sparse;
-          r_dense_guard_notes = !guard_notes;
           r_build_failures = !build_failures;
           r_checks_run = !checks_run;
           r_checks_passed = !checks_passed;
@@ -229,12 +206,10 @@ let report_json report =
              opts.inject)));
   Buffer.add_string b
     (Printf.sprintf
-       "  \"scenarios\": %d,\n  \"backends\": {\"dense\": %d, \"sparse\": \
-        %d},\n  \"dense_guard_notes\": %d,\n  \"build_failures\": %d,\n  \
+       "  \"scenarios\": %d,\n  \"build_failures\": %d,\n  \
         \"checks_run\": %d,\n  \"checks_passed\": %d,\n  \
         \"checks_skipped\": %d,\n"
-       report.r_scenarios report.r_dense_scenarios report.r_sparse_scenarios
-       report.r_dense_guard_notes report.r_build_failures report.r_checks_run
+       report.r_scenarios report.r_build_failures report.r_checks_run
        report.r_checks_passed report.r_checks_skipped);
   Buffer.add_string b "  \"invariants\": {\n";
   List.iteri
@@ -264,10 +239,9 @@ let report_json report =
 
 let pp_report ppf report =
   Format.fprintf ppf
-    "fuzz: %d scenario(s) (%d dense, %d sparse), %d check(s): %d passed, %d \
-     skipped@."
-    report.r_scenarios report.r_dense_scenarios report.r_sparse_scenarios
-    report.r_checks_run report.r_checks_passed report.r_checks_skipped;
+    "fuzz: %d scenario(s), %d check(s): %d passed, %d skipped@."
+    report.r_scenarios report.r_checks_run report.r_checks_passed
+    report.r_checks_skipped;
   if report.r_build_failures > 0 then
     Format.fprintf ppf "  %d scenario(s) failed to build@."
       report.r_build_failures;

@@ -51,11 +51,6 @@ type tally = { t_name : string; t_pass : int; t_skip : int; t_fail : int }
 type report = {
   r_options : options;
   r_scenarios : int;
-  r_dense_scenarios : int;  (** scenarios drawn on the dense backend *)
-  r_sparse_scenarios : int;  (** scenarios drawn on the sparse backend *)
-  r_dense_guard_notes : int;
-      (** dense scenarios large enough to trip
-          {!Circuit.Mna.dense_guard_note} *)
   r_build_failures : int;  (** scenarios whose build or base run raised *)
   r_checks_run : int;
   r_checks_passed : int;
@@ -66,15 +61,11 @@ type report = {
 
 val run :
   ?progress:(campaign:int -> total:int -> unit) ->
-  ?note:(string -> unit) ->
   options ->
   (report, string) result
 (** Run the campaigns.  [Error] only on invalid options (an unknown
     invariant name in [checks]); invariant violations are reported in
-    the result, not as an error.  [note] receives advisory messages
-    (currently the {!Circuit.Mna.dense_guard_note} for oversized dense
-    scenarios); it defaults to dropping them — the CLI forwards them to
-    stderr. *)
+    the result, not as an error. *)
 
 val clean : report -> bool
 (** No violations and no build failures. *)

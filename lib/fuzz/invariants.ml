@@ -312,14 +312,11 @@ let compaction_fingerprint (r : Compactor.result) =
   in
   String.concat "\n" (tests @ detections)
 
-(* The same scenario with config-major batching switched off walks every
-   (fault, point) pair through the sequential reference path; the batch
-   engine's bitwise contract says nothing observable may change — not
-   the generation run, and not the compaction of it, whose coverage,
-   collapse and member checks are the batch engine's main consumers. *)
-let batch_parity ctx =
-  let seq_built = Scenario.build ~batching:false ctx.built.Scenario.spec in
-  let srun = base_run seq_built in
+(* Two builds of one scenario that a bitwise contract says are
+   interchangeable: nothing observable may differ — not the generation
+   run, and not the compaction of it, whose coverage, collapse and
+   member checks reach the batch engine and every backend solve. *)
+let paths_agree label (a_built, (a : Engine.run)) (b_built, (b : Engine.run)) =
   let report_shape (r : Engine.fault_report) =
     match r.Engine.report_outcome with
     | Resilience.Ok _ -> r.Engine.report_fault_id ^ ":ok"
@@ -328,31 +325,55 @@ let batch_parity ctx =
         ^ Option.value ~default:"?" (Resilience.recovery_rung o)
     | Resilience.Failed _ -> r.Engine.report_fault_id ^ ":failed"
   in
-  let compaction (b : Scenario.built) run =
+  let compaction (built : Scenario.built) run =
     compaction_fingerprint
-      (Compactor.compact ~delta:0.1 ~evaluators:b.Scenario.evaluators
-         b.Scenario.dictionary run)
+      (Compactor.compact ~delta:0.1 ~evaluators:built.Scenario.evaluators
+         built.Scenario.dictionary run)
   in
-  match runs_agree "batched vs sequential" ctx.run srun with
+  match runs_agree label a b with
   | (Skip _ | Fail _) as o -> o
   | Pass ->
-      if
-        List.map report_shape ctx.run.Engine.reports
-        <> List.map report_shape srun.Engine.reports
-      then Fail "batched vs sequential: fault reports differ"
-      else if
-        ctx.run.Engine.total_fault_simulations
-        <> srun.Engine.total_fault_simulations
+      if List.map report_shape a.Engine.reports
+         <> List.map report_shape b.Engine.reports
+      then fail "%s: fault reports differ" label
+      else if a.Engine.total_fault_simulations <> b.Engine.total_fault_simulations
       then
-        fail "batched vs sequential: %d vs %d fault simulations"
-          ctx.run.Engine.total_fault_simulations
-          srun.Engine.total_fault_simulations
+        fail "%s: %d vs %d fault simulations" label
+          a.Engine.total_fault_simulations b.Engine.total_fault_simulations
       else if
-        not
-          (String.equal (compaction ctx.built ctx.run)
-             (compaction seq_built srun))
-      then Fail "batched vs sequential: compaction reports differ"
+        not (String.equal (compaction a_built a) (compaction b_built b))
+      then fail "%s: compaction reports differ" label
       else Pass
+
+(* The same scenario with config-major batching switched off walks every
+   (fault, point) pair through the sequential reference path. *)
+let batch_parity ctx =
+  let seq_built = Scenario.build ~batching:false ctx.built.Scenario.spec in
+  paths_agree "batched vs sequential" (ctx.built, ctx.run)
+    (seq_built, base_run seq_built)
+
+(* -- backend-parity ------------------------------------------------------- *)
+
+(* The same scenario forced onto the backend Mna.build did not choose for
+   its nominal netlist: dense and sparse LU share pivot choices and
+   per-entry update order, so the two runs must agree to the bit. *)
+let backend_parity ctx =
+  let selected =
+    Circuit.Mna.backend
+      (Circuit.Mna.build
+         (Macros.Macro.nominal_netlist ctx.built.Scenario.macro))
+  in
+  let other =
+    match selected with
+    | Circuit.Mna.Dense -> Circuit.Mna.Sparse
+    | Circuit.Mna.Sparse -> Circuit.Mna.Dense
+  in
+  let other_built = Scenario.build ~backend:other ctx.built.Scenario.spec in
+  paths_agree
+    (Printf.sprintf "%s vs %s" (Circuit.Mna.backend_name selected)
+       (Circuit.Mna.backend_name other))
+    (ctx.built, ctx.run)
+    (other_built, base_run other_built)
 
 (* -- self-test ----------------------------------------------------------- *)
 
@@ -379,6 +400,7 @@ let all =
     { name = "inject-parity"; check = inject_parity };
     { name = "crash-safety"; check = crash_safety };
     { name = "batch-parity"; check = batch_parity };
+    { name = "backend-parity"; check = backend_parity };
   ]
 
 let self_test_invariant = { name = "self-test"; check = self_test }

@@ -28,7 +28,11 @@
       [~batching:false] (every cross-product pair on the sequential
       reference path) gives identical session bytes, rung stats, fault
       reports and fault-simulation counts, and a bit-identical
-      compaction (compact tests and coverage report) at delta 0.1. *)
+      compaction (compact tests and coverage report) at delta 0.1;
+    - [backend-parity] — the same scenario built with [~backend] forced
+      to the linear-algebra backend {!Circuit.Mna.build} did not select
+      for the nominal netlist agrees with the base run on all of the
+      above. *)
 
 type outcome = Pass | Skip of string | Fail of string
 

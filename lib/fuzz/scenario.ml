@@ -9,7 +9,6 @@ type topology =
 
 type spec = {
   topology : topology;
-  backend : Circuit.Mna.backend;
   fault_count : int;
   bridge_weight : int;
   config_count : int;
@@ -21,7 +20,6 @@ type spec = {
 let minimal =
   {
     topology = Rc_ladder 1;
-    backend = Circuit.Mna.Dense;
     fault_count = 1;
     bridge_weight = 100;
     config_count = 1;
@@ -37,18 +35,11 @@ let topology_to_string = function
   | Sk_chain n -> Printf.sprintf "skc%d" n
   | Ota_cascade n -> Printf.sprintf "otac%d" n
 
-(* The dense suffix is empty so pre-backend spec strings (and the pinned
-   shrink fixed points) render unchanged. *)
-let backend_to_string = function
-  | Circuit.Mna.Dense -> ""
-  | Circuit.Mna.Sparse -> "/sp"
-
 let to_string s =
-  Printf.sprintf "%s/f%d/bw%d/c%d/l%d/e%d/v%d%s"
+  Printf.sprintf "%s/f%d/bw%d/c%d/l%d/e%d/v%d"
     (topology_to_string s.topology)
     s.fault_count s.bridge_weight s.config_count s.levels s.floor_exp
     s.value_seed
-    (backend_to_string s.backend)
 
 let pp ppf s = Format.pp_print_string ppf (to_string s)
 
@@ -65,7 +56,6 @@ let size s =
     | Ota_cascade n -> 16 + (2 * n)
   in
   topo + (4 * s.fault_count) + s.config_count + s.levels + s.floor_exp
-  + (if s.backend = Circuit.Mna.Sparse then 1 else 0)
   + (if s.bridge_weight < 100 then 2 else 0)
   + if s.value_seed <> 0 then 1 else 0
 
@@ -179,22 +169,21 @@ type built = {
   evaluators : Evaluator.t list;
 }
 
-let evaluators_of ?batching ?backend macro configs =
-  let nominal =
-    Experiments.Setup.target_of_macro macro Macros.Process.nominal
-  in
-  List.map
-    (fun config ->
-      Evaluator.create ~profile:Execute.fast_profile ?batching ?backend config
-        ~nominal
-        ~box_model:(Tolerance.floor_only config))
-    configs
-
-let build ?batching s =
+let build ?batching ?backend s =
   let macro = macro_of_topology s.topology in
   let configs = configs_of_spec s macro in
   let dictionary = dictionary_of_spec s macro in
-  let evaluators = evaluators_of ?batching ~backend:s.backend macro configs in
+  let nominal =
+    Experiments.Setup.target_of_macro macro Macros.Process.nominal
+  in
+  let evaluators =
+    List.map
+      (fun config ->
+        Evaluator.create ~profile:Execute.fast_profile ?batching ?backend
+          config ~nominal
+          ~box_model:(Tolerance.floor_only config))
+      configs
+  in
   { spec = s; macro; configs; dictionary; evaluators }
 
 (* Reduced optimizer budgets: fuzz campaigns trade optimality for
@@ -224,19 +213,8 @@ let gen rng =
     else if d < 11 then Ota
     else Sallen_key
   in
-  let backend =
-    (* large linear chains mostly exercise the sparse engine; the small
-       topologies mostly stay on the dense baseline *)
-    let d = Numerics.Rng.int rng ~bound:4 in
-    match topology with
-    | Sk_chain _ | Ota_cascade _ ->
-        if d < 3 then Circuit.Mna.Sparse else Circuit.Mna.Dense
-    | Rc_ladder _ | Ota | Sallen_key ->
-        if d < 1 then Circuit.Mna.Sparse else Circuit.Mna.Dense
-  in
   {
     topology;
-    backend;
     fault_count = 1 + Numerics.Rng.int rng ~bound:4;
     bridge_weight = 25 * Numerics.Rng.int rng ~bound:5;
     config_count = 1 + Numerics.Rng.int rng ~bound:2;
@@ -270,9 +248,6 @@ let shrink s =
     | Rc_ladder n when n > 1 ->
         [ { s with topology = Rc_ladder 1 }; { s with topology = Rc_ladder (n - 1) } ]
     | Rc_ladder _ -> [])
-    @ (if s.backend = Circuit.Mna.Sparse then
-         [ { s with backend = Circuit.Mna.Dense } ]
-       else [])
     @ (if s.fault_count > 1 then
          [
            { s with fault_count = 1 };

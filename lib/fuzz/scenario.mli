@@ -22,9 +22,6 @@ type topology =
 
 type spec = {
   topology : topology;
-  backend : Circuit.Mna.backend;
-      (** linear-algebra engine the evaluators compile with; results are
-          backend-independent, so every invariant must hold on either *)
   fault_count : int;  (** faults drawn from the macro's universe, >= 1 *)
   bridge_weight : int;  (** percent chance each draw prefers a bridge *)
   config_count : int;  (** fuzzed DC configurations, >= 1 *)
@@ -38,8 +35,7 @@ val minimal : spec
     single-level configuration — the fixed point of {!shrink}. *)
 
 val to_string : spec -> string
-(** Compact one-line form, e.g. ["rc2/f3/bw75/c2/l1/e3/v417"]; sparse
-    specs carry a trailing ["/sp"] (dense renders as before). *)
+(** Compact one-line form, e.g. ["rc2/f3/bw75/c2/l1/e3/v417"]. *)
 
 val pp : Format.formatter -> spec -> unit
 
@@ -55,22 +51,16 @@ type built = {
   evaluators : Testgen.Evaluator.t list;
 }
 
-val build : ?batching:bool -> spec -> built
+val build :
+  ?batching:bool -> ?backend:Circuit.Mna.backend -> spec -> built
 (** Expand a spec (deterministically) into a runnable scenario:
     floor-only tolerance boxes, the fast execution profile, compiled
-    evaluators.  [batching] (default true) is passed to
-    {!Testgen.Evaluator.create}; [false] builds the sequential-reference
-    variant the batch-parity invariant compares against. *)
-
-val evaluators_of :
-  ?batching:bool ->
-  ?backend:Circuit.Mna.backend ->
-  Macros.Macro.t ->
-  Testgen.Test_config.t list ->
-  Testgen.Evaluator.t list
-(** The evaluator construction used by {!build}, exposed so invariants
-    can rebuild fresh evaluators for the same scenario.  [backend]
-    defaults to dense; {!build} passes the spec's own. *)
+    evaluators.  [batching] (default true) and [backend] are test seams
+    passed to {!Testgen.Evaluator.create}: [~batching:false] builds the
+    sequential-reference variant the batch-parity invariant compares
+    against, and [backend] — tests and bench only; default chosen by
+    {!Circuit.Mna.build} from the node count — forces the other backend
+    for the backend-parity invariant. *)
 
 val generate_options : Testgen.Generate.options
 (** Reduced optimizer budgets used for all fuzz engine runs. *)

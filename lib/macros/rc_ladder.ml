@@ -1,8 +1,8 @@
 open Circuit
 
-(* Ladders beyond ~46 sections cross the dense-backend size guard
-   (Mna.dense_guard_nodes); the sparse backend handles them well, so the
-   cap only bounds the quadratic fault-dictionary growth. *)
+(* Ladders of 24+ sections (25+ nodes) cross Mna.sparse_above_nodes and
+   are solved on the sparse backend, which handles them well, so the cap
+   only bounds the quadratic fault-dictionary growth. *)
 let max_sections = 64
 
 let node i = if i = 0 then "in" else Printf.sprintf "n%d" i

@@ -10,7 +10,6 @@ let exit_drained = 7
 
 type work = {
   w_macro : string;
-  w_backend : Circuit.Mna.backend;
   w_fast : bool;
   w_take : int option;
   w_jobs : int;
@@ -23,7 +22,6 @@ type work = {
 let default_work =
   {
     w_macro = "iv";
-    w_backend = Circuit.Mna.Dense;
     w_fast = true;
     w_take = None;
     w_jobs = 1;
@@ -37,21 +35,12 @@ type op =
   | Ping of { linger_ms : int }
   | Stats
   | Profile
-  | Op of { macro : string; backend : Circuit.Mna.backend }
+  | Op of { macro : string }
   | Generate of work
   | Compact of work
   | Baseline of work
 
 type request = { rq_id : string; rq_op : op }
-
-let backend_of_string = function
-  | "dense" -> Ok Circuit.Mna.Dense
-  | "sparse" -> Ok Circuit.Mna.Sparse
-  | other -> Error (Printf.sprintf "unknown backend %S" other)
-
-let backend_to_string = function
-  | Circuit.Mna.Dense -> "dense"
-  | Circuit.Mna.Sparse -> "sparse"
 
 (* Session names become spool file names; reject anything that could
    escape the spool directory or collide with checkpoint suffixes. *)
@@ -68,11 +57,6 @@ let valid_session_name s =
 let ( let* ) = Result.bind
 
 let work_of_json json =
-  let* backend =
-    match Jsonl.str_member "backend" json with
-    | None -> Ok default_work.w_backend
-    | Some s -> backend_of_string s
-  in
   let* inject =
     match Jsonl.list_member "inject" json with
     | None -> Ok []
@@ -115,7 +99,6 @@ let work_of_json json =
       w_macro =
         Option.value ~default:default_work.w_macro
           (Jsonl.str_member "macro" json);
-      w_backend = backend;
       w_fast = Option.value ~default:true (Jsonl.bool_member "fast" json);
       w_take = take;
       w_jobs = jobs;
@@ -147,17 +130,11 @@ let request_of_json ~fallback_id json =
     | Some "stats" -> Ok Stats
     | Some "profile" -> Ok Profile
     | Some "op" ->
-        let* backend =
-          match Jsonl.str_member "backend" json with
-          | None -> Ok Circuit.Mna.Dense
-          | Some s -> backend_of_string s
-        in
         Ok
           (Op
              {
                macro =
                  Option.value ~default:"iv" (Jsonl.str_member "macro" json);
-               backend;
              })
     | Some "generate" ->
         let* w = work_of_json json in
@@ -186,8 +163,6 @@ let accepted ~req = line ~req ~ev:"accepted" []
 let rejected ~req ~code ~reason =
   line ~req ~ev:"rejected"
     [ ("code", Jsonl.Num (float_of_int code)); ("reason", Jsonl.Str reason) ]
-
-let note ~req message = line ~req ~ev:"note" [ ("message", Jsonl.Str message) ]
 
 let error ~req message =
   line ~req ~ev:"error" [ ("message", Jsonl.Str message) ]

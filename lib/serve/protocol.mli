@@ -11,16 +11,18 @@
 
     Request object fields: ["req"] (client-chosen correlation id),
     ["op"] (one of [ping], [stats], [profile], [op], [generate],
-    [compact], [baseline]), and for the work ops ["macro"],
-    ["backend"], ["fast"], ["take"], ["jobs"], ["delta"], ["inject"]
-    (array of failpoint specs), ["inject_seed"], ["session"]
-    (checkpoint name for drain/resume).
+    [compact], [baseline]), and for the work ops ["macro"], ["fast"],
+    ["take"], ["jobs"], ["delta"], ["inject"] (array of failpoint
+    specs), ["inject_seed"], ["session"] (checkpoint name for
+    drain/resume).  Unknown members are ignored — among them
+    ["backend"], which older clients send: {!Circuit.Mna.build} picks
+    the backend from the netlist size, and results are bit-identical
+    across backends.
 
     Event lines: ["accepted"], ["rejected"] (with [code] 429 = budget
-    full, 503 = draining), ["note"] (advisories, e.g. the dense-backend
-    size guard), ["result"], ["drained"] (run interrupted by graceful
-    drain after [completed] checkpointed faults — resend with the same
-    [session] to resume), ["error"], ["done"] (with the request's
+    full, 503 = draining), ["result"], ["drained"] (run interrupted by
+    graceful drain after [completed] checkpointed faults — resend with
+    the same [session] to resume), ["error"], ["done"] (with the request's
     [status], mirroring CLI exit codes). *)
 
 open Testgen
@@ -36,7 +38,6 @@ val exit_drained : int
 
 type work = {
   w_macro : string;
-  w_backend : Circuit.Mna.backend;
   w_fast : bool;
   w_take : int option;
   w_jobs : int;
@@ -55,8 +56,9 @@ type op =
           tests *)
   | Stats  (** admission counters and server state *)
   | Profile  (** Obs span/counter aggregate of the server process *)
-  | Op of { macro : string; backend : Circuit.Mna.backend }
-      (** DC operating point *)
+  | Op of { macro : string }
+      (** DC operating point; the result names the backend
+          {!Circuit.Mna.build} chose *)
   | Generate of work
   | Compact of work
   | Baseline of work
@@ -64,9 +66,6 @@ type op =
 type request = { rq_id : string; rq_op : op }
 
 val valid_session_name : string -> bool
-
-val backend_of_string : string -> (Circuit.Mna.backend, string) result
-val backend_to_string : Circuit.Mna.backend -> string
 
 val request_of_json :
   fallback_id:string -> Jsonl.t -> (request, string) result
@@ -78,7 +77,6 @@ val request_of_json :
 val hello : Jsonl.t
 val accepted : req:string -> Jsonl.t
 val rejected : req:string -> code:int -> reason:string -> Jsonl.t
-val note : req:string -> string -> Jsonl.t
 val error : req:string -> string -> Jsonl.t
 val result : req:string -> (string * Jsonl.t) list -> Jsonl.t
 val drained : req:string -> session:string -> completed:int -> Jsonl.t

@@ -17,7 +17,7 @@ open Testgen
      introspection works while the budget is full;
    - compiled-plan and nominal caches are shared across requests through
      the Evaluator fork/absorb seam: each request forks private
-     evaluators off a cached per-(macro, backend, profile) context and
+     evaluators off a cached per-(macro, profile) context and
      absorbs them back when done, so later requests warm-start from
      earlier requests' nominal work;
    - graceful drain stops accepting, then interrupts checkpointed
@@ -46,7 +46,7 @@ type stats = {
   st_completed : int;
 }
 
-type ctx_key = { ck_macro : string; ck_backend : Circuit.Mna.backend; ck_fast : bool }
+type ctx_key = { ck_macro : string; ck_fast : bool }
 
 type t = {
   opts : options;
@@ -111,11 +111,7 @@ let context t (work : Protocol.work) =
   | Error e -> Error e
   | Ok macro ->
       let key =
-        {
-          ck_macro = work.Protocol.w_macro;
-          ck_backend = work.Protocol.w_backend;
-          ck_fast = work.Protocol.w_fast;
-        }
+        { ck_macro = work.Protocol.w_macro; ck_fast = work.Protocol.w_fast }
       in
       Mutex.lock t.ctx_mutex;
       let cached = Hashtbl.find_opt t.ctx_cache key in
@@ -130,12 +126,9 @@ let context t (work : Protocol.work) =
             in
             let built =
               if String.equal work.Protocol.w_macro "iv" then
-                ( Experiments.Setup.iv ~profile
-                    ~backend:work.Protocol.w_backend (),
-                  None )
+                (Experiments.Setup.iv ~profile (), None)
               else
-                ( Experiments.Setup.probe ~profile
-                    ~backend:work.Protocol.w_backend ~macro (),
+                ( Experiments.Setup.probe ~profile ~macro (),
                   Some Experiments.Setup.probe_options )
             in
             Mutex.lock t.ctx_mutex;
@@ -149,7 +142,7 @@ let context t (work : Protocol.work) =
             Mutex.unlock t.ctx_mutex;
             entry
       in
-      Ok (macro, entry)
+      Ok entry
 
 (* Fork private evaluators off the shared context and absorb them back
    (commutative merge) whatever the outcome, so cache warmth and
@@ -245,13 +238,6 @@ let in_request_domain ~req f =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let guard_note ~send ~req backend macro =
-  match
-    Circuit.Mna.dense_guard_note ~backend (Macros.Macro.nominal_netlist macro)
-  with
-  | Some n -> send (Protocol.note ~req n)
-  | None -> ()
-
 let float_fields fields = List.map (fun (k, v) -> (k, Jsonl.Num v)) fields
 
 let run_work t ~send ~req (work : Protocol.work) kind =
@@ -259,8 +245,7 @@ let run_work t ~send ~req (work : Protocol.work) kind =
   | Error e ->
       send (Protocol.error ~req e);
       1
-  | Ok (macro, (setup, options)) ->
-      guard_note ~send ~req work.Protocol.w_backend macro;
+  | Ok (setup, options) ->
       let outcome =
         in_request_domain ~req (fun () ->
             with_injection work (fun () ->
@@ -272,8 +257,6 @@ let run_work t ~send ~req (work : Protocol.work) kind =
       let base_fields (run : Engine.run) =
         [
           ("macro", Jsonl.Str work.Protocol.w_macro);
-          ("backend",
-           Jsonl.Str (Protocol.backend_to_string work.Protocol.w_backend));
           ("faults", Jsonl.Num (float_of_int (List.length run.Engine.reports)));
           ("quarantined",
            Jsonl.Num (float_of_int (List.length run.Engine.failed_faults)));
@@ -321,16 +304,15 @@ let run_work t ~send ~req (work : Protocol.work) kind =
                @ [ ("wall_ms", Jsonl.Num (wall *. 1000.)) ]));
           Engine.exit_status run)
 
-let run_op ~send ~req ~macro_name ~backend =
+let run_op ~send ~req ~macro_name =
   match Macros.Registry.find macro_name with
   | Error e ->
       send (Protocol.error ~req e);
       1
   | Ok macro ->
-      guard_note ~send ~req backend macro;
       in_request_domain ~req (fun () ->
           let nl = Macros.Macro.nominal_netlist macro in
-          let sys = Circuit.Mna.build ~backend nl in
+          let sys = Circuit.Mna.build nl in
           let report = Circuit.Dc.solve sys ~time:`Dc in
           let x = report.Circuit.Dc.solution in
           let voltages =
@@ -342,7 +324,9 @@ let run_op ~send ~req ~macro_name ~backend =
             (Protocol.result ~req
                [
                  ("macro", Jsonl.Str macro_name);
-                 ("backend", Jsonl.Str (Protocol.backend_to_string backend));
+                 ("backend",
+                  Jsonl.Str
+                    (Circuit.Mna.backend_name (Circuit.Mna.backend sys)));
                  ("newton_iterations",
                   Jsonl.Num (float_of_int report.Circuit.Dc.newton_iterations));
                  ("voltages", Jsonl.Obj voltages);
@@ -433,8 +417,7 @@ let handle_request t ~send (rq : Protocol.request) =
                            :: float_fields
                                 [ ("linger_ms", float_of_int linger_ms) ]));
                       0
-                  | Protocol.Op { macro; backend } ->
-                      run_op ~send ~req ~macro_name:macro ~backend
+                  | Protocol.Op { macro } -> run_op ~send ~req ~macro_name:macro
                   | Protocol.Generate w -> run_work t ~send ~req w `Generate
                   | Protocol.Compact w -> run_work t ~send ~req w `Compact
                   | Protocol.Baseline w -> run_work t ~send ~req w `Baseline

@@ -27,22 +27,18 @@ reject() {
   fi
 }
 
-# A good invocation must exit zero; stderr is grepped for (or required
-# to be free of) a marker — used for the dense-backend guard note.
-expect_note() {
-  local label="$1" want="$2" pattern="$3"
-  shift 3
-  local err
-  err=$("$atpg" "$@" 2>&1 >/dev/null)
+# A good invocation must exit zero with a marker on its stdout.
+expect_out() {
+  local label="$1" pattern="$2"
+  shift 2
+  local out
+  out=$("$atpg" "$@" 2>/dev/null)
   local got=$?
   if [ "$got" -ne 0 ]; then
-    echo "FAIL $label: exited $got: $err" >&2
+    echo "FAIL $label: exited $got" >&2
     fails=$((fails + 1))
-  elif [ "$want" = yes ] && ! grep -q "$pattern" <<<"$err"; then
-    echo "FAIL $label: expected note matching '$pattern', got: $err" >&2
-    fails=$((fails + 1))
-  elif [ "$want" = no ] && grep -q "$pattern" <<<"$err"; then
-    echo "FAIL $label: unexpected note: $err" >&2
+  elif ! grep -q "$pattern" <<<"$out"; then
+    echo "FAIL $label: expected output matching '$pattern'" >&2
     fails=$((fails + 1))
   else
     echo "ok   $label"
@@ -60,15 +56,12 @@ reject "--seed garbage"      fuzz --campaigns 1 --seed pi
 reject "--inject-seed junk"  generate --fast --take 1 --inject execute.observables --inject-seed x
 reject "bad --inject spec"   generate --fast --take 1 --inject "no.such.point=2"
 reject "unknown fuzz check"  fuzz --campaigns 1 --check no-such-invariant
-reject "--backend garbage"   op --macro iv --backend banana
 reject "parametric macro 0"  op --macro skc0
 reject "parametric macro big" op --macro rc9999
 
-# The dense-path guard: a 100+-node macro on the dense backend prints a
-# note suggesting --backend sparse; the sparse backend stays quiet, and
-# small macros never trigger it.
-expect_note "dense guard fires on skc32"  yes "consider --backend sparse" op --macro skc32 --backend dense
-expect_note "no guard on sparse backend"  no  "consider --backend sparse" op --macro skc32 --backend sparse
-expect_note "no guard on small macros"    no  "consider --backend sparse" op --macro iv --backend dense
+# The op header names the backend chosen from the netlist size: dense LU
+# for the 10-node IV-converter, sparse for the 97-node skc32 chain.
+expect_out "op iv selects dense"     "^operating point of .* (dense, " op --macro iv
+expect_out "op skc32 selects sparse" "^operating point of .* (sparse, " op --macro skc32
 
 exit "$fails"

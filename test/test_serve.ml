@@ -29,13 +29,12 @@ let with_server ?(budget = 2) f =
         ~finally:(fun () -> Sv.stop server)
         (fun () -> f server socket spool)
 
-let gen_req ?(macro = "rc10") ?(backend = "dense") ?take ?session
+let gen_req ?(macro = "rc10") ?take ?session
     ?(inject = []) ?(seed = 0L) () =
   J.Obj
     ([
        ("op", J.Str "generate");
        ("macro", J.Str macro);
-       ("backend", J.Str backend);
        ("fast", J.Bool true);
        ("jobs", J.Num 1.);
      ]
@@ -75,8 +74,8 @@ let verdicts_of_reply reply =
    construction (Setup.probe docs) *)
 let reference = Hashtbl.create 8
 
-let reference_verdicts (macro_name, backend, take) =
-  let key = (macro_name, backend, take) in
+let reference_verdicts (macro_name, take) =
+  let key = (macro_name, take) in
   match Hashtbl.find_opt reference key with
   | Some v -> v
   | None ->
@@ -86,8 +85,7 @@ let reference_verdicts (macro_name, backend, take) =
         | Error e -> Alcotest.fail e
       in
       let ctx =
-        Experiments.Setup.probe ~profile:Execute.fast_profile ~backend ~macro
-          ()
+        Experiments.Setup.probe ~profile:Execute.fast_profile ~macro ()
       in
       let ctx = Experiments.Setup.reduced ctx ~n_faults:take in
       let run =
@@ -141,6 +139,8 @@ let test_request_decode () =
     | Error m -> Alcotest.fail m
     | Ok j -> P.request_of_json ~fallback_id:"fb" j
   in
+  (* "backend" is what older clients still send: ignored like any other
+     unknown member *)
   (match
      decode
        "{\"req\":\"x\",\"op\":\"generate\",\"macro\":\"skc8\",\
@@ -153,9 +153,6 @@ let test_request_decode () =
       match rq.P.rq_op with
       | P.Generate w ->
           Alcotest.(check string) "macro" "skc8" w.P.w_macro;
-          Alcotest.(check bool)
-            "sparse" true
-            (w.P.w_backend = Circuit.Mna.Sparse);
           Alcotest.(check (option int)) "take" (Some 3) w.P.w_take;
           Alcotest.(check int) "inject" 1 (List.length w.P.w_inject);
           Alcotest.(check (option string)) "session" (Some "s-1") w.P.w_session
@@ -340,33 +337,36 @@ let test_drain_resume () =
 
 (* -- serve vs one-shot parity ------------------------------------------- *)
 
-let parity_cases =
-  [
-    ("rc10", "dense");
-    ("rc10", "sparse");
-    ("skc8", "dense");
-    ("skc8", "sparse");
-  ]
-
+(* rc10 (11 nodes) runs on dense LU, skc8 (25 nodes) on sparse *)
 let test_parity () =
   with_server (fun _server socket _spool ->
       List.iter
-        (fun (macro, backend_str) ->
-          let backend =
-            if String.equal backend_str "sparse" then Circuit.Mna.Sparse
-            else Circuit.Mna.Dense
-          in
+        (fun macro ->
           let reply =
-            roundtrip_ok ~socket
-              ~req:(macro ^ "-" ^ backend_str)
-              (gen_req ~macro ~backend:backend_str ~take:3 ())
+            roundtrip_ok ~socket ~req:macro (gen_req ~macro ~take:3 ())
           in
           Alcotest.(check int) (macro ^ " status") 0 reply.Cl.status;
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s verdicts" macro backend_str)
-            (reference_verdicts (macro, backend, 3))
+          Alcotest.(check string) (macro ^ " verdicts")
+            (reference_verdicts (macro, 3))
             (verdicts_of_reply reply))
-        parity_cases)
+        [ "rc10"; "skc8" ])
+
+(* The op reply names the backend Mna.build chose from the netlist size. *)
+let test_op_backend () =
+  with_server (fun _server socket _spool ->
+      List.iter
+        (fun (macro, expected) ->
+          let reply =
+            roundtrip_ok ~socket ~req:macro
+              (J.Obj [ ("op", J.Str "op"); ("macro", J.Str macro) ])
+          in
+          Alcotest.(check int) (macro ^ " status") 0 reply.Cl.status;
+          match Cl.result_event reply with
+          | None -> Alcotest.failf "%s: no result" macro
+          | Some r ->
+              Alcotest.(check (option string)) (macro ^ " backend")
+                (Some expected) (J.str_member "backend" r))
+        [ ("rc10", "dense"); ("otac16", "sparse") ])
 
 (* -- concurrency-safety regressions ------------------------------------- *)
 
@@ -406,7 +406,7 @@ let test_injected_isolation () =
       in
       Alcotest.(check string)
         "clean verdicts unperturbed"
-        (reference_verdicts ("rc10", Circuit.Mna.Dense, 4))
+        (reference_verdicts ("rc10", 4))
         (verdicts_of_reply clean);
       if injected.Cl.status <> 0 && injected.Cl.status <> Engine.exit_quarantined
       then
@@ -475,6 +475,8 @@ let () =
          Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
          Alcotest.test_case "request decode" `Quick test_request_decode;
          Alcotest.test_case "framing" `Quick test_framing;
+         Alcotest.test_case "op reports the selected backend" `Quick
+           test_op_backend;
        ]);
       ("admission",
        [ Alcotest.test_case "budget and drain rejections" `Quick test_admission ]);

@@ -409,6 +409,42 @@ let test_backend_end_to_end_identity () =
     ~restamp:{ Circuit.Mna.stimulus = None; impact = Some ("r1a", 470.) }
     (Macros.Filter_chain.sk_chain ~stages:8)
 
+(* Without [~backend], Mna.build picks dense LU up to
+   [sparse_above_nodes] nodes and sparse above; [~backend] still forces
+   either one. *)
+let test_backend_selection () =
+  let nominal name =
+    match Macros.Registry.find name with
+    | Ok m -> Macros.Macro.nominal_netlist m
+    | Error e -> Alcotest.fail e
+  in
+  let show b = Circuit.Mna.backend_name b in
+  List.iter
+    (fun (name, expected) ->
+      let nl = nominal name in
+      Alcotest.(check string)
+        (Printf.sprintf "%s (%d nodes) selects %s" name
+           (List.length (Circuit.Netlist.nodes nl)) (show expected))
+        (show expected)
+        (show (Circuit.Mna.backend (Circuit.Mna.build nl)));
+      List.iter
+        (fun forced ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s forced to %s" name (show forced))
+            (show forced)
+            (show (Circuit.Mna.backend (Circuit.Mna.build ~backend:forced nl))))
+        [ Circuit.Mna.Dense; Circuit.Mna.Sparse ])
+    [
+      ("iv", Circuit.Mna.Dense);
+      ("rc10", Circuit.Mna.Dense);
+      ("rc16", Circuit.Mna.Dense);
+      ("rc24", Circuit.Mna.Sparse);
+      ("skc8", Circuit.Mna.Sparse);
+      ("otac16", Circuit.Mna.Sparse);
+      ("rc48", Circuit.Mna.Sparse);
+    ];
+  Alcotest.(check int) "crossover" 24 Circuit.Mna.sparse_above_nodes
+
 (* Config-major batched evaluation on the sparse backend against the
    sequential reference: impacts on two bridge sites (two compiled
    topologies, one blocked panel per fault) must reproduce the per-pair
@@ -505,6 +541,7 @@ let () =
         [
           Alcotest.test_case "end-to-end identity" `Quick
             test_backend_end_to_end_identity;
+          Alcotest.test_case "backend selection" `Quick test_backend_selection;
           Alcotest.test_case "batched matches sequential" `Quick
             test_batched_matches_sequential;
         ] );
