@@ -37,9 +37,8 @@ exception Diverged
 (* Solver counters, bumped once per [solve] from the finished report —
    never inside the Newton loop — so the hot path stays allocation-free
    and branch-light with tracing off.  One LU factorization happens per
-   Newton iteration (both the allocating and the in-place path), so the
-   factorization counter mirrors the iteration counter of the attempts
-   that produced the report. *)
+   Newton iteration, so the factorization counter mirrors the iteration
+   counter of the attempts that produced the report. *)
 let c_solves = Obs.Counter.create "solver.dc.solves"
 let c_newton = Obs.Counter.create "solver.dc.newton_iterations"
 let c_lu = Obs.Counter.create "solver.dc.lu_factorizations"
@@ -53,69 +52,19 @@ let h_newton =
 
 let c_reuse = Obs.Counter.create "solver.dc.pattern_reuses"
 
-(* One Newton attempt at fixed gmin and source scale, allocating a fresh
-   system per iteration — the build-per-solve arithmetic, kept as
-   the reference implementation for the compiled hot path.  Returns the
-   solution and iteration count, or None on failure. *)
-let newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys ~time
-    ~start =
-  let n_nodes = Mna.n_nodes sys in
-  let x = ref (Vec.copy start) in
-  let converged = ref false in
-  let iters = ref 0 in
-  (try
-     while (not !converged) && !iters < options.max_newton do
-       incr iters;
-       if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
-       let a, z =
-         Mna.assemble sys ~x:!x ~time ?companions ~source_scale ?restamp ~gmin
-           ()
-       in
-       let x_new = Mat.solve a z in
-       let x_new =
-         if Failpoint.should_fail "dc.nan_solution" then
-           Vec.create (Vec.dim x_new) Float.nan
-         else x_new
-       in
-       if not (finite_solution x_new ~n_nodes) then raise Diverged;
-       (* damping: bound the node-voltage update *)
-       let dv_max = ref 0. in
-       for i = 0 to n_nodes - 1 do
-         dv_max := Float.max !dv_max (Float.abs (x_new.(i) -. !x.(i)))
-       done;
-       let alpha =
-         if !dv_max > options.vlimit then options.vlimit /. !dv_max else 1.
-       in
-       let x_next =
-         Vec.init (Vec.dim x_new) (fun i ->
-             !x.(i) +. (alpha *. (x_new.(i) -. !x.(i))))
-       in
-       if alpha = 1. then begin
-         (* convergence is judged on node voltages of a full step *)
-         let ok = ref true in
-         for i = 0 to n_nodes - 1 do
-           let dx = Float.abs (x_next.(i) -. !x.(i)) in
-           if dx > options.abstol +. (options.reltol *. Float.abs x_next.(i))
-           then ok := false
-         done;
-         converged := !ok
-       end;
-       x := x_next
-     done
-   with Mat.Singular _ | Diverged -> converged := false);
-  if !converged then Some (!x, !iters) else None
-
-(* The same Newton iteration restamping a caller-owned workspace: the
-   system is assembled into the preallocated matrix, factored in place,
-   solved into the swap buffer, and the damped update overwrites it — no
-   per-iteration allocation.  Every arithmetic expression matches
-   [newton_alloc] term for term (the [x +. alpha *. (x_new -. x)] form is
-   kept even at [alpha = 1.], where it is not a bitwise no-op), so both
-   paths converge along identical trajectories. *)
+(* One Newton attempt at fixed gmin and source scale, restamping a
+   workspace: the system is assembled into the preallocated matrix,
+   factored in place, solved into the swap buffer, and the damped update
+   overwrites it — no per-iteration allocation.  The update keeps the
+   [x +. alpha *. (x_new -. x)] form even at [alpha = 1.], where it is
+   not a bitwise no-op.  Returns the solution, iteration count and
+   pattern reuses, or None on failure. *)
 let newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws ~time
     ~start =
   let n_nodes = Mna.n_nodes sys in
   let size = Vec.dim start in
+  (* boxed once per attempt, not once per iteration *)
+  let source_scale = Some source_scale in
   Array.blit start 0 ws.Mna.w_x 0 size;
   let converged = ref false in
   let iters = ref 0 in
@@ -124,7 +73,7 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws ~time
      while (not !converged) && !iters < options.max_newton do
        incr iters;
        if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
-       Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ~source_scale
+       Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ?source_scale
          ?restamp ~gmin ();
        if Mna.ws_factor ws then incr reuses;
        Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new;
@@ -173,23 +122,18 @@ let solve_u ?(options = default_options) ?guess ?companions
         g
     | None -> Vec.create (Mna.size sys) 0.
   in
-  (match workspace with
-  | Some ws when ws.Mna.w_size <> Mna.size sys ->
-      invalid_arg "Dc.solve: workspace size mismatch"
-  | Some _ | None -> ());
-  let attempt ~gmin ~scale ~start =
-    let source_scale = scale *. source_scale in
+  let ws =
     match workspace with
     | Some ws ->
-        newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws
-          ~time ~start
-    | None -> (
-        match
-          newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys
-            ~time ~start
-        with
-        | Some (x, it) -> Some (x, it, 0)
-        | None -> None)
+        if ws.Mna.w_size <> Mna.size sys then
+          invalid_arg "Dc.solve: workspace size mismatch";
+        ws
+    | None -> Mna.workspace sys
+  in
+  let attempt ~gmin ~scale ~start =
+    let source_scale = scale *. source_scale in
+    newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws ~time
+      ~start
   in
   let finish ~x ~it ~reuses ~gmin_steps ~source_steps =
     {
@@ -296,20 +240,16 @@ let solve_adjoint ?(options = default_options) ?companions ?restamp ?workspace
   let lambda = Vec.create n 0. in
   let e = Vec.create n 0. in
   e.(obs_row) <- 1.;
-  (match workspace with
-  | Some ws ->
-      if ws.Mna.w_size <> n then
-        invalid_arg "Dc.solve_adjoint: workspace size mismatch";
-      Mna.assemble_into sys ws ~x ~time ?companions ?restamp ~gmin:options.gmin
-        ();
-      ignore (Mna.ws_factor ws : bool);
-      Mna.ws_solve_transpose_into ws e lambda
-  | None ->
-      let a, _ =
-        Mna.assemble sys ~x ~time ?companions ?restamp ~gmin:options.gmin ()
-      in
-      let lu = Mat.lu_workspace n in
-      Mat.factor_in_place a lu;
-      Mat.solve_transpose_into lu e lambda);
+  let ws =
+    match workspace with
+    | Some ws ->
+        if ws.Mna.w_size <> n then
+          invalid_arg "Dc.solve_adjoint: workspace size mismatch";
+        ws
+    | None -> Mna.workspace sys
+  in
+  Mna.assemble_into sys ws ~x ~time ?companions ?restamp ~gmin:options.gmin ();
+  ignore (Mna.ws_factor ws : bool);
+  Mna.ws_solve_transpose_into ws e lambda;
   Obs.Counter.bump c_adjoint 1;
   lambda

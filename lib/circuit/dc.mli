@@ -41,7 +41,7 @@ type report = {
 val solve :
   ?options:options ->
   ?guess:Numerics.Vec.t ->
-  ?companions:(string, Mna.companion) Hashtbl.t ->
+  ?companions:float array ->
   ?source_scale:float ->
   ?workspace:Mna.workspace ->
   ?restamp:Mna.restamp ->
@@ -49,17 +49,17 @@ val solve :
   time:Mna.source_time ->
   report
 (** Compute the operating point with sources evaluated at [time].
-    [companions] and [source_scale] are threaded through to
-    {!Mna.assemble} so the transient integrator can reuse this solver for
-    its per-step nonlinear systems.
+    [companions] (the capacitor/inductor integration companions, laid
+    out as {!Mna.companion_slots} describes) and [source_scale] are
+    threaded through to {!Mna.assemble_into} so the transient integrator
+    can reuse this solver for its per-step nonlinear systems.
 
-    With [workspace], every Newton iteration restamps and refactors the
-    caller's preallocated system in place instead of allocating — the
-    compiled hot path.  Without it, each iteration builds a fresh system
-    (the build-per-solve reference path).  Both produce bit-identical
-    reports: same arithmetic, same pivot order, same iteration counts.
-    [restamp] substitutes stimulus/fault-impact values at stamp time on
-    either path.
+    Every Newton iteration restamps and refactors one preallocated
+    system in place: the caller's [workspace] — the compiled hot path,
+    reused across solves — or, without it, a workspace created for this
+    call.  Either way the arithmetic, pivot order and iteration counts
+    are the same, so the reports are bit-identical.  [restamp]
+    substitutes stimulus/fault-impact values at stamp time.
 
     @raise No_convergence when Newton, gmin stepping and source stepping
     all fail.
@@ -73,7 +73,7 @@ val operating_point :
 
 val solve_adjoint :
   ?options:options ->
-  ?companions:(string, Mna.companion) Hashtbl.t ->
+  ?companions:float array ->
   ?restamp:Mna.restamp ->
   ?workspace:Mna.workspace ->
   ?time:Mna.source_time ->
@@ -92,7 +92,8 @@ val solve_adjoint :
     factorization is paid per call — the factorization left behind by
     the Newton loop belongs to the second-to-last iterate, not the
     solution.  With [workspace] the assembly and factorization reuse the
-    caller's preallocated buffers (overwriting the held factorization).
+    caller's preallocated buffers (overwriting the held factorization);
+    without, a workspace is created for the call.
     Bumps the [solver.dc.adjoint_solves] counter when tracing is active.
     @raise Invalid_argument on size mismatch or an out-of-range
     observable row.

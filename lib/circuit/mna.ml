@@ -186,14 +186,30 @@ let node_index t n =
 let voltage t x n =
   match node_index t n with None -> 0. | Some i -> x.(i)
 
-let branch_current t x name =
+let branch_index t name =
   match Hashtbl.find_opt t.branch_tbl name with
-  | Some i -> x.(i)
+  | Some i -> i
   | None -> raise Not_found
 
-type companion =
-  | Cap_companion of { geq : float; ieq : float }
-  | Ind_companion of { req : float; veq : float }
+let branch_current t x name = x.(branch_index t name)
+
+(* Companion values of the reactive elements, two slots per plan entry:
+   slots [2k] and [2k+1] hold (geq, ieq) when plan entry [k] is a
+   capacitor and (req, veq) when it is an inductor.  Position-keyed, so
+   stamping reads them without a name lookup. *)
+let companion_slots t = 2 * Array.length t.stamp_plan
+
+let companion_slot t name =
+  let rec find k =
+    if k = Array.length t.stamp_plan then raise Not_found
+    else
+      match t.stamp_plan.(k) with
+      | (R_capacitor { name = n; _ } | R_inductor { name = n; _ })
+        when String.equal n name ->
+          2 * k
+      | _ -> find (k + 1)
+  in
+  find 0
 
 type source_time = [ `Dc | `Time of float ]
 
@@ -209,17 +225,17 @@ type restamp = {
 
 let no_restamp = { stimulus = None; impact = None }
 
-let restamp_wave restamp name wave =
+let[@inline] restamp_wave restamp name wave =
   match restamp with
   | Some { stimulus = Some (s, w); _ } when String.equal s name -> w
   | Some _ | None -> wave
 
-let restamp_ohms restamp name ohms =
+let[@inline] restamp_ohms restamp name ohms =
   match restamp with
   | Some { impact = Some (d, r); _ } when String.equal d name -> r
   | Some _ | None -> ohms
 
-let wave_value time w =
+let[@inline] wave_value time w =
   match time with
   | `Dc -> Waveform.dc_value w
   | `Time t -> Waveform.value w t
@@ -232,103 +248,119 @@ let idx t n =
     | Some i -> i
     | None -> raise Not_found
 
-let inject z i v = if i >= 0 then z.(i) <- z.(i) +. v
-let volt x i = if i < 0 then 0. else x.(i)
+let[@inline] inject z i v = if i >= 0 then z.(i) <- z.(i) +. v
+let[@inline] volt x i = if i < 0 then 0. else x.(i)
+
+(* Where stamps accumulate: the dense arm writes the row-major storage
+   of a {!Mat.t} directly; the sparse arm goes through {!Smat.add_to}.
+   A value rather than an [add] closure, so that with the helpers below
+   inlined no stamp boxes its float. *)
+type sink = S_dense of { data : float array; n : int } | S_sparse of Smat.t
+
+let[@inline] sink_add s i j v =
+  match s with
+  | S_dense { data; n } ->
+      let k = (i * n) + j in
+      data.(k) <- data.(k) +. v
+  | S_sparse m -> Smat.add_to m i j v
+
+let[@inline] stamp s i j v = if i >= 0 && j >= 0 then sink_add s i j v
+
+let[@inline] stamp_conductance s i j g =
+  stamp s i i g;
+  stamp s j j g;
+  stamp s i j (-.g);
+  stamp s j i (-.g)
 
 (* Stamping walks the resolved plan in device order — the same float
    operations, in the same order, as stamping straight off the device
    records, so the assembled system is bit-identical whichever value
-   overrides are active.  [add] is the backend's accumulate-into-slot
-   primitive ({!Mat.add_to} or {!Smat.add_to}); generalising over it is
-   what keeps both backends on one stamp sequence. *)
-let assemble_core t ~add ~z ~x ~time ~companions ~source_scale ~restamp ~gmin =
-  let stamp i j v = if i >= 0 && j >= 0 then add i j v in
-  let stamp_conductance i j g =
-    stamp i i g;
-    stamp j j g;
-    stamp i j (-.g);
-    stamp j i (-.g)
-  in
+   overrides are active.  Both backends go through [sink_add], which is
+   what keeps them on one stamp sequence.  [mos] is the 4-slot scratch
+   {!Mos_model.eval_into} works in. *)
+let assemble_core t ~sink ~mos ~z ~x ~time ~companions ~source_scale ~restamp
+    ~gmin =
   for i = 0 to t.n_nodes - 1 do
-    add i i gmin
+    sink_add sink i i gmin
   done;
-  let companion_of name =
-    match companions with
-    | None -> None
-    | Some tbl -> Hashtbl.find_opt tbl name
-  in
-  Array.iter
-    (fun r ->
-      match r with
-      | R_resistor { name; i; j; ohms } ->
-          let ohms = restamp_ohms restamp name ohms in
-          stamp_conductance i j (1. /. ohms)
-      | R_capacitor { name; i; j } -> begin
-          match companion_of name with
-          | Some (Cap_companion { geq; ieq }) ->
-              stamp_conductance i j geq;
-              inject z i ieq;
-              inject z j (-.ieq)
-          | Some (Ind_companion _) ->
-              invalid_arg "Mna.assemble: inductor companion on a capacitor"
-          | None -> ()  (* open in DC *)
-        end
-      | R_inductor { name; i; j; br } -> begin
-          (* branch current contribution to KCL *)
-          stamp i br 1.;
-          stamp j br (-1.);
-          (* branch equation: va - vb - req*i = veq (req = 0 in DC) *)
-          stamp br i 1.;
-          stamp br j (-1.);
-          match companion_of name with
-          | Some (Ind_companion { req; veq }) ->
-              add br br (-.req);
-              z.(br) <- z.(br) +. veq
-          | Some (Cap_companion _) ->
-              invalid_arg "Mna.assemble: capacitor companion on an inductor"
-          | None -> ()
-        end
-      | R_vsource { name; i; j; br; wave } ->
-          let wave = restamp_wave restamp name wave in
-          stamp i br 1.;
-          stamp j br (-1.);
-          stamp br i 1.;
-          stamp br j (-1.);
-          z.(br) <- z.(br) +. (source_scale *. wave_value time wave)
-      | R_isource { name; i; j; wave } ->
-          let wave = restamp_wave restamp name wave in
-          let value = source_scale *. wave_value time wave in
-          inject z i (-.value);
-          inject z j value
-      | R_vcvs { i; j; cp; cn; br; gain } ->
-          stamp i br 1.;
-          stamp j br (-1.);
-          stamp br i 1.;
-          stamp br j (-1.);
-          stamp br cp (-.gain);
-          stamp br cn gain
-      | R_vccs { i; j; cp; cn; gm } ->
-          stamp i cp gm;
-          stamp i cn (-.gm);
-          stamp j cp (-.gm);
-          stamp j cn gm
-      | R_mosfet { di; gi; si; model; w; l } ->
-          let vd = volt x di and vg = volt x gi and vs = volt x si in
-          let op = Mos_model.eval model ~w ~l ~vg ~vd ~vs in
-          (* Newton companion: ids ~ i0 + dG*vg + dD*vd + dS*vs *)
-          let i0 =
-            op.ids -. (op.d_gate *. vg) -. (op.d_drain *. vd)
-            -. (op.d_source *. vs)
-          in
-          stamp di gi op.d_gate;
-          stamp di di op.d_drain;
-          stamp di si op.d_source;
-          stamp si gi (-.op.d_gate);
-          stamp si di (-.op.d_drain);
-          stamp si si (-.op.d_source);
-          inject z di (-.i0);
-          inject z si i0)
-    t.stamp_plan
+  let plan = t.stamp_plan in
+  for k = 0 to Array.length plan - 1 do
+    match plan.(k) with
+    | R_resistor { name; i; j; ohms } ->
+        let ohms = restamp_ohms restamp name ohms in
+        stamp_conductance sink i j (1. /. ohms)
+    | R_capacitor { i; j; _ } -> begin
+        match companions with
+        | Some c ->
+            let geq = c.(2 * k) and ieq = c.((2 * k) + 1) in
+            stamp_conductance sink i j geq;
+            inject z i ieq;
+            inject z j (-.ieq)
+        | None -> ()  (* open in DC *)
+      end
+    | R_inductor { i; j; br; _ } -> begin
+        (* branch current contribution to KCL *)
+        stamp sink i br 1.;
+        stamp sink j br (-1.);
+        (* branch equation: va - vb - req*i = veq (req = 0 in DC) *)
+        stamp sink br i 1.;
+        stamp sink br j (-1.);
+        match companions with
+        | Some c ->
+            let req = c.(2 * k) and veq = c.((2 * k) + 1) in
+            sink_add sink br br (-.req);
+            z.(br) <- z.(br) +. veq
+        | None -> ()
+      end
+    | R_vsource { name; i; j; br; wave } ->
+        let wave = restamp_wave restamp name wave in
+        stamp sink i br 1.;
+        stamp sink j br (-1.);
+        stamp sink br i 1.;
+        stamp sink br j (-1.);
+        z.(br) <- z.(br) +. (source_scale *. wave_value time wave)
+    | R_isource { name; i; j; wave } ->
+        let wave = restamp_wave restamp name wave in
+        let value = source_scale *. wave_value time wave in
+        inject z i (-.value);
+        inject z j value
+    | R_vcvs { i; j; cp; cn; br; gain } ->
+        stamp sink i br 1.;
+        stamp sink j br (-1.);
+        stamp sink br i 1.;
+        stamp sink br j (-1.);
+        stamp sink br cp (-.gain);
+        stamp sink br cn gain
+    | R_vccs { i; j; cp; cn; gm } ->
+        stamp sink i cp gm;
+        stamp sink i cn (-.gm);
+        stamp sink j cp (-.gm);
+        stamp sink j cn gm
+    | R_mosfet { di; gi; si; model; w; l } ->
+        let vd = volt x di and vg = volt x gi and vs = volt x si in
+        mos.(0) <- vg;
+        mos.(1) <- vd;
+        mos.(2) <- vs;
+        let (_ : [ `Cutoff | `Triode | `Saturation ]) =
+          Mos_model.eval_into model ~w ~l mos
+        in
+        let ids = mos.(0)
+        and d_gate = mos.(1)
+        and d_drain = mos.(2)
+        and d_source = mos.(3) in
+        (* Newton companion: ids ~ i0 + dG*vg + dD*vd + dS*vs *)
+        let i0 =
+          ids -. (d_gate *. vg) -. (d_drain *. vd) -. (d_source *. vs)
+        in
+        stamp sink di gi d_gate;
+        stamp sink di di d_drain;
+        stamp sink di si d_source;
+        stamp sink si gi (-.d_gate);
+        stamp sink si di (-.d_drain);
+        stamp sink si si (-.d_source);
+        inject z di (-.i0);
+        inject z si i0
+  done
 
 let impact_site t device =
   let found = ref None in
@@ -404,28 +436,32 @@ type engine =
 type workspace = {
   w_size : int;
   w_eng : engine;
+  w_sink : sink;  (* stamping view of the engine's system matrix *)
+  w_mos : float array;  (* MOSFET evaluation scratch *)
   w_z : Vec.t;
   mutable w_x : Vec.t;
   mutable w_x_new : Vec.t;
 }
 
+let dense_sink a = S_dense { data = Mat.data a; n = Mat.cols a }
+
 let workspace t =
-  let w_eng =
+  let w_eng, w_sink =
     match t.backend with
     | Dense ->
-        E_dense { ea = Mat.create t.size t.size; elu = Mat.lu_workspace t.size }
+        let ea = Mat.create t.size t.size in
+        (E_dense { ea; elu = Mat.lu_workspace t.size }, dense_sink ea)
     | Sparse ->
-        E_sparse
-          {
-            es =
-              Smat.create t.size
-                (plan_pattern ~size:t.size ~stamp_plan:t.stamp_plan);
-            eslu = Smat.lu_workspace t.size;
-          }
+        let es =
+          Smat.create t.size (plan_pattern ~size:t.size ~stamp_plan:t.stamp_plan)
+        in
+        (E_sparse { es; eslu = Smat.lu_workspace t.size }, S_sparse es)
   in
   {
     w_size = t.size;
     w_eng;
+    w_sink;
+    w_mos = Array.make 4 0.;
     w_z = Vec.create t.size 0.;
     w_x = Vec.create t.size 0.;
     w_x_new = Vec.create t.size 0.;
@@ -467,30 +503,31 @@ let ws_sparse_lu ws =
   | E_dense _ -> None
   | E_sparse { eslu; _ } -> Some eslu
 
+let check_companions t = function
+  | Some c when Array.length c <> companion_slots t ->
+      invalid_arg "Mna.assemble: companion array size"
+  | Some _ | None -> ()
+
 let assemble t ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin () =
   if Vec.dim x <> t.size then invalid_arg "Mna.assemble: bad iterate size";
+  check_companions t companions;
   let a = Mat.create t.size t.size in
   let z = Vec.create t.size 0. in
-  assemble_core t ~add:(Mat.add_to a) ~z ~x ~time ~companions ~source_scale
-    ~restamp ~gmin;
+  assemble_core t ~sink:(dense_sink a) ~mos:(Array.make 4 0.) ~z ~x ~time
+    ~companions ~source_scale ~restamp ~gmin;
   (a, z)
 
 let assemble_into t ws ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin
     () =
   if Vec.dim x <> t.size then invalid_arg "Mna.assemble_into: bad iterate size";
   if ws.w_size <> t.size then invalid_arg "Mna.assemble_into: workspace size";
-  let add =
-    match ws.w_eng with
-    | E_dense { ea; _ } ->
-        Mat.fill ea 0.;
-        Mat.add_to ea
-    | E_sparse { es; _ } ->
-        Smat.clear es;
-        Smat.add_to es
-  in
+  check_companions t companions;
+  (match ws.w_eng with
+  | E_dense { ea; _ } -> Mat.fill ea 0.
+  | E_sparse { es; _ } -> Smat.clear es);
   Array.fill ws.w_z 0 (Vec.dim ws.w_z) 0.;
-  assemble_core t ~add ~z:ws.w_z ~x ~time ~companions ~source_scale ~restamp
-    ~gmin
+  assemble_core t ~sink:ws.w_sink ~mos:ws.w_mos ~z:ws.w_z ~x ~time ~companions
+    ~source_scale ~restamp ~gmin
 
 let mosfet_operating_points t ~x =
   Array.to_list t.device_array

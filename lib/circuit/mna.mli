@@ -54,12 +54,25 @@ val branch_current : t -> Numerics.Vec.t -> string -> float
 (** Branch current of a voltage source / VCVS / inductor by device name.
     @raise Not_found if the device has no branch unknown. *)
 
-type companion =
-  | Cap_companion of { geq : float; ieq : float }
-      (** capacitor replaced by [geq] in parallel with a current source:
-          device current (a to b) equals [geq*(va - vb) - ieq] *)
-  | Ind_companion of { req : float; veq : float }
-      (** inductor branch equation becomes [va - vb - req*i = veq] *)
+val branch_index : t -> string -> int
+(** Unknown index of the branch current of a voltage source / VCVS /
+    inductor by device name.
+    @raise Not_found if the device has no branch unknown. *)
+
+val companion_slots : t -> int
+(** Length of a companion array for this plan: the integration
+    companions of its capacitors and inductors, two slots each, at
+    {!companion_slot}.  A capacitor's pair is [(geq, ieq)] — it is
+    replaced by [geq] in parallel with a current source, so its current
+    (a to b) is [geq*(va - vb) - ieq]; an inductor's is [(req, veq)] —
+    its branch equation becomes [va - vb - req*i = veq].  Other slots
+    are ignored. *)
+
+val companion_slot : t -> string -> int
+(** Index of the first of a named capacitor's or inductor's two
+    companion slots.
+    @raise Not_found if the plan has no capacitor or inductor of that
+    name. *)
 
 type source_time = [ `Dc | `Time of float ]
 (** [`Dc] evaluates waveforms with {!Waveform.dc_value}; [`Time t] with
@@ -126,15 +139,22 @@ val impact_adjoint_dot :
 type engine
 (** A backend's paired system matrix and factorization state. *)
 
+type sink
+(** Where assembly accumulates stamps: the dense matrix storage or the
+    sparse matrix, matching the engine. *)
+
 type workspace = {
   w_size : int;
   w_eng : engine;  (** system matrix + factorization, backend-matched *)
+  w_sink : sink;  (** stamping view of [w_eng]'s system matrix *)
+  w_mos : float array;  (** MOSFET evaluation scratch (4 slots) *)
   w_z : Numerics.Vec.t;  (** right-hand side *)
   mutable w_x : Numerics.Vec.t;  (** Newton iterate *)
   mutable w_x_new : Numerics.Vec.t;  (** Newton solve output / next iterate *)
 }
-(** Preallocated solve state sized for one compiled topology.  The two
-    iterate buffers are swapped (never reallocated) by the Newton loop.
+(** Preallocated solve state sized for one compiled topology: system,
+    factorization and the per-call stamping scratch.  The two iterate
+    buffers are swapped (never reallocated) by the Newton loop.
     A workspace is owned by exactly one running analysis at a time;
     under parallel execution each domain creates its own.  The system
     matrix and factorization live behind {!engine} so the Newton loop is
@@ -170,7 +190,7 @@ val assemble :
   t ->
   x:Numerics.Vec.t ->
   time:source_time ->
-  ?companions:(string, companion) Hashtbl.t ->
+  ?companions:float array ->
   ?source_scale:float ->
   ?restamp:restamp ->
   gmin:float ->
@@ -179,23 +199,28 @@ val assemble :
 (** Build the linearized MNA system at iterate [x].  [gmin] is added from
     every node to ground.  [source_scale] (default 1) multiplies all
     independent source values — the knob used by source stepping.
-    Without [companions], capacitors are open and inductors are shorts
-    (DC treatment). *)
+    With [companions] (laid out as {!companion_slots} describes) every
+    capacitor and inductor stamps its integration companion; without,
+    capacitors are open and inductors are shorts (DC treatment).
+    @raise Invalid_argument on a bad iterate or companion array size. *)
 
 val assemble_into :
   t ->
   workspace ->
   x:Numerics.Vec.t ->
   time:source_time ->
-  ?companions:(string, companion) Hashtbl.t ->
+  ?companions:float array ->
   ?source_scale:float ->
   ?restamp:restamp ->
   gmin:float ->
   unit ->
   unit
 (** {!assemble} into the workspace's preallocated system — the zero
-    allocation restamp path.  The workspace matrix and right-hand side
-    are zeroed first, so the result is bit-identical to {!assemble}.
+    allocation restamp path: stamps accumulate through the workspace's
+    sink and MOSFETs are evaluated in its scratch array, so on the dense
+    backend a call allocates nothing beyond what the source waveforms
+    return.  The workspace matrix and right-hand side are zeroed first,
+    so the result is bit-identical to {!assemble}.
     @raise Invalid_argument on a size mismatch. *)
 
 val mosfet_operating_points :

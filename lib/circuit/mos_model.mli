@@ -43,3 +43,14 @@ val eval : t -> w:float -> l:float -> vg:float -> vd:float -> vs:float ->
     directions (vds of either sign); the derivatives form the exact
     Jacobian of [ids], which the Newton solver stamps directly.
     @raise Invalid_argument if [w] or [l] is not positive. *)
+
+val eval_into :
+  t -> w:float -> l:float -> float array ->
+  [ `Cutoff | `Triode | `Saturation ]
+(** [eval_into m ~w ~l o] is {!eval} without allocation: it reads
+    [vg], [vd], [vs] from [o.(0)], [o.(1)], [o.(2)] and overwrites
+    [o.(0..3)] with [ids], [d_gate], [d_drain], [d_source], bit for bit
+    the fields {!eval} returns.  Floats cross the module boundary only
+    inside [o], so the Newton stamping loop boxes nothing.
+    @raise Invalid_argument if [w] or [l] is not positive or [o] has
+    fewer than 4 slots. *)

@@ -32,13 +32,18 @@ val simulate :
   result
 (** Initial condition is the operating point with sources at [t = 0].
     A non-converging step is retried with up to 16x local step refinement
+    (each split bumps the [solver.tran.halvings] counter while tracing)
     before {!Step_failure} is raised.  The failure-injection point
     ["tran.step_failure"] (see {!Numerics.Failpoint}) raises
     {!Step_failure} at the start of a step.
 
-    With [workspace], every Newton solve of every step restamps the
-    caller's preallocated system in place and one companion table is
-    refilled per step — the compiled hot path, bit-identical to the
-    allocating default (see {!Dc.solve}).  [restamp] substitutes
-    stimulus/fault-impact values at stamp time.
+    Every Newton solve of every step restamps one preallocated system
+    in place: the caller's [workspace] (the compiled hot path) or, without
+    it, one workspace created for the simulation.  The reactive elements
+    and observed nodes are resolved to unknown indices once; each step
+    then overwrites one position-keyed companion array
+    ({!Mna.companion_slots}) and reads the observed voltages by index, so
+    no step hashes a name.  [restamp] substitutes stimulus/fault-impact
+    values at stamp time.
+    @raise Not_found if an observed node does not exist.
     @raise Invalid_argument on non-positive [tstop] or [dt]. *)

@@ -30,6 +30,7 @@ let cols m = m.c
 let get m i j = m.a.((i * m.c) + j)
 let set m i j x = m.a.((i * m.c) + j) <- x
 let add_to m i j x = m.a.((i * m.c) + j) <- m.a.((i * m.c) + j) +. x
+let data m = m.a
 let copy m = { m with a = Array.copy m.a }
 let fill m x = Array.fill m.a 0 (Array.length m.a) x
 
@@ -71,7 +72,7 @@ type lu = {
   n : int;
   lu : float array;
   piv : int array;
-  mutable sign : float;
+  mutable sign : int;  (* +1 or -1; an int so a row swap boxes nothing *)
   mutable factored : bool;
 }
 
@@ -81,7 +82,7 @@ let lu_factor m =
   let n = m.r in
   let a = Array.copy m.a in
   let piv = Array.init n (fun i -> i) in
-  let sign = ref 1. in
+  let sign = ref 1 in
   for k = 0 to n - 1 do
     (* pivot search in column k *)
     let p = ref k in
@@ -103,7 +104,7 @@ let lu_factor m =
       let t = piv.(k) in
       piv.(k) <- piv.(!p);
       piv.(!p) <- t;
-      sign := -. !sign
+      sign := - !sign
     end;
     let akk = a.((k * n) + k) in
     for i = k + 1 to n - 1 do
@@ -129,7 +130,7 @@ let lu_workspace n =
     n;
     lu = Array.make (n * n) 0.;
     piv = Array.init n (fun i -> i);
-    sign = 1.;
+    sign = 1;
     factored = false;
   }
 
@@ -149,7 +150,7 @@ let factor_in_place m ws =
   for i = 0 to n - 1 do
     piv.(i) <- i
   done;
-  ws.sign <- 1.;
+  ws.sign <- 1;
   ws.factored <- false;
   for k = 0 to n - 1 do
     let p = ref k in
@@ -171,7 +172,7 @@ let factor_in_place m ws =
       let t = piv.(k) in
       piv.(k) <- piv.(!p);
       piv.(!p) <- t;
-      ws.sign <- -.ws.sign
+      ws.sign <- -ws.sign
     end;
     let akk = a.((k * n) + k) in
     for i = k + 1 to n - 1 do
@@ -276,7 +277,7 @@ let det m =
   match lu_factor m with
   | exception Singular _ -> 0.
   | { n; lu; sign; _ } ->
-      let d = ref sign in
+      let d = ref (float_of_int sign) in
       for i = 0 to n - 1 do
         d := !d *. lu.((i * n) + i)
       done;

@@ -24,6 +24,11 @@ val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j x] increments element [(i,j)] by [x] — the MNA "stamp"
     primitive. *)
 
+val data : t -> float array
+(** The row-major storage itself, shared (not copied): element [(i, j)]
+    is [data m.(i * cols m + j)].  Lets a stamping kernel accumulate
+    into the matrix without a cross-module call per entry. *)
+
 val copy : t -> t
 val fill : t -> float -> unit
 

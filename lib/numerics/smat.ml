@@ -206,7 +206,6 @@ type lu = {
   mutable cu_ptr : int array;
   mutable cu_row : int array;
   mutable cu_slot : int array;
-  mutable sign : float;
   cur : int array;  (* per-row cursor of the fresh elimination *)
   s_ci : int array;  (* merge scratch *)
   s_vx : float array;
@@ -242,7 +241,6 @@ let lu_workspace n =
     cu_ptr = Array.make (n + 1) 0;
     cu_row = [||];
     cu_slot = [||];
-    sign = 1.;
     cur = Array.make n 0;
     s_ci = Array.make n 0;
     s_vx = Array.make n 0.;
@@ -383,7 +381,6 @@ let factor_in_place a ws =
   let n = a.n in
   ws.factored <- false;
   ws.has_pattern <- false;
-  ws.sign <- 1.;
   for i = 0 to n - 1 do
     ws.piv.(i) <- i;
     ws.cur.(i) <- 0;
@@ -425,8 +422,7 @@ let factor_in_place a ws =
       ws.cur.(p) <- t;
       let t = ws.piv.(k) in
       ws.piv.(k) <- ws.piv.(p);
-      ws.piv.(p) <- t;
-      ws.sign <- -.ws.sign
+      ws.piv.(p) <- t
     end;
     let dk = ws.cur.(k) in
     ws.r_diag.(k) <- dk;
@@ -497,7 +493,10 @@ let factor_in_place a ws =
    step: success means fresh partial pivoting would have made exactly
    the held choices, so the replay's arithmetic is the fresh
    factorization's arithmetic — refactorization can never change a
-   result, only skip the symbolic bookkeeping. *)
+   result, only skip the symbolic bookkeeping.  The held pivot must be
+   the strict maximum of its column: on a tie the dense scan keeps the
+   first row in its current order, which the held order need not match,
+   so a candidate equal in magnitude fails the guard too. *)
 (* Fast replay path: scatter through the precompiled source map, then
    per pivot run the guard scan and the scheduled updates.  Operation
    order and arithmetic are exactly the slow path's (hence the fresh
@@ -532,7 +531,7 @@ let refactor_scheduled a ws =
              (Array.unsafe_get ws.r_vx row)
              (Array.unsafe_get ws.cl_slot s))
       in
-      if v > !best then begin
+      if v >= !best then begin
         best := v;
         p := row
       end
@@ -610,7 +609,7 @@ let refactor a ws =
         let p = ref kk in
         for s = ws.cl_ptr.(kk) to ws.cl_ptr.(kk + 1) - 1 do
           let v = Float.abs ws.r_vx.(ws.cl_row.(s)).(ws.cl_slot.(s)) in
-          if v > !best then begin
+          if v >= !best then begin
             best := v;
             p := ws.cl_row.(s)
           end

@@ -111,8 +111,10 @@ val refactor : t -> lu -> bool
     fill and pivot order held from a previous {!factor_in_place} —
     the restamp-many fast path, skipping symbolic analysis and all fill
     bookkeeping.  The guard re-runs the pivot scan at every step: if the
-    held pivot row is still the one fresh partial pivoting would select,
-    the replay is bit-identical to {!factor_in_place}; otherwise (or on
+    held pivot row is still the one fresh partial pivoting would select
+    — the strict maximum of its column, since a tie is broken by a row
+    order the held pattern does not track — the replay is bit-identical
+    to {!factor_in_place}; otherwise (or on
     a numerically singular column, or when no pattern is held) it
     returns [false] without raising, and the caller must fall back to
     {!factor_in_place}.  Either way the result observable through the

@@ -487,7 +487,11 @@ let test_tran_bad_args () =
   (try
      ignore (Tran.simulate sys ~tstop:0. ~dt:1e-6 ~observe:[]);
      Alcotest.fail "expected rejection"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  try
+    ignore (Tran.simulate sys ~tstop:1e-5 ~dt:1e-6 ~observe:[ "nope" ]);
+    Alcotest.fail "expected an unknown observed node to raise"
+  with Not_found -> ()
 
 (* ------------------------------------------------------------------- AC *)
 

@@ -211,6 +211,200 @@ let test_differential_injected () =
     (all_probes (Lazy.force sequential_run));
   Alcotest.(check bool) "injection failed some probes" true (!failed > 0)
 
+(* ------------------------------------------------ transient goldens *)
+
+(* Bit patterns of the transient configurations, recorded before the
+   step loop was made allocation-free; any reordering of the transient
+   arithmetic changes them.  Each row is (case, length, MD5 of the
+   little-endian [Int64.bits_of_float] of every value, bits of the last
+   value).  The IV netlist has no inductor and runs backward Euler only,
+   so an RLC fixture pins the inductor and trapezoidal companions. *)
+
+let digest values =
+  let b = Buffer.create (8 * Array.length values) in
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) values;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_golden (label, len, md5, last) values =
+  let n = Array.length values in
+  Alcotest.(check int) (label ^ " length") len n;
+  Alcotest.(check int64) (label ^ " last value") last
+    (Int64.bits_of_float values.(n - 1));
+  Alcotest.(check string) (label ^ " digest") md5 (digest values)
+
+let check_goldens goldens got =
+  Alcotest.(check int) "case count" (List.length goldens) (List.length got);
+  List.iter2
+    (fun ((label, _, _, _) as golden) (label', values) ->
+      Alcotest.(check string) "case order" label label';
+      check_golden golden values)
+    goldens got
+
+let iv_goldens =
+  [
+    ("config3/p0/nominal", 1, "cc6b92bcfcef2c97fc979f7683cbbfb0", 4553190419870777869L);
+    ("config3/p0/bridge", 1, "8c37111258a8c0b6f9f0f4e60bad77e8", 4611868731638199734L);
+    ("config3/p0/pinhole", 1, "f25ab1a52fd8f21493da6f8ef0e8ef53", 4611996336580386913L);
+    ("config3/p1/nominal", 1, "f6d853478ffb40aef5a5af8e18df57a6", 4566849439417570488L);
+    ("config3/p1/bridge", 1, "4f7c7ee3bca416af75adc28eb0d0f087", 4613062560326309790L);
+    ("config3/p1/pinhole", 1, "6b2621cc164ae2bd337bea73cb19c119", 4613690474869005101L);
+    ("config4/p0/nominal", 751, "e1dc2263bce1db14e63c7c9dc1e0f397", 4611686517852426685L);
+    ("config4/p0/bridge", 751, "4cf97465e201844994547610923d7a0a", 4613925268275510474L);
+    ("config4/p0/pinhole", 751, "1312943d703aa9b8a025f62cc063f75f", 4586638563423296729L);
+    ("config4/p1/nominal", 751, "a1020de5e6ace18f4427d92548fb59df", 4610027852816265725L);
+    ("config4/p1/bridge", 751, "db178552d7c634e221bd079ff1a4db8f", 4613972581418055363L);
+    ("config4/p1/pinhole", 751, "2251059e6a9136aef1b161ac1538e24f", 4591098430862222179L);
+    ("config5/p0/nominal", 751, "3e3395464406d73ace1b77545ff308ec", 4611083702484175254L);
+    ("config5/p0/bridge", 751, "d461ee97b2b4851e8a986e3d537b7e6e", 4613947688632360955L);
+    ("config5/p0/pinhole", 751, "78b0a0a19672aba3d47d10e18a592567", 4589408387695641630L);
+    ("config5/p1/nominal", 751, "e449ddc29bfb02f456881dac8ff1b2c9", 4612364279447045988L);
+    ("config5/p1/bridge", 751, "364a0227288dfdafe7e391485a7d574e", 4613895104186608866L);
+    ("config5/p1/pinhole", 751, "bce488f0bb41c94a92b7d0ea67780776", 4580550684651417770L);
+  ]
+
+let rlc_goldens =
+  [
+    ("rlc/be/a", 501, "4b310a5f154f0e1fe362a9a2ccab7a61", 4602126758221741320L);
+    ("rlc/be/b", 501, "c86d290760914d9f8d6ab6cf81c702bc", -4611364513359841473L);
+    ("rlc/trap/a", 501, "932c557bfc9a58c1171c6eb09887d03f", 4601949870474137000L);
+    ("rlc/trap/b", 501, "3f63d6da89dc9d22f26f7950823d58e7", -4610207603670832289L);
+  ]
+
+let golden_points =
+  let ua = 1e-6 in
+  [
+    (3, [ [| 20. *. ua; 10e3 |]; [| 35. *. ua; 50e3 |] ]);
+    (4, [ [| 25. *. ua |]; [| 45. *. ua |] ]);
+    (5, [ [| 10. *. ua; 25. *. ua |]; [| -30. *. ua; 40. *. ua |] ]);
+  ]
+
+let test_iv_transient_goldens () =
+  let bridge = Faults.Fault.bridge "n1" "n2" ~resistance:5e3 in
+  let targets =
+    [
+      ("nominal", iv_target, None);
+      ("bridge", injected bridge, Some (Faults.Inject.impact_override bridge));
+      ("pinhole", injected pinhole, Some (Faults.Inject.impact_override pinhole));
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (id, points) ->
+        let config = Experiments.Iv_configs.by_id id in
+        List.concat
+          (List.mapi
+             (fun p values ->
+               List.map
+                 (fun (label, target, impact) ->
+                   ( Printf.sprintf "config%d/p%d/%s" id p label,
+                     Execute.compiled_observables ?impact
+                       (Execute.compile config target)
+                       values ))
+                 targets)
+             points))
+      golden_points
+  in
+  check_goldens iv_goldens got
+
+let rlc_system () =
+  let open Circuit in
+  Mna.build
+    (Netlist.add_all (Netlist.empty ~title:"rlc")
+       [
+         Device.Vsource
+           {
+             name = "v";
+             plus = "in";
+             minus = "0";
+             wave = Waveform.Sine { offset = 0.5; ampl = 1.; freq = 5e3; phase = 0. };
+           };
+         Device.Resistor { name = "r1"; a = "in"; b = "a"; ohms = 10. };
+         Device.Inductor { name = "l1"; a = "a"; b = "b"; henries = 1e-3 };
+         Device.Capacitor { name = "c1"; a = "b"; b = "0"; farads = 1e-6 };
+       ])
+
+let test_rlc_transient_goldens () =
+  let sys = rlc_system () in
+  let got =
+    List.concat_map
+      (fun (label, method_) ->
+        let r =
+          Circuit.Tran.simulate ~method_ sys ~tstop:1e-3 ~dt:2e-6
+            ~observe:[ "a"; "b" ]
+        in
+        [
+          (label ^ "/a", Circuit.Tran.probe_values r "a");
+          (label ^ "/b", Circuit.Tran.probe_values r "b");
+        ])
+      [ ("rlc/be", Circuit.Tran.Backward_euler); ("rlc/trap", Circuit.Tran.Trapezoidal) ]
+  in
+  check_goldens rlc_goldens got
+
+(* ------------------------------------------------ allocation bounds *)
+
+(* The transient step is allocation-free down to the stamping kernel:
+   these bounds pin it so a boxed float or a closure creeping back into
+   the loop fails a test instead of slowing the paper's workload
+   silently. *)
+
+let minor_words_per_call ~calls f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_assembly_allocation () =
+  let sys =
+    Circuit.Mna.build (Macros.Macro.nominal_netlist Macros.Iv_converter.macro)
+  in
+  Alcotest.(check string) "IV runs dense" "dense"
+    (Circuit.Mna.backend_name (Circuit.Mna.backend sys));
+  let ws = Circuit.Mna.workspace sys in
+  let x = (Circuit.Dc.solve sys ~time:`Dc).Circuit.Dc.solution in
+  let assemble () =
+    Circuit.Mna.assemble_into sys ws ~x ~time:`Dc ~gmin:1e-12 ()
+  in
+  let words = minor_words_per_call ~calls:1000 assemble in
+  Printf.printf "assemble_into: %.3f minor words per call\n" words;
+  if words >= 1. then
+    Alcotest.failf "assemble_into allocates %.2f words per call" words;
+  let factor () = ignore (Circuit.Mna.ws_factor ws : bool) in
+  let words = minor_words_per_call ~calls:1000 factor in
+  Printf.printf "ws_factor: %.3f minor words per call\n" words;
+  if words >= 1. then
+    Alcotest.failf "ws_factor allocates %.2f words per call" words
+
+(* Step-response configuration #4 on the nominal IV-converter: 750 steps
+   at 100 MHz, through a compiled plan's workspace as the engine runs
+   it.  What remains per step is the solve report, its solution vector,
+   the time and guess wrappers and the recursion's float arguments:
+   about 57 words.  Boxing the stamped float again (a non-inlined
+   [sink_add]) costs 122 words per assembly and ~460 per step. *)
+let words_per_step_bound = 100.
+
+let test_transient_allocation () =
+  let nl =
+    Execute.with_stimulus iv_target.Execute.netlist
+      ~source:iv_target.Execute.stimulus_source
+      (Circuit.Waveform.Step
+         { base = 0.; elev = 25e-6; delay = 100e-9; rise = 10e-9 })
+  in
+  let sys = Circuit.Mna.build nl in
+  let ws = Circuit.Mna.workspace sys in
+  let steps = 750 in
+  let simulate () =
+    ignore
+      (Circuit.Tran.simulate ~workspace:ws sys ~tstop:7.5e-6 ~dt:1e-8
+         ~observe:[ iv_target.Execute.observe_node ])
+  in
+  let words = minor_words_per_call ~calls:3 simulate /. float_of_int steps in
+  Printf.printf "transient: %.1f minor words per step\n" words;
+  if words >= words_per_step_bound then
+    Alcotest.failf "transient allocates %.1f words per step (bound %.0f)" words
+      words_per_step_bound
+
 (* --------------------------------------------- dt_divisor decimation *)
 
 (* Step-train configuration with an awkward tstop/dt ratio: the product
@@ -335,6 +529,20 @@ let () =
             test_differential_pool;
           Alcotest.test_case "under failure injection" `Quick
             test_differential_injected;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "IV configs #3-#5 bit patterns" `Quick
+            test_iv_transient_goldens;
+          Alcotest.test_case "RLC backward Euler and trapezoidal" `Quick
+            test_rlc_transient_goldens;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "assembly and factorization" `Quick
+            test_assembly_allocation;
+          Alcotest.test_case "transient words per step" `Quick
+            test_transient_allocation;
         ] );
       ( "decimation",
         [

@@ -175,6 +175,94 @@ let prop_linearity =
       let vb1 = Mna.voltage sys x1 "b" and vb2 = Mna.voltage sys x2 "b" in
       Float.abs (vb2 -. (2. *. vb1)) <= 1e-9 *. (1. +. Float.abs vb2))
 
+(* ------------------------------------------- Newton loop vs the oracle *)
+
+(* {!Dc.solve} runs one in-place Newton loop on a workspace; the oracle
+   in [Newton_oracle] rebuilds and refactors a dense system on every
+   iteration.  On the IV-converter and any of its faults, at any input
+   level, on either backend, with or without integration companions,
+   the two must agree bit for bit: solution, Newton iterations and
+   homotopy stages, or both must fail.  Two thirds of the draws inject
+   one singular or NaN iterate, which both loops query at the same
+   sites, to drive the gmin-stepping ladder. *)
+
+let iv_target =
+  Experiments.Setup.target_of_macro Macros.Iv_converter.macro
+    Macros.Process.nominal
+
+let iv_faults =
+  Array.of_list (Macros.Macro.fault_universe Macros.Iv_converter.macro)
+
+let report_bits = function
+  | Ok r ->
+      Ok
+        ( Array.map Int64.bits_of_float r.Dc.solution,
+          r.Dc.newton_iterations,
+          r.Dc.gmin_steps,
+          r.Dc.source_steps )
+  | Error () -> Error ()
+
+let prop_newton_oracle =
+  QCheck.Test.make ~name:"Dc.solve matches the allocating Newton oracle"
+    ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create (Int64.of_int (seed + 5)) in
+      let pick = Numerics.Rng.int rng ~bound:(Array.length iv_faults + 1) in
+      let nl =
+        if pick = Array.length iv_faults then iv_target.Testgen.Execute.netlist
+        else Faults.Inject.apply iv_target.Testgen.Execute.netlist iv_faults.(pick)
+      in
+      let level = Numerics.Rng.uniform rng ~lo:(-50e-6) ~hi:50e-6 in
+      let nl =
+        Testgen.Execute.with_stimulus nl
+          ~source:iv_target.Testgen.Execute.stimulus_source (Waveform.Dc level)
+      in
+      let backend =
+        if Numerics.Rng.int rng ~bound:2 = 0 then Mna.Dense else Mna.Sparse
+      in
+      let sys = Mna.build ~backend nl in
+      (* half the draws stamp random backward-Euler capacitor companions,
+         as a transient step does *)
+      let companions =
+        if Numerics.Rng.int rng ~bound:2 = 0 then None
+        else begin
+          let c = Array.make (Mna.companion_slots sys) 0. in
+          List.iter
+            (fun d ->
+              match d with
+              | Device.Capacitor { name; _ } ->
+                  let k = Mna.companion_slot sys name in
+                  c.(k) <- Numerics.Rng.uniform rng ~lo:1e-6 ~hi:1e-3;
+                  c.(k + 1) <- Numerics.Rng.uniform rng ~lo:(-1e-3) ~hi:1e-3
+              | _ -> ())
+            (Netlist.devices nl);
+          Some c
+        end
+      in
+      let run f =
+        report_bits
+          (match f () with r -> Ok r | exception Dc.No_convergence _ -> Error ())
+      in
+      let time = `Time 0. in
+      (* 0: clean; 1, 2: one injected singular or NaN iterate *)
+      let inject = Numerics.Rng.int rng ~bound:3 in
+      let injected f =
+        if inject = 0 then f
+        else
+          let point = if inject = 1 then "dc.singular" else "dc.nan_solution" in
+          let specs =
+            [ { Numerics.Failpoint.point; probability = 0.3; max_triggers = Some 1 } ]
+          in
+          fun () ->
+            Numerics.Failpoint.with_failpoints ~seed:(Int64.of_int seed) specs f
+      in
+      let solve = injected (fun () -> Dc.solve ?companions sys ~time) in
+      let oracle =
+        injected (fun () -> Newton_oracle.solve ?companions sys ~time)
+      in
+      run solve = run oracle)
+
 (* -------------------------------------------------------------- clustering *)
 
 let cluster_params =
@@ -378,6 +466,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_mna_symmetry;
           QCheck_alcotest.to_alcotest prop_linearity;
         ] );
+      ("newton", [ QCheck_alcotest.to_alcotest prop_newton_oracle ]);
       ( "lu",
         [
           QCheck_alcotest.to_alcotest prop_lu_in_place_parity;

@@ -226,6 +226,53 @@ let test_dc_singular_recovery () =
             (Float.abs (v -. clean.Circuit.Dc.solution.(i)) < 1e-6))
         r.Circuit.Dc.solution)
 
+(* Two singular attempts — the direct attempt and the first gmin rung —
+   break the gmin chain, so the solve must land on the source-stepping
+   ladder: all 8 gmin stages counted as spent, all 9 source stages
+   walked. *)
+let test_dc_source_step_ladder () =
+  let sys = iv_system () in
+  let clean = Circuit.Dc.solve sys ~time:`Dc in
+  Fp.with_failpoints [ Fp.fail_always ~max_triggers:2 "dc.singular" ] (fun () ->
+      let r = Circuit.Dc.solve sys ~time:`Dc in
+      Alcotest.(check int) "gmin stages" 8 r.Circuit.Dc.gmin_steps;
+      Alcotest.(check int) "source stages" 9 r.Circuit.Dc.source_steps;
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check bool) "same operating point" true
+            (Float.abs (v -. clean.Circuit.Dc.solution.(i)) < 1e-6))
+        r.Circuit.Dc.solution)
+
+(* A seeded share of failed step solves must be absorbed by local step
+   halving: the waveform keeps its grid and stays finite, and the
+   halvings counter shows the refinement ran. *)
+let test_tran_step_halving () =
+  let sys = iv_system () in
+  let clean = Circuit.Tran.simulate sys ~tstop:2e-6 ~dt:1e-7 ~observe:[ "vout" ] in
+  Obs.enable ();
+  let result =
+    Fun.protect ~finally:Obs.shutdown (fun () ->
+        let r =
+          Fp.with_failpoints ~seed:3L
+            [ { Fp.point = "dc.no_convergence"; probability = 0.2; max_triggers = None } ]
+            (fun () ->
+              Circuit.Tran.simulate sys ~tstop:2e-6 ~dt:1e-7 ~observe:[ "vout" ])
+        in
+        let halvings =
+          Option.value ~default:0
+            (List.assoc_opt "solver.tran.halvings" (Obs.counters ()))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "steps were split (%d halvings)" halvings)
+          true (halvings > 0);
+        r)
+  in
+  let v = Circuit.Tran.probe_values result "vout" in
+  Alcotest.(check int) "same grid as clean"
+    (Array.length (Circuit.Tran.probe_values clean "vout"))
+    (Array.length v);
+  Alcotest.(check bool) "finite" true (Array.for_all Float.is_finite v)
+
 let test_tran_step_failure_injection () =
   let sys = iv_system () in
   Fp.with_failpoints [ Fp.fail_always ~max_triggers:1 "tran.step_failure" ]
@@ -527,8 +574,11 @@ let () =
           Alcotest.test_case "dc NaN guard" `Quick test_dc_nan_guard;
           Alcotest.test_case "dc singular recovery" `Quick
             test_dc_singular_recovery;
+          Alcotest.test_case "dc source-step ladder" `Quick
+            test_dc_source_step_ladder;
           Alcotest.test_case "tran step failure" `Quick
             test_tran_step_failure_injection;
+          Alcotest.test_case "tran step halving" `Quick test_tran_step_halving;
         ] );
       ( "resilience",
         [

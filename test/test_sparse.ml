@@ -310,7 +310,20 @@ let test_refactor_guard_falls_back () =
   Alcotest.(check (array int)) "fresh pivots" [| 0; 1 |] (Smat.lu_pivots ws);
   let st = Smat.stats ws in
   Alcotest.(check int) "full factorizations" 2 st.Smat.full_factorizations;
-  Alcotest.(check int) "no reuse" 0 st.Smat.pattern_reuses
+  Alcotest.(check int) "no reuse" 0 st.Smat.pattern_reuses;
+  (* a tie is stale too: the dense scan keeps the first row of its
+     current order (row 0), not the held pivot (row 1) *)
+  Smat.set s 0 0 1.;
+  let ws = Smat.lu_workspace 2 in
+  Smat.factor_in_place s ws;
+  Smat.set s 0 0 3.;
+  Alcotest.(check bool) "guard refuses a tied pivot" false (Smat.refactor s ws);
+  Smat.factor_in_place s ws;
+  Alcotest.(check (array int)) "tie keeps row 0" [| 0; 1 |] (Smat.lu_pivots ws);
+  let dense = Mat.lu_workspace 2 in
+  Mat.factor_in_place (Smat.to_dense s) dense;
+  Alcotest.(check (array int)) "as the dense sweep" (Mat.lu_pivots dense)
+    (Smat.lu_pivots ws)
 
 let test_refactor_reuses_pattern () =
   let rng = Rng.create 77L in
@@ -387,11 +400,10 @@ let test_backend_end_to_end_identity () =
     let ws = Circuit.Mna.workspace sys in
     Circuit.Dc.solve ~workspace:ws ?restamp sys ~time:`Dc
   in
-  let check_macro ?restamp (macro : Macros.Macro.t) =
-    let nl = macro.Macros.Macro.build Macros.Process.nominal in
+  let check ?restamp name nl =
     let d = solve Circuit.Mna.Dense nl restamp in
     let s = solve Circuit.Mna.Sparse nl restamp in
-    let label suffix = macro.Macros.Macro.macro_name ^ " " ^ suffix in
+    let label suffix = name ^ " " ^ suffix in
     Alcotest.(check bool)
       (label "operating points bit-identical")
       true
@@ -403,11 +415,29 @@ let test_backend_end_to_end_identity () =
       (label "dense path never replays a pattern")
       0 d.Circuit.Dc.pattern_reuses
   in
+  let check_macro ?restamp (macro : Macros.Macro.t) =
+    check ?restamp macro.Macros.Macro.macro_name
+      (macro.Macros.Macro.build Macros.Process.nominal)
+  in
   check_macro (Macros.Filter_chain.sk_chain ~stages:8);
   check_macro (Macros.Filter_chain.ota_cascade ~stages:8);
   check_macro
     ~restamp:{ Circuit.Mna.stimulus = None; impact = Some ("r1a", 470.) }
-    (Macros.Filter_chain.sk_chain ~stages:8)
+    (Macros.Filter_chain.sk_chain ~stages:8);
+  (* gmin stepping on this faulty IV-converter replays patterns across
+     rungs into an exact pivot tie, which the refactor guard must
+     refuse *)
+  let iv = Macros.Iv_converter.macro in
+  let fault =
+    List.find
+      (fun f -> Faults.Fault.id f = "bridge:iin-nbias")
+      (Macros.Macro.fault_universe iv)
+  in
+  check "IV bridge:iin-nbias at -33.8 uA"
+    (Testgen.Execute.with_stimulus
+       (Faults.Inject.apply (Macros.Macro.nominal_netlist iv) fault)
+       ~source:iv.Macros.Macro.stimulus_source
+       (Circuit.Waveform.Dc (-0x1.1b1e34b171b52p-15)))
 
 (* Without [~backend], Mna.build picks dense LU up to
    [sparse_above_nodes] nodes and sparse above; [~backend] still forces
