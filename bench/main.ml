@@ -357,8 +357,6 @@ let run_hotpath_bench ~fast ~smoke =
     | Some a, Some b -> bitwise_equal a b
     | _ -> false
   in
-  if not sweep_identical then
-    prerr_endline "hotpath bench: WARNING restamp sweep diverged from legacy!";
   prerr_endline "hotpath bench: DC Newton sweep kernel...";
   let per_solve x = x *. float_of_int n_levels in
   let dc_legacy = per_solve (rate ~seconds:window sweep_legacy) in
@@ -425,14 +423,19 @@ let run_hotpath_bench ~fast ~smoke =
   Printf.eprintf
     "hotpath bench: DC sweep %.0f -> %.0f solves/s (%.2fx), probe %.2fx\n%!"
     dc_legacy dc_compiled dc_speedup probe_speedup;
-  if not sweep_identical then exit 1;
-  (* the acceptance bar for the full (non-smoke) benchmark *)
-  if (not smoke) && dc_speedup < 3. then begin
-    Printf.eprintf
-      "hotpath bench: FAIL DC sweep speedup %.2fx below the 3x bar\n%!"
-      dc_speedup;
+  let fail msg =
+    Printf.eprintf "hotpath bench: FAIL %s\n%!" msg;
     exit 1
-  end
+  in
+  if not sweep_identical then fail "restamp sweep diverged from legacy";
+  (* the compiled path must never lose to the reference, smoke included *)
+  if dc_speedup < 1. then
+    fail (Printf.sprintf "DC sweep speedup %.2fx below 1x" dc_speedup);
+  if probe_speedup < 1. then
+    fail (Printf.sprintf "DC probe speedup %.2fx below 1x" probe_speedup);
+  (* the acceptance bar for the full (non-smoke) benchmark *)
+  if (not smoke) && dc_speedup < 3. then
+    fail (Printf.sprintf "DC sweep speedup %.2fx below the 3x bar" dc_speedup)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz campaign benchmark: chaos-harness throughput and health.       *)
@@ -556,154 +559,6 @@ let run_fuzz_bench ~smoke =
   if not (Fuzz.Campaign.clean report) then fail "campaign violations or build failures";
   if not deterministic then fail "re-run was not byte-identical";
   if not self_test_ok then fail "planted violation not found and shrunk"
-
-(* ------------------------------------------------------------------ *)
-(* Adjoint benchmark: gradient-mode generation vs the FD-free oracle.   *)
-(* ------------------------------------------------------------------ *)
-
-(* [bench --adjoint [--smoke]]: run the whole-dictionary generation
-   twice on the DC-levels configurations (#1 Brent, #2 Powell — the two
-   with an analytic adjoint gradient), once with the bracketing oracle
-   and once in gradient mode, and write BENCH_adjoint.json with probe
-   counts, wall-clock and the per-fault verdict-compat ratio.  The
-   non-smoke acceptance bars are a >= 5x reduction in optimizer probes
-   and verdict-compat 1.0; a compat miss exits nonzero even in smoke. *)
-let run_adjoint_bench ~fast ~smoke =
-  let profile =
-    if fast then Execute.fast_profile else Execute.default_profile
-  in
-  prerr_endline "adjoint bench: calibrating tolerance boxes...";
-  let ctx =
-    Experiments.Setup.create ~profile ~macro:Macros.Iv_converter.macro
-      ~configs:
-        [ Experiments.Iv_configs.config1; Experiments.Iv_configs.config2 ]
-      ()
-  in
-  let ctx = if smoke then Experiments.Setup.reduced ctx ~n_faults:8 else ctx in
-  let faults =
-    List.length (Faults.Dictionary.entries ctx.Experiments.Setup.dictionary)
-  in
-  let timed_run label options =
-    Printf.eprintf "adjoint bench: generation run (%s)...\n%!" label;
-    let t0 = Unix.gettimeofday () in
-    let run = Experiments.Runs.engine_run ~options ctx in
-    (run, Unix.gettimeofday () -. t0)
-  in
-  let oracle_run, oracle_dt = timed_run "oracle" Generate.default_options in
-  let grad_run, grad_dt =
-    timed_run "gradient"
-      { Generate.default_options with Generate.use_gradient = true }
-  in
-  (* optimizer probes: every evaluator solve spent inside candidate
-     optimization, summed over faults and configurations (the impact
-     convergence downstream of it is shared by both modes) *)
-  let probes (run : Engine.run) =
-    List.fold_left
-      (fun acc (r : Generate.result) ->
-        List.fold_left
-          (fun acc (c : Generate.candidate) ->
-            acc + c.Generate.optimizer_evaluations)
-          acc r.Generate.candidates)
-      0 run.Engine.results
-  in
-  let oracle_probes = probes oracle_run in
-  let grad_probes = probes grad_run in
-  let reduction =
-    float_of_int oracle_probes /. Float.max 1. (float_of_int grad_probes)
-  in
-  (* verdict compat: the detect verdict (unique vs undetectable) per
-     fault must be identical.  The winning configuration may legitimately
-     flip between near-tied candidates whose optima sit at slightly
-     different points, so config agreement is reported separately and
-     not gated. *)
-  let flavour (r : Generate.result) =
-    match r.Generate.outcome with
-    | Generate.Unique _ -> "unique"
-    | Generate.Undetectable _ -> "undetectable"
-  in
-  let mismatches =
-    List.filter_map Fun.id
-      (List.map2
-         (fun (a : Generate.result) (b : Generate.result) ->
-           if a.Generate.fault_id <> b.Generate.fault_id then
-             Some
-               (Printf.sprintf "fault order: %s vs %s" a.Generate.fault_id
-                  b.Generate.fault_id)
-           else if flavour a <> flavour b then
-             Some
-               (Printf.sprintf "%s: %s vs %s" a.Generate.fault_id (flavour a)
-                  (flavour b))
-           else None)
-         oracle_run.Engine.results grad_run.Engine.results)
-  in
-  let compat =
-    float_of_int (faults - List.length mismatches) /. float_of_int faults
-  in
-  let config_matches =
-    List.fold_left2
-      (fun acc (a : Generate.result) (b : Generate.result) ->
-        if Generate.best_config_id a = Generate.best_config_id b then acc + 1
-        else acc)
-      0 oracle_run.Engine.results grad_run.Engine.results
-  in
-  List.iter
-    (fun m -> Printf.eprintf "adjoint bench: verdict mismatch: %s\n%!" m)
-    mismatches;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"profile\": \"%s\",\n"
-       (if fast then "fast" else "default"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faults\": %d,\n  \"configs\": [1, 2],\n" faults);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"oracle\": {\"optimizer_probes\": %d, \"wall_seconds\": %.3f},\n"
-       oracle_probes oracle_dt);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"gradient\": {\"optimizer_probes\": %d, \"wall_seconds\": %.3f},\n"
-       grad_probes grad_dt);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"probe_reduction\": %.3f,\n" reduction);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"wall_speedup\": %.3f,\n"
-       (oracle_dt /. Float.max 1e-9 grad_dt));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"verdict_compat\": %.4f,\n" compat);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"winning_config_match\": %.4f,\n"
-       (float_of_int config_matches /. float_of_int faults));
-  Buffer.add_string buf "  \"mismatches\": [";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\"%s\"" (if i = 0 then "" else ", ") m))
-    mismatches;
-  Buffer.add_string buf "]\n}\n";
-  let path = "BENCH_adjoint.json" in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.eprintf
-    "adjoint bench: %d faults, probes %d -> %d (%.2fx), wall %.2fs -> %.2fs, \
-     compat %.4f; wrote %s\n%!"
-    faults oracle_probes grad_probes reduction oracle_dt grad_dt compat path;
-  if List.length mismatches > 0 then begin
-    Printf.eprintf "adjoint bench: FAIL verdict compat %.4f below 1.0\n%!"
-      compat;
-    exit 1
-  end;
-  (* the acceptance bar for the probe contract *)
-  if (not smoke) && reduction < 5. then begin
-    Printf.eprintf
-      "adjoint bench: FAIL probe reduction %.2fx below the 5x bar\n%!"
-      reduction;
-    exit 1
-  end
 
 (* ---------------------------------------------------------------------- *)
 (* serve bench: daemon throughput/latency plus the correctness gates      *)
@@ -1433,33 +1288,38 @@ let run_batch_bench ~fast ~smoke =
       (Printf.sprintf "coverage speedup %.2fx below the 3x bar"
          cov_speedup_min)
 
+let modes =
+  [ "--hotpath"; "--fuzz"; "--sparse"; "--serve"; "--batch"; "--parallel" ]
+let modifiers = [ "--fast"; "--smoke"; "--reports-only"; "--bench-only" ]
+
 let () =
-  let fast = Array.exists (String.equal "--fast") Sys.argv in
-  let reports_only = Array.exists (String.equal "--reports-only") Sys.argv in
-  let bench_only = Array.exists (String.equal "--bench-only") Sys.argv in
-  let parallel = Array.exists (String.equal "--parallel") Sys.argv in
-  let hotpath = Array.exists (String.equal "--hotpath") Sys.argv in
-  let smoke = Array.exists (String.equal "--smoke") Sys.argv in
-  let fuzz = Array.exists (String.equal "--fuzz") Sys.argv in
-  let adjoint = Array.exists (String.equal "--adjoint") Sys.argv in
-  let sparse = Array.exists (String.equal "--sparse") Sys.argv in
-  let serve = Array.exists (String.equal "--serve") Sys.argv in
-  let batch = Array.exists (String.equal "--batch") Sys.argv in
-  if serve then run_serve_bench ~smoke
-  else if batch then run_batch_bench ~fast ~smoke
-  else if sparse then run_sparse_bench ~fast ~smoke
-  else if adjoint then run_adjoint_bench ~fast ~smoke
-  else if fuzz then run_fuzz_bench ~smoke
-  else if hotpath then run_hotpath_bench ~fast ~smoke
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun a -> not (List.mem a (modes @ modifiers))) args with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf
+        "bench: unknown argument(s) %s\n\
+         modes: %s (none: the full report and kernel run)\n\
+         modifiers: %s\n%!"
+        (String.concat " " unknown) (String.concat " " modes)
+        (String.concat " " modifiers);
+      exit 2);
+  let flag f = List.mem f args in
+  let fast = flag "--fast" and smoke = flag "--smoke" in
+  if flag "--serve" then run_serve_bench ~smoke
+  else if flag "--batch" then run_batch_bench ~fast ~smoke
+  else if flag "--sparse" then run_sparse_bench ~fast ~smoke
+  else if flag "--fuzz" then run_fuzz_bench ~smoke
+  else if flag "--hotpath" then run_hotpath_bench ~fast ~smoke
   else begin
     let profile =
       if fast then Execute.fast_profile else Execute.default_profile
     in
     prerr_endline "calibrating tolerance boxes...";
     let ctx = Experiments.Setup.iv ~profile () in
-    if parallel then run_parallel_bench ctx
+    if flag "--parallel" then run_parallel_bench ctx
     else begin
-      if not bench_only then run_reports ctx;
-      if not reports_only then run_benchmarks ctx
+      if not (flag "--bench-only") then run_reports ctx;
+      if not (flag "--reports-only") then run_benchmarks ctx
     end
   end

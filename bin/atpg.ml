@@ -605,21 +605,9 @@ let finish_run ?save (run_result : Engine.run) =
   in
   if save_code <> 0 then save_code else Engine.exit_status run_result
 
-let grad_arg =
-  let doc =
-    "Optimize candidate tests by projected gradient descent on the \
-     analytic adjoint sensitivity (one extra triangular solve per \
-     operating point) instead of finite-difference bracketing — \
-     typically 5-10x fewer probe solves per candidate. Configurations \
-     without an analytic gradient fall back to the bracketing path \
-     automatically; detect verdicts are cross-checked against the \
-     finite-difference oracle by $(b,bench --adjoint)."
-  in
-  Arg.(value & flag & info [ "grad" ] ~doc)
-
 let generate_cmd =
   let run fast macro fault_id take save max_retries fail_fast resume inject
-      inject_seed jobs grad trace =
+      inject_seed jobs trace =
     match parse_inject_specs inject with
     | Error e ->
         prerr_endline e;
@@ -641,21 +629,8 @@ let generate_cmd =
                         print_string (Experiments.Runs.fig6 ~fault_id:fid ctx);
                         0
                     | None -> begin
-                        let options =
-                          match (ctx_options, grad) with
-                          | None, false -> None
-                          | Some o, false -> Some o
-                          | None, true ->
-                              Some
-                                {
-                                  Generate.default_options with
-                                  use_gradient = true;
-                                }
-                          | Some o, true ->
-                              Some { o with Generate.use_gradient = true }
-                        in
                         match
-                          run_or_load ?options ~policy ?resume
+                          run_or_load ?options:ctx_options ~policy ?resume
                             ~executor:(executor_of jobs) ctx ~load:None ~take
                         with
                         | Error code -> code
@@ -681,7 +656,7 @@ let generate_cmd =
     Term.(
       const run $ fast_arg $ macro_arg $ fault_arg $ take_arg $ save_arg
       $ max_retries_arg $ fail_fast_arg $ resume_arg $ inject_arg
-      $ inject_seed_arg $ jobs_arg $ grad_arg $ trace_arg)
+      $ inject_seed_arg $ jobs_arg $ trace_arg)
 
 let compact_cmd =
   let run fast macro take delta load save max_retries fail_fast

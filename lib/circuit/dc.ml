@@ -217,39 +217,3 @@ let solve ?options ?guess ?companions ?source_scale ?workspace ?restamp sys
 
 let operating_point ?options ?guess sys ~time =
   (solve ?options ?guess sys ~time).solution
-
-let c_adjoint = Obs.Counter.create "solver.dc.adjoint_solves"
-
-(* Adjoint solve at a converged operating point: reassemble the system
-   at the solution and transpose-solve the observable's unit vector.
-   At a converged Newton fixed point the assembled matrix IS the exact
-   residual Jacobian (the MOSFET companion stamps are its partial
-   derivatives), but the factorization the Newton loop left behind
-   belongs to the second-to-last iterate — reusing it would cost the
-   last digits of the gradient, so one fresh assembly + factorization
-   is paid here.  Everything downstream is a pair of triangular sweeps
-   per observable: the entire gradient over all parameters costs one
-   extra factorization per operating point, versus one full nonlinear
-   solve per parameter for finite differences. *)
-let solve_adjoint ?(options = default_options) ?companions ?restamp ?workspace
-    ?(time = `Dc) sys ~x ~obs_row =
-  let n = Mna.size sys in
-  if Vec.dim x <> n then invalid_arg "Dc.solve_adjoint: bad solution size";
-  if obs_row < 0 || obs_row >= n then
-    invalid_arg "Dc.solve_adjoint: observable row out of range";
-  let lambda = Vec.create n 0. in
-  let e = Vec.create n 0. in
-  e.(obs_row) <- 1.;
-  let ws =
-    match workspace with
-    | Some ws ->
-        if ws.Mna.w_size <> n then
-          invalid_arg "Dc.solve_adjoint: workspace size mismatch";
-        ws
-    | None -> Mna.workspace sys
-  in
-  Mna.assemble_into sys ws ~x ~time ?companions ?restamp ~gmin:options.gmin ();
-  ignore (Mna.ws_factor ws : bool);
-  Mna.ws_solve_transpose_into ws e lambda;
-  Obs.Counter.bump c_adjoint 1;
-  lambda

@@ -70,31 +70,3 @@ val operating_point :
   ?options:options -> ?guess:Numerics.Vec.t -> Mna.t ->
   time:Mna.source_time -> Numerics.Vec.t
 (** Convenience wrapper returning only the solution vector. *)
-
-val solve_adjoint :
-  ?options:options ->
-  ?companions:float array ->
-  ?restamp:Mna.restamp ->
-  ?workspace:Mna.workspace ->
-  ?time:Mna.source_time ->
-  Mna.t ->
-  x:Numerics.Vec.t ->
-  obs_row:int ->
-  Numerics.Vec.t
-(** [solve_adjoint sys ~x ~obs_row] solves the adjoint system
-    [A^T lambda = e_obs] at the converged operating point [x], where [A]
-    is the MNA system reassembled at [x] under the same [companions],
-    [restamp] and [gmin] the forward solve used.  At a Newton fixed
-    point the assembled matrix is the exact residual Jacobian (the
-    MOSFET companion stamps are its partial derivatives), so [lambda]
-    contracts any parameter's derivative stamp to the exact observable
-    sensitivity: [dV_obs/dp = lambda^T (dz/dp - (dA/dp) x)].  One fresh
-    factorization is paid per call — the factorization left behind by
-    the Newton loop belongs to the second-to-last iterate, not the
-    solution.  With [workspace] the assembly and factorization reuse the
-    caller's preallocated buffers (overwriting the held factorization);
-    without, a workspace is created for the call.
-    Bumps the [solver.dc.adjoint_solves] counter when tracing is active.
-    @raise Invalid_argument on size mismatch or an out-of-range
-    observable row.
-    @raise Numerics.Mat.Singular if the Jacobian is singular at [x]. *)

@@ -362,67 +362,6 @@ let assemble_core t ~sink ~mos ~z ~x ~time ~companions ~source_scale ~restamp
         inject z si i0
   done
 
-let impact_site t device =
-  let found = ref None in
-  Array.iter
-    (fun r ->
-      match r with
-      | R_resistor { name; i; j; _ }
-        when !found = None && String.equal name device ->
-          found := Some (i, j)
-      | _ -> ())
-    t.stamp_plan;
-  !found
-
-(* Partial-derivative stamp views for the adjoint sensitivity layer.
-   The right-hand side z depends on an independent source's DC level
-   linearly through its stamp — z += level * e_br for a voltage source,
-   z += level * (e_j - e_i) for a current source — so dz/dlevel is a
-   fixed sparse direction resolved once from the plan.  Likewise the
-   only parameter entering the system matrix A is a resistor's value:
-   dA/dr = -(1/r^2) (e_i - e_j)(e_i - e_j)^T.  Both views collapse to
-   one or two lambda/x reads when contracted with the adjoint vector. *)
-type stimulus_site =
-  | S_vsource of int  (** branch-equation row of the source *)
-  | S_isource of int * int  (** from/to node indices, -1 for ground *)
-
-let stimulus_site t device =
-  let found = ref None in
-  Array.iter
-    (fun r ->
-      match r with
-      | R_vsource { name; br; _ } when !found = None && String.equal name device
-        ->
-          found := Some (S_vsource br)
-      | R_isource { name; i; j; _ }
-        when !found = None && String.equal name device ->
-          found := Some (S_isource (i, j))
-      | _ -> ())
-    t.stamp_plan;
-  !found
-
-(* lambda^T (dz/dlevel): the whole right-hand-side derivative contracted
-   with the adjoint vector.  A voltage source stamps [z.(br) += level],
-   so the dot is lambda.(br); a current source stamps
-   [z.(i) -= level; z.(j) += level] (ground dropped), so the dot is
-   [lambda.(j) - lambda.(i)]. *)
-let stimulus_adjoint_dot site lambda =
-  match site with
-  | S_vsource br -> lambda.(br)
-  | S_isource (i, j) -> volt lambda j -. volt lambda i
-
-(* -lambda^T (dA/dr) x for the named impact resistor at resistance
-   [ohms]: with dA/dr = -(1/r^2) u u^T and u = e_i - e_j this is
-   [(lambda_i - lambda_j) (x_i - x_j) / r^2].  [None] when the plan has
-   no resistor of that name. *)
-let impact_adjoint_dot t ~device ~ohms ~lambda ~x =
-  match impact_site t device with
-  | None -> None
-  | Some (i, j) ->
-      let dl = volt lambda i -. volt lambda j
-      and dx = volt x i -. volt x j in
-      Some (dl *. dx /. (ohms *. ohms))
-
 (* The backend's system-matrix and factorization state, paired so a
    mismatch cannot be constructed through {!workspace}. *)
 type engine =
@@ -487,11 +426,6 @@ let ws_solve_into ws b x =
   match ws.w_eng with
   | E_dense { elu; _ } -> Mat.solve_into elu b x
   | E_sparse { eslu; _ } -> Smat.solve_into eslu b x
-
-let ws_solve_transpose_into ws b x =
-  match ws.w_eng with
-  | E_dense { elu; _ } -> Mat.solve_transpose_into elu b x
-  | E_sparse { eslu; _ } -> Smat.solve_transpose_into eslu b x
 
 let ws_sparse_stats ws =
   match ws.w_eng with

@@ -102,40 +102,6 @@ val restamp_ohms : restamp option -> string -> float -> float
     shared with the small-signal and noise stampers so every analysis
     sees the same fault impact. *)
 
-val impact_site : t -> string -> (int * int) option
-(** Unknown indices of a named resistor's terminals, or [None] if the
-    plan has no resistor of that name (e.g. the fault device is absent
-    from this configuration's topology). *)
-
-type stimulus_site =
-  | S_vsource of int  (** branch-equation row of the source *)
-  | S_isource of int * int  (** from/to node indices, [-1] for ground *)
-      (** Where an independent source's DC level enters the right-hand
-          side: the derivative stamp view [dz/dlevel] resolved once from
-          the compiled plan. *)
-
-val stimulus_site : t -> string -> stimulus_site option
-(** The derivative stamp view of a named independent source, or [None]
-    if the plan has no source of that name. *)
-
-val stimulus_adjoint_dot : stimulus_site -> Numerics.Vec.t -> float
-(** [stimulus_adjoint_dot site lambda] is [lambda^T (dz/dlevel)] — the
-    right-hand-side derivative contracted with an adjoint vector:
-    [lambda.(br)] for a voltage source, [lambda_j - lambda_i] for a
-    current source (ground terminals contribute nothing). *)
-
-val impact_adjoint_dot :
-  t ->
-  device:string ->
-  ohms:float ->
-  lambda:Numerics.Vec.t ->
-  x:Numerics.Vec.t ->
-  float option
-(** [-lambda^T (dA/dr) x] for the named fault-impact resistor at
-    resistance [ohms]: the sensitivity of an adjoint observable to the
-    impact resistance, [(lambda_i - lambda_j)(x_i - x_j) / r^2].
-    [None] if the plan has no resistor of that name. *)
-
 type engine
 (** A backend's paired system matrix and factorization state. *)
 
@@ -174,10 +140,6 @@ val ws_factor : workspace -> bool
 val ws_solve_into : workspace -> Numerics.Vec.t -> Numerics.Vec.t -> unit
 (** Solve against the last {!ws_factor} — {!Numerics.Mat.solve_into} or
     its bit-identical sparse counterpart. *)
-
-val ws_solve_transpose_into :
-  workspace -> Numerics.Vec.t -> Numerics.Vec.t -> unit
-(** Transpose (adjoint) solve against the last {!ws_factor}. *)
 
 val ws_sparse_stats : workspace -> Numerics.Smat.stats option
 (** Factor/reuse counters of the sparse engine; [None] on dense. *)

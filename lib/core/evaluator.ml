@@ -12,10 +12,6 @@ type t = {
   batching : bool;
   backend : Circuit.Mna.backend option;
   nominal_cache : (string, float array) Hashtbl.t;
-  (* Memoized nominal observables *and* their parameter gradients, keyed
-     like [nominal_cache]: the nominal response at a parameter point is
-     shared by every fault's gradient probe at that point. *)
-  ngrad_cache : (string, float array * float array array) Hashtbl.t;
   compiled_cache : (string, Execute.compiled) Hashtbl.t;
   evals : Obs.Counter.t;
   budget : int option ref;
@@ -48,7 +44,6 @@ let create ?(profile = Execute.default_profile) ?(batching = true)
     batching;
     backend;
     nominal_cache = Hashtbl.create 64;
-    ngrad_cache = Hashtbl.create 64;
     compiled_cache = Hashtbl.create 16;
     evals = Obs.Counter.unregistered "evaluator.evals";
     budget = ref None;
@@ -64,12 +59,7 @@ let create ?(profile = Execute.default_profile) ?(batching = true)
    capture topology only, not profile, and the derived evaluator runs in
    the same domain as its parent (the retry ladder is sequential). *)
 let with_profile t profile =
-  {
-    t with
-    profile;
-    nominal_cache = Hashtbl.create 64;
-    ngrad_cache = Hashtbl.create 64;
-  }
+  { t with profile; nominal_cache = Hashtbl.create 64 }
 
 (* A worker's private view of an evaluator: same (immutable)
    configuration, target, box model and profile, but its own cache and
@@ -83,7 +73,6 @@ let fork t =
   {
     t with
     nominal_cache = Hashtbl.copy t.nominal_cache;
-    ngrad_cache = Hashtbl.copy t.ngrad_cache;
     compiled_cache = Hashtbl.create 16;
     evals = Obs.Counter.fork t.evals;
     budget = ref None;
@@ -106,12 +95,7 @@ let absorb ~into child =
       (fun key obs ->
         if not (Hashtbl.mem into.nominal_cache key) then
           Hashtbl.replace into.nominal_cache key obs)
-      child.nominal_cache;
-    Hashtbl.iter
-      (fun key g ->
-        if not (Hashtbl.mem into.ngrad_cache key) then
-          Hashtbl.replace into.ngrad_cache key g)
-      child.ngrad_cache
+      child.nominal_cache
   end
 
 let config t = t.config
@@ -217,59 +201,6 @@ let sensitivity_and_deviation t fault values =
       (detected_sentinel, [||])
 
 let sensitivity t fault values = fst (sensitivity_and_deviation t fault values)
-
-(* Adjoint sensitivity gradient: [Some (s, dS/dp)] when both responses
-   admit the analytic gradient (a Dc_levels analysis),
-   [None] when the caller must fall back to finite-difference probing.
-   The value part is bit-identical to {!sensitivity}: same solver
-   trajectories, same box arithmetic — only the gradient rides along.
-   Nominal gradients are memoized like nominal observables (and seed the
-   observables cache with their identical value part); injection is
-   masked around the nominal for the same determinism reason.  A faulty
-   gradient costs exactly one {!charge}, so [optimizer_evaluations]
-   accounting compares probe-for-probe with the oracle path. *)
-let nominal_gradient t values =
-  let key = cache_key values in
-  match Hashtbl.find_opt t.ngrad_cache key with
-  | Some g -> Some g
-  | None -> (
-      let g =
-        Numerics.Failpoint.without (fun () ->
-            Execute.compiled_gradient ~profile:t.profile
-              (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
-              values)
-      in
-      match g with
-      | None -> None
-      | Some g ->
-          if not (Hashtbl.mem t.nominal_cache key) then
-            Hashtbl.replace t.nominal_cache key g.Execute.g_obs;
-          let entry = (g.Execute.g_obs, g.Execute.g_dobs) in
-          Hashtbl.replace t.ngrad_cache key entry;
-          Some entry)
-
-let sensitivity_gradient t fault values =
-  match nominal_gradient t values with
-  | None -> None
-  | Some (nominal, dnominal) -> (
-      charge t;
-      let epoch = Numerics.Failpoint.epoch () in
-      let key = Faults.Fault.id fault in
-      let plan = compiled_plan t ~key (fun () -> faulty_target t fault) in
-      match
-        Execute.compiled_gradient ~profile:t.profile
-          ~impact:(Faults.Inject.impact_override fault) plan values
-      with
-      | None -> None
-      | Some g ->
-          let box, dbox = Tolerance.box_gradient t.box_model values in
-          Some
-            (Sensitivity.compute_gradient t.config ~box ~dbox ~nominal
-               ~dnominal ~faulty:g.Execute.g_obs ~dfaulty:g.Execute.g_dobs)
-      | exception Execute.Execution_failure _
-        when Numerics.Failpoint.epoch () = epoch ->
-          (* trivially detected, and flat: the descent stops here *)
-          Some (detected_sentinel, Array.make (Numerics.Vec.dim values) 0.))
 
 (* Config-major batched evaluation of an arbitrary fault set against an
    arbitrary set of parameter points — the engine behind the coverage,

@@ -106,23 +106,6 @@ val sensitivity_and_deviation :
 (** Sensitivity together with the per-return-value deviations (reports).
     The deviation array is empty when the faulty simulation failed. *)
 
-val sensitivity_gradient :
-  t -> Faults.Fault.t -> Numerics.Vec.t -> (float * float array) option
-(** [Some (S_f(T), dS/dp)] by the adjoint chain — one faulty solve plus
-    one transpose solve per operating point instead of one solve per
-    parameter — when the configuration admits the analytic gradient
-    (a [Dc_levels] analysis); [None] tells the caller to
-    fall back to finite-difference probing, at no evaluation cost.  The
-    value part is bit-identical to {!sensitivity} at the same point:
-    same solver trajectories, same box arithmetic.  A successful call
-    charges exactly one evaluation, like one oracle probe; nominal
-    responses and their gradients are memoized per parameter point.  If
-    the faulty simulation fails, returns {!detected_sentinel} with a
-    zero gradient (trivially detected, and flat — a descent stops
-    there).
-    @raise Execute.Execution_failure if the {e nominal} simulation
-    fails. *)
-
 val faulty_observables : t -> Faults.Fault.t -> Numerics.Vec.t -> float array
 (** Raw faulty measurement (no memoization) through the fault site's
     compiled plan.

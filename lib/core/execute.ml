@@ -494,127 +494,6 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
         Some { fb_obs = out; fb_panels = !panels }
       end
 
-(* ------------------------------------------------------------------ *)
-(* Adjoint gradients: one extra triangular solve per operating point    *)
-(* ------------------------------------------------------------------ *)
-
-type gradient = {
-  g_obs : float array;  (* identical to [observables] at the same point *)
-  g_dobs : float array array;  (* per observable: d obs / d p, per parameter *)
-  g_dimpact : float array option;
-      (* per observable: d obs / d (impact resistance), when an impact
-         override is active *)
-}
-
-(* DC-levels analyses are the analytically differentiable family: the
-   parameters enter only through each probe's stimulus DC level, so
-   [d obs/d p = (lambda^T dz/dlevel) * (d level/d p)].  The adjoint
-   vector comes from one transpose solve per operating point against
-   the Jacobian reassembled at the converged solution; the level's own
-   parameter derivative comes from central differences on the stimulus
-   closure — waveform construction only, no circuit solves, exact to
-   rounding for the affine level maps the configurations use.  Other
-   analyses return [None] and the caller falls back to the
-   finite-difference oracle. *)
-let gradient_body engine ~profile config values =
-  check_values config values;
-  if Numerics.Failpoint.should_fail "execute.observables" then
-    raise (Execution_failure "injected failure at execute.observables");
-  match config.Test_config.analysis with
-  | Test_config.Tran_thd _ | Test_config.Tran_samples _ | Test_config.Tran_imd _
-  | Test_config.Noise_psd _ | Test_config.Ac_gain _ ->
-      None
-  | Test_config.Dc_levels waves ->
-      let options = profile.dc_options in
-      let target = engine_target engine in
-      let observe = target.observe_node in
-      let source = target.stimulus_source in
-      let n_params = Test_config.n_params config in
-      let base_waves = Array.of_list (waves values) in
-      let n_obs = Array.length base_waves in
-      (* d level_k / d p_d by central differences on the closure *)
-      let dlevel = Array.make_matrix n_obs n_params 0. in
-      (try
-         for d = 0 to n_params - 1 do
-           let h = 1e-4 *. Float.max 1. (Float.abs values.(d)) in
-           let vp = Array.copy values and vm = Array.copy values in
-           vp.(d) <- values.(d) +. h;
-           vm.(d) <- values.(d) -. h;
-           let wp = Array.of_list (waves vp)
-           and wm = Array.of_list (waves vm) in
-           if Array.length wp <> n_obs || Array.length wm <> n_obs then
-             raise Exit;
-           for k = 0 to n_obs - 1 do
-             dlevel.(k).(d) <-
-               (Waveform.dc_value wp.(k) -. Waveform.dc_value wm.(k))
-               /. (2. *. h)
-           done
-         done
-       with Exit ->
-         raise (Execution_failure "gradient: wave count varies with parameters"));
-      let impact =
-        match engine with
-        | Restamp { impact = Some (dev, r); _ } -> Some (dev, r)
-        | Restamp { impact = None; _ } | Direct _ -> None
-      in
-      let obs = Array.make n_obs 0. in
-      let dobs = Array.make_matrix n_obs n_params 0. in
-      let dimpact = Array.make n_obs 0. in
-      Array.iteri
-        (fun k w ->
-          let inst = instantiate engine w in
-          let x = operating_point ~options inst in
-          obs.(k) <- Mna.voltage inst.i_sys x observe;
-          match Mna.node_index inst.i_sys observe with
-          | None -> () (* observing ground: identically zero *)
-          | Some obs_row -> (
-              let lambda =
-                try
-                  Dc.solve_adjoint ~options ?restamp:inst.i_restamp
-                    ?workspace:inst.i_ws inst.i_sys ~x ~obs_row
-                with Numerics.Mat.Singular _ ->
-                  raise
-                    (Execution_failure
-                       "gradient: singular Jacobian at operating point")
-              in
-              (match Mna.stimulus_site inst.i_sys source with
-              | None -> ()
-              | Some site ->
-                  let dot = Mna.stimulus_adjoint_dot site lambda in
-                  for d = 0 to n_params - 1 do
-                    dobs.(k).(d) <- dot *. dlevel.(k).(d)
-                  done);
-              match impact with
-              | None -> ()
-              | Some (device, ohms) -> (
-                  match
-                    Mna.impact_adjoint_dot inst.i_sys ~device ~ohms ~lambda ~x
-                  with
-                  | Some dr -> dimpact.(k) <- dr
-                  | None -> ())))
-        base_waves;
-      Some
-        {
-          g_obs = obs;
-          g_dobs = dobs;
-          g_dimpact = (match impact with Some _ -> Some dimpact | None -> None);
-        }
-
-(* One gradient call is one probe: the same [execute.solve] span the
-   observables path counts, so probe accounting compares directly
-   between the adjoint path and the finite-difference oracle. *)
-let gradient_of engine ~profile config values =
-  if not (Obs.active ()) then gradient_body engine ~profile config values
-  else
-    Obs.Span.timed ~key:(string_of_int config.Test_config.config_id)
-      "execute.solve" (fun () -> gradient_body engine ~profile config values)
-
-let gradient ?(profile = default_profile) config target values =
-  gradient_of (Direct target) ~profile config values
-
-let compiled_gradient ?(profile = default_profile) ?impact c values =
-  gradient_of (Restamp { c; impact }) ~profile c.c_config values
-
 let deviations config ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then
     invalid_arg "Execute.deviations: observable length mismatch";

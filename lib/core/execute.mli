@@ -138,45 +138,6 @@ val compiled_batch_over_faults :
     @raise Invalid_argument on value-count mismatch or an invalid probe
     waveform (same rejection as the sequential path). *)
 
-type gradient = {
-  g_obs : float array;
-      (** the observables themselves — bit-identical to {!observables}
-          at the same parameter point *)
-  g_dobs : float array array;
-      (** per observable: its gradient along the test parameters *)
-  g_dimpact : float array option;
-      (** per observable: its derivative along the fault-impact
-          resistance, present when an impact override was active *)
-}
-(** Observables together with their analytic parameter gradients. *)
-
-val gradient :
-  ?profile:profile -> Test_config.t -> target -> Numerics.Vec.t ->
-  gradient option
-(** [gradient config target values] computes the observables and their
-    parameter gradients in one pass: one DC solve plus one adjoint
-    transpose solve per operating point ({!Circuit.Dc.solve_adjoint}),
-    with the stimulus level's own parameter derivative taken by central
-    differences on the configuration's level closure (waveform
-    construction only — no circuit solves; exact to rounding for affine
-    level maps).  Only [Dc_levels] analyses are differentiable this way:
-    every other analysis returns [None] and the caller falls back to
-    finite-difference probing.  Counts as one [execute.solve] span, so
-    probe accounting compares directly with the oracle path.
-    @raise Execution_failure on simulator failure (including a singular
-    Jacobian at the operating point). *)
-
-val compiled_gradient :
-  ?profile:profile ->
-  ?impact:string * float ->
-  compiled ->
-  Numerics.Vec.t ->
-  gradient option
-(** {!gradient} over a compiled plan, with the fault-impact override of
-    {!compiled_observables}.  When [impact] is given, the result also
-    carries each observable's derivative along the impact resistance
-    ([g_dimpact]). *)
-
 val deviations :
   Test_config.t -> nominal:float array -> faulty:float array -> float array
 (** Per-return-value deviations [delta r_i] between two observable

@@ -7,7 +7,6 @@ type options = {
   bracket_points : int;
   impact_span : float;
   max_impact_steps : int;
-  use_gradient : bool;
 }
 
 let default_options =
@@ -18,7 +17,6 @@ let default_options =
     bracket_points = 8;
     impact_span = 1e3;
     max_impact_steps = 48;
-    use_gradient = false;
   }
 
 type candidate = {
@@ -62,34 +60,18 @@ let best_params r =
   | Unique { params; _ } -> params
   | Undetectable { params; _ } -> params
 
-let c_line_searches = Obs.Counter.create "generate.grad_line_searches"
-
-(* Projected gradient descent with Armijo backtracking over the
-   parameter box, started from the best point of a coarse global
-   pre-scan.  Each evaluation returns the cost *and* its analytic
-   gradient for the price of one probe (value + one adjoint transpose
-   solve per operating point), so the scan plus a handful of Armijo
-   steps replaces the oracle's scan plus Brent/Powell's many line
-   minimizations.  The seed is the scan's first sample, so the final
-   point can never be worse than the seed.  Returns [None] when the
-   evaluator has no analytic gradient for this configuration (the
-   caller falls back to the oracle path, having spent nothing). *)
-(* Coarse global view of the parameter box, shared by the gradient
-   descent's pre-scan and the multi-parameter oracle's start selection.
-   Single-parameter boxes reuse the Brent oracle's scan granularity;
-   two-parameter boxes get the full three-level-per-axis product —
-   bounds included, because detecting basins sit in the corners where
-   axis sweeps through the seed never look — and wider boxes fall back
-   to per-axis sweeps, where the full product would rival the
-   optimizer's own cost. *)
-let lattice_starts ~options ~lower ~upper seeds =
+(* Coarse global view of a box of two or more parameters, from which
+   the Powell oracle takes its start: the best of the seed and these
+   points.  Two-parameter boxes get the full three-level-per-axis
+   product — bounds included, because detecting basins sit in the
+   corners where axis sweeps through the seed never look — and wider
+   boxes fall back to per-axis sweeps, where the full product would
+   rival the optimizer's own cost. *)
+let lattice_starts ~lower ~upper seeds =
   let np = Array.length seeds in
   let at_frac i frac = lower.(i) +. (frac *. (upper.(i) -. lower.(i))) in
   let levels = [ 0.; 0.5; 1. ] in
-  if np = 1 then
-    let n = options.bracket_points in
-    List.init (n + 1) (fun i -> [| at_frac 0 (float_of_int i /. float_of_int n) |])
-  else if np = 2 then
+  if np = 2 then
     List.fold_left
       (fun acc i ->
         List.concat_map
@@ -111,118 +93,6 @@ let lattice_starts ~options ~lower ~upper seeds =
             x.(i) <- at_frac i frac;
             x))
       levels
-
-let gradient_descent ~options ~evals ~iterations evaluator fault_low =
-  let config = Evaluator.config evaluator in
-  let ps = config.Test_config.params in
-  if ps = [] then
-    invalid_arg "Generate.optimize_candidate: configuration without parameters";
-  let lower, upper = Test_param.bounds_of ps in
-  let seeds = Test_param.seeds_of ps in
-  let np = Array.length seeds in
-  let eval x = Evaluator.sensitivity_gradient evaluator fault_low x in
-  match eval seeds with
-  | None -> None
-  | Some (f0, g0) ->
-      incr evals;
-      (* Global pre-scan before descending: a strictly local method
-         started at the designer's seed can park on the flat shoulder of
-         the weakened cost surface while the detecting basin sits
-         elsewhere in the box — exactly the case the oracle's bracket
-         scan exists for.  Each probe is one forward+adjoint solve, so
-         the scan costs the same as the oracle's and the savings come
-         from replacing Brent/Powell's line minimizations with a
-         handful of Armijo steps. *)
-      let scan_starts = lattice_starts ~options ~lower ~upper seeds in
-      let x0, f0, g0 =
-        List.fold_left
-          (fun (bx, bf, bg) x ->
-            match eval x with
-            | None -> (bx, bf, bg)
-            | Some (f, g) ->
-                incr evals;
-                if f < bf then (x, f, g) else (bx, bf, bg))
-          (seeds, f0, g0) scan_starts
-      in
-      let max_iters = 5 and max_backtracks = 3 in
-      let clamp x =
-        Array.mapi (fun i v -> Float.min upper.(i) (Float.max lower.(i) v)) x
-      in
-      let x = ref x0 and f = ref f0 and g = ref g0 in
-      let best_x = ref x0 and best_f = ref f0 in
-      let searches = ref 0 in
-      let running = ref true in
-      while !running && !iterations < max_iters do
-        incr iterations;
-        (* steepest descent, with components pinned at an active bound
-           projected out so the direction stays feasible *)
-        let d =
-          Array.mapi
-            (fun i gi ->
-              let di = -.gi in
-              if
-                (!x.(i) <= lower.(i) && di < 0.)
-                || (!x.(i) >= upper.(i) && di > 0.)
-              then 0.
-              else di)
-            !g
-        in
-        let dnorm =
-          Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0. d
-        in
-        if dnorm = 0. then running := false
-        else begin
-          let span = ref infinity in
-          for i = 0 to np - 1 do
-            if upper.(i) > lower.(i) then
-              span := Float.min !span (upper.(i) -. lower.(i))
-          done;
-          let span = if Float.is_finite !span then !span else 1. in
-          (* first trial reaches halfway across the narrowest axis *)
-          let t0 = 0.5 *. span /. dnorm in
-          let slope =
-            let s = ref 0. in
-            for i = 0 to np - 1 do
-              s := !s +. (!g.(i) *. d.(i))
-            done;
-            !s
-          in
-          incr searches;
-          let rec backtrack t k =
-            if k > max_backtracks then None
-            else begin
-              let x' =
-                clamp (Array.mapi (fun i v -> v +. (t *. d.(i))) !x)
-              in
-              match eval x' with
-              | None -> None
-              | Some (f', g') ->
-                  incr evals;
-                  if f' <= !f +. (1e-4 *. t *. slope) || f' < !f then
-                    Some (x', f', g')
-                  else backtrack (t /. 4.) (k + 1)
-            end
-          in
-          match backtrack t0 0 with
-          | None -> running := false
-          | Some (x', f', g') ->
-              if f' < !best_f then begin
-                best_f := f';
-                best_x := x'
-              end;
-              (* stop on a converged step or a trivially-detected
-                 sentinel (the surface is flat there) *)
-              if
-                Float.abs (f' -. !f)
-                <= options.optimizer_tol *. Float.max 1. (Float.abs !f)
-              then running := false;
-              x := x';
-              f := f';
-              g := g'
-        end
-      done;
-      Obs.Counter.bump c_line_searches !searches;
-      Some (!best_x, !best_f)
 
 let optimize_candidate ?(options = default_options) evaluator fault_low =
   let config = Evaluator.config evaluator in
@@ -250,7 +120,7 @@ let optimize_candidate ?(options = default_options) evaluator fault_low =
            the same global view — the best point of the coarse box
            lattice becomes its start — so detecting basins in corners
            the seed's descent path never reaches stay findable. *)
-        let scan = lattice_starts ~options ~lower ~upper seed in
+        let scan = lattice_starts ~lower ~upper seed in
         (* The seed + lattice sweep is a (1 fault x points) cross-product
            over one configuration: batch it through the config-major
            engine (one held factorization, all points solved against it)
@@ -301,34 +171,15 @@ let optimize_candidate ?(options = default_options) evaluator fault_low =
           ])
         name f
   in
-  (* The gradient mode tries the adjoint descent first; a configuration
-     without an analytic gradient falls through to the oracle path,
-     having spent no evaluations. *)
-  let grad_result =
-    if not options.use_gradient then None
-    else
-      span "generate.optimizer" (fun () ->
-          gradient_descent ~options ~evals:opt_evals
-            ~iterations:opt_iterations evaluator fault_low)
-  in
+  let params, fmin = span "generate.optimizer" run_optimizer in
+  (* The designer's seed is a "promising test value" (sec. 2.2): when the
+     weakened model leaves the cost surface flat, a local optimizer can
+     wander to a point that is worse than the seed itself — never accept
+     that. *)
   let params, fmin =
-    match grad_result with
-    | Some (params, fmin) ->
-        (* the descent's pre-scan covers the seed and the oracle's
-           bracket lattice, so the seed guard below is already folded
-           into its running best *)
-        (params, fmin)
-    | None ->
-        (* no analytic gradient for this configuration: the verbatim
-           oracle path, having spent nothing on the descent *)
-        let params, fmin = span "generate.optimizer" run_optimizer in
-        (* The designer's seed is a "promising test value" (sec. 2.2):
-           when the weakened model leaves the cost surface flat, a local
-           optimizer can wander to a point that is worse than the seed
-           itself — never accept that. *)
-        let seeds = Test_param.seeds_of config.Test_config.params in
-        let seed_cost = cost seeds in
-        if seed_cost < fmin then (seeds, seed_cost) else (params, fmin)
+    let seeds = Test_param.seeds_of config.Test_config.params in
+    let seed_cost = cost seeds in
+    if seed_cost < fmin then (seeds, seed_cost) else (params, fmin)
   in
   {
     cand_config_id = Evaluator.config_id evaluator;

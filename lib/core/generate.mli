@@ -26,16 +26,6 @@ type options = {
       (** impact search range around the dictionary value (default 1e3):
           resistances in [R/span, R*span] *)
   max_impact_steps : int;  (** impact walk/bisection budget (default 48) *)
-  use_gradient : bool;
-      (** when [true], candidate optimization runs a projected gradient
-          descent (Armijo backtracking) on the adjoint sensitivity
-          gradient, started from the best point of a coarse global
-          pre-scan that mirrors the oracle's bracket lattice — so the
-          descent keeps the oracle's global view of the cost surface
-          while replacing Brent/Powell's many line-minimization probes
-          with a handful of Armijo steps.  Configurations without an
-          analytic gradient fall back to the verbatim Brent/Powell
-          path (default [false]) *)
 }
 
 val default_options : options

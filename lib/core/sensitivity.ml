@@ -15,86 +15,3 @@ let compute config ~box ~nominal ~faulty =
     (Array.mapi (fun i d -> of_deviation ~deviation:d ~box:box.(i)) dev)
 
 let detects s = s < 0.
-
-(* Chain rule through the full cost pipeline.  The parameters reach the
-   sensitivity through three channels — the faulty response, the nominal
-   response, and the tolerance box (a function of the parameter point) —
-   so all three gradients are required; dropping any one would disagree
-   with finite differences.  At the kinks of the piecewise-smooth
-   surface (a deviation crossing zero, the min/argmax switching return
-   values) the one-sided derivative of the branch [compute] itself
-   selects is returned: the same first-index tie-breaking as
-   {!combine}'s fold and the deviation reductions. *)
-let compute_gradient config ~box ~dbox ~nominal ~dnominal ~faulty ~dfaulty =
-  let dev = Execute.deviations config ~nominal ~faulty in
-  if Array.length dev <> Array.length box then
-    invalid_arg "Sensitivity.compute_gradient: box length mismatch";
-  let n_obs = Array.length faulty in
-  if
-    Array.length dnominal <> n_obs
-    || Array.length dfaulty <> n_obs
-    || Array.length dbox <> Array.length box
-  then invalid_arg "Sensitivity.compute_gradient: gradient length mismatch";
-  let n_params = if n_obs = 0 then 0 else Array.length dfaulty.(0) in
-  let sign v = if v > 0. then 1. else if v < 0. then -1. else 0. in
-  (* per-return-value deviation gradients, mirroring the branch of
-     [Execute.deviations] that produced [dev] *)
-  let ddev =
-    match config.Test_config.returns with
-    | Test_config.Per_component ->
-        Array.init n_obs (fun i ->
-            Array.init n_params (fun d -> dfaulty.(i).(d) -. dnominal.(i).(d)))
-    | Test_config.Max_abs_delta ->
-        let best = ref 0 in
-        let bestv = ref (Float.abs (faulty.(0) -. nominal.(0))) in
-        for i = 1 to n_obs - 1 do
-          let v = Float.abs (faulty.(i) -. nominal.(i)) in
-          if v > !bestv then begin
-            bestv := v;
-            best := i
-          end
-        done;
-        let i = !best in
-        let sg = sign (faulty.(i) -. nominal.(i)) in
-        [|
-          Array.init n_params (fun d ->
-              sg *. (dfaulty.(i).(d) -. dnominal.(i).(d)));
-        |]
-    | Test_config.Sum_abs_delta ->
-        let total = ref 0. in
-        for i = 0 to n_obs - 1 do
-          total := !total +. (faulty.(i) -. nominal.(i))
-        done;
-        let sg = sign !total in
-        [|
-          Array.init n_params (fun d ->
-              let s = ref 0. in
-              for i = 0 to n_obs - 1 do
-                s := !s +. (dfaulty.(i).(d) -. dnominal.(i).(d))
-              done;
-              sg *. !s);
-        |]
-  in
-  let per_return =
-    Array.mapi (fun i d -> of_deviation ~deviation:d ~box:box.(i)) dev
-  in
-  let s = combine per_return in
-  (* first index attaining the minimum — the branch [combine] selects *)
-  let i_min = ref 0 in
-  (try
-     Array.iteri
-       (fun i v ->
-         if v = s then begin
-           i_min := i;
-           raise Exit
-         end)
-       per_return
-   with Exit -> ());
-  let i = !i_min in
-  let grad =
-    Array.init n_params (fun d ->
-        let dabs = sign dev.(i) *. ddev.(i).(d) in
-        -.((dabs *. box.(i)) -. (Float.abs dev.(i) *. dbox.(i).(d)))
-        /. (box.(i) *. box.(i)))
-  in
-  (s, grad)

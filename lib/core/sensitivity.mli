@@ -27,23 +27,3 @@ val compute :
 val detects : float -> bool
 (** [s < 0.] — the faulty response is guaranteed outside the tolerance
     box. *)
-
-val compute_gradient :
-  Test_config.t ->
-  box:float array ->
-  dbox:float array array ->
-  nominal:float array ->
-  dnominal:float array array ->
-  faulty:float array ->
-  dfaulty:float array array ->
-  float * float array
-(** [compute_gradient config ~box ~dbox ~nominal ~dnominal ~faulty
-    ~dfaulty] is the sensitivity together with its parameter gradient
-    [dS/dp], chaining the observable gradients of both responses (rows
-    indexed like the observables, columns like the parameters) with the
-    box gradient from {!Tolerance.box_gradient}.  The value part equals
-    {!compute} on the same inputs.  At the kinks of the
-    piecewise-smooth surface (deviation crossing zero, the min or the
-    max-delta switching return values) the one-sided derivative of the
-    branch {!compute} itself selects is returned.
-    @raise Invalid_argument on mismatched lengths. *)

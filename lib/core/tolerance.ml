@@ -146,87 +146,6 @@ let box t values_at =
   done;
   Array.mapi (fun i x -> Float.max x t.floors.(i)) acc
 
-(* Box value and its parameter gradient in one pass.  The multilinear
-   surface is differentiable inside each lattice cell: the partial along
-   axis [d] replaces that axis's corner factor (weight or 1-weight) by
-   its derivative (+1/span or -1/span) and keeps the other factors.  The
-   derivative is zero where the surface is flat — outside the lattice
-   hull (the clamp pins the weight) and wherever the accuracy floor
-   binds (the box is the constant floor there; at an exact tie the
-   interpolated side is kept, matching [Float.max]'s left bias).  The
-   returned box is computed by the same accumulation, in the same corner
-   order with the same zero-weight skips, as {!box} — bit-identical. *)
-let box_gradient t values_at =
-  let n_axes = Array.length t.axes in
-  if Vec.dim values_at <> n_axes then
-    invalid_arg "Tolerance.box_gradient: parameter count mismatch";
-  let cell = Array.make n_axes 0 in
-  let weight = Array.make n_axes 0. in
-  let dweight = Array.make n_axes 0. in
-  for d = 0 to n_axes - 1 do
-    let axis = t.axes.(d) in
-    let g = Array.length axis in
-    let raw = values_at.(d) in
-    let v = Float.min axis.(g - 1) (Float.max axis.(0) raw) in
-    let i = ref 0 in
-    while !i < g - 2 && axis.(!i + 1) < v do
-      incr i
-    done;
-    cell.(d) <- !i;
-    let span = axis.(!i + 1) -. axis.(!i) in
-    weight.(d) <- (if span <= 0. then 0. else (v -. axis.(!i)) /. span);
-    dweight.(d) <-
-      (if span <= 0. || raw < axis.(0) || raw > axis.(g - 1) then 0.
-       else 1. /. span)
-  done;
-  let dims = Array.map Array.length t.axes in
-  let flat_of idx =
-    let f = ref 0 in
-    for d = 0 to n_axes - 1 do
-      f := (!f * dims.(d)) + idx.(d)
-    done;
-    !f
-  in
-  let p = Array.length t.floors in
-  let acc = Array.make p 0. in
-  let dacc = Array.make_matrix p n_axes 0. in
-  let n_corners = 1 lsl n_axes in
-  for corner = 0 to n_corners - 1 do
-    let idx = Array.make n_axes 0 in
-    let w = ref 1. in
-    for d = 0 to n_axes - 1 do
-      let hi = corner land (1 lsl d) <> 0 in
-      idx.(d) <- cell.(d) + if hi then 1 else 0;
-      w := !w *. (if hi then weight.(d) else 1. -. weight.(d))
-    done;
-    let v = t.values.(flat_of idx) in
-    if !w > 0. then
-      for i = 0 to p - 1 do
-        acc.(i) <- acc.(i) +. (!w *. v.(i))
-      done;
-    for dd = 0 to n_axes - 1 do
-      if dweight.(dd) <> 0. then begin
-        let w' = ref 1. in
-        for d = 0 to n_axes - 1 do
-          let hi = corner land (1 lsl d) <> 0 in
-          if d = dd then w' := !w' *. (if hi then dweight.(d) else -.dweight.(d))
-          else w' := !w' *. (if hi then weight.(d) else 1. -. weight.(d))
-        done;
-        if !w' <> 0. then
-          for i = 0 to p - 1 do
-            dacc.(i).(dd) <- dacc.(i).(dd) +. (!w' *. v.(i))
-          done
-      end
-    done
-  done;
-  let box = Array.mapi (fun i x -> Float.max x t.floors.(i)) acc in
-  let dbox =
-    Array.mapi
-      (fun i row -> if acc.(i) >= t.floors.(i) then row else Array.make n_axes 0.)
-      dacc
-  in
-  (box, dbox)
-
 let lattice_points t =
   lattice_indices t.axes |> List.map (point_of_indices t.axes)
 

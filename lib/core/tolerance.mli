@@ -56,18 +56,6 @@ val box : t -> Numerics.Vec.t -> float array
     value set, clamped below by the configuration's accuracy floor.
     Values outside the lattice are clamped onto it. *)
 
-val box_gradient : t -> Numerics.Vec.t -> float array * float array array
-(** [box_gradient t values] is the box half-widths together with their
-    parameter gradient: [(box, dbox)] with [dbox.(i).(d)] the partial of
-    return value [i]'s half-width along parameter [d].  The box part is
-    bit-identical to {!box}.  The multilinear surface's derivative is
-    exact inside each lattice cell and zero where the surface is flat:
-    outside the lattice hull (the clamp) and wherever the accuracy
-    floor binds.  Consumed by the adjoint sensitivity chain — the cost
-    function depends on parameters through the box as well as through
-    the circuit response, so a gradient that ignored [dbox] would
-    disagree with finite differences. *)
-
 val config : t -> Test_config.t
 
 val lattice_points : t -> Numerics.Vec.t list

@@ -43,7 +43,7 @@ val engine_run :
   Setup.t ->
   Testgen.Engine.run
 (** The 55-fault generation run feeding tab2/fig8/tab3/tab4/xbase.
-    [options] (e.g. the gradient optimizer mode), [policy], [resume],
+    [options] (e.g. {!Setup.probe_options}), [policy], [resume],
     [checkpoint] and [executor] (e.g. [Testgen.Parallel.executor
     ~jobs]) are passed through to {!Testgen.Engine.run}. *)
 

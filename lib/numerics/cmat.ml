@@ -80,73 +80,3 @@ let solve m b =
     x.(i) <- div !s a.((i * n) + i)
   done;
   x
-
-(* Transpose solve for adjoint small-signal sensitivities.  Unlike
-   {!solve}, which folds the right-hand side into the elimination sweep,
-   the transpose system needs the multipliers after the factorization
-   finishes, so this variant keeps a true packed LU (multipliers stored
-   in the strictly lower triangle, pivot permutation recorded) and then
-   runs the transposed triangular sweeps: with [P A = L U],
-   [A^T x = b  ⇔  U^T (L^T (P x)) = b].  Plain transpose, no
-   conjugation — the adjoint of the MNA system matrix, matching
-   {!transpose}. *)
-let solve_transpose m b =
-  if m.r <> m.c then invalid_arg "Cmat.solve_transpose: not square";
-  if Array.length b <> m.r then
-    invalid_arg "Cmat.solve_transpose: dimension mismatch";
-  let n = m.r in
-  let a = Array.copy m.a in
-  let piv = Array.init n (fun i -> i) in
-  for k = 0 to n - 1 do
-    let p = ref k in
-    let best = ref (norm a.((k * n) + k)) in
-    for i = k + 1 to n - 1 do
-      let v = norm a.((i * n) + k) in
-      if v > !best then begin
-        best := v;
-        p := i
-      end
-    done;
-    if !best < 1e-300 then raise (Singular k);
-    if !p <> k then begin
-      for j = 0 to n - 1 do
-        let t = a.((k * n) + j) in
-        a.((k * n) + j) <- a.((!p * n) + j);
-        a.((!p * n) + j) <- t
-      done;
-      let t = piv.(k) in
-      piv.(k) <- piv.(!p);
-      piv.(!p) <- t
-    end;
-    let akk = a.((k * n) + k) in
-    for i = k + 1 to n - 1 do
-      let lik = div a.((i * n) + k) akk in
-      a.((i * n) + k) <- lik;
-      if norm lik > 0. then
-        for j = k + 1 to n - 1 do
-          a.((i * n) + j) <- sub a.((i * n) + j) (mul lik a.((k * n) + j))
-        done
-    done
-  done;
-  let y = Array.make n Complex.zero in
-  (* forward substitution through U^T (divided diagonal) *)
-  for i = 0 to n - 1 do
-    let s = ref b.(i) in
-    for j = 0 to i - 1 do
-      s := sub !s (mul a.((j * n) + i) y.(j))
-    done;
-    y.(i) <- div !s a.((i * n) + i)
-  done;
-  (* backward substitution through L^T (unit diagonal) *)
-  for i = n - 1 downto 0 do
-    let s = ref y.(i) in
-    for j = i + 1 to n - 1 do
-      s := sub !s (mul a.((j * n) + i) y.(j))
-    done;
-    y.(i) <- !s
-  done;
-  let x = Array.make n Complex.zero in
-  for i = 0 to n - 1 do
-    x.(piv.(i)) <- y.(i)
-  done;
-  x

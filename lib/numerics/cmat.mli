@@ -29,10 +29,3 @@ exception Singular of int
 val solve : t -> Complex.t array -> Complex.t array
 (** Solve [A x = b] by partial-pivoting LU (pivot on modulus).
     @raise Singular when a pivot vanishes. *)
-
-val solve_transpose : t -> Complex.t array -> Complex.t array
-(** Solve [A^T x = b] (plain transpose, no conjugation) — the AC
-    analogue of {!Mat.solve_transpose_into} for adjoint small-signal
-    sensitivities.  Factors once with the same pivoting rule as
-    {!solve}, then runs the transposed triangular sweeps.
-    @raise Singular when a pivot vanishes. *)

@@ -212,44 +212,6 @@ let solve_into ws b x =
     x.(i) <- !s /. a.((i * n) + i)
   done
 
-(* Transpose solve against the same held factorization: with PA = LU,
-   A^T x = b  ⇔  U^T (L^T (P x)) = b — forward-substitute through U^T
-   (divided diagonal), back-substitute through L^T (unit diagonal), then
-   undo the row permutation.  One temporary vector is allocated: the
-   adjoint solve runs once per gradient, not once per Newton iteration,
-   so the allocation never sits on the hot path. *)
-let solve_transpose_into ws b x =
-  if not ws.factored then
-    invalid_arg "Mat.solve_transpose_into: workspace not factored";
-  let { n; lu = a; piv; _ } = ws in
-  if Vec.dim b <> n then
-    invalid_arg "Mat.solve_transpose_into: dimension mismatch";
-  if Vec.dim x <> n then
-    invalid_arg "Mat.solve_transpose_into: bad output dimension";
-  if b == x then
-    invalid_arg "Mat.solve_transpose_into: aliased input and output";
-  let y = Array.make n 0. in
-  (* forward substitution through U^T (lower triangular, divided diagonal) *)
-  for i = 0 to n - 1 do
-    let s = ref b.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (a.((j * n) + i) *. y.(j))
-    done;
-    y.(i) <- !s /. a.((i * n) + i)
-  done;
-  (* backward substitution through L^T (upper triangular, unit diagonal) *)
-  for i = n - 1 downto 0 do
-    let s = ref y.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (a.((j * n) + i) *. y.(j))
-    done;
-    y.(i) <- !s
-  done;
-  (* P x = y, so row piv.(i) of x receives component i *)
-  for i = 0 to n - 1 do
-    x.(piv.(i)) <- y.(i)
-  done
-
 let lu_solve { n; lu = a; piv; _ } b =
   if Vec.dim b <> n then invalid_arg "Mat.lu_solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(piv.(i))) in

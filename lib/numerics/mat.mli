@@ -77,19 +77,6 @@ val solve_into : lu -> Vec.t -> Vec.t -> unit
     @raise Invalid_argument on dimension mismatch, aliasing, or an
     unfactored workspace. *)
 
-val solve_transpose_into : lu -> Vec.t -> Vec.t -> unit
-(** [solve_transpose_into ws b x] solves [A^T x = b] against the same
-    held factorization that {!solve_into} uses for [A x = b] — the
-    adjoint-sensitivity primitive: one extra pair of triangular sweeps
-    per gradient instead of one full re-simulation per parameter.  With
-    [P A = L U] the transpose system factors as
-    [U^T (L^T (P x)) = b]; the routine forward-substitutes through
-    [U^T], back-substitutes through the unit-diagonal [L^T], and undoes
-    the row permutation.  [b] is untouched; allocates one scratch
-    vector (the adjoint path is once-per-gradient, not once-per-Newton).
-    @raise Invalid_argument on dimension mismatch, aliasing, or an
-    unfactored workspace. *)
-
 val lu_size : lu -> int
 
 val lu_pivots : lu -> int array

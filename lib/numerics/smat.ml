@@ -188,9 +188,8 @@ let permute_sym a ~perm =
    sorted column indices, the slot of the diagonal, and the row's
    current length.  Row storage grows on demand and is reused across
    factorizations, so the restamp-many loop settles into steady state
-   with no allocation.  [cl_*]/[cu_*] are column views over the same
-   slots (L below the diagonal, U above), rebuilt per fresh factor and
-   replayed by [refactor] and the transpose solve. *)
+   with no allocation.  [cl_*] is a column view of L (the slots below
+   the diagonal), rebuilt per fresh factor and replayed by [refactor]. *)
 type lu = {
   ln : int;
   mutable factored : bool;
@@ -203,9 +202,6 @@ type lu = {
   mutable cl_ptr : int array;
   mutable cl_row : int array;
   mutable cl_slot : int array;
-  mutable cu_ptr : int array;
-  mutable cu_row : int array;
-  mutable cu_slot : int array;
   cur : int array;  (* per-row cursor of the fresh elimination *)
   s_ci : int array;  (* merge scratch *)
   s_vx : float array;
@@ -238,9 +234,6 @@ let lu_workspace n =
     cl_ptr = Array.make (n + 1) 0;
     cl_row = [||];
     cl_slot = [||];
-    cu_ptr = Array.make (n + 1) 0;
-    cu_row = [||];
-    cu_slot = [||];
     cur = Array.make n 0;
     s_ci = Array.make n 0;
     s_vx = Array.make n 0.;
@@ -274,47 +267,32 @@ let ensure_row ws i cap ~keep =
 
 let build_columns ws =
   let n = ws.ln in
-  let lp = Array.make (n + 1) 0 and up = Array.make (n + 1) 0 in
+  let lp = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    let ci_ = ws.r_ci.(i) and d = ws.r_diag.(i) in
-    for s = 0 to d - 1 do
+    let ci_ = ws.r_ci.(i) in
+    for s = 0 to ws.r_diag.(i) - 1 do
       lp.(ci_.(s) + 1) <- lp.(ci_.(s) + 1) + 1
-    done;
-    for s = d + 1 to ws.r_len.(i) - 1 do
-      up.(ci_.(s) + 1) <- up.(ci_.(s) + 1) + 1
     done
   done;
   for c = 1 to n do
-    lp.(c) <- lp.(c) + lp.(c - 1);
-    up.(c) <- up.(c) + up.(c - 1)
+    lp.(c) <- lp.(c) + lp.(c - 1)
   done;
-  let ltot = lp.(n) and utot = up.(n) in
+  let ltot = lp.(n) in
   if Array.length ws.cl_row < ltot then begin
     ws.cl_row <- Array.make ltot 0;
     ws.cl_slot <- Array.make ltot 0
   end;
-  if Array.length ws.cu_row < utot then begin
-    ws.cu_row <- Array.make utot 0;
-    ws.cu_slot <- Array.make utot 0
-  end;
-  let lpos = Array.copy lp and upos = Array.copy up in
+  let lpos = Array.copy lp in
   for i = 0 to n - 1 do
-    let ci_ = ws.r_ci.(i) and d = ws.r_diag.(i) in
-    for s = 0 to d - 1 do
+    let ci_ = ws.r_ci.(i) in
+    for s = 0 to ws.r_diag.(i) - 1 do
       let c = ci_.(s) in
       ws.cl_row.(lpos.(c)) <- i;
       ws.cl_slot.(lpos.(c)) <- s;
       lpos.(c) <- lpos.(c) + 1
-    done;
-    for s = d + 1 to ws.r_len.(i) - 1 do
-      let c = ci_.(s) in
-      ws.cu_row.(upos.(c)) <- i;
-      ws.cu_slot.(upos.(c)) <- s;
-      upos.(c) <- upos.(c) + 1
     done
   done;
-  ws.cl_ptr <- lp;
-  ws.cu_ptr <- up
+  ws.cl_ptr <- lp
 
 (* Compile the replay schedule for [refactor]'s fast path against the
    pattern of [a].  Every entry of pivoted row [piv i] of A appears in
@@ -680,39 +658,6 @@ let solve_into ws b x =
       s := !s -. (vx_.(t) *. x.(ci_.(t)))
     done;
     x.(i) <- !s /. vx_.(d)
-  done
-
-let solve_transpose_into ws b x =
-  if not ws.factored then
-    invalid_arg "Smat.solve_transpose_into: workspace not factored";
-  let n = ws.ln in
-  if Vec.dim b <> n then
-    invalid_arg "Smat.solve_transpose_into: dimension mismatch";
-  if Vec.dim x <> n then
-    invalid_arg "Smat.solve_transpose_into: bad output dimension";
-  if b == x then
-    invalid_arg "Smat.solve_transpose_into: aliased input and output";
-  let y = Array.make n 0. in
-  (* forward substitution through U^T via the U column view *)
-  for i = 0 to n - 1 do
-    let s = ref b.(i) in
-    for t = ws.cu_ptr.(i) to ws.cu_ptr.(i + 1) - 1 do
-      let j = ws.cu_row.(t) in
-      s := !s -. (ws.r_vx.(j).(ws.cu_slot.(t)) *. y.(j))
-    done;
-    y.(i) <- !s /. ws.r_vx.(i).(ws.r_diag.(i))
-  done;
-  (* backward substitution through L^T via the L column view *)
-  for i = n - 1 downto 0 do
-    let s = ref y.(i) in
-    for t = ws.cl_ptr.(i) to ws.cl_ptr.(i + 1) - 1 do
-      let j = ws.cl_row.(t) in
-      s := !s -. (ws.r_vx.(j).(ws.cl_slot.(t)) *. y.(j))
-    done;
-    y.(i) <- !s
-  done;
-  for i = 0 to n - 1 do
-    x.(ws.piv.(i)) <- y.(i)
   done
 
 type block = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t

@@ -10,8 +10,8 @@
     The factorization is a right-looking row-major LU with partial
     pivoting that performs the {e same pivot choices and the same
     per-entry update sequence} as {!Mat.factor_in_place}, merely skipping
-    the structurally-zero work — so factors, solves and transpose solves
-    are bit-identical to the dense path on any pattern.  That is the
+    the structurally-zero work — so factors and solves are
+    bit-identical to the dense path on any pattern.  That is the
     contract that lets the dense and sparse backends produce identical
     detect verdicts and session bytes; it is pinned by the QCheck parity
     suite.
@@ -82,8 +82,8 @@ val permute_sym : t -> perm:int array -> t
 
 type lu
 (** A sparse LU workspace: packed row-major L\U factor with its pivot
-    permutation, plus the held pattern, fill and column views that
-    {!refactor} and {!solve_transpose_into} replay. *)
+    permutation, plus the held pattern, fill and L column view that
+    {!refactor} replays. *)
 
 val lu_workspace : int -> lu
 (** Preallocates an (unfactored, pattern-less) workspace.  Row storage
@@ -124,12 +124,6 @@ val refactor : t -> lu -> bool
 val solve_into : lu -> Vec.t -> Vec.t -> unit
 (** Bit-identical to {!Mat.solve_into} against the dense factorization
     of the same matrix.
-    @raise Invalid_argument on dimension mismatch, aliasing, or an
-    unfactored workspace. *)
-
-val solve_transpose_into : lu -> Vec.t -> Vec.t -> unit
-(** Bit-identical to {!Mat.solve_transpose_into} — the adjoint
-    primitive, solved through the held column views of L and U.
     @raise Invalid_argument on dimension mismatch, aliasing, or an
     unfactored workspace. *)
 

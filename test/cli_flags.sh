@@ -58,6 +58,7 @@ reject "bad --inject spec"   generate --fast --take 1 --inject "no.such.point=2"
 reject "unknown fuzz check"  fuzz --campaigns 1 --check no-such-invariant
 reject "parametric macro 0"  op --macro skc0
 reject "parametric macro big" op --macro rc9999
+reject "removed --grad"      generate --fast --take 1 --grad
 
 # The op header names the backend chosen from the netlist size: dense LU
 # for the 10-node IV-converter, sparse for the 97-node skc32 chain.

@@ -342,28 +342,6 @@ let test_dc_gmin_stepping_path () =
   check_float ~eps:1e-3 "same operating point" 2.4997
     (Mna.voltage sys report.Dc.solution "vout")
 
-(* ------------------------------------------------- fault-impact site *)
-
-let test_mna_impact_site () =
-  let sys = Mna.build (divider 10. 1e3 3e3) in
-  let idx name = Option.get (Mna.node_index sys name) in
-  (match Mna.impact_site sys "r1" with
-  | Some (i, j) ->
-      let expect = [ idx "top"; idx "mid" ] in
-      Alcotest.(check bool) "r1 terminals" true
-        (List.sort compare [ i; j ] = List.sort compare expect)
-  | None -> Alcotest.fail "r1 should have an impact site");
-  (match Mna.impact_site sys "r2" with
-  | Some (i, j) ->
-      (* grounded terminal carries index -1 *)
-      Alcotest.(check bool) "r2 terminals" true
-        (List.sort compare [ i; j ] = List.sort compare [ idx "mid"; -1 ])
-  | None -> Alcotest.fail "r2 should have an impact site");
-  Alcotest.(check bool) "unknown device" true
-    (Mna.impact_site sys "nope" = None);
-  Alcotest.(check bool) "vsource is not a resistor" true
-    (Mna.impact_site sys "vin" = None)
-
 let test_tran_trapezoidal_inductor () =
   (* RL step response under trapezoidal integration *)
   let nl =
@@ -683,7 +661,6 @@ let () =
           Alcotest.test_case "nmos inverter" `Quick test_dc_nmos_inverter;
           Alcotest.test_case "guess dimension" `Quick test_dc_guess_dimension;
           Alcotest.test_case "gmin stepping path" `Quick test_dc_gmin_stepping_path;
-          Alcotest.test_case "impact site" `Quick test_mna_impact_site;
         ] );
       ( "tran",
         [

@@ -1,8 +1,7 @@
 (* Unit tests for the sensitivity cost function: pinned values for a
    hand-solved resistive divider with a bridge fault, sign/monotonicity
    properties of the paper's S_f(T) = 1 - |delta r|/box, and the
-   compute_gradient chain rule checked against finite differences of
-   compute for every return mode. *)
+   minimum over several return values. *)
 
 open Testgen
 
@@ -118,98 +117,6 @@ let test_multi_return_minimum () =
   (* component sensitivities are 0.5 and -2: the worse one wins *)
   Alcotest.check approx "minimum over return values" (-2.) s
 
-(* --------------------------------------- compute_gradient chain *)
-
-let test_gradient_pinned () =
-  (* S(p) = 1 - |f - n| / b with n = 2 + 3p, f = 1 + p, b = 0.5 + 0.1p
-     at p = 0.2: dev = -(1 + 2p), S = 1 - (1 + 2p)/(0.5 + 0.1p) and
-     dS/dp = -(2 b - (1 + 2p) 0.1)/b^2 = -0.9/0.2704. *)
-  let p = 0.2 in
-  let s, grad =
-    Sensitivity.compute_gradient one_return
-      ~box:[| 0.5 +. (0.1 *. p) |]
-      ~dbox:[| [| 0.1 |] |]
-      ~nominal:[| 2. +. (3. *. p) |]
-      ~dnominal:[| [| 3. |] |]
-      ~faulty:[| 1. +. p |]
-      ~dfaulty:[| [| 1. |] |]
-  in
-  Alcotest.check approx "pinned value" (1. -. (1.4 /. 0.52)) s;
-  Alcotest.check approx "pinned gradient" (-0.9 /. (0.52 *. 0.52)) grad.(0)
-
-let test_gradient_value_matches_compute () =
-  let config = config_of ~levels:3 Test_config.Per_component [ "a"; "b"; "c" ] in
-  let rng = Numerics.Rng.create 21L in
-  for _ = 1 to 50 do
-    let arr n lo hi = Array.init n (fun _ -> Numerics.Rng.uniform rng ~lo ~hi) in
-    let box = arr 3 0.05 0.5
-    and nominal = arr 3 (-1.) 1.
-    and faulty = arr 3 (-1.) 1. in
-    let dzero = Array.init 3 (fun _ -> [| 0. |]) in
-    let s, _ =
-      Sensitivity.compute_gradient config ~box ~dbox:dzero ~nominal
-        ~dnominal:dzero ~faulty ~dfaulty:dzero
-    in
-    Alcotest.(check int64) "value part bit-identical to compute"
-      (Int64.bits_of_float
-         (Sensitivity.compute config ~box ~nominal ~faulty))
-      (Int64.bits_of_float s)
-  done
-
-(* Every return mode: the analytic gradient must match a central
-   difference of [compute] along a random linear parameterization of
-   the inputs (responses and box all moving with p). *)
-let prop_gradient_matches_fd =
-  let modes =
-    [
-      (config_of ~levels:3 Test_config.Per_component [ "a"; "b"; "c" ], 3, 3);
-      (config_of ~levels:4 Test_config.Max_abs_delta [ "max" ], 4, 1);
-      (config_of ~levels:4 Test_config.Sum_abs_delta [ "sum" ], 4, 1);
-    ]
-  in
-  QCheck.Test.make ~name:"compute_gradient matches FD of compute" ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_bound 2))
-    (fun (seed, mode) ->
-      let config, samples, returns = List.nth modes mode in
-      let rng = Numerics.Rng.create (Int64.of_int ((seed * 3) + mode)) in
-      let arr n lo hi =
-        Array.init n (fun _ -> Numerics.Rng.uniform rng ~lo ~hi)
-      in
-      let nominal0 = arr samples (-1.) 1.
-      and dnominal = arr samples (-0.5) 0.5
-      and faulty0 = arr samples (-1.) 1.
-      and dfaulty = arr samples (-0.5) 0.5
-      and box0 = arr returns 0.2 0.6
-      and dbox = arr returns (-0.05) 0.05 in
-      let at t =
-        ( Array.mapi (fun i x -> x +. (t *. dnominal.(i))) nominal0,
-          Array.mapi (fun i x -> x +. (t *. dfaulty.(i))) faulty0,
-          Array.mapi (fun i x -> x +. (t *. dbox.(i))) box0 )
-      in
-      let value t =
-        let nominal, faulty, box = at t in
-        Sensitivity.compute config ~box ~nominal ~faulty
-      in
-      let s, grad =
-        let nominal, faulty, box = at 0. in
-        Sensitivity.compute_gradient config ~box
-          ~dbox:(Array.map (fun d -> [| d |]) dbox)
-          ~nominal
-          ~dnominal:(Array.map (fun d -> [| d |]) dnominal)
-          ~faulty
-          ~dfaulty:(Array.map (fun d -> [| d |]) dfaulty)
-      in
-      if Int64.bits_of_float s <> Int64.bits_of_float (value 0.) then false
-      else
-        let h = 1e-6 in
-        let fd = (value h -. value (-.h)) /. (2. *. h) in
-        let fd2 = (value (h /. 2.) -. value (-.h /. 2.)) /. h in
-        (* piecewise-linear surface: away from the kinks (min switch,
-           |dev| zero crossing, argmax switch) both steps agree and the
-           FD is exact; on a kink they differ — skip the draw. *)
-        QCheck.assume (Float.abs (fd -. fd2) <= 1e-9 *. Float.max 1. (Float.abs fd));
-        Float.abs (fd -. grad.(0)) <= 1e-6 *. Float.max 1. (Float.abs fd))
-
 let () =
   Alcotest.run "sensitivity"
     [
@@ -227,12 +134,5 @@ let () =
             test_divider_monotone;
           Alcotest.test_case "multi-return minimum" `Quick
             test_multi_return_minimum;
-        ] );
-      ( "gradient",
-        [
-          Alcotest.test_case "pinned chain rule" `Quick test_gradient_pinned;
-          Alcotest.test_case "value part matches compute" `Quick
-            test_gradient_value_matches_compute;
-          QCheck_alcotest.to_alcotest prop_gradient_matches_fd;
         ] );
     ]
