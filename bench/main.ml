@@ -201,12 +201,9 @@ let run_parallel_bench ctx =
     List.length (Faults.Dictionary.entries ctx.Experiments.Setup.dictionary)
   in
   let timed jobs =
-    let executor =
-      if jobs = 1 then Engine.sequential else Parallel.executor ~jobs
-    in
     Printf.eprintf "parallel bench: generation run at --jobs %d...\n%!" jobs;
     let t0 = Unix.gettimeofday () in
-    let run = Experiments.Runs.engine_run ~executor ctx in
+    let run = Experiments.Runs.engine_run ~jobs ctx in
     let dt = Unix.gettimeofday () -. t0 in
     Printf.eprintf "parallel bench: --jobs %d done in %.2f s\n%!" jobs dt;
     (jobs, run, dt)
@@ -258,8 +255,7 @@ let run_parallel_bench ctx =
   let obs_json =
     Fun.protect ~finally:Obs.shutdown (fun () ->
         let run =
-          Experiments.Runs.engine_run ~executor:(Parallel.executor ~jobs:host)
-            ctx
+          Experiments.Runs.engine_run ~jobs:host ctx
         in
         if fingerprint run <> seq_fp then
           Printf.eprintf
@@ -683,23 +679,14 @@ let run_serve_bench ~smoke =
     | Some v -> v
     | None ->
         let ctx, options =
-          if String.equal macro_name "iv" then
-            (Experiments.Setup.iv ~profile:Execute.fast_profile (), None)
-          else
-            let macro =
-              match Macros.Registry.find macro_name with
-              | Ok m -> m
-              | Error e ->
-                  Printf.eprintf "serve bench: %s\n%!" e;
-                  exit 1
-            in
-            ( Experiments.Setup.probe ~profile:Execute.fast_profile ~macro (),
-              Some Experiments.Setup.probe_options )
+          match Experiments.Setup.for_macro ~fast:true macro_name with
+          | Ok built -> built
+          | Error e ->
+              Printf.eprintf "serve bench: %s\n%!" e;
+              exit 1
         in
         let ctx = Experiments.Setup.reduced ctx ~n_faults:take in
-        let run =
-          Experiments.Runs.engine_run ?options ~executor:Engine.sequential ctx
-        in
+        let run = Experiments.Runs.engine_run ?options ctx in
         let v = Serve.Jsonl.to_string (Serve.Protocol.verdicts_of_run run) in
         Hashtbl.replace reference key v;
         v

@@ -17,9 +17,26 @@ let fast_arg =
   let doc = "Use the fast execution profile (coarser THD windows)." in
   Arg.(value & flag & info [ "fast" ] ~doc)
 
+(* Numeric flags are validated at parse time: garbage and out-of-range
+   values produce a friendly cmdliner error (usage exit code) instead of
+   being silently clamped or crashing mid-run. *)
+let bounded_int ~what ~min () =
+  let parse s =
+    match int_of_string_opt s with
+    | None ->
+        Error (`Msg (Printf.sprintf "%s: expected an integer, got %S" what s))
+    | Some v when v < min ->
+        Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" what min v))
+    | Some v -> Ok v
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let take_arg =
   let doc = "Only process the first $(docv) dictionary faults." in
-  Arg.(value & opt (some int) None & info [ "take" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (bounded_int ~what:"--take" ~min:1 ())) None
+    & info [ "take" ] ~docv:"N" ~doc)
 
 let profile_of fast =
   if fast then Execute.fast_profile else Execute.default_profile
@@ -302,20 +319,12 @@ let iv_context ~fast () =
   prerr_endline "calibrating tolerance boxes...";
   Experiments.Setup.iv ~profile:(profile_of fast) ()
 
-(* Generation context for any --macro: the IV-converter gets the paper's
-   calibrated setup, every other macro the deterministic probe context.
-   Identical construction to Serve.Server's context cache, so the serve
-   and one-shot paths pose bit-identical problems (the basis of the
-   bench's verdict-compatibility gate). *)
+(* Generation context for any --macro, built exactly as the serve
+   daemon builds it. *)
 let generation_context ~macro_name ~fast () =
-  match macro_of_name macro_name with
-  | Error e -> Error e
-  | Ok macro ->
-      if String.equal macro_name "iv" then Ok (iv_context ~fast (), None)
-      else
-        Ok
-          ( Experiments.Setup.probe ~profile:(profile_of fast) ~macro (),
-            Some Experiments.Setup.probe_options )
+  Experiments.Setup.for_macro
+    ~on_calibrate:(fun () -> prerr_endline "calibrating tolerance boxes...")
+    ~fast macro_name
 
 let progress ~done_ ~total ~fault_id =
   Printf.eprintf "  [%2d/%2d] %s\n%!" done_ total fault_id
@@ -383,20 +392,6 @@ let tps_cmd =
 
 (* -- resilience options ------------------------------------------------ *)
 
-(* Numeric flags are validated at parse time: garbage and out-of-range
-   values produce a friendly cmdliner error (usage exit code) instead of
-   being silently clamped or crashing mid-run. *)
-let bounded_int ~what ~min () =
-  let parse s =
-    match int_of_string_opt s with
-    | None ->
-        Error (`Msg (Printf.sprintf "%s: expected an integer, got %S" what s))
-    | Some v when v < min ->
-        Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" what min v))
-    | Some v -> Ok v
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
 let seed_conv what =
   let parse s =
     match Int64.of_string_opt s with
@@ -444,10 +439,6 @@ let jobs_arg =
     value
     & opt (bounded_int ~what:"--jobs" ~min:0 ()) 1
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let executor_of jobs =
-  let jobs = if jobs <= 0 then Parallel.default_jobs () else jobs in
-  if jobs = 1 then Engine.sequential else Parallel.executor ~jobs
 
 let policy_of ~max_retries ~fail_fast =
   {
@@ -526,55 +517,45 @@ let save_session path results =
       Printf.eprintf "cannot save session: %s\n" m;
       1
 
-(* A session that exists but fails to load is corrupt (exit code 5,
-   Engine.exit_corrupt_session); a missing or unreadable file stays a
-   plain IO error (exit code 1). *)
-let session_error_code path =
-  if Sys.file_exists path then Engine.exit_corrupt_session else 1
-
-let run_or_load ?options ?policy ?resume ?executor ctx ~load ~take =
+let run_or_load ?options ?policy ?resume ~jobs ctx ~load ~take =
   match load with
   | Some path -> begin
       match Session.load ~path with
       | Error m ->
           Printf.eprintf "cannot load session: %s\n" m;
-          Error (session_error_code path)
+          Error (Experiments.Runs.session_error_code path)
       | Ok results ->
           Ok (Engine.of_results ~evaluators:ctx.Experiments.Setup.evaluators results)
     end
-  | None -> begin
+  | None -> (
       let ctx =
         match take with
         | Some n -> Experiments.Setup.reduced ctx ~n_faults:n
         | None -> ctx
       in
-      let finish run =
-        print_resilience_summary run;
-        Ok run
+      let run =
+        match resume with
+        | None ->
+            Ok
+              (Experiments.Runs.engine_run ~progress ?options ?policy ~jobs
+                 ctx)
+        | Some path ->
+            let on_resume = function
+              | 0 -> ()
+              | n ->
+                  Printf.eprintf
+                    "checkpoint %s: %d fault(s) already generated\n%!" path n
+            in
+            Experiments.Runs.resume_run ~progress ?options ?policy ~jobs
+              ~on_resume ~path ctx
       in
-      match resume with
-      | None ->
-          finish
-            (Experiments.Runs.engine_run ~progress ?options ?policy ?executor
-               ctx)
-      | Some path -> begin
-          match Session.checkpoint_resume ~path with
-          | Error m ->
-              Printf.eprintf "cannot resume checkpoint: %s\n" m;
-              Error (session_error_code path)
-          | Ok (ck, prior) ->
-              if prior <> [] then
-                Printf.eprintf "checkpoint %s: %d fault(s) already generated\n%!"
-                  path (List.length prior);
-              finish
-                (Fun.protect
-                   ~finally:(fun () -> Session.checkpoint_close ck)
-                   (fun () ->
-                     Experiments.Runs.engine_run ~progress ?options ?policy
-                       ?executor ~resume:prior
-                       ~checkpoint:(Session.checkpoint_append ck) ctx))
-        end
-    end
+      match run with
+      | Ok run ->
+          print_resilience_summary run;
+          Ok run
+      | Error (code, message) ->
+          prerr_endline message;
+          Error code)
 
 (* -- tracing ----------------------------------------------------------- *)
 
@@ -621,8 +602,8 @@ let generate_cmd =
                 prerr_endline e;
                 1
             | Ok (ctx, ctx_options) ->
-                Numerics.Failpoint.configure ~seed:inject_seed specs;
-                Fun.protect ~finally:Numerics.Failpoint.disable (fun () ->
+                Numerics.Failpoint.with_config ~seed:inject_seed specs
+                  (fun () ->
                     let policy = policy_of ~max_retries ~fail_fast in
                     match fault_id with
                     | Some fid ->
@@ -631,7 +612,7 @@ let generate_cmd =
                     | None -> begin
                         match
                           run_or_load ?options:ctx_options ~policy ?resume
-                            ~executor:(executor_of jobs) ctx ~load:None ~take
+                            ~jobs ctx ~load:None ~take
                         with
                         | Error code -> code
                         | Ok run_result ->
@@ -669,8 +650,7 @@ let compact_cmd =
         | Ok (ctx, options) -> (
             let policy = policy_of ~max_retries ~fail_fast in
             match
-              run_or_load ?options ~policy ?resume
-                ~executor:(executor_of jobs) ctx ~load ~take
+              run_or_load ?options ~policy ?resume ~jobs ctx ~load ~take
             with
             | Error code -> code
             | Ok run_result ->
@@ -711,8 +691,7 @@ let baseline_cmd =
               | None -> ctx
             in
             let run_result =
-              Experiments.Runs.engine_run ~progress ?options
-                ~executor:(executor_of jobs) ctx
+              Experiments.Runs.engine_run ~progress ?options ~jobs ctx
             in
             print_string (Experiments.Runs.xbase ctx run_result);
             Engine.exit_status run_result)
@@ -859,8 +838,7 @@ let profile_cmd =
           | None -> ctx
         in
         let run_result =
-          Experiments.Runs.engine_run ~progress ~executor:(executor_of jobs)
-            ctx
+          Experiments.Runs.engine_run ~progress ~jobs ctx
         in
         print_string (render_profile run_result);
         print_resilience_summary run_result;

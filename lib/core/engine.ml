@@ -17,9 +17,7 @@ type run = {
   total_fault_simulations : int;
 }
 
-(* -- pluggable execution ----------------------------------------------- *)
-
-(* A worker bundles everything one executing agent (the sequential loop,
+(* A worker bundles everything one executing agent (the in-order loop,
    or one domain of a pool) needs to simulate faults without sharing
    mutable state with anyone else: forked evaluators (private caches and
    counters) plus a private table of rung-escalated evaluator sets.
@@ -30,25 +28,6 @@ type worker = {
   w_evaluators : Evaluator.t list;
   w_escalated : (string, Evaluator.t list) Hashtbl.t;
 }
-
-type executor = {
-  exec_run :
-    n:int ->
-    make_worker:(unit -> worker) ->
-    run_task:(worker -> int -> Generate.result Resilience.outcome) ->
-    emit:(int -> Generate.result Resilience.outcome -> unit) ->
-    unit;
-}
-
-let sequential =
-  {
-    exec_run =
-      (fun ~n ~make_worker ~run_task ~emit ->
-        let w = make_worker () in
-        for i = 0 to n - 1 do
-          emit i (run_task w i)
-        done);
-  }
 
 let c_faults = Obs.Counter.create "engine.faults"
 
@@ -76,7 +55,7 @@ let rung_stats_of_reports ~policy reports =
        ladder_rungs
 
 let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoint
-    ?progress ?(executor = sequential) ~evaluators dictionary =
+    ?progress ?(jobs = 1) ~evaluators dictionary =
   let entries = Array.of_list (Faults.Dictionary.entries dictionary) in
   let total = Array.length entries in
   let started = Unix.gettimeofday () in
@@ -90,10 +69,10 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
     (fun (r : Generate.result) ->
       Hashtbl.replace resumed r.Generate.fault_id r)
     resume;
-  (* Every worker gets forked evaluators — even the sequential one — so
-     the caller's evaluators are never mutated while the executor runs
-     (forking reads them concurrently) and every worker sees the same
-     starting cache state.  Forks are absorbed back afterwards, an
+  (* Every worker gets forked evaluators — even the single one of a
+     [jobs = 1] run — so the caller's evaluators are never mutated while
+     the workers run (forking reads them concurrently) and every worker
+     sees the same starting cache state.  Forks are absorbed back afterwards, an
      order-independent merge, so evaluation counts and cache warmth end
      up exactly as a sequential run would leave them. *)
   let workers_mutex = Mutex.create () in
@@ -176,7 +155,7 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
      the in-order emit funnel below, so the trace-file event order is
      deterministic under any worker count.  The slot for task i is
      written by the worker before its outcome reaches the funnel (the
-     executor's queue orders the two), and read only in [emit i]. *)
+     fan-out's slot array orders the two), and read only in [emit i]. *)
   let obs_buffers = Array.make total Obs.Task.none in
   let run_task w i =
     let entry = entries.(i) in
@@ -236,10 +215,10 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
             w.w_evaluators tw.w_evaluators;
         outcome
   in
-  (* The single-writer funnel: executors must emit outcomes with strictly
-     increasing task indices (a pool reorders completions before emitting),
-     so checkpoint blocks are appended — and progress reported — in
-     dictionary order from one thread, exactly like the sequential loop. *)
+  (* The single-writer funnel: Parallel.fan_out emits outcomes with
+     strictly increasing task indices (a pool reorders completions before
+     emitting), so checkpoint blocks are appended — and progress reported
+     — in dictionary order from one thread at every job count. *)
   let report_slots = Array.make total None in
   let emit i outcome =
     if Obs.active () then begin
@@ -264,19 +243,14 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
   in
   (let execute () =
      Fun.protect ~finally:absorb_workers (fun () ->
-         executor.exec_run ~n:total ~make_worker ~run_task ~emit)
+         Parallel.fan_out ~jobs ~make_ctx:make_worker ~f:run_task ~emit total)
    in
    if not (Obs.active ()) then execute ()
    else
      Obs.Span.timed
        ~attrs:(fun () -> [ ("faults", Obs.Int total) ])
        "engine.run" execute);
-  let reports =
-    Array.to_list report_slots
-    |> List.map (function
-         | Some r -> r
-         | None -> invalid_arg "Engine.run: executor did not emit every task")
-  in
+  let reports = Array.to_list (Array.map Option.get report_slots) in
   let results =
     List.filter_map (fun r -> Resilience.succeeded r.report_outcome) reports
   in

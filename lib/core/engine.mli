@@ -33,44 +33,6 @@ type run = {
   total_fault_simulations : int;
 }
 
-(** {2 Pluggable execution}
-
-    The engine separates {e what} is simulated (per-fault test
-    generation, resume lookup, retry ladders) from {e how} tasks are
-    scheduled.  An {!executor} receives the task count, a worker
-    factory, the per-task work function and an emission funnel; the
-    bundled {!sequential} executor is a plain loop, and
-    {!Parallel.executor} fans tasks across domains.  Because per-fault
-    work is deterministic and isolated (worker-private evaluator forks,
-    per-fault failure-injection scopes) and emission is required to be
-    in index order, every conforming executor produces the same [run]
-    record bit for bit. *)
-
-type worker
-(** One executing agent's private simulation state: forked evaluators
-    plus its escalated-evaluator table.  Created only through the
-    [make_worker] callback passed to an executor. *)
-
-type executor = {
-  exec_run :
-    n:int ->
-    make_worker:(unit -> worker) ->
-    run_task:(worker -> int -> Generate.result Resilience.outcome) ->
-    emit:(int -> Generate.result Resilience.outcome -> unit) ->
-    unit;
-}
-(** Contract: call [run_task w i] exactly once for each [i] in
-    [0 .. n-1] (any order, any worker, concurrently), and pass each
-    outcome to [emit i] with {e strictly increasing} [i] from a single
-    thread — reordering completions is the executor's job.  [make_worker]
-    and [emit] are thread-safe with respect to concurrent [run_task]
-    calls; [emit] may raise ({!Fault_failure} under a fail-fast policy),
-    in which case the executor must stop issuing work, join its workers
-    and let the exception propagate. *)
-
-val sequential : executor
-(** The in-order single-worker loop (the default). *)
-
 val rung_stats_of_reports :
   policy:Resilience.policy -> fault_report list -> (string * int) list
 (** Per-rung success counts for a report list (baseline first, zero rows
@@ -83,7 +45,7 @@ val run :
   ?resume:Generate.result list ->
   ?checkpoint:(Generate.result -> unit) ->
   ?progress:(done_:int -> total:int -> fault_id:string -> unit) ->
-  ?executor:executor ->
+  ?jobs:int ->
   evaluators:Evaluator.t list ->
   Faults.Dictionary.t ->
   run
@@ -97,11 +59,16 @@ val run :
     [checkpoint] is invoked with each freshly generated (non-resumed)
     result as soon as it completes, in dictionary order, before any
     later fault is reported — the hook {!Session.checkpoint_append}
-    persists partial runs and stays single-writer under any executor.
+    persists partial runs and stays single-writer at any job count.
     [progress] is invoked after each fault (CLI feedback), also in
-    dictionary order.  [executor] schedules the per-fault tasks
-    (default {!sequential}); the resulting [run] record does not depend
-    on the choice of executor.
+    dictionary order.
+
+    [jobs] (default 1) is the number of domains the per-fault tasks fan
+    out over through {!Parallel.fan_out}; [0] means one per core.  Each
+    worker simulates on private evaluator forks, failure injection is
+    scoped per fault, and outcomes are emitted in dictionary order, so
+    the resulting [run] record is the same bit for bit at every job
+    count; [jobs = 1] is an in-order loop that spawns no domain.
 
     @raise Fault_failure under a [fail_fast] policy. *)
 

@@ -9,7 +9,7 @@
    on the next slot: the worker that fetched it will fill it with a
    value or an error.
 
-   Determinism: tasks must be independent (per the Engine contract they
+   Determinism: tasks must be independent (Engine.run's per-fault tasks
    are pure functions of their index), so the only scheduling freedom is
    completion order, and the slot array erases it.  When several tasks
    raise, the collector re-raises the one with the lowest index; when
@@ -20,7 +20,7 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
 let fan_out ~jobs ~make_ctx ~f ~emit n =
-  let jobs = max 1 jobs in
+  let jobs = if jobs <= 0 then default_jobs () else jobs in
   if n = 0 then ()
   else if jobs = 1 then begin
     let ctx = make_ctx () in
@@ -36,10 +36,10 @@ let fan_out ~jobs ~make_ctx ~f ~emit n =
     let filled = Condition.create () in
     let slots = Array.make n None in
     (* Session context crosses the spawn: worker domains obey the
-       spawning domain's injection override (a served session's private
-       --inject config) and stamp their spans with its request id.  With
-       no override and no request both wrappers are identity, so the
-       one-shot CLI path is untouched. *)
+       spawning domain's injection override (the --inject config of a
+       CLI run or of a served session) and stamp their spans with its
+       request id.  With no override and no request both wrappers are
+       identity. *)
     let fp_snapshot = Numerics.Failpoint.snapshot () in
     let req = Obs.current_request () in
     let in_session body =
@@ -92,21 +92,3 @@ let fan_out ~jobs ~make_ctx ~f ~emit n =
         join_all ();
         Printexc.raise_with_backtrace e bt
   end
-
-let map_ordered ~jobs f items =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let out = Array.make n None in
-  fan_out ~jobs
-    ~make_ctx:(fun () -> ())
-    ~f:(fun () i -> f i arr.(i))
-    ~emit:(fun i v -> out.(i) <- Some v)
-    n;
-  Array.to_list (Array.map Option.get out)
-
-let executor ~jobs =
-  {
-    Engine.exec_run =
-      (fun ~n ~make_worker ~run_task ~emit ->
-        fan_out ~jobs ~make_ctx:make_worker ~f:run_task ~emit n);
-  }

@@ -18,7 +18,8 @@
     every domain is joined.  Either way no domain is leaked. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the [--jobs] default. *)
+(** [Domain.recommended_domain_count ()] — the pool size [jobs = 0]
+    asks for. *)
 
 val fan_out :
   jobs:int ->
@@ -29,17 +30,8 @@ val fan_out :
   unit
 (** [fan_out ~jobs ~make_ctx ~f ~emit n] evaluates [f ctx i] for every
     [i] in [0 .. n-1] on a pool of [jobs] domains (each with its own
-    [make_ctx ()] context) and calls [emit i result] for increasing [i]
-    from the calling thread.  With [jobs <= 1] (or [n <= 1] worth of
-    work) it degenerates to a plain in-order loop with no domains
-    spawned.  [f] must not depend on shared mutable state; [emit] runs
+    [make_ctx ()] context; [jobs = 0] means {!default_jobs}) and calls
+    [emit i result] for increasing [i] from the calling thread.  With
+    [jobs = 1] it is a plain in-order loop over one context, with no
+    domains spawned.  [f] must not depend on shared mutable state; [emit] runs
     only on the calling thread and may raise to abort the fan-out. *)
-
-val map_ordered : jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [map_ordered ~jobs f l] is [List.mapi f l] computed on [jobs]
-    domains, order preserved. *)
-
-val executor : jobs:int -> Engine.executor
-(** An {!Engine.executor} running per-fault tasks on [jobs] domains.
-    [executor ~jobs:1] is behaviourally identical to
-    {!Engine.sequential}. *)

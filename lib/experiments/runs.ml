@@ -211,9 +211,40 @@ let fig7 () =
          expansion)
   ^ "\n"
 
-let engine_run ?progress ?options ?policy ?resume ?checkpoint ?executor ctx =
-  Engine.run ?options ?policy ?resume ?checkpoint ?progress ?executor
-    ~evaluators:ctx.Setup.evaluators ctx.Setup.dictionary
+let engine_run ?progress ?options ?policy ?jobs ctx =
+  Engine.run ?options ?policy ?progress ?jobs ~evaluators:ctx.Setup.evaluators
+    ctx.Setup.dictionary
+
+(* A session file that exists but fails to load is corrupt; a missing or
+   unreadable one is a plain IO error. *)
+let session_error_code path =
+  if Sys.file_exists path then Engine.exit_corrupt_session else 1
+
+(* The checkpoint-resume sequence of both `atpg generate --resume` and a
+   named daemon session: salvage the file's prefix, resume it, append
+   every new result in dictionary order, and close the file on every
+   exit — including an exception raised by [on_append], which is how the
+   daemon's drain stops a run at checkpoint granularity. *)
+let resume_run ?progress ?options ?policy ?jobs ?(on_resume = ignore)
+    ?(on_append = ignore) ~path ctx =
+  match Session.checkpoint_resume ~path with
+  | Error m ->
+      Error (session_error_code path, "cannot resume checkpoint: " ^ m)
+  | Ok (ck, prior) ->
+      let completed = ref (List.length prior) in
+      let checkpoint r =
+        Session.checkpoint_append ck r;
+        incr completed;
+        on_append !completed
+      in
+      Fun.protect
+        ~finally:(fun () -> Session.checkpoint_close ck)
+        (fun () ->
+          on_resume !completed;
+          Ok
+            (Engine.run ?options ?policy ?progress ?jobs ~resume:prior
+               ~checkpoint ~evaluators:ctx.Setup.evaluators
+               ctx.Setup.dictionary))
 
 let tab2 _ctx run =
   let dist = Engine.distribution run in

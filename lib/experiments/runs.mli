@@ -37,15 +37,48 @@ val engine_run :
   ?progress:(done_:int -> total:int -> fault_id:string -> unit) ->
   ?options:Testgen.Generate.options ->
   ?policy:Testgen.Resilience.policy ->
-  ?resume:Testgen.Generate.result list ->
-  ?checkpoint:(Testgen.Generate.result -> unit) ->
-  ?executor:Testgen.Engine.executor ->
+  ?jobs:int ->
   Setup.t ->
   Testgen.Engine.run
 (** The 55-fault generation run feeding tab2/fig8/tab3/tab4/xbase.
-    [options] (e.g. {!Setup.probe_options}), [policy], [resume],
-    [checkpoint] and [executor] (e.g. [Testgen.Parallel.executor
-    ~jobs]) are passed through to {!Testgen.Engine.run}. *)
+    [options] (e.g. {!Setup.probe_options}), [policy] and [jobs] (worker
+    domains, default 1, [0] = one per core) are passed through to
+    {!Testgen.Engine.run}. *)
+
+val resume_run :
+  ?progress:(done_:int -> total:int -> fault_id:string -> unit) ->
+  ?options:Testgen.Generate.options ->
+  ?policy:Testgen.Resilience.policy ->
+  ?jobs:int ->
+  ?on_resume:(int -> unit) ->
+  ?on_append:(int -> unit) ->
+  path:string ->
+  Setup.t ->
+  (Testgen.Engine.run, int * string) result
+(** {!engine_run} against the session checkpoint at [path] — the one
+    checkpointed-generation routine of [atpg generate/compact --resume]
+    and of named daemon sessions.  The results the file already holds
+    are resumed (not re-simulated), every new result is appended as soon
+    as it completes, in dictionary order, and the file is closed on
+    every exit, so an interrupted run restarts where it left off and
+    ends with the bytes of an uninterrupted one.  A missing file starts
+    a fresh checkpoint.
+
+    [on_resume n] is called once, before any fault is simulated, with
+    the number of results salvaged from the file; [on_append n] after
+    each append, with the number of results the file now holds.  An
+    exception raised by either hook (or by the run) propagates after the
+    file is closed.
+
+    [Error (code, message)] when the checkpoint cannot be opened: [code]
+    is {!Testgen.Engine.exit_corrupt_session} when the file exists but
+    cannot be salvaged (e.g. an unsupported header; a torn tail is
+    salvaged, not an error), [1] when it cannot be created or read. *)
+
+val session_error_code : string -> int
+(** Exit code for a session file at this path that failed to load:
+    {!Testgen.Engine.exit_corrupt_session} if the file exists (it is
+    corrupt), [1] otherwise (a plain IO error). *)
 
 val tab2 : Setup.t -> Testgen.Engine.run -> string
 (** Table 2: distribution of best tests over the configurations, split

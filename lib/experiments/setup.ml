@@ -140,3 +140,19 @@ let evaluator t id =
 
 let reduced t ~n_faults =
   { t with dictionary = Faults.Dictionary.take t.dictionary n_faults }
+
+(* The one place a macro name becomes a generation context: the CLI's
+   generate/compact/baseline and the serve daemon both build through it,
+   so the serve and one-shot paths pose bit-identical problems. *)
+let for_macro ?(on_calibrate = ignore) ~fast name =
+  match Macros.Registry.find name with
+  | Error e -> Error e
+  | Ok macro ->
+      let profile =
+        if fast then Execute.fast_profile else Execute.default_profile
+      in
+      if String.equal name "iv" then begin
+        on_calibrate ();
+        Ok (iv ~profile (), None)
+      end
+      else Ok (probe ~profile ~macro (), Some probe_options)

@@ -75,3 +75,18 @@ val evaluator : t -> int -> Testgen.Evaluator.t
 val reduced : t -> n_faults:int -> t
 (** Same context with a truncated dictionary — for quick runs and unit
     tests. *)
+
+val for_macro :
+  ?on_calibrate:(unit -> unit) ->
+  fast:bool ->
+  string ->
+  (t * Testgen.Generate.options option, string) result
+(** The generation context for a macro name and the engine options to
+    run it with: the paper's calibrated {!iv} context (default options)
+    for ["iv"], the deterministic {!probe} context with {!probe_options}
+    for every other {!Macros.Registry} name.  [fast] selects
+    {!Testgen.Execute.fast_profile} over the default profile.
+    [on_calibrate] is called just before the IV context's corner
+    calibration starts (the slow step).  [Error] names an unknown
+    macro.  The CLI and the serve daemon both build their contexts here,
+    so the two paths pose bit-identical problems. *)

@@ -12,7 +12,7 @@
     ({!Numerics.Failpoint.with_config}), so concurrent sessions with
     different [--inject] specs — e.g. several requests inside the serve
     daemon — cannot corrupt each other's failure schedules.  [jobs]
-    selects the engine executor width used {e inside} the parallel
+    selects the engine worker domains used {e inside} the parallel
     invariants — and because engine runs are bit-identical across job
     counts, the whole report is a pure function of [(options)],
     byte-deterministic for a fixed seed at any [jobs] value. *)
@@ -20,7 +20,7 @@
 type options = {
   campaigns : int;  (** scenarios to draw, >= 1 *)
   seed : int64;  (** campaign stream seed *)
-  jobs : int;  (** engine executor width for parallel invariants; 0 = auto *)
+  jobs : int;  (** engine worker domains for parallel invariants; 0 = auto *)
   inject : Numerics.Failpoint.spec list;
       (** failure sites swept by the injection invariants *)
   checks : string list option;

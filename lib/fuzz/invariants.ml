@@ -10,8 +10,8 @@ type ctx = {
   inject_seed : int64;
 }
 
-let base_run ?executor ?resume ?checkpoint built =
-  Engine.run ~options:Scenario.generate_options ?executor ?resume ?checkpoint
+let base_run ?jobs ?resume ?checkpoint built =
+  Engine.run ~options:Scenario.generate_options ?jobs ?resume ?checkpoint
     ~evaluators:built.Scenario.evaluators built.Scenario.dictionary
 
 let make_ctx ~jobs ~inject ~inject_seed spec =
@@ -58,7 +58,7 @@ let session_roundtrip ctx =
 
 let parallel_merge ctx =
   let jobs = if ctx.jobs > 1 then ctx.jobs else 2 in
-  let prun = base_run ~executor:(Parallel.executor ~jobs) ctx.built in
+  let prun = base_run ~jobs ctx.built in
   runs_agree (Printf.sprintf "jobs=%d vs sequential" jobs) ctx.run prun
 
 (* -- compaction-no-loss ------------------------------------------------- *)
@@ -140,9 +140,9 @@ let coverage_monotone ctx =
 
 (* -- inject-contract ---------------------------------------------------- *)
 
-let injected_run ?executor ctx =
-  Numerics.Failpoint.with_failpoints ~seed:ctx.inject_seed ctx.inject
-    (fun () -> base_run ?executor ctx.built)
+let injected_run ?jobs ctx =
+  Numerics.Failpoint.with_config ~seed:ctx.inject_seed ctx.inject
+    (fun () -> base_run ?jobs ctx.built)
 
 let inject_contract ctx =
   if ctx.inject = [] then Skip "no failure sites configured"
@@ -184,7 +184,7 @@ let inject_parity ctx =
   else begin
     let jobs = if ctx.jobs > 1 then ctx.jobs else 2 in
     let seq = injected_run ctx in
-    let par = injected_run ~executor:(Parallel.executor ~jobs) ctx in
+    let par = injected_run ~jobs ctx in
     runs_agree (Printf.sprintf "injected jobs=%d vs sequential" jobs) seq par
   end
 
@@ -238,18 +238,19 @@ let crash_safety ctx =
               | Ok ck -> begin
                   let count = ref 0 in
                   let checkpoint r =
-                    if !count = tear_at then
-                      Numerics.Failpoint.configure_local ~seed:ctx.inject_seed
-                        [ Numerics.Failpoint.fail_always "session.torn_write" ];
+                    let armed = !count = tear_at in
                     incr count;
-                    Session.checkpoint_append ck r
+                    if armed then
+                      Numerics.Failpoint.with_config ~seed:ctx.inject_seed
+                        [ Numerics.Failpoint.fail_always "session.torn_write" ]
+                        (fun () -> Session.checkpoint_append ck r)
+                    else Session.checkpoint_append ck r
                   in
                   let torn =
                     match base_run ~checkpoint ctx.built with
                     | (_ : Engine.run) -> false
                     | exception Session.Torn_write -> true
                   in
-                  Numerics.Failpoint.disable_local ();
                   if torn then Session.checkpoint_abort ck
                   else Session.checkpoint_close ck;
                   if (not torn) && tear_at < size then

@@ -39,7 +39,7 @@ type outcome = Pass | Skip of string | Fail of string
 type ctx = {
   built : Scenario.built;
   run : Testgen.Engine.run;  (** the base sequential, injection-free run *)
-  jobs : int;  (** executor width for the parallel invariants (>= 1) *)
+  jobs : int;  (** worker domains for the parallel invariants (>= 1) *)
   inject : Numerics.Failpoint.spec list;
       (** failure sites for the injection invariants *)
   inject_seed : int64;

@@ -48,23 +48,17 @@ let spec_to_string spec =
     | None -> ""
     | Some m -> Printf.sprintf "@%d" m)
 
-(* The installed configuration is an immutable value published through an
-   Atomic: domains never share mutable site state.  Each domain lazily
-   materializes its own site table (per-point Rng stream + counters) from
-   the configuration, so query traffic on one domain cannot perturb the
-   draws seen by another. *)
-type config = { seed : int64; specs : spec list; generation : int }
+(* A configuration is an immutable value installed as a domain-local
+   override (there is no process-global slot): domains never share
+   mutable site state.  Each domain keeps its own site table (per-point
+   Rng stream + counters) built from its override, so query traffic on
+   one domain cannot perturb the draws seen by another. *)
+type config = { seed : int64; specs : spec list }
 
-let root_config = { seed = 0L; specs = []; generation = 0 }
-let current : config Atomic.t = Atomic.make root_config
-let enabled = Atomic.make false
-
-(* Number of domains currently carrying a local (session-scoped) config
-   override.  The production fast path checks [enabled] and this counter
-   — two atomic loads — before touching any domain-local state, so a
-   process that never injects pays nothing for session scoping. *)
+(* Number of domains currently carrying an override.  The production fast
+   path checks this one atomic before touching any domain-local state, so
+   a process that never injects pays nothing for injection. *)
 let local_overrides = Atomic.make 0
-let generations = Atomic.make 1
 
 type site = {
   spec : spec;
@@ -74,22 +68,14 @@ type site = {
 }
 
 type state = {
-  mutable st_generation : int;
   mutable st_scope : string option;
   mutable st_sites : (string, site) Hashtbl.t;
   mutable st_local : config option;
-      (* session-scoped override: when set, this domain ignores the
-         process-global configuration entirely *)
 }
 
 let dls : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      {
-        st_generation = -1;
-        st_scope = None;
-        st_sites = Hashtbl.create 8;
-        st_local = None;
-      })
+      { st_scope = None; st_sites = Hashtbl.create 8; st_local = None })
 
 (* Distinct points get distinct Rng streams for any seed; inside a scope
    the stream additionally depends on the scope key, so the failure
@@ -108,130 +94,58 @@ let build_sites cfg scope =
     cfg.specs;
   tbl
 
-(* The configuration this domain obeys: its local override when one is
-   installed, the process-global value otherwise. *)
-let effective_config st =
-  match st.st_local with Some cfg -> cfg | None -> Atomic.get current
-
-let refresh () =
-  let st = Domain.DLS.get dls in
-  let cfg = effective_config st in
-  if st.st_generation <> cfg.generation then begin
-    st.st_generation <- cfg.generation;
-    st.st_sites <- build_sites cfg st.st_scope
-  end;
-  st
-
-let validate_specs who specs =
-  List.iter
-    (fun spec ->
-      if spec.probability < 0. || spec.probability > 1. then
-        invalid_arg
-          (Printf.sprintf "Failpoint.%s: %s: probability %g outside [0, 1]"
-             who spec.point spec.probability))
-    specs
-
-let configure ?(seed = 0L) specs =
-  validate_specs "configure" specs;
-  let generation = Atomic.fetch_and_add generations 1 in
-  Atomic.set current { seed; specs; generation };
-  Atomic.set enabled (specs <> [])
-
-let disable () = configure []
-
-(* Install / remove this domain's local override.  The bracket
-   [with_config] below saves and restores the whole override slot, so an
-   inner [configure_local] is undone at bracket exit. *)
-let install_local st cfg =
-  (match st.st_local with
-  | None -> ignore (Atomic.fetch_and_add local_overrides 1)
-  | Some _ -> ());
-  st.st_local <- Some cfg;
-  st.st_generation <- cfg.generation;
-  st.st_scope <- None;
-  st.st_sites <- build_sites cfg None
-
-let remove_local st =
-  match st.st_local with
-  | None -> ()
-  | Some _ ->
-      ignore (Atomic.fetch_and_add local_overrides (-1));
-      st.st_local <- None;
-      (* force a rebuild from the global configuration on next use *)
-      st.st_generation <- -1;
-      st.st_scope <- None;
-      st.st_sites <- Hashtbl.create 8
-
-let configure_local ?(seed = 0L) specs =
-  validate_specs "configure_local" specs;
-  let generation = Atomic.fetch_and_add generations 1 in
-  install_local (Domain.DLS.get dls) { seed; specs; generation }
-
-let disable_local () = remove_local (Domain.DLS.get dls)
-
-(* Save/restore of the full override slot, not just push/pop: an inner
-   [configure_local]/[disable_local] pair inside the bracket cannot leak
-   past it. *)
-let with_config ?(seed = 0L) specs f =
-  validate_specs "with_config" specs;
+(* Run [f] with [cfg] as this domain's override, restoring the whole
+   previous slot (override, scope, sites) on exit. *)
+let with_cfg cfg f =
   let st = Domain.DLS.get dls in
   let saved_local = st.st_local
-  and saved_gen = st.st_generation
   and saved_scope = st.st_scope
   and saved_sites = st.st_sites in
-  let generation = Atomic.fetch_and_add generations 1 in
-  install_local st { seed; specs; generation };
+  if Option.is_none saved_local then Atomic.incr local_overrides;
+  st.st_local <- Some cfg;
+  st.st_scope <- None;
+  st.st_sites <- build_sites cfg None;
   Fun.protect
     ~finally:(fun () ->
-      (match (st.st_local, saved_local) with
-      | Some _, None -> ignore (Atomic.fetch_and_add local_overrides (-1))
-      | None, Some _ -> ignore (Atomic.fetch_and_add local_overrides 1)
-      | Some _, Some _ | None, None -> ());
+      if Option.is_none saved_local then Atomic.decr local_overrides;
       st.st_local <- saved_local;
-      st.st_generation <- saved_gen;
       st.st_scope <- saved_scope;
       st.st_sites <- saved_sites)
     f
 
-type snapshot = Inherit_global | Local of config
+(* An empty list on a domain without an override installs nothing: both
+   states inject nothing, and this one keeps the one-load fast path. *)
+let with_config ?(seed = 0L) specs f =
+  List.iter
+    (fun spec ->
+      if spec.probability < 0. || spec.probability > 1. then
+        invalid_arg
+          (Printf.sprintf
+             "Failpoint.with_config: %s: probability %g outside [0, 1]"
+             spec.point spec.probability))
+    specs;
+  if specs = [] && Option.is_none (Domain.DLS.get dls).st_local then f ()
+  else with_cfg { seed; specs } f
+
+type snapshot = config option
 
 let snapshot () =
-  if Atomic.get local_overrides = 0 then Inherit_global
-  else
-    match (Domain.DLS.get dls).st_local with
-    | None -> Inherit_global
-    | Some cfg -> Local cfg
+  if Atomic.get local_overrides = 0 then None
+  else (Domain.DLS.get dls).st_local
 
 let with_snapshot snap f =
-  match snap with
-  | Inherit_global -> f ()
-  | Local cfg ->
-      let st = Domain.DLS.get dls in
-      let saved_local = st.st_local
-      and saved_gen = st.st_generation
-      and saved_scope = st.st_scope
-      and saved_sites = st.st_sites in
-      install_local st cfg;
-      Fun.protect
-        ~finally:(fun () ->
-          (match saved_local with
-          | None -> ignore (Atomic.fetch_and_add local_overrides (-1))
-          | Some _ -> ());
-          st.st_local <- saved_local;
-          st.st_generation <- saved_gen;
-          st.st_scope <- saved_scope;
-          st.st_sites <- saved_sites)
-        f
+  match snap with None -> f () | Some cfg -> with_cfg cfg f
 
-(* Any injection might be configured anywhere in the process: the guard
+(* Any injection might be installed on some domain: the one atomic load
    every query checks before touching domain-local state. *)
-let maybe_active () = Atomic.get enabled || Atomic.get local_overrides > 0
+let maybe_active () = Atomic.get local_overrides > 0
 
 let active () =
   maybe_active ()
   &&
-  let st = Domain.DLS.get dls in
-  (effective_config st).specs <> []
+  match (Domain.DLS.get dls).st_local with
+  | Some cfg -> cfg.specs <> []
+  | None -> false
 
 (* Per-domain injection mask: queries inside [without] never fail and
    never consume draws, so the draw sequence seen by surrounding scopes
@@ -261,8 +175,7 @@ let should_fail point =
   maybe_active ()
   && (not !(Domain.DLS.get masked))
   &&
-  let st = refresh () in
-  match Hashtbl.find_opt st.st_sites point with
+  match Hashtbl.find_opt (Domain.DLS.get dls).st_sites point with
   | None -> false
   | Some s ->
       s.queries <- s.queries + 1;
@@ -284,10 +197,13 @@ let should_fail point =
 let with_scope ~key f =
   if not (maybe_active ()) then f ()
   else begin
-    let st = refresh () in
+    let st = Domain.DLS.get dls in
     let saved_scope = st.st_scope and saved_sites = st.st_sites in
     st.st_scope <- Some key;
-    st.st_sites <- build_sites (effective_config st) (Some key);
+    st.st_sites <-
+      (match st.st_local with
+      | Some cfg -> build_sites cfg (Some key)
+      | None -> Hashtbl.create 8);
     Fun.protect
       ~finally:(fun () ->
         st.st_scope <- saved_scope;
@@ -295,9 +211,7 @@ let with_scope ~key f =
       f
   end
 
-let find_site point =
-  let st = refresh () in
-  Hashtbl.find_opt st.st_sites point
+let find_site point = Hashtbl.find_opt (Domain.DLS.get dls).st_sites point
 
 let query_count point =
   match find_site point with Some s -> s.queries | None -> 0
@@ -305,4 +219,3 @@ let query_count point =
 let trigger_count point =
   match find_site point with Some s -> s.triggers | None -> 0
 
-let with_failpoints ?seed specs f = with_config ?seed specs f

@@ -4,27 +4,25 @@
     queries registered failure points by name; a test configures a set of
     points with trigger probabilities and a seed, then drives the code
     under test and asserts that the recovery layer absorbs the injected
-    failures.  In production nothing is configured and every query is two
-    atomic loads of false/zero values.
+    failures.  In production nothing is configured and every query is one
+    atomic load of a zero counter.
 
-    {b Domain safety.}  An installed configuration is an immutable value;
-    the process-global one is published through an [Atomic], and a domain
-    may additionally carry a {e local} override ({!with_config},
-    {!configure_local}) that shadows the global value for that domain
-    only.  Every domain materializes its own site table (per-point {!Rng}
-    stream plus query/trigger counters) from its effective configuration
-    on first use.  There is no shared mutable state, so concurrent
-    queries from different domains are safe, and the draw sequence one
-    domain sees is never perturbed by another domain's query traffic.
-    Counters reported by {!query_count} / {!trigger_count} are those of
-    the calling domain (and, inside {!with_scope}, of the active scope).
+    {b Domain safety.}  Configurations are scoped, never process-global:
+    an installed configuration is an immutable value carried as the
+    calling domain's override for the extent of a {!with_config}
+    bracket.  Every domain builds its own site table (per-point {!Rng}
+    stream plus query/trigger counters) from its override.  There is no
+    shared mutable state, so concurrent queries from different domains
+    are safe, and the draw sequence one domain sees is never perturbed
+    by another domain's query traffic.  Counters reported by
+    {!query_count} / {!trigger_count} are those of the calling domain
+    (and, inside {!with_scope}, of the active scope).
 
-    {b Sessions.}  A server running several injected sessions in one
-    process gives each session its own domain and brackets its work in
-    {!with_config}: the sessions' failure schedules are then fully
-    independent, with no cross-talk through the global slot.  Worker
-    domains spawned on behalf of a session inherit its override by
-    carrying a {!snapshot} across the spawn ({!with_snapshot}).
+    {b Runs.}  [atpg generate --inject] and each injected daemon session
+    bracket their run in {!with_config}, so several sessions in one
+    process have fully independent failure schedules.  Worker domains
+    spawned on behalf of a run inherit its configuration by carrying a
+    {!snapshot} across the spawn ({!with_snapshot}).
 
     {b Determinism.}  Trigger decisions are drawn from per-point {!Rng}
     streams derived from the configuration seed and the point name —
@@ -58,31 +56,13 @@ val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string
 (** Inverse of {!spec_of_string} (canonical form). *)
 
-val configure : ?seed:int64 -> spec list -> unit
-(** Install the given failure points, replacing any previous
-    configuration (on every domain).  An empty list is equivalent to
-    {!disable}. *)
-
-val disable : unit -> unit
-(** Remove all failure points (the initial state). *)
-
-val configure_local : ?seed:int64 -> spec list -> unit
-(** Like {!configure}, but installs the configuration as the calling
-    domain's local override: other domains keep seeing the global
-    configuration.  Imperative form for call sites that arm injection
-    mid-flight (the crash-safety invariant arms [session.torn_write]
-    from inside a checkpoint callback); prefer {!with_config} where a
-    bracket fits. *)
-
-val disable_local : unit -> unit
-(** Remove the calling domain's local override, if any, reverting it to
-    the process-global configuration. *)
-
 val with_config : ?seed:int64 -> spec list -> (unit -> 'a) -> 'a
 (** [with_config specs f] runs [f] with [specs] installed as the calling
-    domain's local override, restoring the previous override state
-    (including any inner {!configure_local}) on exit.  The bracket other
-    sessions cannot observe. *)
+    domain's override, restoring the previous override state on exit —
+    the exception-safe shape for tests, and a bracket other sessions
+    cannot observe.  Probabilities outside [\[0, 1\]] raise
+    [Invalid_argument].  An empty [specs] on a domain with no override
+    is just [f ()]. *)
 
 type snapshot
 (** The calling domain's effective injection configuration, as a value
@@ -92,16 +72,14 @@ val snapshot : unit -> snapshot
 
 val with_snapshot : snapshot -> (unit -> 'a) -> 'a
 (** [with_snapshot snap f] runs [f] under the configuration captured by
-    [snapshot].  When the captured domain had no local override this is
-    exactly [f ()] (workers read the global slot themselves); otherwise
-    the override is installed locally for the duration.  Used by the
-    parallel executor so worker domains obey the session that spawned
-    them. *)
+    [snapshot].  When the captured domain had no override this is
+    exactly [f ()]; otherwise the override is installed on the calling
+    domain for the duration.  Used by [Testgen.Parallel.fan_out] so
+    worker domains obey the run that spawned them. *)
 
 val active : unit -> bool
 (** [true] iff at least one failure point is configured for the calling
-    domain (its local override when present, the global configuration
-    otherwise). *)
+    domain. *)
 
 val should_fail : string -> bool
 (** Called by instrumented code.  [true] when the named point is
@@ -138,15 +116,10 @@ val with_scope : key:string -> (unit -> 'a) -> 'a
     not interact. *)
 
 val query_count : string -> int
-(** Queries seen by the named point since {!configure}, on the calling
-    domain and in the active scope (0 if unknown). *)
+(** Queries seen by the named point since its configuration was
+    installed, on the calling domain and in the active scope (0 if
+    unknown). *)
 
 val trigger_count : string -> int
-(** Failures injected at the named point since {!configure}, on the
-    calling domain and in the active scope. *)
-
-val with_failpoints : ?seed:int64 -> spec list -> (unit -> 'a) -> 'a
-(** [with_failpoints specs f] runs [f] under [specs] and always restores
-    the previous state — the exception-safe shape for tests.  Alias of
-    {!with_config}: the installation is domain-local, so concurrent
-    brackets on different domains do not interact. *)
+(** Failures injected at the named point since its configuration was
+    installed, on the calling domain and in the active scope. *)

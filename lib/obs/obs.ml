@@ -231,8 +231,8 @@ let record st ev =
   if st.buffering then st.buf <- ev :: st.buf else sink_events [ ev ]
 
 (* Request correlation: a server handling concurrent requests brackets
-   each one in [with_request], and every span its domain (and, via the
-   parallel executor's propagation, its worker domains) records carries
+   each one in [with_request], and every span its domain (and, via
+   Parallel.fan_out's propagation, its worker domains) records carries
    the request id.  Spans are attributed at record time from the
    recording domain's slot, so interleaved requests cannot steal each
    other's events; the trace file stays one JSONL stream, with the [req]
@@ -302,8 +302,8 @@ module Task = struct
       st.buffering <- true;
       st.buf <- [];
       (* Depth restarts at 0 inside a task so a task records the same
-         depth fields whether it runs on the main domain (sequential
-         executor, inside the engine.run span) or on a worker domain
+         depth fields whether it runs on the main domain (a jobs = 1
+         run, inside the engine.run span) or on a worker domain
          with a fresh depth counter — a requirement for traces being
          identical across job counts. *)
       st.depth <- 0;

@@ -23,7 +23,10 @@
     full, 503 = draining), ["result"], ["drained"] (run interrupted by
     graceful drain after [completed] checkpointed faults — resend with
     the same [session] to resume), ["error"], ["done"] (with the request's
-    [status], mirroring CLI exit codes). *)
+    [status], mirroring CLI exit codes).  A ["done"] status of 5 means a
+    corrupt session: the named [session]'s spool checkpoint exists but
+    cannot be resumed (an ["error"] line says why), exactly as
+    [atpg generate --resume] exits 5 on a corrupt checkpoint. *)
 
 open Testgen
 

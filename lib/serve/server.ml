@@ -6,10 +6,9 @@ open Testgen
    - the accept loop runs on one systhread; each connection gets its own
      systhread that reads requests serially;
    - every admitted work request executes in a freshly spawned Domain.
-     Domain-local state is the isolation boundary for the process-global
-     bugs this server had to fix: the request's --inject configuration
-     installs as a Failpoint domain-local override (never the global
-     slot), and its Obs request id stamps every span the domain — and,
+     Domain-local state is the isolation boundary: the request's --inject
+     configuration installs as a Failpoint domain-local override (there
+     is no global one), and its Obs request id stamps every span the domain — and,
      via Parallel.fan_out propagation, its worker domains — records;
    - admission is a bounded in-flight budget checked before the spawn:
      over-budget requests get an immediate 429-style rejection, requests
@@ -20,13 +19,16 @@ open Testgen
      evaluators off a cached per-(macro, profile) context and
      absorbs them back when done, so later requests warm-start from
      earlier requests' nominal work;
+   - named sessions run through Runs.resume_run, the CLI's --resume
+     routine, so a spool file holds the bytes `atpg generate --resume`
+     writes and a corrupt one is status 5 as on the CLI;
    - graceful drain stops accepting, then interrupts checkpointed
      sessions at their next checkpoint append (the engine's in-order
      emit funnel), closes the checkpoint cleanly and tells the client
      how far it got — a resend with the same session resumes and the
      final session bytes are identical to an uninterrupted run. *)
 
-exception Drained
+exception Drained of int
 
 type options = {
   socket : string;
@@ -107,42 +109,29 @@ let stats t =
    forks.  Built outside the lock; a concurrent duplicate build loses
    the insert race and is dropped. *)
 let context t (work : Protocol.work) =
-  match Macros.Registry.find work.Protocol.w_macro with
-  | Error e -> Error e
-  | Ok macro ->
-      let key =
-        { ck_macro = work.Protocol.w_macro; ck_fast = work.Protocol.w_fast }
-      in
-      Mutex.lock t.ctx_mutex;
-      let cached = Hashtbl.find_opt t.ctx_cache key in
-      Mutex.unlock t.ctx_mutex;
-      let entry =
-        match cached with
-        | Some entry -> entry
-        | None ->
-            let profile =
-              if work.Protocol.w_fast then Execute.fast_profile
-              else Execute.default_profile
-            in
-            let built =
-              if String.equal work.Protocol.w_macro "iv" then
-                (Experiments.Setup.iv ~profile (), None)
-              else
-                ( Experiments.Setup.probe ~profile ~macro (),
-                  Some Experiments.Setup.probe_options )
-            in
-            Mutex.lock t.ctx_mutex;
-            let entry =
-              match Hashtbl.find_opt t.ctx_cache key with
-              | Some racing -> racing
-              | None ->
-                  Hashtbl.replace t.ctx_cache key built;
-                  built
-            in
-            Mutex.unlock t.ctx_mutex;
-            entry
-      in
-      Ok entry
+  let key =
+    { ck_macro = work.Protocol.w_macro; ck_fast = work.Protocol.w_fast }
+  in
+  Mutex.lock t.ctx_mutex;
+  let cached = Hashtbl.find_opt t.ctx_cache key in
+  Mutex.unlock t.ctx_mutex;
+  match cached with
+  | Some entry -> Ok entry
+  | None ->
+      Result.map
+        (fun built ->
+          Mutex.lock t.ctx_mutex;
+          let entry =
+            match Hashtbl.find_opt t.ctx_cache key with
+            | Some racing -> racing
+            | None ->
+                Hashtbl.replace t.ctx_cache key built;
+                built
+          in
+          Mutex.unlock t.ctx_mutex;
+          entry)
+        (Experiments.Setup.for_macro ~fast:work.Protocol.w_fast
+           work.Protocol.w_macro)
 
 (* Fork private evaluators off the shared context and absorb them back
    (commutative merge) whatever the outcome, so cache warmth and
@@ -162,22 +151,18 @@ let with_forked_evaluators t (setup : Experiments.Setup.t) f =
 
 (* -- request execution ------------------------------------------------- *)
 
-let executor_of jobs =
-  if jobs <= 0 then Parallel.executor ~jobs:(Parallel.default_jobs ())
-  else if jobs = 1 then Engine.sequential
-  else Parallel.executor ~jobs
-
 let session_path t name = Filename.concat t.opts.spool (name ^ ".ck")
 
 type run_result =
   | Completed of Engine.run
   | Interrupted of { session : string; completed : int }
+  | Unresumable of { status : int; message : string }
 
 (* Run the engine for one work request: session checkpointing when asked
    for, drain interruption at checkpoint granularity.  Runs inside the
    request's domain. *)
 let engine_run t ~options setup (work : Protocol.work) =
-  let executor = executor_of work.Protocol.w_jobs in
+  let jobs = work.Protocol.w_jobs in
   let setup =
     match work.Protocol.w_take with
     | Some n -> Experiments.Setup.reduced setup ~n_faults:n
@@ -187,41 +172,20 @@ let engine_run t ~options setup (work : Protocol.work) =
   | None ->
       (* no checkpoint to resume from, so the run is not interruptible:
          a drain waits for it *)
-      Completed (Experiments.Runs.engine_run ?options ~executor setup)
-  | Some name -> (
-      let path = session_path t name in
+      Completed (Experiments.Runs.engine_run ?options ~jobs setup)
+  | Some session -> (
       (* resume salvages a prior drain's prefix; a missing file behaves
          like create *)
-      match Session.checkpoint_resume ~path with
-      | Error m -> failwith m
-      | Ok (ck, prior) ->
-          let appended = ref 0 in
-          let checkpoint r =
-            Session.checkpoint_append ck r;
-            incr appended;
-            if Atomic.get t.draining then raise Drained
-          in
-          let close () = Session.checkpoint_close ck in
-          (match
-             Experiments.Runs.engine_run ?options ~executor ~resume:prior
-               ~checkpoint setup
-           with
-          | run ->
-              close ();
-              Completed run
-          | exception Drained ->
-              close ();
-              Interrupted
-                { session = name; completed = List.length prior + !appended }
-          | exception e ->
-              close ();
-              raise e))
-
-let with_injection (work : Protocol.work) f =
-  match work.Protocol.w_inject with
-  | [] -> f ()
-  | specs ->
-      Numerics.Failpoint.with_config ~seed:work.Protocol.w_inject_seed specs f
+      let on_append completed =
+        if Atomic.get t.draining then raise (Drained completed)
+      in
+      match
+        Experiments.Runs.resume_run ?options ~jobs ~on_append
+          ~path:(session_path t session) setup
+      with
+      | Ok run -> Completed run
+      | Error (status, message) -> Unresumable { status; message }
+      | exception Drained completed -> Interrupted { session; completed })
 
 (* Each work request runs in its own domain so Failpoint overrides and
    the Obs request id are scoped to it (and to the worker domains its
@@ -248,7 +212,8 @@ let run_work t ~send ~req (work : Protocol.work) kind =
   | Ok (setup, options) ->
       let outcome =
         in_request_domain ~req (fun () ->
-            with_injection work (fun () ->
+            Numerics.Failpoint.with_config ~seed:work.Protocol.w_inject_seed
+              work.Protocol.w_inject (fun () ->
                 with_forked_evaluators t setup (fun setup ->
                     let t0 = Unix.gettimeofday () in
                     let r = engine_run t ~options setup work in
@@ -264,6 +229,9 @@ let run_work t ~send ~req (work : Protocol.work) kind =
         ]
       in
       (match outcome with
+      | Unresumable { status; message }, _ ->
+          send (Protocol.error ~req message);
+          status
       | Interrupted { session; completed }, _ ->
           send (Protocol.drained ~req ~session ~completed);
           Protocol.exit_drained

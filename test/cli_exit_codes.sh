@@ -3,6 +3,7 @@
 #   0 - clean run
 #   3 - run completed but left quarantined faults
 #   4 - a fail-fast policy terminated the run
+#   5 - a session or checkpoint file is corrupt
 # Driven from dune (see the rule in test/dune); $1 is the atpg executable.
 set -u
 
@@ -116,6 +117,26 @@ expect 0 "client ping" \
   client --socket "$sock" ping
 expect 0 "client generate via daemon" \
   client --socket "$sock" generate --macro rc4 --take 1 --fast
+# A named session whose spool checkpoint is corrupt is the same failure
+# class as `atpg generate --resume` on a corrupt file (exit 5).
+printf 'atpg-session 99\n' > "$spool/bad.ck"
+expect 5 "client corrupt session" \
+  client --socket "$sock" generate --macro rc4 --take 1 --fast --session bad
+# A named session's spool checkpoint holds the bytes `atpg generate
+# --resume` writes for the same run (see golden_sessions.sh), at every
+# job count.
+for jobs in 1 2; do
+  expect 0 "client session at --jobs $jobs" \
+    client --socket "$sock" generate --macro rc16 --take 6 --fast \
+    --jobs "$jobs" --session "g$jobs"
+  md5=$(md5sum < "$spool/g$jobs.ck" 2>/dev/null | cut -d' ' -f1)
+  if [ "$md5" != 4e08f66ac67bb78ed78e1118c32b1ff4 ]; then
+    echo "FAIL daemon session checkpoint at --jobs $jobs: md5 $md5" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok   daemon session checkpoint at --jobs $jobs ($md5)"
+  fi
+done
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 serve_code=$?

@@ -47,6 +47,8 @@ expect_out() {
 
 reject "--jobs -1"           generate --fast --take 1 --jobs -1
 reject "--jobs garbage"      generate --fast --take 1 --jobs banana
+reject "--take 0"            generate --fast --take 0
+reject "--take=-2"           generate --fast --take=-2
 reject "--max-retries -1"    generate --fast --take 1 --max-retries -1
 reject "--max-retries junk"  generate --fast --take 1 --max-retries 1.5
 reject "--campaigns 0"       fuzz --campaigns 0

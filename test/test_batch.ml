@@ -136,7 +136,7 @@ let test_decline_gates () =
     = None);
   (* active failure injection must decline — batching would reorder the
      draw sequence *)
-  Fp.with_failpoints ~seed:7L
+  Fp.with_config ~seed:7L
     [ { Fp.point = "dc.no_convergence"; probability = 0.0; max_triggers = None } ]
     (fun () ->
       declines "failure injection active" (first_evaluator (ctx ladder)))
@@ -269,9 +269,9 @@ let fingerprint (run : Engine.run) =
     run.Engine.total_fault_simulations,
     List.map (fun d -> d.Resilience.diag_fault_id) run.Engine.failed_faults )
 
-let engine_run ?executor (c : Experiments.Setup.t) n_faults =
+let engine_run ?jobs (c : Experiments.Setup.t) n_faults =
   let c = Experiments.Setup.reduced c ~n_faults in
-  Engine.run ~options:Experiments.Setup.probe_options ?executor
+  Engine.run ~options:Experiments.Setup.probe_options ?jobs
     ~evaluators:c.evaluators c.dictionary
 
 (* Generation, compaction and baseline with batching on vs off: the
@@ -330,9 +330,7 @@ let test_jobs_parity () =
   let reference = engine_run (ctx chain) 6 in
   List.iter
     (fun jobs ->
-      let pooled =
-        engine_run ~executor:(Parallel.executor ~jobs) (ctx chain) 6
-      in
+      let pooled = engine_run ~jobs (ctx chain) 6 in
       Alcotest.(check bool)
         (Printf.sprintf "jobs %d identical to sequential" jobs)
         true
@@ -343,7 +341,7 @@ let test_jobs_parity () =
    and with it recovery and quarantine patterns — is the sequential one. *)
 let test_injected_parity () =
   let injected batching =
-    Fp.with_failpoints ~seed:23L
+    Fp.with_config ~seed:23L
       [
         {
           Fp.point = "dc.no_convergence";

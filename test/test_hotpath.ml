@@ -116,10 +116,10 @@ let evaluator () =
   Evaluator.create config ~nominal:iv_target
     ~box_model:(Tolerance.floor_only config)
 
-let engine_run executor =
-  Engine.run ~executor ~evaluators:[ evaluator () ] full_dictionary
+let engine_run jobs =
+  Engine.run ~jobs ~evaluators:[ evaluator () ] full_dictionary
 
-let sequential_run = lazy (engine_run Engine.sequential)
+let sequential_run = lazy (engine_run 1)
 
 let probes_of (r : Generate.result) =
   let f = r.Generate.dictionary_fault in
@@ -166,12 +166,12 @@ let test_differential_sequential () =
     (fun p -> check_probe (probe_label p) (reference_probe p) (engine_probe ev p))
     (all_probes run)
 
-(* The same differential over a pool of two domains: the engine run uses
-   the parallel executor, and the probes are re-measured on two domains,
+(* The same differential over a pool of two domains: the engine run fans
+   out over two domains, and the probes are re-measured on two domains,
    each through its own fork of one evaluator — compiled plans are
    domain-private, so neither may disturb the bits. *)
 let test_differential_pool () =
-  let run = engine_run (Parallel.executor ~jobs:2) in
+  let run = engine_run 2 in
   Alcotest.(check string) "pool run = sequential run"
     (Session.to_string (Lazy.force sequential_run).Engine.results)
     (Session.to_string run.Engine.results);
@@ -203,9 +203,9 @@ let test_differential_injected () =
     (fun i p ->
       let seed = Int64.of_int (23 + i) in
       let reference =
-        Fp.with_failpoints ~seed specs (fun () -> reference_probe p)
+        Fp.with_config ~seed specs (fun () -> reference_probe p)
       in
-      let engine = Fp.with_failpoints ~seed specs (fun () -> engine_probe ev p) in
+      let engine = Fp.with_config ~seed specs (fun () -> engine_probe ev p) in
       if Result.is_error reference then incr failed;
       check_probe (probe_label p) reference engine)
     (all_probes (Lazy.force sequential_run));

@@ -1,5 +1,5 @@
-(* Sequential/parallel parity: the Domain-pool executor must reproduce
-   the sequential engine's run record bit for bit — same fault ordering,
+(* Sequential/parallel parity: Engine.run on a pool of domains must
+   reproduce the sequential (jobs = 1) run record bit for bit — same fault ordering,
    same rung statistics, same session-checkpoint bytes — at every job
    count, with and without failure injection, and across a mid-run kill
    plus resume. *)
@@ -44,9 +44,6 @@ let env_jobs =
 
 let job_counts = List.sort_uniq Int.compare ([ 1; 2; 4 ] @ Option.to_list env_jobs)
 
-let executor_of jobs =
-  if jobs = 0 then Engine.sequential else Parallel.executor ~jobs
-
 let outcome_label (o : Generate.result Resilience.outcome) =
   match o with
   | Resilience.Ok _ -> "ok"
@@ -68,7 +65,7 @@ let fingerprint (run : Engine.run) =
     List.map (fun d -> d.Resilience.diag_fault_id) run.Engine.failed_faults )
 
 let run_dict ?policy ?resume ?checkpoint dictionary jobs =
-  Engine.run ?policy ?resume ?checkpoint ~executor:(executor_of jobs)
+  Engine.run ?policy ?resume ?checkpoint ~jobs
     ~evaluators:[ fresh_dc_evaluator () ] dictionary
 
 let read_file path =
@@ -112,7 +109,7 @@ let checkpointed_run ?policy ?resume ?prior_file dictionary jobs =
 (* ------------------------------------------------------------ parity *)
 
 let test_full_dictionary_parity () =
-  let reference, ref_bytes = checkpointed_run full_dictionary 0 in
+  let reference, ref_bytes = checkpointed_run full_dictionary 1 in
   let ref_fp = fingerprint reference in
   Alcotest.(check int) "whole dictionary simulated"
     (Faults.Dictionary.size full_dictionary)
@@ -134,7 +131,7 @@ let test_parity_under_injection () =
      ladder engages for some faults and quarantines others, and the
      whole pattern must be identical at every job count *)
   let injected jobs =
-    Fp.with_failpoints ~seed:23L
+    Fp.with_config ~seed:23L
       [
         {
           Fp.point = "dc.no_convergence";
@@ -145,7 +142,7 @@ let test_parity_under_injection () =
       ]
       (fun () -> run_dict small_dictionary jobs)
   in
-  let reference = injected 0 in
+  let reference = injected 1 in
   let ref_fp = fingerprint reference in
   Alcotest.(check bool) "injection exercised the ladder" true
     (reference.Engine.recovered_count > 0
@@ -162,7 +159,7 @@ let test_kill_and_resume_across_job_counts () =
   (* a run killed after k faults (mid-write of fault k+1) and resumed at
      a different job count must refill the checkpoint to the exact bytes
      of an uninterrupted sequential run *)
-  let reference, ref_bytes = checkpointed_run full_dictionary 0 in
+  let reference, ref_bytes = checkpointed_run full_dictionary 1 in
   let killed_after = 20 in
   let torn_prefix =
     Session.to_string
@@ -190,7 +187,7 @@ let test_fail_fast_parallel () =
   (* fail-fast under a pool: the funnel aborts on the lowest-index
      unrecoverable fault, outstanding work is cancelled and every domain
      joined before the exception escapes *)
-  Fp.with_failpoints [ Fp.fail_always "dc.no_convergence" ] (fun () ->
+  Fp.with_config [ Fp.fail_always "dc.no_convergence" ] (fun () ->
       let policy =
         { Resilience.default_policy with Resilience.fail_fast = true }
       in
@@ -220,13 +217,6 @@ let prop_fan_out_complete_and_ordered =
         ~emit:(fun i v -> emitted := (i, v) :: !emitted)
         n;
       List.rev !emitted = List.init n (fun i -> (i, i * i)))
-
-let prop_map_ordered_is_mapi =
-  QCheck.Test.make ~name:"map_ordered agrees with List.mapi" ~count:100
-    QCheck.(pair (list small_int) (int_range 1 8))
-    (fun (l, jobs) ->
-      Parallel.map_ordered ~jobs (fun i x -> (i, x + 1)) l
-      = List.mapi (fun i x -> (i, x + 1)) l)
 
 (* a placeholder generation result for synthetic reports: rung_stats
    only inspects the outcome shape and rung labels *)
@@ -306,7 +296,7 @@ let prop_engine_subset_parity =
         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) small_faults
       in
       let dict = Faults.Dictionary.of_faults subset in
-      fingerprint (run_dict dict 0) = fingerprint (run_dict dict jobs))
+      fingerprint (run_dict dict 1) = fingerprint (run_dict dict jobs))
 
 (* --------------------------------------------- domain-safety regressions *)
 
@@ -329,10 +319,10 @@ let test_rng_streams_never_interleave () =
 let test_failpoint_domains_never_interleave () =
   (* concurrent scoped querying from two domains reproduces each scope's
      single-threaded failure pattern — per-domain site tables, no shared
-     counters or streams.  [with_failpoints] is domain-local, so a raw
+     counters or streams.  [with_config] is domain-local, so a raw
      spawn carries the configuration across as a snapshot, exactly as
      Parallel.fan_out does for its workers. *)
-  Fp.with_failpoints ~seed:5L
+  Fp.with_config ~seed:5L
     [ { Fp.point = "p"; probability = 0.5; max_triggers = Some 100 } ]
     (fun () ->
       let pattern scope n =
@@ -410,7 +400,6 @@ let () =
       ( "merge",
         [
           QCheck_alcotest.to_alcotest prop_fan_out_complete_and_ordered;
-          QCheck_alcotest.to_alcotest prop_map_ordered_is_mapi;
           QCheck_alcotest.to_alcotest prop_rung_stats_no_double_count;
           QCheck_alcotest.to_alcotest prop_engine_subset_parity;
         ] );

@@ -255,7 +255,7 @@ let prop_newton_oracle =
             [ { Numerics.Failpoint.point; probability = 0.3; max_triggers = Some 1 } ]
           in
           fun () ->
-            Numerics.Failpoint.with_failpoints ~seed:(Int64.of_int seed) specs f
+            Numerics.Failpoint.with_config ~seed:(Int64.of_int seed) specs f
       in
       let solve = injected (fun () -> Dc.solve ?companions sys ~time) in
       let oracle =

@@ -176,7 +176,7 @@ let contains s sub =
 
 let test_failpoint_determinism () =
   let pattern seed =
-    Fp.with_failpoints ~seed
+    Fp.with_config ~seed
       [ { Fp.point = "p"; probability = 0.5; max_triggers = None } ]
       (fun () -> List.init 64 (fun _ -> Fp.should_fail "p"))
   in
@@ -185,7 +185,7 @@ let test_failpoint_determinism () =
   Alcotest.(check bool) "unconfigured afterwards" false (Fp.should_fail "p")
 
 let test_failpoint_trigger_cap () =
-  Fp.with_failpoints [ Fp.fail_always ~max_triggers:3 "q" ] (fun () ->
+  Fp.with_config [ Fp.fail_always ~max_triggers:3 "q" ] (fun () ->
       let fired = List.init 10 (fun _ -> Fp.should_fail "q") in
       Alcotest.(check (list bool)) "first three queries fire"
         [ true; true; true; false; false; false; false; false; false; false ]
@@ -200,14 +200,14 @@ let test_dc_nan_guard () =
   let sys = iv_system () in
   (* every iterate corrupted: the finiteness guard must reject the run as
      non-convergence rather than accept NaN node voltages *)
-  Fp.with_failpoints [ Fp.fail_always "dc.nan_solution" ] (fun () ->
+  Fp.with_config [ Fp.fail_always "dc.nan_solution" ] (fun () ->
       try
         ignore (Circuit.Dc.solve sys ~time:`Dc);
         Alcotest.fail "NaN iterate accepted as an operating point"
       with Circuit.Dc.No_convergence _ -> ());
   (* a single corrupted iterate: the homotopy ladder recovers and the
      accepted solution is finite *)
-  Fp.with_failpoints [ Fp.fail_always ~max_triggers:1 "dc.nan_solution" ]
+  Fp.with_config [ Fp.fail_always ~max_triggers:1 "dc.nan_solution" ]
     (fun () ->
       let r = Circuit.Dc.solve sys ~time:`Dc in
       Alcotest.(check bool) "finite solution" true
@@ -216,7 +216,7 @@ let test_dc_nan_guard () =
 let test_dc_singular_recovery () =
   let sys = iv_system () in
   let clean = Circuit.Dc.solve sys ~time:`Dc in
-  Fp.with_failpoints [ Fp.fail_always ~max_triggers:1 "dc.singular" ] (fun () ->
+  Fp.with_config [ Fp.fail_always ~max_triggers:1 "dc.singular" ] (fun () ->
       let r = Circuit.Dc.solve sys ~time:`Dc in
       Alcotest.(check bool) "homotopy engaged" true
         (r.Circuit.Dc.gmin_steps > 0 || r.Circuit.Dc.source_steps > 0);
@@ -233,7 +233,7 @@ let test_dc_singular_recovery () =
 let test_dc_source_step_ladder () =
   let sys = iv_system () in
   let clean = Circuit.Dc.solve sys ~time:`Dc in
-  Fp.with_failpoints [ Fp.fail_always ~max_triggers:2 "dc.singular" ] (fun () ->
+  Fp.with_config [ Fp.fail_always ~max_triggers:2 "dc.singular" ] (fun () ->
       let r = Circuit.Dc.solve sys ~time:`Dc in
       Alcotest.(check int) "gmin stages" 8 r.Circuit.Dc.gmin_steps;
       Alcotest.(check int) "source stages" 9 r.Circuit.Dc.source_steps;
@@ -253,7 +253,7 @@ let test_tran_step_halving () =
   let result =
     Fun.protect ~finally:Obs.shutdown (fun () ->
         let r =
-          Fp.with_failpoints ~seed:3L
+          Fp.with_config ~seed:3L
             [ { Fp.point = "dc.no_convergence"; probability = 0.2; max_triggers = None } ]
             (fun () ->
               Circuit.Tran.simulate sys ~tstop:2e-6 ~dt:1e-7 ~observe:[ "vout" ])
@@ -275,7 +275,7 @@ let test_tran_step_halving () =
 
 let test_tran_step_failure_injection () =
   let sys = iv_system () in
-  Fp.with_failpoints [ Fp.fail_always ~max_triggers:1 "tran.step_failure" ]
+  Fp.with_config [ Fp.fail_always ~max_triggers:1 "tran.step_failure" ]
     (fun () ->
       try
         ignore
@@ -364,7 +364,7 @@ let test_engine_recovers_injected_failures () =
      per-fault budget: each fault's first three attempts absorb three
      injected DC failures and the fourth rung completes it — every fault
      recovers on the same rung, whatever the execution order *)
-  Fp.with_failpoints [ Fp.fail_always ~max_triggers:3 "dc.no_convergence" ]
+  Fp.with_config [ Fp.fail_always ~max_triggers:3 "dc.no_convergence" ]
     (fun () ->
       let run =
         Engine.run ~evaluators:[ fresh_dc_evaluator () ] resilience_dictionary
@@ -383,7 +383,7 @@ let test_engine_recovers_injected_failures () =
 let test_engine_quarantines_unrecoverable_faults () =
   (* unlimited injection: every attempt of every fault fails, yet the run
      completes with a diagnosis per fault instead of aborting *)
-  Fp.with_failpoints [ Fp.fail_always "dc.no_convergence" ] (fun () ->
+  Fp.with_config [ Fp.fail_always "dc.no_convergence" ] (fun () ->
       let run =
         Engine.run ~evaluators:[ fresh_dc_evaluator () ] resilience_dictionary
       in
@@ -404,7 +404,7 @@ let test_engine_quarantines_unrecoverable_faults () =
         run.Engine.failed_faults)
 
 let test_engine_fail_fast () =
-  Fp.with_failpoints [ Fp.fail_always "dc.no_convergence" ] (fun () ->
+  Fp.with_config [ Fp.fail_always "dc.no_convergence" ] (fun () ->
       let policy =
         { Resilience.default_policy with Resilience.fail_fast = true }
       in
@@ -422,7 +422,7 @@ let test_engine_deterministic_under_seed () =
   (* probabilistic injection under a fixed seed: two runs from fresh
      evaluators are indistinguishable, ladder walks included *)
   let run_once () =
-    Fp.with_failpoints ~seed:11L
+    Fp.with_config ~seed:11L
       [ { Fp.point = "dc.no_convergence"; probability = 0.2; max_triggers = Some 6 } ]
       (fun () ->
         Engine.run ~evaluators:[ fresh_dc_evaluator () ] resilience_dictionary)

@@ -89,8 +89,7 @@ let reference_verdicts (macro_name, take) =
       in
       let ctx = Experiments.Setup.reduced ctx ~n_faults:take in
       let run =
-        Experiments.Runs.engine_run ~options:Experiments.Setup.probe_options
-          ~executor:Engine.sequential ctx
+        Experiments.Runs.engine_run ~options:Experiments.Setup.probe_options ctx
       in
       let v = J.to_string (P.verdicts_of_run run) in
       Hashtbl.replace reference key v;
