@@ -428,17 +428,22 @@ let resume_arg =
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for the generation run: $(docv)=1 runs sequentially \
-     (the default), $(docv)=0 uses one worker per available core. Results, \
-     reports and checkpoint files are bit-for-bit identical at every job \
-     count, so a run checkpointed at one $(docv) can be resumed at another."
-  in
+let jobs_doc =
+  "Results, reports and checkpoint files are bit-for-bit identical at \
+   every job count, so a run checkpointed at one $(docv) can be resumed at \
+   another."
+
+let jobs_opt ~default ~doc =
   Arg.(
     value
-    & opt (bounded_int ~what:"--jobs" ~min:0 ()) 1
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    & opt (bounded_int ~what:"--jobs" ~min:0 ()) default
+    & info [ "jobs"; "j" ] ~docv:"N" ~doc:(doc ^ " " ^ jobs_doc))
+
+let jobs_arg =
+  jobs_opt ~default:0
+    ~doc:
+      "Worker domains for the generation run: $(docv)=0 (the default) uses \
+       one per available core, $(docv)=1 runs sequentially."
 
 let policy_of ~max_retries ~fail_fast =
   {
@@ -460,7 +465,7 @@ let inject_arg =
   let doc =
     Printf.sprintf
       "Failure-injection point $(docv) (testing hook), as \
-       NAME[=PROB][\\@MAX]: e.g. $(b,dc.no_convergence=0.3\\@5). Known \
+       NAME[=PROB][@MAX]: e.g. $(b,dc.no_convergence=0.3@5). Known \
        points: %s. Repeatable."
       (String.concat ", " Numerics.Failpoint.known_points)
   in
@@ -1156,6 +1161,13 @@ let client_cmd =
       & info [ "delta" ] ~docv:"D"
           ~doc:"Compaction sensitivity-loss budget (compact op).")
   in
+  let client_jobs_arg =
+    jobs_opt ~default:1
+      ~doc:
+        "Worker domains the daemon runs this request on: $(docv)=1 (the \
+         default) runs it sequentially, since the daemon already runs \
+         concurrent requests in parallel; $(docv)=0 uses one per core."
+  in
   let linger_arg =
     let doc =
       "Hold an admission slot for $(docv) milliseconds on a ping \
@@ -1174,7 +1186,7 @@ let client_cmd =
           rejected, 7 drained).")
     Term.(
       const run $ socket_arg $ op_arg $ req_arg $ macro_arg $ fast_arg
-      $ take_arg $ jobs_arg $ delta_arg $ inject_arg $ inject_seed_arg
+      $ take_arg $ client_jobs_arg $ delta_arg $ inject_arg $ inject_seed_arg
       $ session_arg $ linger_arg)
 
 let main_cmd =

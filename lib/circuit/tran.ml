@@ -2,7 +2,7 @@ type method_ = Backward_euler | Trapezoidal
 
 type probe = { node : string; values : float array }
 
-type result = { times : float array; probes : probe list }
+type result = { probes : probe list }
 
 let probe_values r node =
   match List.find_opt (fun p -> String.equal p.node node) r.probes with
@@ -149,12 +149,10 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
           advance ~depth:(depth + 1) ~t_prev:t_mid ~t_next x_mid
         end
   in
-  let times = Array.make (n_steps + 1) 0. in
   let x = ref x0 in
   for k = 1 to n_steps do
     let t_prev = dt *. float_of_int (k - 1) in
     let t_next = dt *. float_of_int k in
-    times.(k) <- t_next;
     if Numerics.Failpoint.should_fail "tran.step_failure" then
       raise
         (Step_failure
@@ -167,7 +165,6 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
     Obs.Counter.add c_steps n_steps
   end;
   {
-    times;
     probes =
       List.mapi (fun o node -> { node; values = snd observed.(o) }) observe;
   }

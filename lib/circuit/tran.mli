@@ -11,8 +11,9 @@ type method_ = Backward_euler | Trapezoidal
 type probe = { node : string; values : float array }
 
 type result = {
-  times : float array;  (** [t_0 = 0], then every [dt] up to [tstop] *)
-  probes : probe list;  (** in the order of [observe] *)
+  probes : probe list;
+      (** in the order of [observe]; each holds the sample at [t = 0],
+          then one every [dt] up to [tstop] *)
 }
 
 val probe_values : result -> string -> float array

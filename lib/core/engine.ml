@@ -23,11 +23,16 @@ type run = {
    counters) plus a private table of rung-escalated evaluator sets.
    Escalated sets are built once per rung per worker, so their
    nominal-observable caches amortize the same way the baseline
-   evaluators' do. *)
+   evaluators' do.  The forks share one topology table, so the worker
+   compiles each fault site once for all its configurations (and the
+   escalated sets, views of the same forks, reuse those plans). *)
 type worker = {
   w_evaluators : Evaluator.t list;
   w_escalated : (string, Evaluator.t list) Hashtbl.t;
 }
+
+let fork_worker evaluators =
+  { w_evaluators = Evaluator.fork evaluators; w_escalated = Hashtbl.create 4 }
 
 let c_faults = Obs.Counter.create "engine.faults"
 
@@ -55,7 +60,7 @@ let rung_stats_of_reports ~policy reports =
        ladder_rungs
 
 let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoint
-    ?progress ?(jobs = 1) ~evaluators dictionary =
+    ?progress ?(jobs = 0) ~evaluators dictionary =
   let entries = Array.of_list (Faults.Dictionary.entries dictionary) in
   let total = Array.length entries in
   let started = Unix.gettimeofday () in
@@ -78,12 +83,7 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
   let workers_mutex = Mutex.create () in
   let workers = ref [] in
   let make_worker () =
-    let w =
-      {
-        w_evaluators = List.map Evaluator.fork evaluators;
-        w_escalated = Hashtbl.create 4;
-      }
-    in
+    let w = fork_worker evaluators in
     Mutex.lock workers_mutex;
     workers := w :: !workers;
     Mutex.unlock workers_mutex;
@@ -163,14 +163,7 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
     match Hashtbl.find_opt resumed fid with
     | Some r -> Resilience.Ok r
     | None ->
-        let tw =
-          if isolate_tasks then
-            {
-              w_evaluators = List.map Evaluator.fork evaluators;
-              w_escalated = Hashtbl.create 4;
-            }
-          else w
-        in
+        let tw = if isolate_tasks then fork_worker evaluators else w in
         let work () =
           Numerics.Failpoint.with_scope ~key:fid (fun () ->
               Resilience.protect ~policy ~fault_id:fid (attempt tw entry))

@@ -57,18 +57,24 @@ val run :
     appears in [resume] are not re-simulated — the stored result is
     reused, so an interrupted run restarts where it left off.
     [checkpoint] is invoked with each freshly generated (non-resumed)
-    result as soon as it completes, in dictionary order, before any
-    later fault is reported — the hook {!Session.checkpoint_append}
-    persists partial runs and stays single-writer at any job count.
+    result in dictionary order, before any later fault is reported —
+    as soon as it completes on one worker, at most one fault later on a
+    pool (the calling domain drains results between its own faults) —
+    the hook {!Session.checkpoint_append} persists partial runs and
+    stays single-writer at any job count.
     [progress] is invoked after each fault (CLI feedback), also in
     dictionary order.
 
-    [jobs] (default 1) is the number of domains the per-fault tasks fan
-    out over through {!Parallel.fan_out}; [0] means one per core.  Each
-    worker simulates on private evaluator forks, failure injection is
-    scoped per fault, and outcomes are emitted in dictionary order, so
-    the resulting [run] record is the same bit for bit at every job
-    count; [jobs = 1] is an in-order loop that spawns no domain.
+    [jobs] (default [0], one per core) is the number of workers the
+    per-fault tasks fan out over through {!Parallel.fan_out}: the
+    calling domain and [jobs - 1] spawned ones.  Each worker simulates
+    on private evaluator forks that share one topology table (every
+    fault site compiled once per worker, for all configurations),
+    failure injection is scoped per fault, and outcomes are emitted in
+    dictionary order, so the resulting [run] record is the same bit for
+    bit at every job count; [jobs = 1] is an in-order loop that spawns
+    no domain.  A run that already executes on a worker (a daemon
+    request, a fuzz invariant's base run) passes [~jobs:1].
 
     @raise Fault_failure under a [fail_fast] policy. *)
 

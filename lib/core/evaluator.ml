@@ -12,7 +12,11 @@ type t = {
   batching : bool;
   backend : Circuit.Mna.backend option;
   nominal_cache : (string, float array) Hashtbl.t;
-  compiled_cache : (string, Execute.compiled) Hashtbl.t;
+  topologies : (string, Execute.topology) Hashtbl.t;
+      (* shared by every evaluator of one context (and by their forks
+         within one domain) *)
+  plans : (string, Execute.compiled) Hashtbl.t;
+      (* this configuration's shells over [topologies] *)
   evals : Obs.Counter.t;
   budget : int option ref;
   cache_hits : Obs.Counter.t;
@@ -34,51 +38,77 @@ let g_batch_panels = Obs.Counter.create "evaluator.batch.panels"
 
 exception Budget_exhausted of { config_id : int; budget : int }
 
-let create ?(profile = Execute.default_profile) ?(batching = true)
-    ?backend config ~nominal ~box_model =
-  {
-    config;
-    profile;
-    nominal;
-    box_model;
-    batching;
-    backend;
-    nominal_cache = Hashtbl.create 64;
-    compiled_cache = Hashtbl.create 16;
-    evals = Obs.Counter.unregistered "evaluator.evals";
-    budget = ref None;
-    cache_hits = Obs.Counter.unregistered "evaluator.cache_hits";
-    cache_misses = Obs.Counter.unregistered "evaluator.cache_misses";
-  }
+(* One topology table for the whole context: every configuration
+   injects faults into the same nominal netlist, so a fault site's
+   compiled topology is the same whichever configuration asks for it. *)
+let create_all ?(profile = Execute.default_profile) ?(batching = true)
+    ?backend ~nominal configs =
+  let topologies = Hashtbl.create 16 in
+  List.map
+    (fun (config, box_model) ->
+      {
+        config;
+        profile;
+        nominal;
+        box_model;
+        batching;
+        backend;
+        nominal_cache = Hashtbl.create 64;
+        topologies;
+        plans = Hashtbl.create 16;
+        evals = Obs.Counter.unregistered "evaluator.evals";
+        budget = ref None;
+        cache_hits = Obs.Counter.unregistered "evaluator.cache_hits";
+        cache_misses = Obs.Counter.unregistered "evaluator.cache_misses";
+      })
+    configs
+
+let create ?profile ?batching ?backend config ~nominal ~box_model =
+  List.hd
+    (create_all ?profile ?batching ?backend ~nominal [ (config, box_model) ])
 
 (* Same configuration, target and calibrated box, different execution
    profile — the retry ladder's escalated view of an evaluator.  The
    evaluation counter and budget cell are shared so accounting spans all
    derived copies; the nominal cache is fresh because cached observables
-   are profile-dependent.  The compiled-plan cache is shared: plans
-   capture topology only, not profile, and the derived evaluator runs in
-   the same domain as its parent (the retry ladder is sequential). *)
+   are profile-dependent.  Compiled plans are shared: they capture
+   topology only, not profile, and the derived evaluator runs in the
+   same domain as its parent (the retry ladder is sequential). *)
 let with_profile t profile =
   { t with profile; nominal_cache = Hashtbl.create 64 }
 
-(* A worker's private view of an evaluator: same (immutable)
-   configuration, target, box model and profile, but its own cache and
+(* A worker's private view of a set of evaluators: same (immutable)
+   configuration, target, box model and profile, but its own caches and
    its own counters, so domains never contend on shared mutable state.
    The parent's cached observables are copied in as a warm start — safe
    because cache keys are exact and values are deterministic, so any
-   domain recomputing an entry would produce the same bits.  The
-   compiled-plan cache is NOT warm-started: plans own mutable solver
-   workspaces, so each domain must compile its own. *)
-let fork t =
-  {
-    t with
-    nominal_cache = Hashtbl.copy t.nominal_cache;
-    compiled_cache = Hashtbl.create 16;
-    evals = Obs.Counter.fork t.evals;
-    budget = ref None;
-    cache_hits = Obs.Counter.fork t.cache_hits;
-    cache_misses = Obs.Counter.fork t.cache_misses;
-  }
+   domain recomputing an entry would produce the same bits.  Compiled
+   plans are NOT warm-started: they own mutable solver workspaces, so
+   each domain compiles its own — once per fault site for all forks that
+   shared a topology table, which get one fresh table between them. *)
+let fork ts =
+  let tables = ref [] in
+  let table_for parent =
+    match List.assq_opt parent !tables with
+    | Some fresh -> fresh
+    | None ->
+        let fresh = Hashtbl.create 16 in
+        tables := (parent, fresh) :: !tables;
+        fresh
+  in
+  List.map
+    (fun t ->
+      {
+        t with
+        nominal_cache = Hashtbl.copy t.nominal_cache;
+        topologies = table_for t.topologies;
+        plans = Hashtbl.create 16;
+        evals = Obs.Counter.fork t.evals;
+        budget = ref None;
+        cache_hits = Obs.Counter.fork t.cache_hits;
+        cache_misses = Obs.Counter.fork t.cache_misses;
+      })
+    ts
 
 (* Deterministic merge of a fork back into its parent.  Counters are
    summed (addition commutes, so the merged totals are independent of
@@ -127,18 +157,31 @@ let cache_key values =
    depend on the impact resistance), so [Fault.id] — which excludes the
    resistance — is exactly the right key; the resistance itself is a
    value-phase override applied at stamp time.  The nominal topology
-   lives under a key no fault id can collide with. *)
+   lives under a key no fault id can collide with.  The topology comes
+   from the context's shared table, so it is compiled once whichever
+   configuration asks first (a plan-cache miss); this configuration's
+   shell over it is kept alongside. *)
 let nominal_plan_key = "@nominal"
 
 let compiled_plan t ~key target =
-  match Hashtbl.find_opt t.compiled_cache key with
+  match Hashtbl.find_opt t.plans key with
   | Some plan ->
       Obs.Counter.bump g_plan_hits 1;
       plan
   | None ->
-      Obs.Counter.bump g_plan_misses 1;
-      let plan = Execute.compile ?backend:t.backend t.config (target ()) in
-      Hashtbl.replace t.compiled_cache key plan;
+      let topo =
+        match Hashtbl.find_opt t.topologies key with
+        | Some topo ->
+            Obs.Counter.bump g_plan_hits 1;
+            topo
+        | None ->
+            Obs.Counter.bump g_plan_misses 1;
+            let topo = Execute.topology ?backend:t.backend (target ()) in
+            Hashtbl.replace t.topologies key topo;
+            topo
+      in
+      let plan = Execute.with_config topo t.config in
+      Hashtbl.replace t.plans key plan;
       plan
 
 let nominal_observables t values =

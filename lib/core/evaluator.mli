@@ -11,7 +11,10 @@
     ({!Faults.Fault.id} excludes the impact resistance, which restamps
     as a value) — so each optimizer probe restamps a preallocated
     workspace instead of rewriting and re-indexing the netlist.  The
-    results are bit-identical to {!Execute.observables} on the
+    topology part of a plan ({!Execute.topology}) is configuration-free:
+    evaluators built together by {!create_all} keep one table of them,
+    so a context compiles each site once, not once per configuration.
+    The results are bit-identical to {!Execute.observables} on the
     fault-injected netlist, the rebuild-per-probe reference the parity
     tests compare against. *)
 
@@ -44,6 +47,20 @@ val create :
     implementation batched results are bit-compared against (a test
     seam, not a user option). *)
 
+val create_all :
+  ?profile:Execute.profile ->
+  ?batching:bool ->
+  ?backend:Circuit.Mna.backend ->
+  nominal:Execute.target ->
+  (Test_config.t * Tolerance.t) list ->
+  t list
+(** One evaluator per [(configuration, box model)] over the same nominal
+    target, as {!create} builds them, sharing one table of compiled
+    topologies: the first configuration to probe a fault site compiles
+    it and the others reuse it (bit-identical — a workspace's results do
+    not depend on what it solved before).  A lone {!create} keeps a
+    private table. *)
+
 val with_profile : t -> Execute.profile -> t
 (** A derived evaluator with a different execution profile (used by the
     resilience retry ladder).  Configuration, target, box model, the
@@ -52,13 +69,15 @@ val with_profile : t -> Execute.profile -> t
     profile).  Compiled plans are shared — they capture topology, not
     profile, and the retry ladder runs sequentially in one domain. *)
 
-val fork : t -> t
-(** A worker-private copy for parallel execution: shares the immutable
-    configuration, target, box model and profile, but owns a private
-    nominal-observable cache (warm-started from the parent's entries)
-    and zeroed evaluation/budget/cache counters, so domains never touch
-    shared mutable state.  The compiled-plan cache starts empty: plans
-    own mutable solver workspaces and must never cross domains.
+val fork : t list -> t list
+(** Worker-private copies for parallel execution: each shares the
+    immutable configuration, target, box model and profile, but owns a
+    private nominal-observable cache (warm-started from the parent's
+    entries) and zeroed evaluation/budget/cache counters, so domains
+    never touch shared mutable state.  Compiled plans start empty: they
+    own mutable solver workspaces and must never cross domains.  Forks
+    of evaluators that shared a topology table share one fresh table,
+    so a worker compiles each fault site once for all configurations.
     Determinism is unaffected: cache keys are exact and cached values
     deterministic, so a cold and a warm cache produce bit-identical
     results. *)

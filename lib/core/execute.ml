@@ -77,34 +77,36 @@ let normalize_stimulus nl ~source =
          canonical error *)
       with_stimulus nl ~source (Waveform.Dc 0.)
 
+(* A compiled plan has two parts.  The topology — indexed system plus
+   solver workspace — depends only on the target, so every configuration
+   of a context can share one per fault site; the shell adds what one
+   configuration needs on top (the small-signal workspace of AC and
+   noise analyses). *)
+type topology = { t_target : target; t_plan : Mna.t; t_ws : Mna.workspace }
+
+let topology ?backend target =
+  let nl = normalize_stimulus target.netlist ~source:target.stimulus_source in
+  let plan = Mna.build ?backend nl in
+  { t_target = target; t_plan = plan; t_ws = Mna.workspace plan }
+
 type compiled = {
   c_config : Test_config.t;
-  c_target : target;
-  c_plan : Mna.t;
-  c_ws : Mna.workspace;
+  c_topo : topology;
   c_ac : Ac.workspace option;
 }
 
-let compile ?backend config target =
-  let nl = normalize_stimulus target.netlist ~source:target.stimulus_source in
-  let plan = Mna.build ?backend nl in
+let with_config topo config =
   let c_ac =
     match config.Test_config.analysis with
     | Test_config.Noise_psd _ | Test_config.Ac_gain _ ->
-        Some (Ac.workspace plan)
+        Some (Ac.workspace topo.t_plan)
     | Test_config.Dc_levels _ | Test_config.Tran_thd _
     | Test_config.Tran_samples _ | Test_config.Tran_imd _ -> None
   in
-  {
-    c_config = config;
-    c_target = target;
-    c_plan = plan;
-    c_ws = Mna.workspace plan;
-    c_ac;
-  }
+  { c_config = config; c_topo = topo; c_ac }
 
-let compiled_target c = c.c_target
-let compiled_config c = c.c_config
+let compile ?backend config target =
+  with_config (topology ?backend target) config
 
 (* How an analysis obtains a simulatable system for one probe wave:
    the direct path rewrites the netlist and re-indexes it per probe; the
@@ -113,7 +115,9 @@ type engine =
   | Direct of target
   | Restamp of { c : compiled; impact : (string * float) option }
 
-let engine_target = function Direct t -> t | Restamp { c; _ } -> c.c_target
+let engine_target = function
+  | Direct t -> t
+  | Restamp { c; _ } -> c.c_topo.t_target
 
 type inst = {
   i_sys : Mna.t;
@@ -130,7 +134,8 @@ let instantiate engine wave =
       in
       { i_sys = Mna.build nl; i_ws = None; i_restamp = None; i_ac = None }
   | Restamp { c; impact } ->
-      let source = c.c_target.stimulus_source in
+      let topo = c.c_topo in
+      let source = topo.t_target.stimulus_source in
       (* the direct path validates each probe wave when it is inserted
          into the netlist; keep the same rejection (and message shape) *)
       (match Waveform.validate wave with
@@ -138,8 +143,8 @@ let instantiate engine wave =
       | Error e ->
           invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e));
       {
-        i_sys = c.c_plan;
-        i_ws = Some c.c_ws;
+        i_sys = topo.t_plan;
+        i_ws = Some topo.t_ws;
         i_restamp = Some { Mna.stimulus = Some (source, wave); impact };
         i_ac = c.c_ac;
       }
@@ -375,14 +380,13 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
       let nonlinear =
         List.exists
           (function Device.Mosfet _ -> true | _ -> false)
-          (Netlist.devices (Mna.netlist c.c_plan))
+          (Netlist.devices (Mna.netlist c.c_topo.t_plan))
       in
       if nonlinear then None
       else begin
         Array.iter (check_values c.c_config) points;
-        let target = c.c_target in
+        let { t_target = target; t_plan = plan; t_ws = ws } = c.c_topo in
         let source = target.stimulus_source in
-        let ws = c.c_ws in
         let wave_rows = Array.map (fun v -> Array.of_list (waves v)) points in
         Array.iter
           (Array.iter (fun w ->
@@ -400,12 +404,12 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
             total := !total + Array.length row)
           wave_rows;
         let m = !total in
-        let n = Mna.size c.c_plan in
-        let n_nodes = Mna.n_nodes c.c_plan in
+        let n = Mna.size plan in
+        let n_nodes = Mna.n_nodes plan in
         let options = profile.dc_options in
         let gmin = options.Dc.gmin in
         let x0 = Numerics.Vec.create n 0. in
-        let obs_row = Mna.node_index c.c_plan target.observe_node in
+        let obs_row = Mna.node_index plan target.observe_node in
         let n_impacts = Array.length impacts in
         let out = Array.init n_impacts (fun _ -> Array.make np None) in
         let panels = ref 0 in
@@ -414,7 +418,7 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
           let xa = Numerics.Vec.create n 0. in
           let xb = Numerics.Vec.create n 0. in
           let assemble impact p l =
-            Mna.assemble_into c.c_plan ws ~x:x0 ~time:`Dc
+            Mna.assemble_into plan ws ~x:x0 ~time:`Dc
               ~restamp:
                 { Mna.stimulus = Some (source, wave_rows.(p).(l)); impact }
               ~gmin ()

@@ -53,31 +53,40 @@ val observables :
     @raise Invalid_argument if the value vector length differs from the
     configuration's parameter count. *)
 
-type compiled
-(** A compiled execution plan: the target's topology indexed once
-    ({!Circuit.Mna.build}) with a preallocated solver workspace (and a
-    small-signal workspace for AC/noise analyses).  Every probe of the
-    optimizer then restamps stimulus values into the same workspace
-    instead of rewriting and re-indexing the netlist.
+type topology
+(** The configuration-free part of a compiled execution plan: the
+    target's topology indexed once ({!Circuit.Mna.build}) with a
+    preallocated solver workspace.  Every probe of the optimizer then
+    restamps stimulus values into the same workspace instead of
+    rewriting and re-indexing the netlist.
 
-    A plan owns mutable buffers: share it freely across sequential
-    probes, never across domains. *)
+    A topology owns mutable buffers: share it freely across sequential
+    probes — of any configuration — but never across domains.  Results
+    do not depend on what the workspace solved before. *)
 
-val compile : ?backend:Circuit.Mna.backend -> Test_config.t -> target -> compiled
-(** Compile the target's topology for the configuration's analysis.
-    The plan is built from the stimulus-normalized netlist (the stimulus
-    source moved to the end of device order, exactly where every
-    per-probe {!with_stimulus} rewrite puts it), so unknown numbering —
-    and therefore pivoting and arithmetic — matches {!observables}
-    bit for bit.  [backend] forces the plan's linear-algebra engine —
-    tests and bench only; default chosen by {!Circuit.Mna.build} from
-    the node count.  Both produce bit-identical results (see
-    {!Circuit.Mna.backend}).
+val topology : ?backend:Circuit.Mna.backend -> target -> topology
+(** Compile the target's topology.  It is built from the
+    stimulus-normalized netlist (the stimulus source moved to the end of
+    device order, exactly where every per-probe {!with_stimulus} rewrite
+    puts it), so unknown numbering — and therefore pivoting and
+    arithmetic — matches {!observables} bit for bit.  [backend] forces
+    the linear-algebra engine — tests and bench only; default chosen by
+    {!Circuit.Mna.build} from the node count.  Both produce
+    bit-identical results (see {!Circuit.Mna.backend}).
     @raise Invalid_argument if the stimulus source is missing or not an
     independent source. *)
 
-val compiled_target : compiled -> target
-val compiled_config : compiled -> Test_config.t
+type compiled
+(** A compiled execution plan: a shared {!topology} plus the small
+    per-configuration shell — the configuration and, for AC and noise
+    analyses, a small-signal workspace.  Same ownership rule as the
+    topology. *)
+
+val with_config : topology -> Test_config.t -> compiled
+(** The plan of one configuration over a compiled topology. *)
+
+val compile : ?backend:Circuit.Mna.backend -> Test_config.t -> target -> compiled
+(** [with_config (topology ?backend target) config]. *)
 
 val compiled_observables :
   ?profile:profile ->

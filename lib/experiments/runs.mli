@@ -42,7 +42,7 @@ val engine_run :
   Testgen.Engine.run
 (** The 55-fault generation run feeding tab2/fig8/tab3/tab4/xbase.
     [options] (e.g. {!Setup.probe_options}), [policy] and [jobs] (worker
-    domains, default 1, [0] = one per core) are passed through to
+    domains, default [0] = one per core) are passed through to
     {!Testgen.Engine.run}. *)
 
 val resume_run :

@@ -23,15 +23,13 @@ let create ?(profile = Execute.default_profile) ?batching ?backend ?grid
   let nominal = target_of_macro macro Macros.Process.nominal in
   let corner_targets = List.map (target_of_macro macro) corner_points in
   let evaluators =
-    List.map
-      (fun config ->
-        let box_model =
-          Tolerance.calibrate ~profile ?grid ?guardband config ~nominal
-            ~corners:corner_targets ()
-        in
-        Evaluator.create ~profile ?batching ?backend config ~nominal
-          ~box_model)
-      configs
+    Evaluator.create_all ~profile ?batching ?backend ~nominal
+      (List.map
+         (fun config ->
+           ( config,
+             Tolerance.calibrate ~profile ?grid ?guardband config ~nominal
+               ~corners:corner_targets () ))
+         configs)
   in
   {
     macro;
@@ -105,11 +103,8 @@ let probe ?(profile = Execute.fast_profile) ?batching ?backend ?(configs = 3)
   let configs = probe_configs ~configs ~levels ~floor macro in
   let nominal = target_of_macro macro Macros.Process.nominal in
   let evaluators =
-    List.map
-      (fun config ->
-        Evaluator.create ~profile ?batching ?backend config ~nominal
-          ~box_model:(Tolerance.floor_only config))
-      configs
+    Evaluator.create_all ~profile ?batching ?backend ~nominal
+      (List.map (fun config -> (config, Tolerance.floor_only config)) configs)
   in
   {
     macro;

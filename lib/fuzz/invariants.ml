@@ -10,8 +10,10 @@ type ctx = {
   inject_seed : int64;
 }
 
-let base_run ?jobs ?resume ?checkpoint built =
-  Engine.run ~options:Scenario.generate_options ?jobs ?resume ?checkpoint
+(* Sequential unless an invariant asks for a pool: the campaign is
+   itself the unit of work, so no run fans out on its own. *)
+let base_run ?(jobs = 1) ?resume ?checkpoint built =
+  Engine.run ~options:Scenario.generate_options ~jobs ?resume ?checkpoint
     ~evaluators:built.Scenario.evaluators built.Scenario.dictionary
 
 let make_ctx ~jobs ~inject ~inject_seed spec =

@@ -177,12 +177,9 @@ let build ?batching ?backend s =
     Experiments.Setup.target_of_macro macro Macros.Process.nominal
   in
   let evaluators =
-    List.map
-      (fun config ->
-        Evaluator.create ~profile:Execute.fast_profile ?batching ?backend
-          config ~nominal
-          ~box_model:(Tolerance.floor_only config))
-      configs
+    Evaluator.create_all ~profile:Execute.fast_profile ?batching ?backend
+      ~nominal
+      (List.map (fun config -> (config, Tolerance.floor_only config)) configs)
   in
   { spec = s; macro; configs; dictionary; evaluators }
 

@@ -44,6 +44,8 @@ type work = {
   w_fast : bool;
   w_take : int option;
   w_jobs : int;
+      (** worker domains for the run; default 1, since the daemon
+          already runs concurrent requests in parallel *)
   w_delta : float;  (** compaction sensitivity-loss budget *)
   w_inject : Numerics.Failpoint.spec list;
   w_inject_seed : int64;

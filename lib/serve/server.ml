@@ -138,7 +138,7 @@ let context t (work : Protocol.work) =
    counters survive across requests. *)
 let with_forked_evaluators t (setup : Experiments.Setup.t) f =
   Mutex.lock t.ctx_mutex;
-  let forks = List.map Evaluator.fork setup.Experiments.Setup.evaluators in
+  let forks = Evaluator.fork setup.Experiments.Setup.evaluators in
   Mutex.unlock t.ctx_mutex;
   Fun.protect
     ~finally:(fun () ->

@@ -124,17 +124,19 @@ expect 5 "client corrupt session" \
   client --socket "$sock" generate --macro rc4 --take 1 --fast --session bad
 # A named session's spool checkpoint holds the bytes `atpg generate
 # --resume` writes for the same run (see golden_sessions.sh), at every
-# job count.
-for jobs in 1 2; do
-  expect 0 "client session at --jobs $jobs" \
+# job count, and without --jobs (the client then asks for one domain).
+for jobs in default 1 2; do
+  jobs_flag=() at="without --jobs"
+  [ "$jobs" != default ] && jobs_flag=(--jobs "$jobs") at="at --jobs $jobs"
+  expect 0 "client session $at" \
     client --socket "$sock" generate --macro rc16 --take 6 --fast \
-    --jobs "$jobs" --session "g$jobs"
+    ${jobs_flag[@]+"${jobs_flag[@]}"} --session "g$jobs"
   md5=$(md5sum < "$spool/g$jobs.ck" 2>/dev/null | cut -d' ' -f1)
   if [ "$md5" != 4e08f66ac67bb78ed78e1118c32b1ff4 ]; then
-    echo "FAIL daemon session checkpoint at --jobs $jobs: md5 $md5" >&2
+    echo "FAIL daemon session checkpoint $at: md5 $md5" >&2
     fails=$((fails + 1))
   else
-    echo "ok   daemon session checkpoint at --jobs $jobs ($md5)"
+    echo "ok   daemon session checkpoint $at ($md5)"
   fi
 done
 kill -TERM "$serve_pid"

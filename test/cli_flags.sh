@@ -62,6 +62,32 @@ reject "parametric macro 0"  op --macro skc0
 reject "parametric macro big" op --macro rc9999
 reject "removed --grad"      generate --fast --take 1 --grad
 
+# Every subcommand's help renders cleanly: exit 0 and nothing on stderr
+# (cmdliner reports malformed doc markup there).  The --inject spec is
+# shown as typed.
+for cmd in netlist op simulate sweep noise faults tps generate compact \
+  baseline profile experiment fuzz serve client; do
+  out=$("$atpg" "$cmd" --help=plain 2>"help_$cmd.err")
+  got=$?
+  err=$(cat "help_$cmd.err")
+  rm -f "help_$cmd.err"
+  if [ "$got" -ne 0 ] || [ -n "$err" ]; then
+    echo "FAIL $cmd --help: exit $got, stderr: $err" >&2
+    fails=$((fails + 1))
+  else
+    case "$cmd" in
+      generate | fuzz | client)
+        if grep -qF "dc.no_convergence=0.3@5" <<<"$out"; then
+          echo "ok   $cmd --help (inject syntax shown)"
+        else
+          echo "FAIL $cmd --help: no 'dc.no_convergence=0.3@5' example" >&2
+          fails=$((fails + 1))
+        fi ;;
+      *) echo "ok   $cmd --help" ;;
+    esac
+  fi
+done
+
 # The op header names the backend chosen from the netlist size: dense LU
 # for the 10-node IV-converter, sparse for the 97-node skc32 chain.
 expect_out "op iv selects dense"     "^operating point of .* (dense, " op --macro iv

@@ -62,9 +62,17 @@ golden() {
   fi
 }
 
+# The default rows run on one worker per core; their --jobs 1 twins pin
+# the sequential loop to the same values.
 golden iv   0c348fc64ca663f16e8ca9769403d0a6 3673  --fast --take 6
 golden rc16 f412365bd297cd05e4aa03c38df99e18 432   --fast --take 6 --macro rc16
 golden rc48 5cd57d67437e925cdaa40005d2e7f8d5 19276 --fast --take 200 --macro rc48
+golden iv-jobs1   0c348fc64ca663f16e8ca9769403d0a6 3673 \
+  --fast --take 6 --jobs 1
+golden rc16-jobs1 f412365bd297cd05e4aa03c38df99e18 432 \
+  --fast --take 6 --macro rc16 --jobs 1
+golden rc48-jobs1 5cd57d67437e925cdaa40005d2e7f8d5 19276 \
+  --fast --take 200 --macro rc48 --jobs 1
 
 # The same results at any job count, through a resumed checkpoint, and
 # under seeded failure injection (three faults recover on the ladder).

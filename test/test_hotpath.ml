@@ -179,7 +179,7 @@ let test_differential_pool () =
   let parent = evaluator () in
   let engine = Array.make (Array.length probes) (Error "unset") in
   Parallel.fan_out ~jobs:2
-    ~make_ctx:(fun () -> Evaluator.fork parent)
+    ~make_ctx:(fun () -> List.hd (Evaluator.fork [ parent ]))
     ~f:(fun ev i -> engine_probe ev probes.(i))
     ~emit:(fun i r -> engine.(i) <- r)
     (Array.length probes);
@@ -509,6 +509,127 @@ let test_decimation_values () =
         (Int64.bits_of_float coarse))
     decimated
 
+(* ------------------------------------------------ shared topologies *)
+
+(* The evaluators of one context share one compiled topology per fault
+   site: across every configuration the plan cache misses once per
+   distinct site plus once for the nominal netlist, and sensitivities
+   from configurations interleaved on the shared workspaces equal, bit
+   for bit, those of evaluators with private plans — sequential and
+   batched.  Forks of the set share one fresh table the same way. *)
+
+(* [f ()] with tracing on (plan-cache counters count only then), and
+   the plan-cache misses it caused *)
+let counting_misses f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.shutdown (fun () ->
+      let v = f () in
+      ( v,
+        Option.value ~default:0
+          (List.assoc_opt "evaluator.plan_cache.misses" (Obs.counters ())) ))
+
+let sensitivity_bits (s, dev) = (Int64.bits_of_float s, Array.to_list (bits dev))
+
+let check_shared_topology ~profile ~nominal ~backend configs faults =
+  Alcotest.(check string) "backend chosen for the netlist"
+    (Circuit.Mna.backend_name backend)
+    (Circuit.Mna.backend_name
+       (Circuit.Mna.backend (Circuit.Mna.build nominal.Execute.netlist)));
+  let boxed = List.map (fun c -> (c, Tolerance.floor_only c)) configs in
+  let points config =
+    let lo, _ = Test_param.bounds_of config.Test_config.params in
+    [ Test_param.seeds_of config.Test_config.params; lo ]
+  in
+  let sites =
+    List.length (List.sort_uniq String.compare (List.map Faults.Fault.id faults))
+  in
+  (* every fault visits the configurations forwards, then backwards, so
+     consecutive probes hop between configurations on one workspace *)
+  let n = List.length configs in
+  let order = List.init n Fun.id @ List.rev (List.init n Fun.id) in
+  let probes =
+    List.concat_map
+      (fun fault ->
+        List.concat_map
+          (fun k -> List.map (fun p -> (k, fault, p)) (points (List.nth configs k)))
+          order)
+      faults
+  in
+  let measure evs =
+    let sequential =
+      List.map
+        (fun (k, fault, p) ->
+          sensitivity_bits
+            (Evaluator.sensitivity_and_deviation (List.nth evs k) fault p))
+        probes
+    in
+    let batched =
+      List.map
+        (fun ev ->
+          Evaluator.batched_fault_sensitivities ev ~faults:(Array.of_list faults)
+            ~points:(Array.of_list (points (Evaluator.config ev)))
+          |> Option.map (Array.map (Array.map sensitivity_bits)))
+        evs
+    in
+    (sequential, batched)
+  in
+  let shared = Evaluator.create_all ~profile ~nominal boxed in
+  let (got, got_batched), misses = counting_misses (fun () -> measure shared) in
+  Alcotest.(check int) "plan-cache misses = fault sites + nominal" (sites + 1)
+    misses;
+  let want, want_batched =
+    measure
+      (List.map
+         (fun (config, box_model) ->
+           Evaluator.create ~profile config ~nominal ~box_model)
+         boxed)
+  in
+  List.iteri
+    (fun i ((k, fault, _), (g, w)) ->
+      Alcotest.(check (pair int64 (list int64)))
+        (Printf.sprintf "probe %d, config #%d, %s: shared = private" i
+           (List.nth configs k).Test_config.config_id (Faults.Fault.id fault))
+        w g)
+    (List.combine probes (List.combine got want));
+  Alcotest.(check bool) "batched cells: shared = private" true
+    (got_batched = want_batched);
+  (* the upper bounds are a point no nominal cache holds yet *)
+  let forks = Evaluator.fork shared in
+  let (), misses =
+    counting_misses (fun () ->
+        List.iter
+          (fun ev ->
+            let _, hi = Test_param.bounds_of (Evaluator.config ev).Test_config.params in
+            ignore (Evaluator.sensitivity ev (List.hd faults) hi))
+          forks)
+  in
+  Alcotest.(check int) "forked set compiles one site and the nominal once" 2
+    misses
+
+(* dense: the paper's five configurations, DC levels and transients *)
+let test_shared_topology_iv () =
+  check_shared_topology ~profile:Execute.fast_profile ~nominal:iv_target
+    ~backend:Circuit.Mna.Dense Experiments.Iv_configs.all
+    [ bridge; Faults.Fault.with_impact bridge 3e3; pinhole ]
+
+(* sparse: rc48's probe context, where the batch engine also runs *)
+let test_shared_topology_rc48 () =
+  let macro =
+    match Macros.Registry.find "rc48" with Ok m -> m | Error e -> failwith e
+  in
+  let ctx = Experiments.Setup.probe ~macro () in
+  let faults =
+    List.filteri (fun i _ -> i < 4)
+      (List.map
+         (fun e -> e.Faults.Dictionary.fault)
+         (Faults.Dictionary.entries ctx.Experiments.Setup.dictionary))
+  in
+  check_shared_topology ~profile:ctx.Experiments.Setup.profile
+    ~nominal:(Experiments.Setup.target_of_macro macro Macros.Process.nominal)
+    ~backend:Circuit.Mna.Sparse ctx.Experiments.Setup.configs
+    (faults @ [ Faults.Fault.weaken (List.hd faults) ~factor:4. ])
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -529,6 +650,11 @@ let () =
             test_differential_pool;
           Alcotest.test_case "under failure injection" `Quick
             test_differential_injected;
+        ] );
+      ( "shared topology",
+        [
+          Alcotest.test_case "iv, dense" `Quick test_shared_topology_iv;
+          Alcotest.test_case "rc48, sparse" `Quick test_shared_topology_rc48;
         ] );
       ( "goldens",
         [

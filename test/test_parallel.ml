@@ -218,6 +218,75 @@ let prop_fan_out_complete_and_ordered =
         n;
       List.rev !emitted = List.init n (fun i -> (i, i * i)))
 
+exception Task_failed of int
+exception Emit_failed of int
+
+(* The caller-as-worker fan-out under random task durations and raise
+   positions: [emit] sees 0, 1, ... in order up to the first failure;
+   the lowest-index task error is the one re-raised; a raise inside
+   [emit] returns only once every domain is joined (no task in flight,
+   none started afterwards); and tasks run on at most [jobs] distinct
+   domains, the caller's included — [jobs - 1] spawned ones. *)
+let prop_fan_out_schedules =
+  QCheck.Test.make
+    ~name:"fan_out: order, lowest error, joined on emit raise, jobs domains"
+    ~count:60
+    QCheck.(
+      quad (int_range 1 4)
+        (list_of_size Gen.(int_range 0 24) (int_range 0 400))
+        (small_list (int_range 0 31))
+        (option (int_range 0 31)))
+    (fun (jobs, durations_us, task_raises, emit_raise) ->
+      let durations = Array.of_list durations_us in
+      let n = Array.length durations in
+      let caller = (Domain.self () :> int) in
+      let running = Atomic.make 0 and started = Atomic.make 0 in
+      let ids_mutex = Mutex.create () and ids = ref [] in
+      let f () i =
+        Atomic.incr started;
+        Atomic.incr running;
+        Mutex.lock ids_mutex;
+        ids := (Domain.self () :> int) :: !ids;
+        Mutex.unlock ids_mutex;
+        Unix.sleepf (float_of_int durations.(i) *. 1e-6);
+        Atomic.decr running;
+        if List.mem i task_raises then raise (Task_failed i) else i
+      in
+      let emitted = ref [] in
+      let emit i v =
+        if Some i = emit_raise then raise (Emit_failed i);
+        emitted := (i, v) :: !emitted
+      in
+      let outcome =
+        match Parallel.fan_out ~jobs ~make_ctx:ignore ~f ~emit n with
+        | () -> `Done
+        | exception Task_failed i -> `Task i
+        | exception Emit_failed i -> `Emit i
+      in
+      let in_flight = Atomic.get running in
+      let started_at_return = Atomic.get started in
+      Unix.sleepf 2e-3;
+      let first_task =
+        List.fold_left min n (List.filter (fun i -> i < n) task_raises)
+      in
+      let first_emit =
+        match emit_raise with Some e when e < n -> e | _ -> n
+      in
+      let expected, stop =
+        if first_task < n && first_task <= first_emit then
+          (`Task first_task, first_task)
+        else if first_emit < n then (`Emit first_emit, first_emit)
+        else (`Done, n)
+      in
+      let spawned_ids =
+        List.sort_uniq Int.compare (List.filter (( <> ) caller) !ids)
+      in
+      outcome = expected
+      && List.rev !emitted = List.init stop (fun i -> (i, i))
+      && in_flight = 0
+      && Atomic.get started = started_at_return
+      && List.length spawned_ids <= jobs - 1)
+
 (* a placeholder generation result for synthetic reports: rung_stats
    only inspects the outcome shape and rung labels *)
 let dummy_result fid =
@@ -400,6 +469,7 @@ let () =
       ( "merge",
         [
           QCheck_alcotest.to_alcotest prop_fan_out_complete_and_ordered;
+          QCheck_alcotest.to_alcotest prop_fan_out_schedules;
           QCheck_alcotest.to_alcotest prop_rung_stats_no_double_count;
           QCheck_alcotest.to_alcotest prop_engine_subset_parity;
         ] );
