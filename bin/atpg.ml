@@ -315,16 +315,16 @@ let noise_cmd =
 
 (* -- context-backed commands ------------------------------------------ *)
 
+let on_calibrate () = prerr_endline "calibrating tolerance boxes..."
+
 let iv_context ~fast () =
-  prerr_endline "calibrating tolerance boxes...";
+  on_calibrate ();
   Experiments.Setup.iv ~profile:(profile_of fast) ()
 
 (* Generation context for any --macro, built exactly as the serve
    daemon builds it. *)
 let generation_context ~macro_name ~fast () =
-  Experiments.Setup.for_macro
-    ~on_calibrate:(fun () -> prerr_endline "calibrating tolerance boxes...")
-    ~fast macro_name
+  Experiments.Setup.for_macro ~on_calibrate ~fast macro_name
 
 let progress ~done_ ~total ~fault_id =
   Printf.eprintf "  [%2d/%2d] %s\n%!" done_ total fault_id
@@ -860,62 +860,30 @@ let profile_cmd =
 
 let experiment_cmd =
   let run fast which =
-    let ctx = iv_context ~fast () in
-    let static_reports =
-      [
-        ("fig1", fun () -> Experiments.Runs.fig1 ());
-        ("tab1", fun () -> Experiments.Runs.tab1 ());
-        ("fig234", fun () -> Experiments.Runs.fig234 ctx);
-        ("fig5", fun () -> Experiments.Runs.fig5 ctx);
-        ("fig6", fun () -> Experiments.Runs.fig6 ctx);
-        ("fig7", fun () -> Experiments.Runs.fig7 ());
-      ]
+    let reports =
+      Experiments.Runs.all_reports ~progress ~on_calibrate
+        ~profile:(profile_of fast) ()
     in
+    let rule = String.make 62 '=' in
     match which with
     | "all" ->
         List.iter
-          (fun (_, report) ->
-            print_string report;
+          (fun (id, render) ->
+            Printf.printf "%s\n%s\n%s\n%!" rule (String.uppercase_ascii id)
+              rule;
+            print_string (render ());
             print_newline ())
-          (Experiments.Runs.all_reports ~progress ctx);
+          reports;
         0
-    | id -> begin
-        match List.assoc_opt id static_reports with
-        | Some f ->
-            print_string (f ());
+    | id -> (
+        match List.assoc_opt id reports with
+        | Some render ->
+            print_string (render ());
             0
         | None ->
-            if id = "xac" then begin
-              print_string (Experiments.Extensions.xac_report ());
-              0
-            end
-            else if
-              List.mem id [ "tab2"; "fig8"; "tab3"; "tab4"; "xbase"; "xifa"; "xeq" ]
-            then begin
-              let run_result = Experiments.Runs.engine_run ~progress ctx in
-              let report =
-                match id with
-                | "tab2" -> Experiments.Runs.tab2 ctx run_result
-                | "fig8" -> Experiments.Runs.fig8 ctx run_result
-                | "tab3" -> Experiments.Runs.tab3 ctx run_result
-                | "tab4" -> Experiments.Runs.tab4 ctx run_result
-                | "xifa" ->
-                    Experiments.Extensions.xifa_report ctx run_result
-                      (Experiments.Runs.compact_run ctx run_result)
-                | "xeq" -> Experiments.Extensions.xeq_report ctx run_result
-                | _ -> Experiments.Runs.xbase ctx run_result
-              in
-              print_string report;
-              0
-            end
-            else begin
-              Printf.eprintf
-                "unknown experiment %S (fig1 tab1 fig234 fig5 fig6 fig7 tab2 \
-                 fig8 tab3 tab4 xbase xac xifa xeq all)\n"
-                id;
-              1
-            end
-      end
+            Printf.eprintf "unknown experiment %S (%s all)\n" id
+              (String.concat " " (List.map fst reports));
+            1)
   in
   let which_arg =
     Arg.(
@@ -924,7 +892,10 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Reproduce a specific paper table/figure (or all of them).")
+       ~doc:
+         "Reproduce one paper table/figure or extension experiment, or \
+          all of them in order from one generation run and one \
+          compaction.")
     Term.(const run $ fast_arg $ which_arg)
 
 (* -- fuzz --------------------------------------------------------------- *)

@@ -427,11 +427,6 @@ let ws_solve_into ws b x =
   | E_dense { elu; _ } -> Mat.solve_into elu b x
   | E_sparse { eslu; _ } -> Smat.solve_into eslu b x
 
-let ws_sparse_stats ws =
-  match ws.w_eng with
-  | E_dense _ -> None
-  | E_sparse { eslu; _ } -> Some (Smat.stats eslu)
-
 let ws_sparse_lu ws =
   match ws.w_eng with
   | E_dense _ -> None

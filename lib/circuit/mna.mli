@@ -20,7 +20,7 @@ type backend = Dense | Sparse
 val build : ?backend:backend -> Netlist.t -> t
 (** Index the netlist and choose its backend from the node count:
     [Dense] for at most {!sparse_above_nodes} nodes, [Sparse] above.
-    [backend] forces one — tests and bench only; default chosen by
+    [backend] forces one — a test seam; default chosen by
     [Mna.build] from the node count.
     @raise Invalid_argument if the netlist fails
     {!Netlist.connectivity_check}. *)
@@ -140,9 +140,6 @@ val ws_factor : workspace -> bool
 val ws_solve_into : workspace -> Numerics.Vec.t -> Numerics.Vec.t -> unit
 (** Solve against the last {!ws_factor} — {!Numerics.Mat.solve_into} or
     its bit-identical sparse counterpart. *)
-
-val ws_sparse_stats : workspace -> Numerics.Smat.stats option
-(** Factor/reuse counters of the sparse engine; [None] on dense. *)
 
 val ws_sparse_lu : workspace -> Numerics.Smat.lu option
 (** The sparse factorization workspace, for blocked multi-RHS solves

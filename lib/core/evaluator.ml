@@ -31,7 +31,7 @@ let g_plan_misses = Obs.Counter.create "evaluator.plan_cache.misses"
 
 (* Batch accounting is unconditional ([Counter.add], not the
    active-guarded [bump]): the serve daemon's [stats] request and the
-   bench gates read these without tracing enabled. *)
+   batch tests read these without tracing enabled. *)
 let g_batch_faults = Obs.Counter.create "evaluator.batch.faults_batched"
 let g_batch_fallback = Obs.Counter.create "evaluator.batch.fallback_seq"
 let g_batch_panels = Obs.Counter.create "evaluator.batch.panels"

@@ -36,7 +36,7 @@ val create :
   box_model:Tolerance.t ->
   t
 (** [backend] forces the linear-algebra engine every compiled plan of
-    this evaluator is built on — tests and bench only; default chosen by
+    this evaluator is built on — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count.  Results are bit-identical
     across backends (see {!Circuit.Mna.backend}).
 

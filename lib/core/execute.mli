@@ -70,7 +70,7 @@ val topology : ?backend:Circuit.Mna.backend -> target -> topology
     device order, exactly where every per-probe {!with_stimulus} rewrite
     puts it), so unknown numbering — and therefore pivoting and
     arithmetic — matches {!observables} bit for bit.  [backend] forces
-    the linear-algebra engine — tests and bench only; default chosen by
+    the linear-algebra engine — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count.  Both produce
     bit-identical results (see {!Circuit.Mna.backend}).
     @raise Invalid_argument if the stimulus source is missing or not an

@@ -78,8 +78,7 @@ let iv_with_ac ?profile ?grid () =
     ~configs:(Iv_configs.all @ [ config6_ac ])
     ()
 
-let xac_report ?ctx () =
-  let ctx = match ctx with Some c -> c | None -> iv_with_ac () in
+let xac_report ctx =
   let ev6 = Setup.evaluator ctx 6 in
   let seeds = Test_config.param_values_of_seed config6_ac in
   let blind_spots = [ "bridge:n2-vout"; "pinhole:m9"; "bridge:n1-n2" ] in

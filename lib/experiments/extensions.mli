@@ -25,11 +25,12 @@ val iv_with_ac :
   ?profile:Testgen.Execute.profile -> ?grid:int -> unit -> Setup.t
 (** The paper's context extended with configuration #6. *)
 
-val xac_report : ?ctx:Setup.t -> unit -> string
-(** The XAC experiment: per-fault sensitivity of configuration #6 for the
-    faults that are undetectable with configurations #1..#5 (e.g. the
-    n2-vout bridge that the output follower's feedback hides), plus the
-    critical impacts the AC configuration achieves on them. *)
+val xac_report : Setup.t -> string
+(** The XAC experiment over an {!iv_with_ac} context: per-fault
+    sensitivity of configuration #6 for the faults that are undetectable
+    with configurations #1..#5 (e.g. the n2-vout bridge that the output
+    follower's feedback hides), plus the critical impacts the AC
+    configuration achieves on them. *)
 
 val xifa_report :
   Setup.t -> Testgen.Engine.run -> Testgen.Compactor.result -> string

@@ -427,23 +427,41 @@ let xbase ctx run =
     summary.Baseline.seed_covered summary.Baseline.total better
     summary.Baseline.median_impact_gain
 
-let all_reports ?progress ctx =
-  let static =
-    [
-      ("FIG1", fig1 ());
-      ("TAB1", tab1 ());
-      ("FIG234", fig234 ctx);
-      ("FIG5", fig5 ctx);
-      ("FIG6", fig6 ctx);
-      ("FIG7", fig7 ());
-    ]
+let all_reports ?progress ?(on_calibrate = ignore)
+    ?(profile = Execute.default_profile) () =
+  let ctx =
+    lazy
+      (on_calibrate ();
+       Setup.iv ~profile ())
   in
-  let run = engine_run ?progress ctx in
-  static
-  @ [
-      ("TAB2", tab2 ctx run);
-      ("FIG8", fig8 ctx run);
-      ("TAB3", tab3 ctx run);
-      ("TAB4", tab4 ctx run);
-      ("XBASE", xbase ctx run);
-    ]
+  let run = lazy (engine_run ?progress (Lazy.force ctx)) in
+  let compaction =
+    lazy (compact_run ~delta:0.1 (Lazy.force ctx) (Lazy.force run))
+  in
+  let with_ctx f () = f (Lazy.force ctx) in
+  let with_run f () = f (Lazy.force ctx) (Lazy.force run) in
+  [
+    ("fig1", fig1);
+    ("tab1", tab1);
+    ("fig234", with_ctx (fun c -> fig234 c));
+    ("fig5", with_ctx fig5);
+    ("fig6", with_ctx (fun c -> fig6 c));
+    ("fig7", fig7);
+    ("tab2", with_run tab2);
+    ("fig8", with_run fig8);
+    ("tab3", with_run tab3);
+    ("tab4", fun () -> render_tab4 ~delta:0.1 (Lazy.force compaction));
+    ("xbase", with_run xbase);
+    ( "xac",
+      fun () ->
+        on_calibrate ();
+        Extensions.xac_report (Extensions.iv_with_ac ~profile ()) );
+    ( "xifa",
+      fun () ->
+        Extensions.xifa_report (Lazy.force ctx) (Lazy.force run)
+          (Lazy.force compaction) );
+    ("xeq", with_run Extensions.xeq_report);
+    ( "xq",
+      fun () -> Extensions.xq_report (Lazy.force ctx) (Lazy.force compaction) );
+    ("ximd", with_ctx Extensions.ximd_report);
+  ]

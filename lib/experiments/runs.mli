@@ -106,8 +106,18 @@ val xbase : Setup.t -> Testgen.Engine.run -> string
 
 val all_reports :
   ?progress:(done_:int -> total:int -> fault_id:string -> unit) ->
-  Setup.t ->
-  (string * string) list
-(** Every {e paper} experiment in DESIGN.md order as [(id, report)]
-    pairs, running the engine once.  The extension experiments live in
-    {!Extensions}. *)
+  ?on_calibrate:(unit -> unit) ->
+  ?profile:Testgen.Execute.profile ->
+  unit ->
+  (string * (unit -> string)) list
+(** Every paper table and figure in DESIGN.md order, then every
+    extension ({!Extensions}), as [(id, render)] pairs: fig1 tab1
+    fig234 fig5 fig6 fig7 tab2 fig8 tab3 tab4 xbase xac xifa xeq xq
+    ximd.  Nothing runs until a render is called: the calibrated {!Setup.iv}
+    context (at [profile], default {!Testgen.Execute.default_profile}),
+    its one {!engine_run} and its one delta = 0.1 {!compact_run} are
+    built on first use and shared by every report that needs them, so
+    fig1, tab1 and fig7 build nothing.  xac calibrates its own
+    {!Extensions.iv_with_ac} context at [profile].  [on_calibrate] is
+    called just before each calibration starts; [progress] is passed to
+    the engine run. *)

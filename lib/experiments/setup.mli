@@ -30,7 +30,7 @@ val create :
     macro's exhaustive fault dictionary.  [batching] (default [true]) admits cross-product sweeps into
     config-major batched evaluation — bit-identical, faster; see
     {!Testgen.Evaluator.create}.  [backend] forces the evaluators'
-    linear-algebra engine — tests and bench only; default chosen by
+    linear-algebra engine — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count.  Results are bit-identical
     across backends. *)
 

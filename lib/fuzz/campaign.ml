@@ -189,7 +189,7 @@ let clean report = report.r_violations = [] && report.r_build_failures = 0
 
 (* Deterministic JSON: a pure function of the report (no timing, no
    hostnames), so two runs with the same options produce identical
-   bytes — the property the bench determinism check pins. *)
+   bytes — the property the fuzz tests' determinism case pins. *)
 let report_json report =
   let b = Buffer.create 2048 in
   let opts = report.r_options in

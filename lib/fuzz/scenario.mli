@@ -58,7 +58,7 @@ val build :
     evaluators.  [batching] (default true) and [backend] are test seams
     passed to {!Testgen.Evaluator.create}: [~batching:false] builds the
     sequential-reference variant the batch-parity invariant compares
-    against, and [backend] — tests and bench only; default chosen by
+    against, and [backend] — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count — forces the other backend
     for the backend-parity invariant. *)
 

@@ -30,7 +30,7 @@
        the natural MNA ordering (chain-structured macros are already
        near-banded, and reordering would break cross-backend
        bit-identity); the ordering layer serves patterns whose natural
-       order fills in catastrophically, and the bench reports its fill
+       order fills in catastrophically, and the tests pin its fill
        savings.}} *)
 
 type t
@@ -149,5 +149,4 @@ type stats = {
 }
 
 val stats : lu -> stats
-(** Lifetime counters and current fill of a workspace — the bench and
-    the observability layer read these. *)
+(** Lifetime counters and current fill of a workspace. *)

@@ -433,44 +433,3 @@ let fault_evals () =
   List.sort
     (fun (fa, na) (fb, nb) -> if na <> nb then compare nb na else compare fa fb)
     all
-
-let aggregate_json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"atpg-obs/1\",\n  \"spans\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"name\": \"%s\", \"count\": %d, \"seconds\": %.6f}"
-           (json_escape s.span_name) s.span_count s.span_seconds))
-    (span_stats ());
-  Buffer.add_string buf "\n  ],\n  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    \"%s\": %d" (json_escape name) v))
-    (counters ());
-  Buffer.add_string buf "\n  },\n  \"histograms\": {";
-  List.iteri
-    (fun i (name, rows) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    \"%s\": {" (json_escape name));
-      List.iteri
-        (fun j (label, n) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf "\"%s\": %d" (json_escape label) n))
-        rows;
-      Buffer.add_char buf '}')
-    (histograms ());
-  Buffer.add_string buf "\n  },\n  \"fault_evals\": [";
-  List.iteri
-    (fun i (fid, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"fault\": \"%s\", \"evals\": %d}"
-           (json_escape fid) n))
-    (fault_evals ());
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf

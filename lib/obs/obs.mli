@@ -172,7 +172,3 @@ val fault_evals : unit -> (string * int) list
 (** [(fault id, evaluations)] from flushed [engine.fault] spans, sorted
     by descending evaluation count (fault id breaks ties). *)
 
-val aggregate_json : unit -> string
-(** The whole aggregate as one JSON object (hand-rolled; no JSON library
-    is baked into the image) — what bench runs write next to their
-    BENCH_*.json reports. *)

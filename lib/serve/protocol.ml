@@ -182,9 +182,9 @@ let done_ ~req ~status =
 (* -- verdict encoding --------------------------------------------------- *)
 
 (* One canonical JSON verdict per dictionary fault, in dictionary order:
-   the unit the bench compares between the daemon and the one-shot CLI
-   path.  Pure function of the run record, so byte-compatible whenever
-   the runs are result-identical. *)
+   the unit the serve tests and the benchmark's serve workload compare
+   between the daemon and the one-shot CLI path.  Pure function of the
+   run record, so byte-compatible whenever the runs are result-identical. *)
 let verdict_of_outcome (outcome : Generate.result Resilience.outcome) =
   let of_result (r : Generate.result) =
     match r.Generate.outcome with

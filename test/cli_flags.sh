@@ -93,4 +93,35 @@ done
 expect_out "op iv selects dense"     "^operating point of .* (dense, " op --macro iv
 expect_out "op skc32 selects sparse" "^operating point of .* (sparse, " op --macro skc32
 
+# `experiment` validates its id before it builds anything: an unknown
+# id exits 1 at once, naming every report, and the context-free reports
+# never calibrate tolerance boxes.
+err=$("$atpg" experiment bogus 2>&1 >/dev/null)
+got=$?
+missing=""
+for id in fig1 tab1 fig234 fig5 fig6 fig7 tab2 fig8 tab3 tab4 xbase xac \
+  xifa xeq xq ximd all; do
+  grep -qw -- "$id" <<<"$err" || missing="$missing $id"
+done
+if [ "$got" -ne 1 ]; then
+  echo "FAIL experiment bogus: expected exit 1, got $got" >&2
+  fails=$((fails + 1))
+elif [ -n "$missing" ]; then
+  echo "FAIL experiment bogus: diagnostic lacks$missing" >&2
+  fails=$((fails + 1))
+elif grep -q calibrating <<<"$err"; then
+  echo "FAIL experiment bogus: calibrated before rejecting the id" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   experiment bogus (exit 1, every id named)"
+fi
+err=$("$atpg" experiment fig1 2>&1 >/dev/null)
+got=$?
+if [ "$got" -ne 0 ] || grep -q calibrating <<<"$err"; then
+  echo "FAIL experiment fig1: exit $got, stderr: $err" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   experiment fig1 (no calibration)"
+fi
+
 exit "$fails"

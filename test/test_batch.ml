@@ -59,16 +59,19 @@ let test_cross_product_parity backend () =
       let ev_s = first_evaluator seq_ctx in
       let faults = some_faults batched_ctx in
       let points = points_of batched_ctx in
-      let before = (Evaluator.batch_stats ()).Evaluator.faults_batched in
+      let before = Evaluator.batch_stats () in
       let cells =
         match Evaluator.batched_fault_sensitivities ev_b ~faults ~points with
         | Some cells -> cells
         | None -> Alcotest.fail "linear probe plan should batch"
       in
-      let after = (Evaluator.batch_stats ()).Evaluator.faults_batched in
+      let after = Evaluator.batch_stats () in
       Alcotest.(check bool)
         "batch engine actually settled pairs" true
-        (after - before > 0);
+        (after.Evaluator.faults_batched > before.Evaluator.faults_batched);
+      Alcotest.(check bool)
+        "batch engine solved factorization panels" true
+        (after.Evaluator.panels > before.Evaluator.panels);
       Array.iteri
         (fun i fault ->
           Array.iteri

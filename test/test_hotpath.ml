@@ -405,6 +405,28 @@ let test_transient_allocation () =
     Alcotest.failf "transient allocates %.1f words per step (bound %.0f)" words
       words_per_step_bound
 
+(* One optimizer probe of the DC-levels configuration #1 at its seed
+   values through one compiled plan, as the engine makes it: about 313
+   minor words (311 in the release profile), the solve reports and
+   result records.  The rebuild-per-probe [Execute.observables] of the
+   same probe allocates about 4,100, so a netlist rewrite or a matrix
+   allocation creeping back into the compiled probe fails this bound. *)
+let words_per_probe_bound = 500.
+
+let test_probe_allocation () =
+  let config = Experiments.Iv_configs.config1 in
+  let plan = Execute.compile config iv_target in
+  let values = Test_param.seeds_of config.Test_config.params in
+  let probe () =
+    ignore
+      (Execute.compiled_observables ~profile:Execute.fast_profile plan values)
+  in
+  let words = minor_words_per_call ~calls:100 probe in
+  Printf.printf "config #1 probe: %.1f minor words\n" words;
+  if words >= words_per_probe_bound then
+    Alcotest.failf "config #1 probe allocates %.1f words (bound %.0f)" words
+      words_per_probe_bound
+
 (* --------------------------------------------- dt_divisor decimation *)
 
 (* Step-train configuration with an awkward tstop/dt ratio: the product
@@ -669,6 +691,8 @@ let () =
             test_assembly_allocation;
           Alcotest.test_case "transient words per step" `Quick
             test_transient_allocation;
+          Alcotest.test_case "compiled probe words" `Quick
+            test_probe_allocation;
         ] );
       ( "decimation",
         [

@@ -358,11 +358,34 @@ let test_linspace () =
 
 let test_dc_transfer_iv () =
   let nl = Macros.Macro.nominal_netlist Macros.Iv_converter.macro in
+  let sweep_values = Circuit.Sweep.linspace ~lo:(-50e-6) ~hi:50e-6 ~points:21 in
+  let observe = [ "vout"; "iin" ] in
   let result =
-    Circuit.Sweep.dc_transfer nl ~source:"iin_src"
-      ~sweep_values:(Circuit.Sweep.linspace ~lo:(-50e-6) ~hi:50e-6 ~points:21)
-      ~observe:[ "vout"; "iin" ]
+    Circuit.Sweep.dc_transfer nl ~source:"iin_src" ~sweep_values ~observe
   in
+  (* the restamp sweep reproduces, bit for bit, a rebuild per level that
+     chains the same Newton guess *)
+  let guess = ref None in
+  let rebuilt =
+    Array.map
+      (fun v ->
+        let sys =
+          Circuit.Mna.build
+            (Testgen.Execute.with_stimulus nl ~source:"iin_src"
+               (Circuit.Waveform.Dc v))
+        in
+        let report = Circuit.Dc.solve ?guess:!guess sys ~time:`Dc in
+        guess := Some report.Circuit.Dc.solution;
+        List.map (Circuit.Mna.voltage sys report.Circuit.Dc.solution) observe)
+      sweep_values
+  in
+  List.iteri
+    (fun k node ->
+      Alcotest.(check (array int64))
+        (node ^ " trace equals the rebuild-per-level loop")
+        (Array.map (fun vs -> Int64.bits_of_float (List.nth vs k)) rebuilt)
+        (Array.map Int64.bits_of_float (Circuit.Sweep.trace result node)))
+    observe;
   let vout = Circuit.Sweep.trace result "vout" in
   (* monotone decreasing transfer *)
   let monotone = ref true in

@@ -158,24 +158,6 @@ let test_scatter_1d_counts () =
   Alcotest.(check bool) "count digit" true (contains s "3");
   Alcotest.(check bool) "single point digit" true (contains s "1")
 
-(* ------------------------------------------------------------ Provenance *)
-
-(* One process, one provenance block: every BENCH_*.json written by a
-   benchmark run embeds Provenance.json (), so byte-identity across
-   calls is exactly the "all artifacts carry identical provenance"
-   contract. *)
-let test_provenance_memoized () =
-  let a = Report.Provenance.json () in
-  let b = Report.Provenance.json () in
-  Alcotest.(check string) "repeated calls byte-identical" a b;
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) (key ^ " present") true (contains a key))
-    [ "\"git_sha\""; "\"generated_utc\""; "\"host_cores\"" ];
-  (* the memoized block embeds the unmemoized primitive's answer *)
-  Alcotest.(check bool) "sha embedded" true
-    (contains a (Report.Provenance.git_sha ()))
-
 let () =
   Alcotest.run "report"
     [
@@ -204,10 +186,5 @@ let () =
           Alcotest.test_case "1d strip counts" `Quick test_scatter_1d_counts;
           Alcotest.test_case "1d collapsed range" `Quick
             test_scatter_1d_collapsed_range;
-        ] );
-      ( "provenance",
-        [
-          Alcotest.test_case "memoized and well-formed" `Quick
-            test_provenance_memoized;
         ] );
     ]

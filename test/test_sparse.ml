@@ -388,8 +388,8 @@ let test_workspace_validation () =
    solved through [Mna.build ~backend] on both backends — nominal and
    with a fault impact restamped into the compiled workspace — must
    produce bit-identical operating points and identical Newton
-   trajectories.  This is the contract BENCH_sparse.json gates at 100+
-   nodes, pinned here on quick cases. *)
+   trajectories, and a reduced IV generation run must write the same
+   session bytes on either backend. *)
 let test_backend_end_to_end_identity () =
   let solve backend nl restamp =
     let sys = Circuit.Mna.build ~backend nl in
@@ -433,7 +433,21 @@ let test_backend_end_to_end_identity () =
     (Testgen.Execute.with_stimulus
        (Faults.Inject.apply (Macros.Macro.nominal_netlist iv) fault)
        ~source:iv.Macros.Macro.stimulus_source
-       (Circuit.Waveform.Dc (-0x1.1b1e34b171b52p-15)))
+       (Circuit.Waveform.Dc (-0x1.1b1e34b171b52p-15)));
+  (* the whole generation pipeline, transient configurations included:
+     3 IV faults at the fast profile on one domain *)
+  let session backend =
+    let ctx =
+      Experiments.Setup.reduced ~n_faults:3
+        (Experiments.Setup.iv ~profile:Testgen.Execute.fast_profile ~backend
+           ())
+    in
+    Testgen.Session.to_string
+      (Experiments.Runs.engine_run ~jobs:1 ctx).Testgen.Engine.results
+  in
+  Alcotest.(check string)
+    "IV generation session bytes identical across backends"
+    (session Circuit.Mna.Dense) (session Circuit.Mna.Sparse)
 
 (* Without [~backend], Mna.build picks dense LU up to
    [sparse_above_nodes] nodes and sparse above; [~backend] still forces
@@ -464,10 +478,12 @@ let test_backend_selection () =
       ("iv", Circuit.Mna.Dense);
       ("rc10", Circuit.Mna.Dense);
       ("rc16", Circuit.Mna.Dense);
+      ("skc4", Circuit.Mna.Dense);
       ("rc24", Circuit.Mna.Sparse);
       ("skc8", Circuit.Mna.Sparse);
       ("otac16", Circuit.Mna.Sparse);
       ("rc48", Circuit.Mna.Sparse);
+      ("skc32", Circuit.Mna.Sparse);
     ];
   Alcotest.(check int) "crossover" 24 Circuit.Mna.sparse_above_nodes
 
