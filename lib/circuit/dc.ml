@@ -34,6 +34,37 @@ let finite_solution x ~n_nodes =
 
 exception Diverged
 
+(* One damped Newton update from iterate [x] toward the raw solve [s],
+   written into [x_new]: the step is scaled so no node voltage moves by
+   more than [vlimit], and the update keeps the
+   [x +. alpha *. (s -. x)] form even at [alpha = 1.], where it is not a
+   bitwise no-op.  Converged means an undamped step whose node updates
+   all sit inside the abstol/reltol band.  [s] may alias [x_new] (each
+   entry is read before it is overwritten), which is how the Newton
+   loop below calls it; the batch engine's replay of a linear plan calls
+   it with a fixed [s], so the two walks share every expression. *)
+let damped_step ~options ~n_nodes ~x ~s ~x_new =
+  let dv_max = ref 0. in
+  for i = 0 to n_nodes - 1 do
+    dv_max := Float.max !dv_max (Float.abs (s.(i) -. x.(i)))
+  done;
+  let alpha =
+    if !dv_max > options.vlimit then options.vlimit /. !dv_max else 1.
+  in
+  for i = 0 to Array.length x - 1 do
+    x_new.(i) <- x.(i) +. (alpha *. (s.(i) -. x.(i)))
+  done;
+  if alpha = 1. then begin
+    let ok = ref true in
+    for i = 0 to n_nodes - 1 do
+      let dx = Float.abs (x_new.(i) -. x.(i)) in
+      if dx > options.abstol +. (options.reltol *. Float.abs x_new.(i)) then
+        ok := false
+    done;
+    !ok
+  end
+  else false
+
 (* Solver counters, bumped once per [solve] from the finished report —
    never inside the Newton loop — so the hot path stays allocation-free
    and branch-light with tracing off.  One LU factorization happens per
@@ -55,10 +86,9 @@ let c_reuse = Obs.Counter.create "solver.dc.pattern_reuses"
 (* One Newton attempt at fixed gmin and source scale, restamping a
    workspace: the system is assembled into the preallocated matrix,
    factored in place, solved into the swap buffer, and the damped update
-   overwrites it — no per-iteration allocation.  The update keeps the
-   [x +. alpha *. (x_new -. x)] form even at [alpha = 1.], where it is
-   not a bitwise no-op.  Returns the solution, iteration count and
-   pattern reuses, or None on failure. *)
+   ({!damped_step}) overwrites it — no per-iteration allocation.
+   Returns the solution, iteration count and pattern reuses, or None on
+   failure. *)
 let newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws ~time
     ~start =
   let n_nodes = Mna.n_nodes sys in
@@ -81,25 +111,7 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin sys ws ~time
        if Failpoint.should_fail "dc.nan_solution" then
          Array.fill x_new 0 size Float.nan;
        if not (finite_solution x_new ~n_nodes) then raise Diverged;
-       let dv_max = ref 0. in
-       for i = 0 to n_nodes - 1 do
-         dv_max := Float.max !dv_max (Float.abs (x_new.(i) -. x.(i)))
-       done;
-       let alpha =
-         if !dv_max > options.vlimit then options.vlimit /. !dv_max else 1.
-       in
-       for i = 0 to size - 1 do
-         x_new.(i) <- x.(i) +. (alpha *. (x_new.(i) -. x.(i)))
-       done;
-       if alpha = 1. then begin
-         let ok = ref true in
-         for i = 0 to n_nodes - 1 do
-           let dx = Float.abs (x_new.(i) -. x.(i)) in
-           if dx > options.abstol +. (options.reltol *. Float.abs x_new.(i))
-           then ok := false
-         done;
-         converged := !ok
-       end;
+       converged := damped_step ~options ~n_nodes ~x ~s:x_new ~x_new;
        ws.Mna.w_x <- x_new;
        ws.Mna.w_x_new <- x
      done

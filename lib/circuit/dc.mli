@@ -38,6 +38,26 @@ type report = {
   source_steps : int;  (** source-stepping stages used *)
 }
 
+val finite_solution : Numerics.Vec.t -> n_nodes:int -> bool
+(** Whether the first [n_nodes] entries (the node voltages) are all
+    finite — the guard that aborts a Newton attempt on a NaN or
+    infinite iterate. *)
+
+val damped_step :
+  options:options ->
+  n_nodes:int ->
+  x:Numerics.Vec.t ->
+  s:Numerics.Vec.t ->
+  x_new:Numerics.Vec.t ->
+  bool
+(** One damped Newton update: [x_new <- x + alpha (s - x)] over every
+    unknown, with [alpha] scaling the largest node-voltage move down to
+    [vlimit].  Returns [true] when the step was undamped and every node
+    update is inside the [abstol]/[reltol] band (converged).  [s] may
+    alias [x_new]; [x] must not.  This is the Newton loop's own update,
+    shared with the config-major batch engine's replay of linear plans,
+    so both walks produce the same bits. *)
+
 val solve :
   ?options:options ->
   ?guess:Numerics.Vec.t ->

@@ -427,11 +427,6 @@ let ws_solve_into ws b x =
   | E_dense { elu; _ } -> Mat.solve_into elu b x
   | E_sparse { eslu; _ } -> Smat.solve_into eslu b x
 
-let ws_sparse_lu ws =
-  match ws.w_eng with
-  | E_dense _ -> None
-  | E_sparse { eslu; _ } -> Some eslu
-
 let check_companions t = function
   | Some c when Array.length c <> companion_slots t ->
       invalid_arg "Mna.assemble: companion array size"

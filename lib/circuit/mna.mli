@@ -141,10 +141,6 @@ val ws_solve_into : workspace -> Numerics.Vec.t -> Numerics.Vec.t -> unit
 (** Solve against the last {!ws_factor} — {!Numerics.Mat.solve_into} or
     its bit-identical sparse counterpart. *)
 
-val ws_sparse_lu : workspace -> Numerics.Smat.lu option
-(** The sparse factorization workspace, for blocked multi-RHS solves
-    ({!Numerics.Smat.solve_block}); [None] on dense. *)
-
 val assemble :
   t ->
   x:Numerics.Vec.t ->

@@ -31,21 +31,20 @@ let evaluator_for evaluators cid =
       invalid_arg (Printf.sprintf "Baseline: no evaluator for config #%d" cid)
 
 (* The fault's sensitivity under every seed test, in test order — one
-   config-major batch per test (seed tests are one point per
-   configuration), each value bitwise identical to the sequential
-   [Evaluator.sensitivity] call.  [set_detects]' List.exists early exit
-   becomes a full sweep, which only shifts evaluation counts: the
-   detect verdict and the best sensitivity are order-free reductions. *)
+   1x1 sweep per test (seed tests are one point per configuration), each
+   value bitwise identical to the sequential [Evaluator.sensitivity]
+   call.  [set_detects]' List.exists early exit becomes a full sweep,
+   which only shifts evaluation counts: the detect verdict and the best
+   sensitivity are order-free reductions. *)
 let test_sensitivities ~evaluators ~tests fault =
   Array.map
     (fun (t : Coverage.test) ->
       let ev = evaluator_for evaluators t.Coverage.test_config_id in
-      match
-        Evaluator.batched_fault_sensitivities ev ~faults:[| fault |]
+      let sw =
+        Evaluator.sweep ev ~faults:[| fault |]
           ~points:[| t.Coverage.test_params |]
-      with
-      | Some cells -> fst cells.(0).(0)
-      | None -> Evaluator.sensitivity ev fault t.Coverage.test_params)
+      in
+      fst (Evaluator.cell sw 0 0))
     (Array.of_list tests)
 
 let set_detects ~evaluators ~tests fault =

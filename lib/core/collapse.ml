@@ -19,30 +19,22 @@ type stats = { proposals : int; accepted : int; splits : int }
 let acceptance_bound ~delta s_opt = s_opt +. (delta *. (1. -. s_opt))
 
 let screen evaluator ~delta members candidate =
-  (* All member sensitivities at the candidate come from one config-major
-     batch (one held factorization per fault site, every member solved
-     against it); the walk below then reads them in member order with the
-     original early-exit verdict semantics.  Each batched value is
-     bitwise identical to the sequential [Evaluator.sensitivity] call it
-     replaces — a rejected candidate merely evaluated members past the
-     first violation that the sequential walk would have skipped. *)
-  let batched =
-    match members with
-    | [] -> None
-    | _ :: _ ->
-        Evaluator.batched_fault_sensitivities evaluator
-          ~faults:(Array.of_list (List.map (fun m -> m.member_fault) members))
-          ~points:[| candidate |]
-  in
-  let sensitivity_of i m =
-    match batched with
-    | Some cells -> fst cells.(i).(0)
-    | None -> Evaluator.sensitivity evaluator m.member_fault candidate
+  (* The member sensitivities at the candidate are one sweep (one held
+     factorization per fault site, every member solved against it, when
+     the plan batches); the walk reads them in member order with the
+     early-exit verdict semantics.  Each value is bitwise identical to
+     the sequential [Evaluator.sensitivity] call — a batched sweep merely
+     evaluated members past the first violation, which a declined sweep
+     never reads, so never evaluates. *)
+  let sw =
+    Evaluator.sweep evaluator
+      ~faults:(Array.of_list (List.map (fun m -> m.member_fault) members))
+      ~points:[| candidate |]
   in
   let rec walk i acc = function
     | [] -> Some (List.rev acc)
     | m :: rest ->
-        let s = sensitivity_of i m in
+        let s = fst (Evaluator.cell sw i 0) in
         if s <= acceptance_bound ~delta m.member_opt_sensitivity then
           walk (i + 1) ((m.member_fault_id, s) :: acc) rest
         else None

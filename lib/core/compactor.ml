@@ -34,10 +34,15 @@ let members_of_run run ~config_id =
              in
              (* the optimal sensitivity at the critical impact: evaluated
                 once here so the collapse screen compares like for like —
-                through the batch engine (one held factorization) when
-                the plan admits it, bit-identical either way *)
+                a 1x1 sweep, through the batch engine (one held
+                factorization) when the plan admits it, bit-identical
+                either way *)
              let s_opt =
-               Evaluator.batched_sensitivity ev fault_at_critical params
+               fst
+                 (Evaluator.cell
+                    (Evaluator.sweep ev ~faults:[| fault_at_critical |]
+                       ~points:[| params |])
+                    0 0)
              in
              {
                Collapse.member_fault_id = r.Generate.fault_id;

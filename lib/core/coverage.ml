@@ -45,54 +45,40 @@ let evaluate ~evaluators dictionary tests =
   let entries = Array.of_list (Faults.Dictionary.entries dictionary) in
   let faults = Array.map (fun e -> e.Faults.Dictionary.fault) entries in
   let test_arr = Array.of_list tests in
-  let nf = Array.length faults and nt = Array.length test_arr in
-  (* Config-major prefill: one batched cross-product call per distinct
-     configuration covers every (fault, test) pair of that
-     configuration, each bitwise identical to the sequential
-     [Evaluator.sensitivity] call the fold below would have made.  A
-     configuration whose evaluator declines leaves its cells [None] and
-     the fold computes them sequentially, unchanged. *)
-  let cell = Array.make_matrix nf nt None in
-  let seen = Hashtbl.create 16 in
+  (* One sweep per distinct configuration, created in first-occurrence
+     order, covers every (fault, test) pair of that configuration:
+     [column.(ti)] is test [ti]'s point in its configuration's sweep.  A
+     batched sweep is filled as it is created; a declined one evaluates
+     each pair when the fold below reads it, in the fold's order. *)
+  let sweeps = Hashtbl.create 16 in
+  let column = Array.make (Array.length test_arr) 0 in
   Array.iter
     (fun test ->
       let cid = test.test_config_id in
-      if not (Hashtbl.mem seen cid) then begin
-        Hashtbl.add seen cid ();
+      if not (Hashtbl.mem sweeps cid) then begin
         let cols = ref [] in
         Array.iteri
           (fun ti t -> if t.test_config_id = cid then cols := ti :: !cols)
           test_arr;
         let cols = Array.of_list (List.rev !cols) in
-        let ev = evaluator_for cid in
-        let points =
-          Array.map (fun ti -> test_arr.(ti).test_params) cols
-        in
-        match Evaluator.batched_fault_sensitivities ev ~faults ~points with
-        | None -> ()
-        | Some cells ->
-            Array.iteri
-              (fun pi ti ->
-                for fi = 0 to nf - 1 do
-                  cell.(fi).(ti) <- Some (fst cells.(fi).(pi))
-                done)
-              cols
+        Array.iteri (fun pi ti -> column.(ti) <- pi) cols;
+        let points = Array.map (fun ti -> test_arr.(ti).test_params) cols in
+        Hashtbl.add sweeps cid
+          (Evaluator.sweep (evaluator_for cid) ~faults ~points)
       end)
     test_arr;
   let detections =
     Array.to_list
       (Array.mapi
          (fun fi entry ->
-           let fault = entry.Faults.Dictionary.fault in
            let hits = ref [] and best = ref infinity in
            Array.iteri
              (fun ti test ->
                let s =
-                 match cell.(fi).(ti) with
-                 | Some s -> s
-                 | None ->
-                     let ev = evaluator_for test.test_config_id in
-                     Evaluator.sensitivity ev fault test.test_params
+                 fst
+                   (Evaluator.cell
+                      (Hashtbl.find sweeps test.test_config_id)
+                      fi column.(ti))
                in
                if Sensitivity.detects s then hits := test.test_label :: !hits;
                best := Float.min !best s)

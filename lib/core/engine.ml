@@ -74,6 +74,10 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
     (fun (r : Generate.result) ->
       Hashtbl.replace resumed r.Generate.fault_id r)
     resume;
+  (* The workers compile the sites they evaluate into tables of their
+     own, so the caller's compiled sites would sit unused through the
+     run: release them, and the process holds one set at a time. *)
+  Evaluator.release_sites evaluators;
   (* Every worker gets forked evaluators — even the single one of a
      [jobs = 1] run — so the caller's evaluators are never mutated while
      the workers run (forking reads them concurrently) and every worker
@@ -202,6 +206,10 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
             outcome
           end
         in
+        (* a dictionary holds one fault per site, so no later task of
+           this run evaluates the finished fault's site again: a worker
+           keeps one compiled site at a time, not its whole share *)
+        Evaluator.release_sites tw.w_evaluators;
         if isolate_tasks then
           List.iter2
             (fun wf tf -> Evaluator.absorb ~into:wf tf)

@@ -130,7 +130,6 @@ let absorb ~into child =
 
 let config t = t.config
 let config_id t = t.config.Test_config.config_id
-let batching_enabled t = t.batching
 let nominal_target t = t.nominal
 let profile t = t.profile
 
@@ -183,6 +182,14 @@ let compiled_plan t ~key target =
       let plan = Execute.with_config topo t.config in
       Hashtbl.replace t.plans key plan;
       plan
+
+let release_sites ts =
+  let nominal_only key v = if key = nominal_plan_key then Some v else None in
+  List.iter
+    (fun t ->
+      Hashtbl.filter_map_inplace nominal_only t.plans;
+      Hashtbl.filter_map_inplace nominal_only t.topologies)
+    ts
 
 let nominal_observables t values =
   let key = cache_key values in
@@ -253,21 +260,22 @@ let sensitivity t fault values = fst (sensitivity_and_deviation t fault values)
    {!Execute.compiled_batch_over_faults} and the whole point set solves
    against it.
 
-   Bitwise contract: a returned [(s, dev)] is identical to what
+   Bitwise contract: a cell [(s, dev)] is identical to what
    [sensitivity_and_deviation] computes for the same (fault, point) pair
    — same nominal-cache behaviour (one hit-or-miss per pair), one
    {!charge} per pair, same deviation and box arithmetic on operating
    points the batch engine reproduced bit for bit.  Pairs the engine
    could not settle (singular factorization, damping walk that did not
    converge — where the sequential path escalates to its stepping
-   ladders) fall back to the verbatim sequential call, per pair.
+   ladders) are recomputed by the verbatim sequential call, per pair.
 
-   [None] — caller runs its sequential loop unchanged — when batching is
-   disabled, the plan family is non-batchable, or failure injection is
-   active: batching reorders evaluations, so letting it run under an
-   active injection config would change which draw hits which fault and
-   break per-fault injection determinism. *)
-let batched_fault_sensitivities t ~faults ~points =
+   [None] — nothing evaluated; the sweep's cells evaluate on read — when
+   the sweep is empty, batching is disabled, the plan family is
+   non-batchable, or failure injection is active: batching reorders
+   evaluations, so letting it run under an active injection config would
+   change which draw hits which fault and break per-fault injection
+   determinism. *)
+let batched_cells t ~faults ~points =
   let nf = Array.length faults and np = Array.length points in
   if nf = 0 || np = 0 || not t.batching then None
   else if Numerics.Failpoint.active () then begin
@@ -348,15 +356,27 @@ let batched_fault_sensitivities t ~faults ~points =
     end
   end
 
-(* One (fault, point) pair through the batch engine: the single-cell
-   degenerate case, falling back to {!sensitivity} when the pair is not
-   batchable.  Used where a caller holds exactly one pair but wants the
-   batched factorization accounting (compaction's member re-checks). *)
-let batched_sensitivity t fault values =
-  match batched_fault_sensitivities t ~faults:[| fault |] ~points:[| values |]
-  with
-  | Some cells -> fst cells.(0).(0)
-  | None -> sensitivity t fault values
+type sweep = {
+  sw_evaluator : t;
+  sw_faults : Faults.Fault.t array;
+  sw_points : Numerics.Vec.t array;
+  sw_cells : (float * float array) array array option;
+}
+
+let sweep t ~faults ~points =
+  {
+    sw_evaluator = t;
+    sw_faults = faults;
+    sw_points = points;
+    sw_cells = batched_cells t ~faults ~points;
+  }
+
+let cell sw f p =
+  match sw.sw_cells with
+  | Some cells -> cells.(f).(p)
+  | None ->
+      sensitivity_and_deviation sw.sw_evaluator sw.sw_faults.(f)
+        sw.sw_points.(p)
 
 let sensitivity_of_target t target values =
   let nominal = nominal_observables t values in

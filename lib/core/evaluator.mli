@@ -41,11 +41,10 @@ val create :
     across backends (see {!Circuit.Mna.backend}).
 
     [batching] (default [true]) admits this evaluator's cross-product
-    sweeps into config-major batched evaluation
-    ({!batched_fault_sensitivities}); disabling it forces every consumer
-    onto the sequential per-(fault, point) path — the reference
-    implementation batched results are bit-compared against (a test
-    seam, not a user option). *)
+    {!sweep}s into config-major batched evaluation; disabling it makes
+    every sweep evaluate its cells one (fault, point) pair at a time on
+    the sequential path — the reference implementation batched results
+    are bit-compared against (a test seam, not a user option). *)
 
 val create_all :
   ?profile:Execute.profile ->
@@ -82,6 +81,13 @@ val fork : t list -> t list
     deterministic, so a cold and a warm cache produce bit-identical
     results. *)
 
+val release_sites : t list -> unit
+(** Drop the compiled fault sites of the evaluators' plan caches and of
+    their topology tables, keeping the nominal netlist's.  Results do not
+    depend on it: a released site is compiled again when it is next
+    evaluated.  Each site holds a solver workspace, so a table that keeps
+    every site it ever saw grows with the dictionary. *)
+
 val absorb : into:t -> t -> unit
 (** [absorb ~into:parent child] merges a fork back: counters are summed
     and cache entries unioned.  Both operations commute, so the merged
@@ -93,9 +99,6 @@ val config : t -> Test_config.t
 val config_id : t -> int
 val nominal_target : t -> Execute.target
 val profile : t -> Execute.profile
-
-val batching_enabled : t -> bool
-(** Whether {!create} admitted config-major batched evaluation. *)
 
 val set_budget : t -> int option -> unit
 (** Install (or clear, with [None]) an absolute evaluation-count budget:
@@ -130,38 +133,41 @@ val faulty_observables : t -> Faults.Fault.t -> Numerics.Vec.t -> float array
     compiled plan.
     @raise Execute.Execution_failure on simulator failure. *)
 
-val batched_fault_sensitivities :
-  t ->
-  faults:Faults.Fault.t array ->
-  points:Numerics.Vec.t array ->
-  (float * float array) array array option
-(** Config-major batched evaluation of the full (fault x parameter
-    point) cross-product: faults are grouped by site (one compiled
-    topology per {!Faults.Fault.id}), each fault pays one restamp and
-    one factorization — a numeric-only pattern replay on the sparse
-    backend — and every probe level of every point solves against that
-    held factorization in blocked panels
-    ({!Execute.compiled_batch_over_faults}).
+type sweep
+(** A (fault x parameter point) cross-product of one evaluator: the one
+    way the coverage, collapse, compaction, baseline and lattice-seeding
+    loops score many faults against many points. *)
 
-    [Some cells] has [cells.(f).(p)] {e bitwise identical} to
-    [sensitivity_and_deviation t faults.(f) points.(p)] on the
-    sequential path, with identical nominal-cache accounting and exactly
-    one evaluation charged per pair in (fault-major) deterministic
-    order; pairs the batch engine could not settle are recomputed by the
-    verbatim sequential call (counted under
+val sweep :
+  t -> faults:Faults.Fault.t array -> points:Numerics.Vec.t array -> sweep
+(** [sweep t ~faults ~points] settles the cross-product through
+    config-major batched evaluation when it can: faults are grouped by
+    site (one compiled topology per {!Faults.Fault.id}), each fault pays
+    one restamp and one factorization — a numeric-only pattern replay on
+    the sparse backend — and every probe level of every point solves
+    against that held factorization
+    ({!Execute.compiled_batch_over_faults}).  Every cell is then filled
+    here, in fault-major order, with exactly one evaluation charged and
+    one nominal-cache access per pair; pairs the batch engine could not
+    settle are recomputed by the verbatim sequential call (counted under
     [evaluator.batch.fallback_seq]).
 
-    [None] — caller keeps its sequential loop — when batching is
-    disabled, the plan family is non-batchable (nonlinear topology or a non-DC-levels
-    analysis), or failure injection is active (batching would reorder
-    the injection draws).
+    It declines — evaluates nothing here, and each {!cell} read runs
+    {!sensitivity_and_deviation} on its pair instead — when the sweep is
+    empty, batching is disabled, the plan family is non-batchable
+    (nonlinear topology or a non-DC-levels analysis; its pairs are
+    counted under [evaluator.batch.fallback_seq]), or failure injection
+    is active (batching would reorder the injection draws; counted the
+    same way).  So a caller that reads its cells in the order it would
+    have evaluated them pays exactly the sequential walk's evaluations,
+    early exits included, on the declined path.
     @raise Execute.Execution_failure if the nominal simulation fails.
     @raise Budget_exhausted as the sequential walk would. *)
 
-val batched_sensitivity : t -> Faults.Fault.t -> Numerics.Vec.t -> float
-(** The single-pair degenerate case of {!batched_fault_sensitivities},
-    falling back to {!sensitivity} when not batchable — bit-identical to
-    {!sensitivity} either way. *)
+val cell : sweep -> int -> int -> float * float array
+(** [cell sw f p] is [sensitivity_and_deviation t faults.(f)
+    points.(p)], bit for bit: the filled cell of a batched sweep, or —
+    on a declined sweep — that call, run (and charged) on every read. *)
 
 val sensitivity_of_target : t -> Execute.target -> Numerics.Vec.t -> float
 (** Score an arbitrary target (e.g. a fault-free circuit at a Monte-Carlo

@@ -294,83 +294,24 @@ type fault_batch = {
   fb_panels : int;
 }
 
-(* Exact replay of [Dc.newton_ws]'s damped-update walk for a linear
-   plan.  The assembled system of a linear (MOSFET-free) topology does
-   not depend on the Newton iterate, so every iteration's raw solve
-   produces the same vector [s] and the sequential trajectory is a pure
-   damping walk toward it: [x <- x + alpha * (s - x)] with [alpha]
-   bounded by the node-voltage limit.  Replaying that walk term for term
-   — the same [Float.max] reduction for the step bound, the same update
-   form (kept even at [alpha = 1.], where it is not a bitwise no-op),
-   the same node-only convergence test on the damped iterate —
-   reproduces the converged solution bit for bit without touching the
-   factorization again.  Returns the buffer holding the converged
-   iterate, or [None] when the walk does not converge inside the Newton
-   budget (the sequential path then enters its gmin/source stepping
-   ladders, which the caller must replay verbatim, fault by fault). *)
-let replay_damped ~options ~n_nodes ~s xa xb =
-  let size = Array.length s in
-  let finite = ref true in
-  for i = 0 to n_nodes - 1 do
-    if not (Float.is_finite s.(i)) then finite := false
-  done;
-  if not !finite then None
-  else begin
-    let vlimit = options.Dc.vlimit in
-    let abstol = options.Dc.abstol and reltol = options.Dc.reltol in
-    Array.fill xa 0 size 0.;
-    let cur = ref xa and nxt = ref xb in
-    let converged = ref false in
-    let iters = ref 0 in
-    while (not !converged) && !iters < options.Dc.max_newton do
-      incr iters;
-      let x = !cur and x_new = !nxt in
-      (* The sequential walk blits [s] into [x_new] and then reduces,
-         updates and tests over it in separate passes; here the blit is
-         folded away ([x_new.(i)] {e is} [s.(i)] at that point) and the
-         update and convergence passes fused — every arithmetic
-         expression below is term-for-term the sequential one, so the
-         trajectory stays bitwise identical. *)
-      let dv_max = ref 0. in
-      for i = 0 to n_nodes - 1 do
-        dv_max := Float.max !dv_max (Float.abs (s.(i) -. x.(i)))
-      done;
-      let alpha = if !dv_max > vlimit then vlimit /. !dv_max else 1. in
-      if alpha = 1. then begin
-        let ok = ref true in
-        for i = 0 to size - 1 do
-          let xi = x.(i) in
-          let xn = xi +. (alpha *. (s.(i) -. xi)) in
-          x_new.(i) <- xn;
-          if i < n_nodes then begin
-            let dx = Float.abs (xn -. xi) in
-            if dx > abstol +. (reltol *. Float.abs xn) then ok := false
-          end
-        done;
-        converged := !ok
-      end
-      else
-        for i = 0 to size - 1 do
-          let xi = x.(i) in
-          x_new.(i) <- xi +. (alpha *. (s.(i) -. xi))
-        done;
-      cur := x_new;
-      nxt := x
-    done;
-    if !converged then Some !cur else None
-  end
+(* The config-major engine behind {!Evaluator.sweep}: for each fault
+   (impact override) the system is restamped and factored ONCE — a
+   numeric-only pattern replay on the sparse backend — and every probe
+   column of every parameter point solves against that held
+   factorization through [Mna.ws_solve_into].
 
-(* The config-major engine behind {!Evaluator.batched_fault_sensitivities}:
-   for each fault (impact override) the system is restamped and factored
-   ONCE — a numeric-only pattern replay on the sparse backend — and every
-   probe column of every parameter point solves against that held
-   factorization, in one blocked triangular panel on sparse
-   ({!Numerics.Smat.solve_block}) or a sequential [ws_solve_into] sweep
-   on dense.  Each column's converged operating point is then recovered
-   by the exact damping replay above, so results are bitwise identical
-   to walking {!compiled_observables} pair by pair.  A fault whose
-   factorization is singular, or whose damping walk does not converge,
-   leaves [None] cells for the caller's verbatim sequential fallback. *)
+   The assembled system of a linear (MOSFET-free) topology does not
+   depend on the Newton iterate, so every iteration of the sequential
+   walk solves to the same vector [s], and its trajectory is a pure
+   damping walk toward it from the zero start.  Replaying that walk
+   with {!Dc.damped_step} — the Newton loop's own update — reproduces the
+   converged operating point bit for bit without touching the
+   factorization again, so results are identical to walking
+   {!compiled_observables} pair by pair.  A fault whose factorization is
+   singular, or a column whose solve is not finite or whose walk does
+   not converge inside the Newton budget (where the sequential path
+   escalates to its gmin/source stepping ladders), leaves [None] cells
+   for the caller's verbatim sequential fallback. *)
 let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
   match c.c_config.Test_config.analysis with
   | Test_config.Tran_thd _ | Test_config.Tran_samples _ | Test_config.Tran_imd _
@@ -396,105 +337,78 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
                    invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e)))
           wave_rows;
         let np = Array.length points in
-        let offsets = Array.make (Int.max 1 np) 0 in
-        let total = ref 0 in
-        Array.iteri
-          (fun p row ->
-            offsets.(p) <- !total;
-            total := !total + Array.length row)
-          wave_rows;
-        let m = !total in
         let n = Mna.size plan in
         let n_nodes = Mna.n_nodes plan in
         let options = profile.dc_options in
         let gmin = options.Dc.gmin in
         let x0 = Numerics.Vec.create n 0. in
         let obs_row = Mna.node_index plan target.observe_node in
-        let n_impacts = Array.length impacts in
-        let out = Array.init n_impacts (fun _ -> Array.make np None) in
+        let out = Array.map (fun _ -> Array.make np None) impacts in
         let panels = ref 0 in
-        if m > 0 && n_impacts > 0 then begin
-          let sbuf = Numerics.Vec.create n 0. in
-          let xa = Numerics.Vec.create n 0. in
-          let xb = Numerics.Vec.create n 0. in
-          let assemble impact p l =
-            Mna.assemble_into plan ws ~x:x0 ~time:`Dc
-              ~restamp:
-                { Mna.stimulus = Some (source, wave_rows.(p).(l)); impact }
-              ~gmin ()
-          in
-          (* Replay every column of this fault against the held
-             factorization; a point whose columns all converge yields its
-             observable vector, anything else stays [None]. *)
-          let replay_points solve_col =
-            Array.init np (fun p ->
-                let levels = Array.length wave_rows.(p) in
-                let obs = Array.make levels 0. in
-                let ok = ref true in
-                for l = 0 to levels - 1 do
-                  if !ok then begin
-                    solve_col (offsets.(p) + l);
-                    match replay_damped ~options ~n_nodes ~s:sbuf xa xb with
-                    | Some x ->
-                        obs.(l) <-
-                          (match obs_row with Some r -> x.(r) | None -> 0.)
-                    | None -> ok := false
-                  end
-                done;
-                if !ok then Some obs else None)
-          in
-          match Mna.ws_sparse_lu ws with
-          | Some slu ->
-              let b =
-                Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout n m
-              in
-              let xs =
-                Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout n m
-              in
+        let zs =
+          Array.map (Array.map (fun _ -> Numerics.Vec.create n 0.)) wave_rows
+        in
+        let s = Numerics.Vec.create n 0. in
+        let xa = Numerics.Vec.create n 0. and xb = Numerics.Vec.create n 0. in
+        (* the damping walk from the zero start toward [s]; the converged
+           iterate, or [None] where the sequential path would escalate *)
+        let replay () =
+          if not (Dc.finite_solution s ~n_nodes) then None
+          else begin
+            Array.fill xa 0 n 0.;
+            let cur = ref xa and nxt = ref xb in
+            let converged = ref false and iters = ref 0 in
+            while (not !converged) && !iters < options.Dc.max_newton do
+              incr iters;
+              let x = !cur and x_new = !nxt in
+              converged := Dc.damped_step ~options ~n_nodes ~x ~s ~x_new;
+              cur := x_new;
+              nxt := x
+            done;
+            if !converged then Some !cur else None
+          end
+        in
+        (* a point whose columns all converge against the held
+           factorization yields its observable vector; anything else
+           stays [None] *)
+        let settle_point zrow =
+          let obs = Array.make (Array.length zrow) 0. in
+          let ok = ref true in
+          Array.iteri
+            (fun l z ->
+              if !ok then begin
+                Mna.ws_solve_into ws z s;
+                match replay () with
+                | Some x ->
+                    obs.(l) <- (match obs_row with Some r -> x.(r) | None -> 0.)
+                | None -> ok := false
+              end)
+            zrow;
+          if !ok then Some obs else None
+        in
+        let settle_fault fi impact =
+          Array.iteri
+            (fun p row ->
               Array.iteri
-                (fun fi impact ->
-                  for p = 0 to np - 1 do
-                    for l = 0 to Array.length wave_rows.(p) - 1 do
-                      assemble impact p l;
-                      let k = offsets.(p) + l in
-                      for i = 0 to n - 1 do
-                        b.{i, k} <- ws.Mna.w_z.(i)
-                      done
-                    done
-                  done;
-                  match Mna.ws_factor ws with
-                  | (_ : bool) ->
-                      Numerics.Smat.solve_block slu ~b ~x:xs;
-                      incr panels;
-                      out.(fi) <-
-                        replay_points (fun k ->
-                            for i = 0 to n - 1 do
-                              sbuf.(i) <- xs.{i, k}
-                            done)
-                  | exception Numerics.Mat.Singular _ ->
-                      (* the sequential path escalates to its stepping
-                         ladders here: leave the row to the fallback *)
-                      ())
-                impacts
-          | None ->
-              let zs = Array.init m (fun _ -> Numerics.Vec.create n 0.) in
-              Array.iteri
-                (fun fi impact ->
-                  for p = 0 to np - 1 do
-                    for l = 0 to Array.length wave_rows.(p) - 1 do
-                      assemble impact p l;
-                      Array.blit ws.Mna.w_z 0 zs.(offsets.(p) + l) 0 n
-                    done
-                  done;
-                  match Mna.ws_factor ws with
-                  | (_ : bool) ->
-                      incr panels;
-                      out.(fi) <-
-                        replay_points (fun k ->
-                            Mna.ws_solve_into ws zs.(k) sbuf)
-                  | exception Numerics.Mat.Singular _ -> ())
-                impacts
-        end;
+                (fun l wave ->
+                  Mna.assemble_into plan ws ~x:x0 ~time:`Dc
+                    ~restamp:{ Mna.stimulus = Some (source, wave); impact }
+                    ~gmin ();
+                  Array.blit ws.Mna.w_z 0 zs.(p).(l) 0 n)
+                row)
+            wave_rows;
+          match Mna.ws_factor ws with
+          | (_ : bool) ->
+              incr panels;
+              out.(fi) <- Array.map settle_point zs
+          | exception Numerics.Mat.Singular _ ->
+              (* the sequential path escalates to its stepping ladders
+                 here: leave the row to the fallback *)
+              ()
+        in
+        (* no probe columns: nothing to factor for *)
+        if Array.exists (fun row -> Array.length row > 0) wave_rows then
+          Array.iteri settle_fault impacts;
         Some { fb_obs = out; fb_panels = !panels }
       end
 

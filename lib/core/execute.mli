@@ -128,14 +128,14 @@ val compiled_batch_over_faults :
     [impacts] the compiled system is restamped and factored ONCE (a
     numeric-only pattern replay on the sparse backend), and every probe
     level of every parameter point in [points] solves against that held
-    factorization — one blocked triangular panel
-    ({!Numerics.Smat.solve_block}) on sparse, a sequential
-    [ws_solve_into] sweep on dense.  Each column's converged operating
-    point is then recovered by an exact replay of the sequential damped
-    Newton walk (the system of a linear plan does not depend on the
-    iterate, so the trajectory is a pure damping walk toward the single
-    solve), making every returned observable bitwise identical to
-    {!compiled_observables} on the same (impact, point) pair.
+    factorization ({!Circuit.Mna.ws_solve_into}, on either backend).
+    Each column's converged operating point is then recovered by
+    replaying the sequential Newton walk with its own update,
+    {!Circuit.Dc.damped_step} (the system of a linear plan does not
+    depend on the iterate, so the trajectory is a pure damping walk
+    toward the single solve), making every returned observable bitwise
+    identical to {!compiled_observables} on the same (impact, point)
+    pair.
 
     [None] when the plan is outside the batchable family (non-DC-levels
     analysis, or a nonlinear MOSFET-bearing topology).  Within a batch,

@@ -122,32 +122,25 @@ let optimize_candidate ?(options = default_options) evaluator fault_low =
            the seed's descent path never reaches stay findable. *)
         let scan = lattice_starts ~lower ~upper seed in
         (* The seed + lattice sweep is a (1 fault x points) cross-product
-           over one configuration: batch it through the config-major
-           engine (one held factorization, all points solved against it)
-           when the plan admits it.  The fold replicates the sequential
-           accumulator exactly — seed first, then scan order, strict [<]
-           tie-break — on bitwise-identical costs, so the winning start
-           (and with it the whole optimizer trajectory) is unchanged. *)
+           over one configuration, settled by one {!Evaluator.sweep} (one
+           held factorization, all points solved against it, when the
+           plan admits it).  The fold reads the costs seed first, then in
+           scan order, with a strict [<] tie-break, so the winning start
+           (and with it the whole optimizer trajectory) does not depend
+           on whether the sweep batched. *)
         let start, start_cost =
-          let all_points = Array.of_list (seed :: scan) in
-          match
-            Evaluator.batched_fault_sensitivities evaluator
-              ~faults:[| fault_low |] ~points:all_points
-          with
-          | Some cells ->
-              let best = ref (seed, fst cells.(0).(0)) in
-              List.iteri
-                (fun i x ->
-                  let f = fst cells.(0).(i + 1) in
-                  if f < snd !best then best := (x, f))
-                scan;
-              !best
-          | None ->
-              List.fold_left
-                (fun (bx, bf) x ->
-                  let f = cost x in
-                  if f < bf then (x, f) else (bx, bf))
-                (seed, cost seed) scan
+          let sw =
+            Evaluator.sweep evaluator ~faults:[| fault_low |]
+              ~points:(Array.of_list (seed :: scan))
+          in
+          let cost_at p = fst (Evaluator.cell sw 0 p) in
+          let best = ref (seed, cost_at 0) in
+          List.iteri
+            (fun i x ->
+              let f = cost_at (i + 1) in
+              if f < snd !best then best := (x, f))
+            scan;
+          !best
         in
         let r =
           Powell.minimize ~tol:options.optimizer_tol

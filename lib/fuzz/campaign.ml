@@ -190,6 +190,8 @@ let clean report = report.r_violations = [] && report.r_build_failures = 0
 (* Deterministic JSON: a pure function of the report (no timing, no
    hostnames), so two runs with the same options produce identical
    bytes — the property the fuzz tests' determinism case pins. *)
+let json_string s = "\"" ^ Obs.json_escape s ^ "\""
+
 let report_json report =
   let b = Buffer.create 2048 in
   let opts = report.r_options in
@@ -201,8 +203,7 @@ let report_json report =
        opts.campaigns opts.seed opts.self_test
        (String.concat ", "
           (List.map
-             (fun s ->
-               Printf.sprintf "%S" (Numerics.Failpoint.spec_to_string s))
+             (fun s -> json_string (Numerics.Failpoint.spec_to_string s))
              opts.inject)));
   Buffer.add_string b
     (Printf.sprintf
@@ -215,8 +216,8 @@ let report_json report =
   List.iteri
     (fun i t ->
       Buffer.add_string b
-        (Printf.sprintf "    %S: {\"pass\": %d, \"skip\": %d, \"fail\": %d}%s\n"
-           t.t_name t.t_pass t.t_skip t.t_fail
+        (Printf.sprintf "    %s: {\"pass\": %d, \"skip\": %d, \"fail\": %d}%s\n"
+           (json_string t.t_name) t.t_pass t.t_skip t.t_fail
            (if i = List.length report.r_tallies - 1 then "" else ",")))
     report.r_tallies;
   Buffer.add_string b "  },\n";
@@ -226,12 +227,12 @@ let report_json report =
       if i > 0 then Buffer.add_string b ",";
       Buffer.add_string b
         (Printf.sprintf
-           "\n    {\"campaign\": %d, \"invariant\": %S, \"spec\": %S, \
-            \"shrunk\": %S, \"shrink_steps\": %d, \"detail\": %S}"
-           v.v_campaign v.v_invariant
-           (Scenario.to_string v.v_spec)
-           (Scenario.to_string v.v_shrunk)
-           v.v_shrink_steps v.v_detail))
+           "\n    {\"campaign\": %d, \"invariant\": %s, \"spec\": %s, \
+            \"shrunk\": %s, \"shrink_steps\": %d, \"detail\": %s}"
+           v.v_campaign (json_string v.v_invariant)
+           (json_string (Scenario.to_string v.v_spec))
+           (json_string (Scenario.to_string v.v_shrunk))
+           v.v_shrink_steps (json_string v.v_detail)))
     report.r_violations;
   if report.r_violations <> [] then Buffer.add_string b "\n  ";
   Buffer.add_string b "]\n}\n";

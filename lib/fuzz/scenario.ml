@@ -12,6 +12,7 @@ type spec = {
   fault_count : int;
   bridge_weight : int;
   config_count : int;
+  params : int;
   levels : int;
   floor_exp : int;
   value_seed : int;
@@ -23,6 +24,7 @@ let minimal =
     fault_count = 1;
     bridge_weight = 100;
     config_count = 1;
+    params = 1;
     levels = 1;
     floor_exp = 2;
     value_seed = 0;
@@ -36,10 +38,10 @@ let topology_to_string = function
   | Ota_cascade n -> Printf.sprintf "otac%d" n
 
 let to_string s =
-  Printf.sprintf "%s/f%d/bw%d/c%d/l%d/e%d/v%d"
+  Printf.sprintf "%s/f%d/bw%d/c%d/p%d/l%d/e%d/v%d"
     (topology_to_string s.topology)
-    s.fault_count s.bridge_weight s.config_count s.levels s.floor_exp
-    s.value_seed
+    s.fault_count s.bridge_weight s.config_count s.params s.levels
+    s.floor_exp s.value_seed
 
 let pp ppf s = Format.pp_print_string ppf (to_string s)
 
@@ -55,7 +57,8 @@ let size s =
     | Sk_chain n -> 16 + (4 * n)
     | Ota_cascade n -> 16 + (2 * n)
   in
-  topo + (4 * s.fault_count) + s.config_count + s.levels + s.floor_exp
+  topo + (4 * s.fault_count) + s.config_count + s.params + s.levels
+  + s.floor_exp
   + (if s.bridge_weight < 100 then 2 else 0)
   + if s.value_seed <> 0 then 1 else 0
 
@@ -101,21 +104,33 @@ let configs_of_spec s macro =
       let seed_v = 0.5 *. (plo +. phi) in
       let step = (phi -. plo) /. float_of_int (s.levels + 1) in
       let floor_v = 10. ** float_of_int (-s.floor_exp) in
+      (* with two parameters the level spacing is the second one, so the
+         optimizer takes its multi-parameter arm (lattice sweep, then
+         Powell) *)
+      let start =
+        Test_param.create ~name:"v" ~units:"V" ~lower:plo ~upper:phi
+          ~seed:seed_v
+      in
+      let params, spacing =
+        if s.params = 1 then ([ start ], fun _ -> step)
+        else
+          ( [
+              start;
+              Test_param.create ~name:"dv" ~units:"V" ~lower:(0.5 *. step)
+                ~upper:(2. *. step) ~seed:step;
+            ],
+            fun v -> v.(1) )
+      in
       Test_config.create ~id:(900 + j)
         ~name:(Printf.sprintf "Fuzz DC sweep %d" j)
         ~macro_type:macro.Macros.Macro.macro_type
-        ~control_node
-        ~params:
-          [
-            Test_param.create ~name:"v" ~units:"V" ~lower:plo ~upper:phi
-              ~seed:seed_v;
-          ]
+        ~control_node ~params
         ~analysis:
           (Test_config.Dc_levels
              (fun v ->
                List.init s.levels (fun k ->
                    let lvl =
-                     Float.min phi (v.(0) +. (float_of_int k *. step))
+                     Float.min phi (v.(0) +. (float_of_int k *. spacing v))
                    in
                    Circuit.Waveform.Dc lvl)))
         ~returns:Test_config.Per_component
@@ -210,15 +225,21 @@ let gen rng =
     else if d < 11 then Ota
     else Sallen_key
   in
-  {
-    topology;
-    fault_count = 1 + Numerics.Rng.int rng ~bound:4;
-    bridge_weight = 25 * Numerics.Rng.int rng ~bound:5;
-    config_count = 1 + Numerics.Rng.int rng ~bound:2;
-    levels = 1 + Numerics.Rng.int rng ~bound:2;
-    floor_exp = 2 + Numerics.Rng.int rng ~bound:3;
-    value_seed = Numerics.Rng.int rng ~bound:10_000;
-  }
+  let spec =
+    {
+      topology;
+      fault_count = 1 + Numerics.Rng.int rng ~bound:4;
+      bridge_weight = 25 * Numerics.Rng.int rng ~bound:5;
+      config_count = 1 + Numerics.Rng.int rng ~bound:2;
+      params = 1;
+      levels = 1 + Numerics.Rng.int rng ~bound:2;
+      floor_exp = 2 + Numerics.Rng.int rng ~bound:3;
+      value_seed = Numerics.Rng.int rng ~bound:10_000;
+    }
+  in
+  (* drawn after the record, whose field expressions OCaml evaluates in
+     an unspecified order, so no other field's draw depends on it *)
+  { spec with params = 1 + Numerics.Rng.int rng ~bound:2 }
 
 (* -- shrinking ---------------------------------------------------------- *)
 
@@ -254,6 +275,7 @@ let shrink s =
        else [])
     @ (if s.bridge_weight < 100 then [ { s with bridge_weight = 100 } ] else [])
     @ (if s.config_count > 1 then [ { s with config_count = 1 } ] else [])
+    @ (if s.params > 1 then [ { s with params = 1 } ] else [])
     @ (if s.levels > 1 then [ { s with levels = 1 } ] else [])
     @ (if s.floor_exp > 2 then [ { s with floor_exp = 2 } ] else [])
     @ if s.value_seed <> 0 then [ { s with value_seed = 0 } ] else []

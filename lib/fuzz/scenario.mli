@@ -25,6 +25,10 @@ type spec = {
   fault_count : int;  (** faults drawn from the macro's universe, >= 1 *)
   bridge_weight : int;  (** percent chance each draw prefers a bridge *)
   config_count : int;  (** fuzzed DC configurations, >= 1 *)
+  params : int;
+      (** parameters per configuration, 1 or 2: the first sets the
+          start level; a second sets the level spacing, which sends the
+          optimizer through its lattice sweep and Powell *)
   levels : int;  (** DC levels (return values) per configuration, >= 1 *)
   floor_exp : int;  (** tester accuracy floor is [10^-floor_exp] volts *)
   value_seed : int;  (** stream selector for all value draws *)
@@ -32,10 +36,11 @@ type spec = {
 
 val minimal : spec
 (** The smallest scenario: 1-section ladder, 1 bridge fault, 1
-    single-level configuration — the fixed point of {!shrink}. *)
+    single-parameter, single-level configuration — the fixed point of
+    {!shrink}. *)
 
 val to_string : spec -> string
-(** Compact one-line form, e.g. ["rc2/f3/bw75/c2/l1/e3/v417"]. *)
+(** Compact one-line form, e.g. ["rc2/f3/bw75/c2/p2/l1/e3/v417"]. *)
 
 val pp : Format.formatter -> spec -> unit
 

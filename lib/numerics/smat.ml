@@ -109,81 +109,6 @@ let of_dense m =
   done;
   a
 
-(* Greedy minimum degree on the elimination graph of the symmetrized
-   pattern, smallest index winning ties — deterministic.  The quadratic
-   adjacency representation is deliberate: MNA systems top out in the
-   hundreds of unknowns, where simplicity beats a quotient graph. *)
-let min_degree a =
-  let n = a.n in
-  let adj = Array.make_matrix n n false in
-  let deg = Array.make n 0 in
-  let connect i j =
-    if i <> j && not adj.(i).(j) then begin
-      adj.(i).(j) <- true;
-      adj.(j).(i) <- true;
-      deg.(i) <- deg.(i) + 1;
-      deg.(j) <- deg.(j) + 1
-    end
-  in
-  for i = 0 to n - 1 do
-    for t = a.rp.(i) to a.rp.(i + 1) - 1 do
-      connect i a.ci.(t)
-    done
-  done;
-  let alive = Array.make n true in
-  let order = Array.make n 0 in
-  let nbrs = Array.make n 0 in
-  for step = 0 to n - 1 do
-    let v = ref (-1) in
-    for i = n - 1 downto 0 do
-      if alive.(i) && (!v < 0 || deg.(i) <= deg.(!v)) then v := i
-    done;
-    let v = !v in
-    order.(step) <- v;
-    alive.(v) <- false;
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      if alive.(i) && adj.(v).(i) then begin
-        adj.(i).(v) <- false;
-        deg.(i) <- deg.(i) - 1;
-        nbrs.(!m) <- i;
-        incr m
-      end
-    done;
-    for p = 0 to !m - 1 do
-      for q = p + 1 to !m - 1 do
-        connect nbrs.(p) nbrs.(q)
-      done
-    done
-  done;
-  order
-
-let permute_sym a ~perm =
-  let n = a.n in
-  if Array.length perm <> n then invalid_arg "Smat.permute_sym: bad length";
-  let seen = Array.make n false in
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= n || seen.(p) then
-        invalid_arg "Smat.permute_sym: not a permutation";
-      seen.(p) <- true)
-    perm;
-  let ip = Array.make n 0 in
-  Array.iteri (fun k p -> ip.(p) <- k) perm;
-  let entries = ref [] in
-  for i = 0 to n - 1 do
-    for t = a.rp.(i) to a.rp.(i + 1) - 1 do
-      entries := (ip.(i), ip.(a.ci.(t))) :: !entries
-    done
-  done;
-  let b = create n !entries in
-  for i = 0 to n - 1 do
-    for t = a.rp.(i) to a.rp.(i + 1) - 1 do
-      set b ip.(i) ip.(a.ci.(t)) a.vx.(t)
-    done
-  done;
-  b
-
 (* The factor workspace holds one packed L\U row per pivot position:
    sorted column indices, the slot of the diagonal, and the row's
    current length.  Row storage grows on demand and is reused across
@@ -294,10 +219,11 @@ let build_columns ws =
   done;
   ws.cl_ptr <- lp
 
-(* Compile the replay schedule for [refactor]'s fast path against the
-   pattern of [a].  Every entry of pivoted row [piv i] of A appears in
-   factor row [i] (elimination only adds entries), so the scatter walk
-   always consumes the whole A row. *)
+(* Compile [refactor]'s replay schedule against the pattern of [a].  For
+   the matrix just factored, every entry of pivoted row [piv i] appears
+   in factor row [i] (elimination only adds entries), so the scatter
+   walk always consumes the whole row; a matrix with an entry the held
+   factor lacks leaves the schedule invalid. *)
 let compile_schedule a ws =
   let n = ws.ln in
   let ok = ref true in
@@ -474,143 +400,75 @@ let factor_in_place a ws =
    result, only skip the symbolic bookkeeping.  The held pivot must be
    the strict maximum of its column: on a tie the dense scan keeps the
    first row in its current order, which the held order need not match,
-   so a candidate equal in magnitude fails the guard too. *)
-(* Fast replay path: scatter through the precompiled source map, then
-   per pivot run the guard scan and the scheduled updates.  Operation
-   order and arithmetic are exactly the slow path's (hence the fresh
-   factorization's); only the index bookkeeping is precomputed. *)
-let refactor_scheduled a ws =
-  let n = a.n in
-  for i = 0 to n - 1 do
-    let map = Array.unsafe_get ws.scat_src i in
-    let vx_ = Array.unsafe_get ws.r_vx i in
-    let len = Array.unsafe_get ws.r_len i in
-    for s = 0 to len - 1 do
-      let src = Array.unsafe_get map s in
-      Array.unsafe_set vx_ s
-        (if src >= 0 then Array.unsafe_get a.vx src else 0.)
-    done
-  done;
-  let guard_ok = ref true in
-  let k = ref 0 in
-  while !guard_ok && !k < n do
-    let kk = !k in
-    let dk = Array.unsafe_get ws.r_diag kk in
-    let kvx = Array.unsafe_get ws.r_vx kk in
-    let best = ref (Float.abs (Array.unsafe_get kvx dk)) in
-    let p = ref kk in
-    let cl0 = Array.unsafe_get ws.cl_ptr kk in
-    let cl1 = Array.unsafe_get ws.cl_ptr (kk + 1) in
-    for s = cl0 to cl1 - 1 do
-      let row = Array.unsafe_get ws.cl_row s in
-      let v =
-        Float.abs
-          (Array.unsafe_get
-             (Array.unsafe_get ws.r_vx row)
-             (Array.unsafe_get ws.cl_slot s))
-      in
-      if v >= !best then begin
-        best := v;
-        p := row
-      end
-    done;
-    if !p <> kk || !best < 1e-300 then guard_ok := false
-    else begin
-      let akk = Array.unsafe_get kvx dk in
-      for s = cl0 to cl1 - 1 do
-        let i = Array.unsafe_get ws.cl_row s in
-        let c0 = Array.unsafe_get ws.cl_slot s in
-        let vx_ = Array.unsafe_get ws.r_vx i in
-        let lik = Array.unsafe_get vx_ c0 /. akk in
-        Array.unsafe_set vx_ c0 lik;
-        let slots = Array.unsafe_get ws.upd s in
-        let m = Array.length slots in
-        for t = 0 to m - 1 do
-          let dst = Array.unsafe_get slots t in
-          Array.unsafe_set vx_ dst
-            (Array.unsafe_get vx_ dst
-            -. (lik *. Array.unsafe_get kvx (dk + 1 + t)))
-        done
-      done
-    end;
-    incr k
-  done;
-  if !guard_ok then begin
-    ws.factored <- true;
-    ws.n_reuse <- ws.n_reuse + 1;
-    true
-  end
-  else begin
-    ws.has_pattern <- false;
-    ws.sched_valid <- false;
-    false
-  end
+   so a candidate equal in magnitude fails the guard too.
 
+   The replay runs through the schedule: scatter A's values through the
+   precompiled source map (fill restarts at zero), then per pivot run
+   the guard scan and the scheduled updates.  A matrix other than the
+   one the schedule was compiled against gets a schedule of its own
+   first; one with an entry the held pattern lacks cannot replay. *)
 let refactor a ws =
   if a.n <> ws.ln then invalid_arg "Smat.refactor: size mismatch";
   if not ws.has_pattern then false
-  else if ws.sched_valid && a.rp == ws.pat_rp && a.ci == ws.pat_ci then begin
-    ws.factored <- false;
-    refactor_scheduled a ws
-  end
   else begin
-    let n = a.n in
     ws.factored <- false;
-    (* scatter A's values into the held row patterns (fill restarts at
-       zero); bail out if A has an entry the pattern lacks *)
-    let compatible = ref true in
-    for i = 0 to n - 1 do
-      let r = ws.piv.(i) in
-      let ci_ = ws.r_ci.(i) and vx_ = ws.r_vx.(i) and len = ws.r_len.(i) in
-      let sa = ref a.rp.(r) in
-      let stop = a.rp.(r + 1) in
-      for s = 0 to len - 1 do
-        if !sa < stop && a.ci.(!sa) = ci_.(s) then begin
-          vx_.(s) <- a.vx.(!sa);
-          incr sa
-        end
-        else vx_.(s) <- 0.
-      done;
-      if !sa <> stop then compatible := false
-    done;
-    if not !compatible then begin
+    if not (ws.sched_valid && a.rp == ws.pat_rp && a.ci == ws.pat_ci) then
+      compile_schedule a ws;
+    if not ws.sched_valid then begin
       ws.has_pattern <- false;
       false
     end
     else begin
+      let n = a.n in
+      for i = 0 to n - 1 do
+        let map = Array.unsafe_get ws.scat_src i in
+        let vx_ = Array.unsafe_get ws.r_vx i in
+        let len = Array.unsafe_get ws.r_len i in
+        for s = 0 to len - 1 do
+          let src = Array.unsafe_get map s in
+          Array.unsafe_set vx_ s
+            (if src >= 0 then Array.unsafe_get a.vx src else 0.)
+        done
+      done;
       let guard_ok = ref true in
       let k = ref 0 in
       while !guard_ok && !k < n do
         let kk = !k in
-        let dk = ws.r_diag.(kk) in
-        let best = ref (Float.abs ws.r_vx.(kk).(dk)) in
+        let dk = Array.unsafe_get ws.r_diag kk in
+        let kvx = Array.unsafe_get ws.r_vx kk in
+        let best = ref (Float.abs (Array.unsafe_get kvx dk)) in
         let p = ref kk in
-        for s = ws.cl_ptr.(kk) to ws.cl_ptr.(kk + 1) - 1 do
-          let v = Float.abs ws.r_vx.(ws.cl_row.(s)).(ws.cl_slot.(s)) in
+        let cl0 = Array.unsafe_get ws.cl_ptr kk in
+        let cl1 = Array.unsafe_get ws.cl_ptr (kk + 1) in
+        for s = cl0 to cl1 - 1 do
+          let row = Array.unsafe_get ws.cl_row s in
+          let v =
+            Float.abs
+              (Array.unsafe_get
+                 (Array.unsafe_get ws.r_vx row)
+                 (Array.unsafe_get ws.cl_slot s))
+          in
           if v >= !best then begin
             best := v;
-            p := ws.cl_row.(s)
+            p := row
           end
         done;
         if !p <> kk || !best < 1e-300 then guard_ok := false
         else begin
-          let akk = ws.r_vx.(kk).(dk) in
-          let kci = ws.r_ci.(kk) and kvx = ws.r_vx.(kk) in
-          let klen = ws.r_len.(kk) in
-          for s = ws.cl_ptr.(kk) to ws.cl_ptr.(kk + 1) - 1 do
-            let i = ws.cl_row.(s) and c0 = ws.cl_slot.(s) in
-            let ci_ = ws.r_ci.(i) and vx_ = ws.r_vx.(i) in
-            let lik = vx_.(c0) /. akk in
-            vx_.(c0) <- lik;
-            (* every pivot U column is structurally present in row i:
-               the fill guarantee of the fresh pass *)
-            let sa = ref (c0 + 1) in
-            for sb = dk + 1 to klen - 1 do
-              let cb = kci.(sb) in
-              while ci_.(!sa) < cb do
-                incr sa
-              done;
-              vx_.(!sa) <- vx_.(!sa) -. (lik *. kvx.(sb))
+          let akk = Array.unsafe_get kvx dk in
+          for s = cl0 to cl1 - 1 do
+            let i = Array.unsafe_get ws.cl_row s in
+            let c0 = Array.unsafe_get ws.cl_slot s in
+            let vx_ = Array.unsafe_get ws.r_vx i in
+            let lik = Array.unsafe_get vx_ c0 /. akk in
+            Array.unsafe_set vx_ c0 lik;
+            let slots = Array.unsafe_get ws.upd s in
+            let m = Array.length slots in
+            for t = 0 to m - 1 do
+              let dst = Array.unsafe_get slots t in
+              Array.unsafe_set vx_ dst
+                (Array.unsafe_get vx_ dst
+                -. (lik *. Array.unsafe_get kvx (dk + 1 + t)))
             done
           done
         end;
@@ -622,10 +480,10 @@ let refactor a ws =
         true
       end
       else begin
-        (* values partially overwritten: the held numeric state is
-           garbage, but the structure would still be valid only if the
-           pivot order held — it did not, so discard the pattern *)
+        (* values partially overwritten and the held pivot order is
+           stale: discard the pattern *)
         ws.has_pattern <- false;
+        ws.sched_valid <- false;
         false
       end
     end
@@ -658,70 +516,6 @@ let solve_into ws b x =
       s := !s -. (vx_.(t) *. x.(ci_.(t)))
     done;
     x.(i) <- !s /. vx_.(d)
-  done
-
-type block = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
-
-(* The [block] annotations matter: they monomorphize the element kind
-   and layout so every access below compiles to a direct unboxed float
-   load/store instead of the polymorphic bigarray primitive. *)
-let solve_block ws ~(b : block) ~(x : block) =
-  if not ws.factored then
-    invalid_arg "Smat.solve_block: workspace not factored";
-  let n = ws.ln in
-  let m = Bigarray.Array2.dim2 b in
-  if Bigarray.Array2.dim1 b <> n || Bigarray.Array2.dim1 x <> n then
-    invalid_arg "Smat.solve_block: dimension mismatch";
-  if Bigarray.Array2.dim2 x <> m then
-    invalid_arg "Smat.solve_block: right-hand-side count mismatch";
-  if b == x then invalid_arg "Smat.solve_block: aliased input and output";
-  (* Flat views over the c_layout panels: row [i] is the contiguous
-     slice [i*m .. i*m+m-1].  All indices below are derived from [n], [m]
-     and the factor's own row structure, so the unchecked accesses stay
-     in bounds; the per-element arithmetic (and its order) is exactly
-     the checked 2-D version's, only the address computation changes. *)
-  let xf = Bigarray.reshape_1 (Bigarray.genarray_of_array2 x) (n * m) in
-  let bf = Bigarray.reshape_1 (Bigarray.genarray_of_array2 b) (n * m) in
-  for i = 0 to n - 1 do
-    let src = ws.piv.(i) * m and dst = i * m in
-    for r = 0 to m - 1 do
-      Bigarray.Array1.unsafe_set xf (dst + r)
-        (Bigarray.Array1.unsafe_get bf (src + r))
-    done
-  done;
-  (* same per-column op order as [solve_into], streamed across the
-     right-hand sides along the contiguous axis *)
-  for i = 1 to n - 1 do
-    let ci_ = ws.r_ci.(i) and vx_ = ws.r_vx.(i) in
-    let xi = i * m in
-    for t = 0 to ws.r_diag.(i) - 1 do
-      let v = vx_.(t) in
-      let xc = ci_.(t) * m in
-      for r = 0 to m - 1 do
-        Bigarray.Array1.unsafe_set xf (xi + r)
-          (Bigarray.Array1.unsafe_get xf (xi + r)
-          -. (v *. Bigarray.Array1.unsafe_get xf (xc + r)))
-      done
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let ci_ = ws.r_ci.(i) and vx_ = ws.r_vx.(i) in
-    let d = ws.r_diag.(i) in
-    let xi = i * m in
-    for t = d + 1 to ws.r_len.(i) - 1 do
-      let v = vx_.(t) in
-      let xc = ci_.(t) * m in
-      for r = 0 to m - 1 do
-        Bigarray.Array1.unsafe_set xf (xi + r)
-          (Bigarray.Array1.unsafe_get xf (xi + r)
-          -. (v *. Bigarray.Array1.unsafe_get xf (xc + r)))
-      done
-    done;
-    let dv = vx_.(d) in
-    for r = 0 to m - 1 do
-      Bigarray.Array1.unsafe_set xf (xi + r)
-        (Bigarray.Array1.unsafe_get xf (xi + r) /. dv)
-    done
   done
 
 type stats = {

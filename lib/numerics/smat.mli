@@ -16,22 +16,16 @@
     detect verdicts and session bytes; it is pinned by the QCheck parity
     suite.
 
-    Two further layers ride on the factorization:
-    {ul
-    {- {!refactor} — numeric-only refactorization reusing the row
-       pattern, fill and pivot order held from a previous
-       {!factor_in_place} on the same matrix.  A max-pivot guard verifies
-       the held pivot sequence is still what a fresh factorization would
-       choose, so a successful refactor is bit-identical to a fresh
-       factor (and therefore history-independent); a guard miss returns
-       [false] and the caller pays the full symbolic+numeric pass.}
-    {- {!min_degree} / {!permute_sym} — fill-reducing minimum-degree
-       ordering on the symmetrized pattern.  The default solve path keeps
-       the natural MNA ordering (chain-structured macros are already
-       near-banded, and reordering would break cross-backend
-       bit-identity); the ordering layer serves patterns whose natural
-       order fills in catastrophically, and the tests pin its fill
-       savings.}} *)
+    {!refactor} rides on the factorization: numeric-only
+    refactorization reusing the row pattern, fill and pivot order held
+    from a previous {!factor_in_place}, through a replay schedule
+    compiled once per matrix pattern.  A max-pivot guard verifies the
+    held pivot sequence is still what a fresh factorization would
+    choose, so a successful refactor is bit-identical to a fresh factor
+    (and therefore history-independent); a guard miss returns [false]
+    and the caller pays the full symbolic+numeric pass.  The natural MNA
+    ordering is kept throughout: a fill-reducing reordering would change
+    the pivot sequence and break cross-backend bit-identity. *)
 
 type t
 (** A square sparse matrix: fixed CSR pattern, mutable values. *)
@@ -66,19 +60,6 @@ val get : t -> int -> int -> float
 val mul_vec : t -> Vec.t -> Vec.t
 
 val to_dense : t -> Mat.t
-
-val min_degree : t -> int array
-(** A fill-reducing elimination order of the symmetrized pattern
-    (pattern of [A + A^T]) by the classic greedy minimum-degree rule,
-    smallest index winning ties — deterministic.  [perm.(k)] is the
-    unknown eliminated at step [k]; feed it to {!permute_sym} to factor
-    in that order. *)
-
-val permute_sym : t -> perm:int array -> t
-(** [permute_sym a ~perm] is the symmetrically permuted matrix [b] with
-    [b(i,j) = a(perm.(i), perm.(j))] — pattern and values.  Factoring
-    [b] in natural order factors [a] in the order [perm].
-    @raise Invalid_argument if [perm] is not a permutation of the size. *)
 
 type lu
 (** A sparse LU workspace: packed row-major L\U factor with its pivot
@@ -115,30 +96,19 @@ val refactor : t -> lu -> bool
     — the strict maximum of its column, since a tie is broken by a row
     order the held pattern does not track — the replay is bit-identical
     to {!factor_in_place}; otherwise (or on
-    a numerically singular column, or when no pattern is held) it
-    returns [false] without raising, and the caller must fall back to
+    a numerically singular column, when no pattern is held, or when [a]
+    has an entry outside the held factor's pattern) it returns [false]
+    without raising, and the caller must fall back to
     {!factor_in_place}.  Either way the result observable through the
     solve API is exactly the fresh factorization's — refactorization is
-    a pure optimization, invisible to results. *)
+    a pure optimization, invisible to results.  The replay schedule is
+    compiled against [a]'s pattern on the first refactor of a matrix
+    other than the one last compiled for, so any matrix with a
+    compatible pattern replays through the same arithmetic. *)
 
 val solve_into : lu -> Vec.t -> Vec.t -> unit
 (** Bit-identical to {!Mat.solve_into} against the dense factorization
     of the same matrix.
-    @raise Invalid_argument on dimension mismatch, aliasing, or an
-    unfactored workspace. *)
-
-type block = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
-(** A dense block of right-hand sides / solutions: dimensions
-    [n * m] where column [r] is one system.  C layout keeps each
-    unknown's row contiguous across the [m] systems, which is the axis
-    the blocked solve streams over. *)
-
-val solve_block : lu -> b:block -> x:block -> unit
-(** [solve_block ws ~b ~x] solves [A x.(:,r) = b.(:,r)] for every
-    column — one triangular-sweep pass over the factor amortized across
-    all right-hand sides (the batched multi-fault primitive).  Each
-    column's float sequence is identical to {!solve_into} on that
-    column, so blocking is invisible to results.  [b] is untouched.
     @raise Invalid_argument on dimension mismatch, aliasing, or an
     unfactored workspace. *)
 

@@ -172,3 +172,9 @@ val fault_evals : unit -> (string * int) list
 (** [(fault id, evaluations)] from flushed [engine.fault] spans, sorted
     by descending evaluation count (fault id breaks ties). *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s] (without the quotes):
+    quote, backslash and control bytes escaped, every other byte copied,
+    so UTF-8 text passes through unchanged.  Shared by the trace writer,
+    the serve protocol ([Serve.Jsonl]) and fuzz reports. *)
+

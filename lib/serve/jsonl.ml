@@ -12,22 +12,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let format_num f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
@@ -40,7 +24,7 @@ let rec write buf = function
   | Num f -> Buffer.add_string buf (format_num f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      Buffer.add_string buf (Obs.json_escape s);
       Buffer.add_char buf '"'
   | List items ->
       Buffer.add_char buf '[';
@@ -56,7 +40,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          Buffer.add_string buf (Obs.json_escape k);
           Buffer.add_string buf "\":";
           write buf v)
         fields;

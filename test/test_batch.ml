@@ -2,7 +2,7 @@
    sequential path.
 
    The contract under test is strict: every (sensitivity, deviation)
-   pair the batch engine returns must carry the same bits as the
+   cell of a batched [Evaluator.sweep] must carry the same bits as the
    sequential [Evaluator.sensitivity_and_deviation] call it replaced —
    across dense and sparse backends, through every rewired consumer
    (coverage, collapse screening, lattice seeding, whole engine runs),
@@ -34,6 +34,12 @@ let ctx ?batching ?backend macro =
 
 let first_evaluator (c : Experiments.Setup.t) = List.hd c.evaluators
 
+(* Every cell of a sweep, read fault-major. *)
+let cells_of sw ~faults ~points =
+  Array.mapi
+    (fun f _ -> Array.mapi (fun p _ -> Evaluator.cell sw f p) points)
+    faults
+
 let some_faults ?(n = 10) (c : Experiments.Setup.t) =
   Faults.Dictionary.entries (Faults.Dictionary.take c.dictionary n)
   |> List.map (fun e -> e.Faults.Dictionary.fault)
@@ -60,12 +66,9 @@ let test_cross_product_parity backend () =
       let faults = some_faults batched_ctx in
       let points = points_of batched_ctx in
       let before = Evaluator.batch_stats () in
-      let cells =
-        match Evaluator.batched_fault_sensitivities ev_b ~faults ~points with
-        | Some cells -> cells
-        | None -> Alcotest.fail "linear probe plan should batch"
-      in
+      let sw = Evaluator.sweep ev_b ~faults ~points in
       let after = Evaluator.batch_stats () in
+      let cells = cells_of sw ~faults ~points in
       Alcotest.(check bool)
         "batch engine actually settled pairs" true
         (after.Evaluator.faults_batched > before.Evaluator.faults_batched);
@@ -97,8 +100,9 @@ let test_cross_product_parity backend () =
         (Evaluator.evaluation_count ev_b))
     [ ladder; chain ]
 
-(* Single-pair convenience wrapper: bit-identical to [sensitivity]. *)
-let test_batched_sensitivity_parity () =
+(* A 1x1 sweep (compaction's and the baseline's single pairs):
+   bit-identical to [sensitivity]. *)
+let test_single_pair_parity () =
   let ev_b = first_evaluator (ctx ladder) in
   let ev_s = first_evaluator (ctx ~batching:false ladder) in
   let faults = some_faults (ctx ladder) in
@@ -107,42 +111,69 @@ let test_batched_sensitivity_parity () =
     (fun fault ->
       Array.iter
         (fun values ->
+          let sw =
+            Evaluator.sweep ev_b ~faults:[| fault |] ~points:[| values |]
+          in
           Alcotest.(check bool) "single-pair parity" true
             (floats_equal
-               (Evaluator.batched_sensitivity ev_b fault values)
+               (fst (Evaluator.cell sw 0 0))
                (Evaluator.sensitivity ev_s fault values)))
         points)
     faults
 
 (* ------------------------------------------------- decline gates *)
 
+(* The paper's IV-converter at the fast profile: MOSFETs put every
+   plan outside the batchable family. *)
+let iv_fast = lazy (Experiments.Setup.iv ~profile:Execute.fast_profile ())
+
+(* A declined sweep evaluates nothing when it is created; its cells
+   evaluate on read.  [fallback] is the [evaluator.batch.fallback_seq]
+   delta the decline is accounted with. *)
 let test_decline_gates () =
+  let declines label ~fallback ev ~faults ~points =
+    let before = Evaluator.batch_stats () in
+    let evals = Evaluator.evaluation_count ev in
+    let sw = Evaluator.sweep ev ~faults ~points in
+    let after = Evaluator.batch_stats () in
+    Alcotest.(check (list int))
+      (label ^ ": batched, fallback, panel deltas")
+      [ 0; fallback; 0 ]
+      [
+        after.Evaluator.faults_batched - before.Evaluator.faults_batched;
+        after.Evaluator.fallback_seq - before.Evaluator.fallback_seq;
+        after.Evaluator.panels - before.Evaluator.panels;
+      ];
+    Alcotest.(check int) (label ^ ": nothing evaluated at creation") evals
+      (Evaluator.evaluation_count ev);
+    if Array.length faults > 0 then begin
+      ignore (Evaluator.cell sw 0 0);
+      Alcotest.(check int) (label ^ ": a read evaluates its pair") (evals + 1)
+        (Evaluator.evaluation_count ev)
+    end
+  in
   let faults = some_faults (ctx ladder) in
   let points = points_of (ctx ladder) in
-  let declines label ev =
-    Alcotest.(check bool) label true
-      (Evaluator.batched_fault_sensitivities ev ~faults ~points = None)
-  in
-  declines "batching disabled"
-    (first_evaluator (ctx ~batching:false ladder));
+  let pairs = Array.length faults * Array.length points in
+  declines "batching disabled" ~fallback:0
+    (first_evaluator (ctx ~batching:false ladder))
+    ~faults ~points;
   (* a MOSFET-bearing topology is outside the batchable family *)
-  Alcotest.(check bool) "nonlinear topology" true
-    (Evaluator.batched_fault_sensitivities
-       (first_evaluator (Experiments.Setup.iv ()))
-       ~faults:
-         [| Faults.Fault.bridge "n1" "vout" ~resistance:10e3 |]
-       ~points:
-         [|
-           Test_param.seeds_of
-             (List.hd (Experiments.Setup.iv ()).configs).Test_config.params;
-         |]
-    = None);
+  let iv = Lazy.force iv_fast in
+  declines "nonlinear topology" ~fallback:1 (first_evaluator iv)
+    ~faults:[| Faults.Fault.bridge "n1" "vout" ~resistance:10e3 |]
+    ~points:
+      [| Test_param.seeds_of (List.hd iv.configs).Test_config.params |];
   (* active failure injection must decline — batching would reorder the
      draw sequence *)
   Fp.with_config ~seed:7L
     [ { Fp.point = "dc.no_convergence"; probability = 0.0; max_triggers = None } ]
     (fun () ->
-      declines "failure injection active" (first_evaluator (ctx ladder)))
+      declines "failure injection active" ~fallback:pairs
+        (first_evaluator (ctx ladder)) ~faults ~points);
+  (* an empty sweep declines without accounting *)
+  declines "empty sweep" ~fallback:0 (first_evaluator (ctx ladder))
+    ~faults:[||] ~points
 
 (* ------------------------------------------------ coverage parity *)
 
@@ -363,6 +394,53 @@ let test_injected_parity () =
   Alcotest.(check bool) "injected runs identical" true
     (fingerprint (injected true) = fingerprint run_s)
 
+(* ------------------------------------------- evaluation-count pins *)
+
+(* Faulty-circuit evaluations that [Runs.compact_run ~delta:0.1] adds on
+   top of a probe-options engine run.  Evaluation order and count are
+   part of the contract: budgets and injected draws are keyed to them.
+   The IV context never batches, so its count pins the
+   collapse walk and the coverage fold on the sequential path; rc16
+   pins the batched fill, which charges one evaluation per pair as its
+   sequential twin does.  On skc4 some collapse screens reject a
+   candidate before their last member: the batched sweep has evaluated
+   every member by then, while the sequential walk stops at the first
+   violation — so a sweep whose declined cells evaluated eagerly would
+   raise the second skc4 count. *)
+let compaction_evaluations (c : Experiments.Setup.t) =
+  let run =
+    Experiments.Runs.engine_run ~options:Experiments.Setup.probe_options
+      ~jobs:1 c
+  in
+  let count () =
+    List.fold_left (fun n ev -> n + Evaluator.evaluation_count ev) 0
+      c.evaluators
+  in
+  let before = count () in
+  ignore (Experiments.Runs.compact_run ~delta:0.1 c run);
+  count () - before
+
+let registry_macro name =
+  match Macros.Registry.find name with
+  | Ok m -> m
+  | Error e -> Alcotest.fail e
+
+let test_compaction_evaluation_pins () =
+  let pin label expected c =
+    Alcotest.(check int) label expected (compaction_evaluations c)
+  in
+  pin "iv, 4 faults" 16
+    (Experiments.Setup.reduced (Lazy.force iv_fast) ~n_faults:4);
+  let rc16 = registry_macro "rc16" in
+  pin "rc16" 475 (ctx rc16);
+  pin "rc16, batching off" 475 (ctx ~batching:false rc16);
+  let skc4 batching =
+    Experiments.Setup.reduced (ctx ~batching (registry_macro "skc4"))
+      ~n_faults:80
+  in
+  pin "skc4, 80 faults" 162 (skc4 true);
+  pin "skc4, 80 faults, batching off" 156 (skc4 false)
+
 let () =
   let backends = [ ("dense", Circuit.Mna.Dense); ("sparse", Circuit.Mna.Sparse) ] in
   let per_backend name f =
@@ -378,7 +456,7 @@ let () =
         per_backend "cross-product bitwise parity" test_cross_product_parity
         @ [
             Alcotest.test_case "single-pair wrapper" `Quick
-              test_batched_sensitivity_parity;
+              test_single_pair_parity;
           ] );
       ( "gates",
         [ Alcotest.test_case "decline conditions" `Quick test_decline_gates ] );
@@ -396,4 +474,9 @@ let () =
             Alcotest.test_case "under failure injection" `Quick
               test_injected_parity;
           ] );
+      ( "counts",
+        [
+          Alcotest.test_case "compaction evaluations" `Quick
+            test_compaction_evaluation_pins;
+        ] );
     ]

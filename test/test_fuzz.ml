@@ -18,6 +18,7 @@ let spec_in_bounds (s : Scenario.spec) =
   && s.Scenario.bridge_weight >= 0
   && s.Scenario.bridge_weight <= 100
   && s.Scenario.config_count >= 1
+  && (s.Scenario.params = 1 || s.Scenario.params = 2)
   && s.Scenario.levels >= 1
   && s.Scenario.floor_exp >= 1
   && s.Scenario.value_seed >= 0
@@ -44,7 +45,7 @@ let test_minimal_is_fixed_point () =
   Alcotest.(check (list string))
     "minimal has no shrink candidates" []
     (List.map Scenario.to_string (Scenario.shrink Scenario.minimal));
-  Alcotest.(check string) "minimal prints canonically" "rc1/f1/bw100/c1/l1/e2/v0"
+  Alcotest.(check string) "minimal prints canonically" "rc1/f1/bw100/c1/p1/l1/e2/v0"
     (Scenario.to_string Scenario.minimal)
 
 let test_build_deterministic () =
@@ -70,6 +71,21 @@ let test_build_deterministic () =
       (Faults.Dictionary.size a.Scenario.dictionary
       <= spec.Scenario.fault_count)
   done
+
+(* A second parameter sends the engine run's optimizer through its
+   lattice sweep, which the batch engine settles; a single-parameter
+   scenario reaches the batch engine only in compaction. *)
+let test_two_params_reach_the_lattice () =
+  let batched_by_engine_run spec =
+    let before = Testgen.Evaluator.batch_stats () in
+    ignore (Invariants.make_ctx ~jobs:1 ~inject:[] ~inject_seed:0L spec);
+    (Testgen.Evaluator.batch_stats ()).Testgen.Evaluator.faults_batched
+    - before.Testgen.Evaluator.faults_batched
+  in
+  Alcotest.(check int) "one parameter: Brent, no sweep" 0
+    (batched_by_engine_run Scenario.minimal);
+  Alcotest.(check bool) "two parameters: lattice pairs batched" true
+    (batched_by_engine_run { Scenario.minimal with Scenario.params = 2 } > 0)
 
 (* ----------------------------------------------------------- invariants *)
 
@@ -156,11 +172,48 @@ let test_self_test_campaign_finds_and_shrinks () =
       List.iter
         (fun v ->
           Alcotest.(check string) "shrunk to the minimal counterexample"
-            "rc1/f2/bw100/c1/l1/e2/v0"
+            "rc1/f2/bw100/c1/p1/l1/e2/v0"
             (Scenario.to_string v.Campaign.v_shrunk);
           Alcotest.(check bool) "shrinking made progress" true
             (v.Campaign.v_shrink_steps >= 1))
         vs
+
+(* A violation detail is free text (an exception message, a fault id):
+   a control byte or a UTF-8 character in it must still leave the
+   report parseable JSON that hands the detail back unchanged. *)
+let test_report_json_parses () =
+  let detail = "\001\xc3\xa9" in
+  let report =
+    {
+      Campaign.r_options = quick_options;
+      r_scenarios = 1;
+      r_build_failures = 0;
+      r_checks_run = 1;
+      r_checks_passed = 0;
+      r_checks_skipped = 0;
+      r_tallies =
+        [ { Campaign.t_name = "self-test"; t_pass = 0; t_skip = 0; t_fail = 1 } ];
+      r_violations =
+        [
+          {
+            Campaign.v_campaign = 0;
+            v_invariant = "self-test";
+            v_spec = Scenario.minimal;
+            v_shrunk = Scenario.minimal;
+            v_shrink_steps = 0;
+            v_detail = detail;
+          };
+        ];
+    }
+  in
+  match Serve.Jsonl.of_string (Campaign.report_json report) with
+  | Error e -> Alcotest.fail ("report_json is not JSON: " ^ e)
+  | Ok json ->
+      let details =
+        Option.value ~default:[] (Serve.Jsonl.list_member "violations" json)
+        |> List.filter_map (Serve.Jsonl.str_member "detail")
+      in
+      Alcotest.(check (list string)) "detail round-trips" [ detail ] details
 
 let () =
   Alcotest.run "fuzz"
@@ -173,6 +226,8 @@ let () =
             test_minimal_is_fixed_point;
           Alcotest.test_case "build deterministic" `Quick
             test_build_deterministic;
+          Alcotest.test_case "two parameters reach the lattice" `Quick
+            test_two_params_reach_the_lattice;
         ] );
       ( "invariants",
         [
@@ -189,5 +244,7 @@ let () =
             test_campaign_rejects_unknown_check;
           Alcotest.test_case "self-test finds and shrinks" `Quick
             test_self_test_campaign_finds_and_shrinks;
+          Alcotest.test_case "report JSON parses" `Quick
+            test_report_json_parses;
         ] );
     ]

@@ -537,8 +537,8 @@ let test_decimation_values () =
    site: across every configuration the plan cache misses once per
    distinct site plus once for the nominal netlist, and sensitivities
    from configurations interleaved on the shared workspaces equal, bit
-   for bit, those of evaluators with private plans — sequential and
-   batched.  Forks of the set share one fresh table the same way. *)
+   for bit, those of evaluators with private plans — probe by probe and
+   through sweeps.  Forks of the set share one fresh table the same way. *)
 
 (* [f ()] with tracing on (plan-cache counters count only then), and
    the plan-cache misses it caused *)
@@ -589,9 +589,17 @@ let check_shared_topology ~profile ~nominal ~backend configs faults =
     let batched =
       List.map
         (fun ev ->
-          Evaluator.batched_fault_sensitivities ev ~faults:(Array.of_list faults)
-            ~points:(Array.of_list (points (Evaluator.config ev)))
-          |> Option.map (Array.map (Array.map sensitivity_bits)))
+          let points = points (Evaluator.config ev) in
+          let sw =
+            Evaluator.sweep ev ~faults:(Array.of_list faults)
+              ~points:(Array.of_list points)
+          in
+          List.mapi
+            (fun f _ ->
+              List.mapi
+                (fun p _ -> sensitivity_bits (Evaluator.cell sw f p))
+                points)
+            faults)
         evs
     in
     (sequential, batched)
@@ -614,7 +622,7 @@ let check_shared_topology ~profile ~nominal ~backend configs faults =
            (List.nth configs k).Test_config.config_id (Faults.Fault.id fault))
         w g)
     (List.combine probes (List.combine got want));
-  Alcotest.(check bool) "batched cells: shared = private" true
+  Alcotest.(check bool) "sweep cells: shared = private" true
     (got_batched = want_batched);
   (* the upper bounds are a point no nominal cache holds yet *)
   let forks = Evaluator.fork shared in
@@ -652,6 +660,44 @@ let test_shared_topology_rc48 () =
     ~backend:Circuit.Mna.Sparse ctx.Experiments.Setup.configs
     (faults @ [ Faults.Fault.weaken (List.hd faults) ~factor:4. ])
 
+(* Released sites compile again, to the same bits: after
+   [Evaluator.release_sites], and after an engine run, which releases the
+   caller's sites before its workers start, every fault site misses once
+   more and the nominal (kept, and answered from the nominal cache)
+   never does. *)
+let test_release_sites () =
+  let macro =
+    match Macros.Registry.find "rc48" with Ok m -> m | Error e -> failwith e
+  in
+  let ctx = Experiments.Setup.reduced (Experiments.Setup.probe ~macro ()) ~n_faults:3 in
+  let evs = ctx.Experiments.Setup.evaluators in
+  let faults =
+    List.map
+      (fun e -> e.Faults.Dictionary.fault)
+      (Faults.Dictionary.entries ctx.Experiments.Setup.dictionary)
+  in
+  let measure () =
+    List.concat_map
+      (fun ev ->
+        let p = Test_param.seeds_of (Evaluator.config ev).Test_config.params in
+        List.map
+          (fun f -> sensitivity_bits (Evaluator.sensitivity_and_deviation ev f p))
+          faults)
+      evs
+  in
+  let first, misses = counting_misses measure in
+  Alcotest.(check int) "first pass: sites + nominal" 4 misses;
+  Evaluator.release_sites evs;
+  let again, misses = counting_misses measure in
+  Alcotest.(check int) "after release_sites: sites only" 3 misses;
+  Alcotest.(check bool) "after release_sites: same bits" true (again = first);
+  ignore
+    (Experiments.Runs.engine_run ~jobs:1 ~options:Experiments.Setup.probe_options
+       ctx);
+  let after_run, misses = counting_misses measure in
+  Alcotest.(check int) "after an engine run: sites only" 3 misses;
+  Alcotest.(check bool) "after an engine run: same bits" true (after_run = first)
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -677,6 +723,8 @@ let () =
         [
           Alcotest.test_case "iv, dense" `Quick test_shared_topology_iv;
           Alcotest.test_case "rc48, sparse" `Quick test_shared_topology_rc48;
+          Alcotest.test_case "released sites recompile" `Quick
+            test_release_sites;
         ] );
       ( "goldens",
         [

@@ -6,9 +6,10 @@
    bit-identical to [Mat] on any pattern.  The QCheck properties pin
    that bitwise, on randomized MNA-shaped systems (node conductance
    blocks plus zero-diagonal branch rows, which force pivoting); the
-   1e-10 agreement the satellite asks for follows a fortiori.  The
-   minimum-degree layer is checked for fill reduction on the adversarial
-   arrow pattern and for solve parity under symmetric permutation. *)
+   1e-10 agreement of a tolerance check follows a fortiori.  The
+   numeric refactorization is checked bitwise against a fresh factor,
+   on the matrix it was compiled for and on one it compiles for on
+   demand. *)
 
 open Numerics
 
@@ -19,9 +20,6 @@ let vec_bits_equal a b =
   && (let ok = ref true in
       Array.iteri (fun i x -> if bits x <> bits b.(i) then ok := false) a;
       !ok)
-
-let vec_close ?(eps = 1e-10) a b =
-  Vec.dist_inf a b <= eps *. (1. +. Vec.norm_inf b)
 
 (* A randomized MNA-shaped system: [nodes] voltage unknowns carrying a
    tiny gmin diagonal plus random two-terminal conductance stamps (some
@@ -160,68 +158,42 @@ let prop_refactor_bit_exact =
       Mat.solve_into wd b xd;
       vec_bits_equal x_re x_fresh && vec_bits_equal x_re xd)
 
-let prop_solve_block_parity =
+(* The same property through a second matrix object with the same
+   pattern: the held factor's replay schedule belongs to the matrix it
+   was factored from, so [refactor] compiles one for the new matrix on
+   demand before replaying. *)
+let prop_refactor_compiles_on_demand =
   QCheck.Test.make
-    ~name:"solve_block columns bit-identical to sequential solve_into"
-    ~count:100 size_gen
+    ~name:"refactor of a same-pattern matrix compiles its own schedule"
+    ~count:200 size_gen
     (fun ((nodes, branches), seed) ->
-      let rng = Rng.create (Int64.of_int (seed + 37)) in
-      let _, sparse = random_mna_pair rng ~nodes ~branches in
-      let n = Smat.size sparse in
-      let ws = Smat.lu_workspace n in
-      (match Smat.factor_in_place sparse ws with
-      | exception Mat.Singular _ -> QCheck.assume_fail ()
-      | () -> ());
-      let m = 1 + Rng.int rng ~bound:7 in
-      let rhs = Array.init m (fun _ -> random_rhs rng n) in
-      let b = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout n m in
-      let x = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout n m in
-      for r = 0 to m - 1 do
-        for i = 0 to n - 1 do
-          b.{i, r} <- rhs.(r).(i)
-        done
-      done;
-      Smat.solve_block ws ~b ~x;
-      let ok = ref true in
-      for r = 0 to m - 1 do
-        let xr = Vec.create n 0. in
-        Smat.solve_into ws rhs.(r) xr;
-        for i = 0 to n - 1 do
-          if bits x.{i, r} <> bits xr.(i) then ok := false
-        done
-      done;
-      !ok)
-
-let prop_min_degree_parity =
-  QCheck.Test.make
-    ~name:"min-degree ordered factorization agrees with dense to 1e-10"
-    ~count:150 size_gen
-    (fun ((nodes, branches), seed) ->
-      let rng = Rng.create (Int64.of_int (seed + 53)) in
-      let dense, sparse = random_mna_pair rng ~nodes ~branches in
+      let pair () =
+        random_mna_pair (Rng.create (Int64.of_int (seed + 29))) ~nodes ~branches
+      in
+      let _, first = pair () and dense, second = pair () in
       let n = Mat.rows dense in
-      (* ground every node: a 1e-10 agreement across different
-         elimination orders needs a well-conditioned system (isolated
-         nodes see only the 1e-12 gmin and are condition-limited) *)
-      for i = 0 to nodes - 1 do
-        Mat.add_to dense i i 1.;
-        Smat.add_to sparse i i 1.
-      done;
-      let perm = Smat.min_degree sparse in
-      let permuted = Smat.permute_sym sparse ~perm in
-      let ws = Smat.lu_workspace n in
-      (match Smat.factor_in_place permuted ws with
+      let held = Smat.lu_workspace n in
+      (match Smat.factor_in_place first held with
       | exception Mat.Singular _ -> QCheck.assume_fail ()
       | () -> ());
+      let rng = Rng.create (Int64.of_int seed) in
+      let i = Rng.int rng ~bound:nodes in
+      let dg = Rng.uniform rng ~lo:0.01 ~hi:1. in
+      Smat.add_to second i i dg;
+      Mat.add_to dense i i dg;
       let b = random_rhs rng n in
-      let bp = Array.init n (fun k -> b.(perm.(k))) in
-      let yp = Vec.create n 0. in
-      Smat.solve_into ws bp yp;
-      let x_ordered = Vec.create n 0. in
-      Array.iteri (fun k p -> x_ordered.(p) <- yp.(k)) perm;
-      match Mat.solve dense b with
+      let x_re = Vec.create n 0. and xd = Vec.create n 0. in
+      (match
+         if not (Smat.refactor second held) then
+           Smat.factor_in_place second held
+       with
       | exception Mat.Singular _ -> QCheck.assume_fail ()
-      | xd -> vec_close x_ordered xd)
+      | () -> ());
+      Smat.solve_into held b x_re;
+      let wd = Mat.lu_workspace n in
+      Mat.factor_in_place dense wd;
+      Mat.solve_into wd b xd;
+      vec_bits_equal x_re xd)
 
 (* ------------------------------------------------------------- units *)
 
@@ -333,37 +305,29 @@ let test_refactor_reuses_pattern () =
   Alcotest.(check int) "one reuse" 1 st.Smat.pattern_reuses;
   Alcotest.(check bool) "factor holds fill" true (st.Smat.factor_nnz > 0)
 
-let arrow_matrix n =
-  (* dense hub row/column: the worst case for natural-order elimination
-     (eliminating the hub first fills the whole trailing block) *)
-  let entries = ref [] in
-  for i = 0 to n - 1 do
-    entries := (i, i) :: (0, i) :: (i, 0) :: !entries
-  done;
-  let s = Smat.create n !entries in
-  for i = 0 to n - 1 do
-    Smat.set s i i 10.;
-    if i > 0 then begin
-      Smat.set s 0 i (-1.);
-      Smat.set s i 0 (-1.)
-    end
-  done;
-  s
-
-let test_min_degree_reduces_fill () =
-  let n = 40 in
-  let s = arrow_matrix n in
-  let natural = Smat.lu_workspace n in
-  Smat.factor_in_place s natural;
-  let perm = Smat.min_degree s in
-  let ordered = Smat.lu_workspace n in
-  Smat.factor_in_place (Smat.permute_sym s ~perm) ordered;
-  let fn = (Smat.stats natural).Smat.factor_nnz in
-  let fo = (Smat.stats ordered).Smat.factor_nnz in
-  Alcotest.(check bool)
-    (Printf.sprintf "ordered fill %d << natural fill %d" fo fn)
-    true
-    (fn > (n * n) / 2 && fo < 4 * n)
+let test_refactor_incompatible_pattern () =
+  (* a matrix with an entry the held factor lacks cannot replay: the
+     refactor declines and the full pass takes the new pattern *)
+  let diag = Smat.create 2 [ (0, 0); (1, 1) ] in
+  Smat.set diag 0 0 2.;
+  Smat.set diag 1 1 4.;
+  let ws = Smat.lu_workspace 2 in
+  Smat.factor_in_place diag ws;
+  let full = Smat.create 2 [ (0, 0); (0, 1); (1, 0); (1, 1) ] in
+  Smat.set full 0 0 2.;
+  Smat.set full 0 1 1.;
+  Smat.set full 1 0 1.;
+  Smat.set full 1 1 4.;
+  Alcotest.(check bool) "incompatible pattern refused" false
+    (Smat.refactor full ws);
+  Alcotest.(check bool) "pattern dropped" false (Smat.refactor diag ws);
+  Smat.factor_in_place full ws;
+  Smat.set full 1 1 5.;
+  Alcotest.(check bool) "new pattern replays" true (Smat.refactor full ws);
+  let x = Vec.create 2 0. in
+  Smat.solve_into ws [| 3.; 6. |] x;
+  Alcotest.(check (float 1e-12)) "x0" 1. x.(0);
+  Alcotest.(check (float 1e-12)) "x1" 1. x.(1)
 
 let test_workspace_validation () =
   let s = Smat.create 2 [ (0, 0); (1, 1) ] in
@@ -525,11 +489,12 @@ let test_batched_matches_sequential () =
       :: List.map (Faults.Fault.with_impact base) [ 10e3; 1e3; 200.; 47e3 ])
   in
   let points = [| [| 2.0 |]; [| 1.25 |]; [| 3.5 |] |] in
-  let batched =
-    match Testgen.Evaluator.batched_fault_sensitivities ev ~faults ~points with
-    | Some cells -> cells
-    | None -> Alcotest.fail "batched path refused a batchable plan"
-  in
+  let before = Testgen.Evaluator.batch_stats () in
+  let sw = Testgen.Evaluator.sweep ev ~faults ~points in
+  Alcotest.(check int) "every pair batched"
+    (Array.length faults * Array.length points)
+    ((Testgen.Evaluator.batch_stats ()).Testgen.Evaluator.faults_batched
+    - before.Testgen.Evaluator.faults_batched);
   Array.iteri
     (fun i f ->
       Array.iteri
@@ -537,7 +502,7 @@ let test_batched_matches_sequential () =
           let s_seq, dev_seq =
             Testgen.Evaluator.sensitivity_and_deviation ev f values
           in
-          let s_bat, dev_bat = batched.(i).(p) in
+          let s_bat, dev_bat = Testgen.Evaluator.cell sw i p in
           let label what =
             Printf.sprintf "%s at %g ohm, point %d: %s" (Faults.Fault.id f)
               (Faults.Fault.impact_resistance f) p what
@@ -547,10 +512,7 @@ let test_batched_matches_sequential () =
           Alcotest.(check bool) (label "deviations bit-identical") true
             (vec_bits_equal dev_bat dev_seq))
         points)
-    faults;
-  match Testgen.Evaluator.batched_fault_sensitivities ev ~faults:[||] ~points with
-  | None -> ()
-  | Some _ -> Alcotest.fail "empty fault set must fall back"
+    faults
 
 let () =
   Alcotest.run "sparse"
@@ -570,14 +532,10 @@ let () =
           Alcotest.test_case "guard falls back" `Quick
             test_refactor_guard_falls_back;
           Alcotest.test_case "pattern reuse" `Quick test_refactor_reuses_pattern;
+          Alcotest.test_case "incompatible pattern" `Quick
+            test_refactor_incompatible_pattern;
           QCheck_alcotest.to_alcotest prop_refactor_bit_exact;
-          QCheck_alcotest.to_alcotest prop_solve_block_parity;
-        ] );
-      ( "ordering",
-        [
-          Alcotest.test_case "min-degree reduces arrow fill" `Quick
-            test_min_degree_reduces_fill;
-          QCheck_alcotest.to_alcotest prop_min_degree_parity;
+          QCheck_alcotest.to_alcotest prop_refactor_compiles_on_demand;
         ] );
       ( "backend",
         [
