@@ -81,6 +81,29 @@ val solve :
     are the same, so the reports are bit-identical.  [restamp]
     substitutes stimulus/fault-impact values at stamp time.
 
+    Operating-point memo: a solve on a caller's [workspace] with no
+    [guess], no [companions] and [source_scale = 1] (DC levels, the
+    operating points of AC and noise, every transient's [t = 0] point)
+    depends only on the topology, the [options] and the values
+    {!Mna.op_inputs_into} writes.  The workspace remembers the outcomes
+    of its last two such solves, keyed on those values' bits and the
+    options' bits; a repeat returns the remembered report with a fresh
+    copy of its solution, or re-raises the remembered {!No_convergence}
+    message, without running Newton.  The memo is bypassed while
+    {!Numerics.Failpoint.active}: a hit would skip the solve's failpoint
+    queries.
+
+    Tracing counters: [solver.dc.solves] counts solves that ran and
+    converged, [solver.dc.failures] those that ran and failed, and
+    [solver.dc.op_memo_hits] the answers the memo gave (neither).
+    [solver.dc.newton_iterations], [solver.dc.lu_factorizations] and
+    [solver.dc.pattern_reuses] count every attempt of every solve that
+    ran — plain attempts that ran out the Newton budget, every gmin and
+    source stage, and the attempts of failed solves — and
+    [solver.dc.budget_exhausted] counts the attempts that ran out the
+    budget.  The [solver.dc.newton_per_solve] histogram observes a
+    converged solve's iterations over all its attempts.
+
     @raise No_convergence when Newton, gmin stepping and source stepping
     all fail.
     @raise Invalid_argument if the workspace size does not match the

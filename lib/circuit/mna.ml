@@ -254,14 +254,18 @@ let[@inline] volt x i = if i < 0 then 0. else x.(i)
 (* Where stamps accumulate: the dense arm writes the row-major storage
    of a {!Mat.t} directly; the sparse arm goes through {!Smat.add_to}.
    A value rather than an [add] closure, so that with the helpers below
-   inlined no stamp boxes its float. *)
+   inlined no stamp boxes its float.  The dense arm indexes unchecked:
+   [i] and [j] come from the resolved plan (unknowns below [size], ground
+   filtered out by [stamp]), and a dense sink is only ever made over a
+   [size] x [size] matrix — [assemble] creates one, [assemble_into]
+   checks the workspace's size first. *)
 type sink = S_dense of { data : float array; n : int } | S_sparse of Smat.t
 
 let[@inline] sink_add s i j v =
   match s with
   | S_dense { data; n } ->
       let k = (i * n) + j in
-      data.(k) <- data.(k) +. v
+      Array.unsafe_set data k (Array.unsafe_get data k +. v)
   | S_sparse m -> Smat.add_to m i j v
 
 let[@inline] stamp s i j v = if i >= 0 && j >= 0 then sink_add s i j v
@@ -368,6 +372,11 @@ type engine =
   | E_dense of { ea : Mat.t; elu : Mat.lu }
   | E_sparse of { es : Smat.t; eslu : Smat.lu }
 
+(* State the solvers layered on this module keep per workspace (the DC
+   operating-point memo); opaque here. *)
+type solver_state = ..
+type solver_state += No_solver_state
+
 (* Preallocated per-analysis solve state: system matrix, right-hand
    side, LU workspace, and the two Newton iterate buffers.  One
    workspace is owned by exactly one running analysis at a time — under
@@ -380,6 +389,10 @@ type workspace = {
   w_z : Vec.t;
   mutable w_x : Vec.t;
   mutable w_x_new : Vec.t;
+  mutable w_solver : solver_state;
+  mutable w_samples : float array list;
+      (* transient observation buffers, one per length, most recently
+         created first *)
 }
 
 let dense_sink a = S_dense { data = Mat.data a; n = Mat.cols a }
@@ -404,7 +417,23 @@ let workspace t =
     w_z = Vec.create t.size 0.;
     w_x = Vec.create t.size 0.;
     w_x_new = Vec.create t.size 0.;
+    w_solver = No_solver_state;
+    w_samples = [];
   }
+
+(* A simulation's length is fixed by its configuration and profile, so
+   a workspace meets few distinct lengths; keeping the last few bounds
+   the buffers whatever a caller does. *)
+let max_sample_buffers = 4
+
+let sample_buffer ws len =
+  match List.find_opt (fun b -> Array.length b = len) ws.w_samples with
+  | Some b -> b
+  | None ->
+      let b = Array.make len 0. in
+      ws.w_samples <-
+        b :: List.filteri (fun i _ -> i < max_sample_buffers - 1) ws.w_samples;
+      b
 
 let ws_factor ws =
   match ws.w_eng with
@@ -452,6 +481,43 @@ let assemble_into t ws ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin
   Array.fill ws.w_z 0 (Vec.dim ws.w_z) 0.;
   assemble_core t ~sink:ws.w_sink ~mos:ws.w_mos ~z:ws.w_z ~x ~time ~companions
     ~source_scale ~restamp ~gmin
+
+(* The inputs an operating point depends on besides the topology and
+   the fixed device values: every independent source's value at [time]
+   as the restamp substitutes it, in plan order, then the plan position
+   of the resistor the restamp's impact overrides (-1 for none) and its
+   resistance (0 for none). *)
+let op_inputs t =
+  Array.fold_left
+    (fun n r ->
+      match r with
+      | R_vsource _ | R_isource _ -> n + 1
+      | R_resistor _ | R_capacitor _ | R_inductor _ | R_vcvs _ | R_vccs _
+      | R_mosfet _ -> n)
+    2 t.stamp_plan
+
+let op_inputs_into t ~time ?restamp buf =
+  let n = Array.length buf in
+  if n <> op_inputs t then invalid_arg "Mna.op_inputs_into: buffer size";
+  buf.(n - 2) <- -1.;
+  buf.(n - 1) <- 0.;
+  let slot = ref 0 in
+  let plan = t.stamp_plan in
+  for k = 0 to Array.length plan - 1 do
+    match plan.(k) with
+    | R_vsource { name; wave; _ } | R_isource { name; wave; _ } ->
+        buf.(!slot) <- wave_value time (restamp_wave restamp name wave);
+        incr slot
+    | R_resistor { name; _ } -> begin
+        match restamp with
+        | Some { impact = Some (d, r); _ }
+          when String.equal d name && buf.(n - 2) < 0. ->
+            buf.(n - 2) <- float_of_int k;
+            buf.(n - 1) <- r
+        | Some _ | None -> ()
+      end
+    | R_capacitor _ | R_inductor _ | R_vcvs _ | R_vccs _ | R_mosfet _ -> ()
+  done
 
 let mosfet_operating_points t ~x =
   Array.to_list t.device_array

@@ -109,6 +109,13 @@ type sink
 (** Where assembly accumulates stamps: the dense matrix storage or the
     sparse matrix, matching the engine. *)
 
+type solver_state = ..
+(** Per-workspace state of a solver built on this module — the DC
+    operating-point memo ({!Dc.solve}) extends it.  A fresh workspace
+    holds [No_solver_state]. *)
+
+type solver_state += No_solver_state
+
 type workspace = {
   w_size : int;
   w_eng : engine;  (** system matrix + factorization, backend-matched *)
@@ -117,6 +124,9 @@ type workspace = {
   w_z : Numerics.Vec.t;  (** right-hand side *)
   mutable w_x : Numerics.Vec.t;  (** Newton iterate *)
   mutable w_x_new : Numerics.Vec.t;  (** Newton solve output / next iterate *)
+  mutable w_solver : solver_state;
+  mutable w_samples : float array list;
+      (** observation buffers ({!sample_buffer}) *)
 }
 (** Preallocated solve state sized for one compiled topology: system,
     factorization and the per-call stamping scratch.  The two iterate
@@ -128,6 +138,13 @@ type workspace = {
 
 val workspace : t -> workspace
 (** A workspace on the topology's backend. *)
+
+val sample_buffer : workspace -> int -> float array
+(** [sample_buffer ws len] is the workspace's observation buffer of
+    length [len], created on first use: a transient simulation on the
+    workspace writes its samples there instead of allocating a fresh
+    array per run.  Its contents belong to the last simulation that
+    wrote it.  The workspace keeps at most four lengths. *)
 
 val ws_factor : workspace -> bool
 (** Factor the workspace's assembled system in place.  Returns [true]
@@ -177,6 +194,21 @@ val assemble_into :
     return.  The workspace matrix and right-hand side are zeroed first,
     so the result is bit-identical to {!assemble}.
     @raise Invalid_argument on a size mismatch. *)
+
+val op_inputs : t -> int
+(** The number of slots {!op_inputs_into} writes: one per independent
+    source, plus two for the impact override. *)
+
+val op_inputs_into :
+  t -> time:source_time -> ?restamp:restamp -> float array -> unit
+(** [op_inputs_into t ~time ?restamp buf] writes, in plan order, every
+    independent source's value at [time] as [restamp] substitutes it,
+    then the plan position of the resistor [restamp]'s impact overrides
+    ([-1.] when it names none) and that resistance.  With the topology,
+    whose other values are fixed, these are everything a companion-free,
+    unscaled assembly depends on besides the iterate.  The DC
+    operating-point memo keys on their bits.  Allocates nothing.
+    @raise Invalid_argument unless [buf] holds {!op_inputs} slots. *)
 
 val mosfet_operating_points :
   t -> x:Numerics.Vec.t -> (string * Mos_model.operating_point) list

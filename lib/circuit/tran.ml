@@ -111,11 +111,16 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
   let reactives = reactives sys in
   let n_steps = int_of_float (Float.round (tstop /. dt)) in
   let n_steps = Int.max n_steps 1 in
+  (* a caller's workspace lends its buffer to a one-node observation:
+     the engine's simulations then allocate no sample array per run *)
+  let buffer n =
+    match (workspace, observe) with
+    | Some ws, [ _ ] -> Mna.sample_buffer ws n
+    | _ -> Array.make n 0.
+  in
   let observed =
     Array.of_list
-      (List.map
-         (fun n -> (node_unknown sys n, Array.make (n_steps + 1) 0.))
-         observe)
+      (List.map (fun n -> (node_unknown sys n, buffer (n_steps + 1))) observe)
   in
   (* one workspace and one companion array serve every step; the option
      wrappers are built once here, not per solve *)

@@ -46,5 +46,12 @@ val simulate :
     ({!Mna.companion_slots}) and reads the observed voltages by index, so
     no step hashes a name.  [restamp] substitutes stimulus/fault-impact
     values at stamp time.
+
+    With a caller's [workspace] and exactly one observed node, the
+    samples are written into the workspace's buffer of that length
+    ({!Mna.sample_buffer}) rather than a fresh array: the result's
+    values stay valid until the next simulation of the same length on
+    that workspace, so a caller that keeps them copies them.  Otherwise
+    every probe gets a fresh array.
     @raise Not_found if an observed node does not exist.
     @raise Invalid_argument on non-positive [tstop] or [dt]. *)

@@ -81,9 +81,12 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
   (* Every worker gets forked evaluators — even the single one of a
      [jobs = 1] run — so the caller's evaluators are never mutated while
      the workers run (forking reads them concurrently) and every worker
-     sees the same starting cache state.  Forks are absorbed back afterwards, an
-     order-independent merge, so evaluation counts and cache warmth end
-     up exactly as a sequential run would leave them. *)
+     sees the same starting cache state.  Forks are absorbed back
+     afterwards, an order-independent merge, and the nominal cache keeps
+     the entries the run looked up at least twice
+     ({!Evaluator.retain_reused}), so evaluation counts and cache warmth
+     end up exactly as a sequential run would leave them, and a
+     long-lived context does not grow with every run. *)
   let workers_mutex = Mutex.create () in
   let workers = ref [] in
   let make_worker () =
@@ -99,7 +102,8 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
         List.iter2
           (fun orig fork -> Evaluator.absorb ~into:orig fork)
           evaluators w.w_evaluators)
-      !workers
+      !workers;
+    Evaluator.retain_reused evaluators
   in
   let evaluators_for w = function
     | None -> w.w_evaluators

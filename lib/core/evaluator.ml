@@ -1,3 +1,6 @@
+(* A cached nominal response and the lookups of its key since the last
+   {!retain_reused} (this evaluator's own, plus those absorbed). *)
+type nominal = { obs : float array; mutable lookups : int }
 
 (* Per-evaluator accounting lives in unregistered Obs counters: the same
    atomic cells whether tracing is on or off, with fork/absorb giving the
@@ -11,7 +14,7 @@ type t = {
   box_model : Tolerance.t;
   batching : bool;
   backend : Circuit.Mna.backend option;
-  nominal_cache : (string, float array) Hashtbl.t;
+  nominal_cache : (string, nominal) Hashtbl.t;
   topologies : (string, Execute.topology) Hashtbl.t;
       (* shared by every evaluator of one context (and by their forks
          within one domain) *)
@@ -77,6 +80,12 @@ let create ?profile ?batching ?backend config ~nominal ~box_model =
 let with_profile t profile =
   { t with profile; nominal_cache = Hashtbl.create 64 }
 
+(* The entries with their lookup counts at zero, in records of their own. *)
+let uncounted cache =
+  let c = Hashtbl.copy cache in
+  Hashtbl.filter_map_inplace (fun _ e -> Some { e with lookups = 0 }) c;
+  c
+
 (* A worker's private view of a set of evaluators: same (immutable)
    configuration, target, box model and profile, but its own caches and
    its own counters, so domains never contend on shared mutable state.
@@ -100,7 +109,7 @@ let fork ts =
     (fun t ->
       {
         t with
-        nominal_cache = Hashtbl.copy t.nominal_cache;
+        nominal_cache = uncounted t.nominal_cache;
         topologies = table_for t.topologies;
         plans = Hashtbl.create 16;
         evals = Obs.Counter.fork t.evals;
@@ -110,23 +119,46 @@ let fork ts =
       })
     ts
 
-(* Deterministic merge of a fork back into its parent.  Counters are
-   summed (addition commutes, so the merged totals are independent of
-   worker scheduling and merge order); cache entries are unioned, which
-   is order-independent because equal keys always map to equal values.
-   Compiled plans are deliberately not merged: their workspaces were
-   mutated by the child's domain and stay with it. *)
+(* Deterministic merge of a fork back into its parent.  Counters and
+   per-key lookup counts are summed (addition commutes, so the merged
+   totals are independent of worker scheduling and merge order); cache
+   entries are unioned, which is order-independent because equal keys
+   always map to equal values.  Compiled plans are deliberately not
+   merged: their workspaces were mutated by the child's domain and stay
+   with it. *)
 let absorb ~into child =
   if into != child then begin
     Obs.Counter.absorb ~into:into.evals child.evals;
     Obs.Counter.absorb ~into:into.cache_hits child.cache_hits;
     Obs.Counter.absorb ~into:into.cache_misses child.cache_misses;
     Hashtbl.iter
-      (fun key obs ->
-        if not (Hashtbl.mem into.nominal_cache key) then
-          Hashtbl.replace into.nominal_cache key obs)
+      (fun key e ->
+        match Hashtbl.find_opt into.nominal_cache key with
+        | Some mine -> mine.lookups <- mine.lookups + e.lookups
+        | None ->
+            Hashtbl.replace into.nominal_cache key
+              { obs = e.obs; lookups = e.lookups })
       child.nominal_cache
   end
+
+(* A key's lookup total is a sum over the faults and compactions that
+   made them — each looks its points up whether they hit or miss — so
+   which keys reach two does not depend on [--jobs] or on scheduling.
+   Lattice seeds and each fault's candidate points are looked up again
+   (by other faults, by the walk back to the critical impact, by
+   compaction); a one-off optimizer probe is not. *)
+let retain_reused ts =
+  List.iter
+    (fun t ->
+      Hashtbl.filter_map_inplace
+        (fun _ e ->
+          if e.lookups >= 2 then begin
+            e.lookups <- 0;
+            Some e
+          end
+          else None)
+        t.nominal_cache)
+    ts
 
 let config t = t.config
 let config_id t = t.config.Test_config.config_id
@@ -194,24 +226,27 @@ let release_sites ts =
 let nominal_observables t values =
   let key = cache_key values in
   match Hashtbl.find_opt t.nominal_cache key with
-  | Some obs ->
+  | Some e ->
+      e.lookups <- e.lookups + 1;
       Obs.Counter.incr t.cache_hits;
       Obs.Counter.bump g_cache_hits 1;
-      obs
+      e.obs
   | None ->
       Obs.Counter.incr t.cache_misses;
       Obs.Counter.bump g_cache_misses 1;
       (* injection is masked here: whether this nominal computation runs
          at all depends on cache state (cold per-worker caches under
          --jobs, one warm cache sequentially), so letting it consume
-         failure draws would break per-fault injection determinism *)
+         failure draws would break per-fault injection determinism.  The
+         entry is a copy: the plan may return its own sample buffer. *)
       let obs =
         Numerics.Failpoint.without (fun () ->
-            Execute.compiled_observables ~profile:t.profile
-              (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
-              values)
+            Array.copy
+              (Execute.compiled_observables ~profile:t.profile
+                 (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
+                 values))
       in
-      Hashtbl.replace t.nominal_cache key obs;
+      Hashtbl.replace t.nominal_cache key { obs; lookups = 1 };
       obs
 
 let box t values = Tolerance.box t.box_model values
@@ -224,12 +259,18 @@ let faulty_target t fault =
     Execute.netlist = Faults.Inject.apply t.nominal.Execute.netlist fault;
   }
 
-let faulty_observables t fault values =
+(* The site plan's own result: a step-train configuration returns the
+   plan's sample buffer, valid until the site's next transient, so
+   callers here consume it before evaluating anything else. *)
+let measure_faulty t fault values =
   charge t;
   let key = Faults.Fault.id fault in
   let plan = compiled_plan t ~key (fun () -> faulty_target t fault) in
   Execute.compiled_observables ~profile:t.profile
     ~impact:(Faults.Inject.impact_override fault) plan values
+
+let faulty_observables t fault values =
+  Array.copy (measure_faulty t fault values)
 
 (* A faulty circuit that genuinely cannot be simulated is trivially
    detected (the sentinel below) — but a failure *injected* by the chaos
@@ -239,7 +280,7 @@ let faulty_observables t fault values =
 let sensitivity_and_deviation t fault values =
   let nominal = nominal_observables t values in
   let epoch = Numerics.Failpoint.epoch () in
-  match faulty_observables t fault values with
+  match measure_faulty t fault values with
   | faulty ->
       let dev = Execute.deviations t.config ~nominal ~faulty in
       let s =
@@ -400,6 +441,9 @@ let cache_stats t =
     misses = Obs.Counter.value t.cache_misses;
     entries = Hashtbl.length t.nominal_cache;
   }
+
+let nominal_keys t =
+  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.nominal_cache [])
 
 type batch_stats = { faults_batched : int; fallback_seq : int; panels : int }
 

@@ -89,11 +89,22 @@ val release_sites : t list -> unit
     every site it ever saw grows with the dictionary. *)
 
 val absorb : into:t -> t -> unit
-(** [absorb ~into:parent child] merges a fork back: counters are summed
-    and cache entries unioned.  Both operations commute, so the merged
-    statistics are independent of worker scheduling and of the order
-    forks are absorbed in — the deterministic merge of per-domain cache
+(** [absorb ~into:parent child] merges a fork back: counters and
+    per-key nominal-cache lookup counts are summed and cache entries
+    unioned.  All three commute, so the merged statistics are
+    independent of worker scheduling and of the order forks are
+    absorbed in — the deterministic merge of per-domain cache
     statistics.  A no-op when [parent == child]. *)
+
+val retain_reused : t list -> unit
+(** Keep only the nominal-cache entries looked up at least twice since
+    the last call (hits and misses both count; {!absorb} sums the
+    forks' counts in), then start counting afresh.  {!Engine.run} calls
+    it on its evaluators when the run ends, so a long-lived context
+    keeps the lattice seeds and candidate points later faults and
+    compaction read again, not every optimizer probe of every run.
+    Lookup totals are sums over faults, so the retained set does not
+    depend on [--jobs] or scheduling; results never depend on it. *)
 
 val config : t -> Test_config.t
 val config_id : t -> int
@@ -107,7 +118,8 @@ val set_budget : t -> int option -> unit
     {!with_profile}. *)
 
 val nominal_observables : t -> Numerics.Vec.t -> float array
-(** Memoized nominal measurement at the given parameter values. *)
+(** Memoized nominal measurement at the given parameter values: the
+    cache's own array, which no later evaluation overwrites. *)
 
 val box : t -> Numerics.Vec.t -> float array
 
@@ -130,7 +142,7 @@ val sensitivity_and_deviation :
 
 val faulty_observables : t -> Faults.Fault.t -> Numerics.Vec.t -> float array
 (** Raw faulty measurement (no memoization) through the fault site's
-    compiled plan.
+    compiled plan, in a fresh array the caller owns.
     @raise Execute.Execution_failure on simulator failure. *)
 
 type sweep
@@ -184,6 +196,10 @@ type cache_stats = { hits : int; misses : int; entries : int }
 val cache_stats : t -> cache_stats
 (** Nominal-observable cache statistics (memoization hits/misses and
     live entries) — summed across absorbed forks by {!absorb}. *)
+
+val nominal_keys : t -> string list
+(** The nominal cache's keys (the exact hex-float spelling of each
+    cached parameter point), sorted — what {!retain_reused} kept. *)
 
 type batch_stats = { faults_batched : int; fallback_seq : int; panels : int }
 

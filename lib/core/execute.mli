@@ -102,6 +102,12 @@ val compiled_observables :
     ["execute.observables"] fires at entry, after the same number of
     draws as the direct path.
 
+    The samples of a step-train configuration ({!Test_config.Tran_samples}
+    at [dt_divisor = 1]) are returned in the plan's own buffer
+    ({!Circuit.Tran.simulate}): the next transient of the same length on
+    the plan's topology overwrites them, so a caller that keeps them
+    copies them.
+
     @raise Execution_failure on simulator failure.
     @raise Invalid_argument on value-count mismatch or an invalid probe
     waveform (same rejection as netlist insertion on the direct path). *)

@@ -73,6 +73,13 @@ let fan_out ~jobs ~make_ctx ~f ~emit n =
       in
       loop ()
     in
+    (* Collect the caller's garbage (the previous phase's, typically a
+       compaction) before the workers start, so the freed heap is there
+       for the spawned domains to reuse.  Without it each fan-out on a
+       long-lived context grew the heap afresh: a second benchmark round
+       on the IV context raised peak RSS from ~18 to 23.3 MB; with it,
+       to 18.5-19.3 MB. *)
+    Gc.full_major ();
     let domains =
       List.init (min jobs n - 1) (fun _ ->
           Domain.spawn (fun () ->

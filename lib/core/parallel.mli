@@ -37,7 +37,8 @@ val fan_out :
     own [make_ctx ()] context; [jobs = 0] means {!default_jobs} — and
     calls [emit i result] for increasing [i] from the calling domain.
     With [jobs = 1] (or one task) it is a plain in-order loop over one
-    context, with no domains spawned; otherwise it ends with a full
-    major collection of the joined domains' garbage.  [f] must not
+    context, with no domains spawned; otherwise it runs a full major
+    collection before spawning (the caller's garbage, freed for the new
+    domains to reuse) and one after joining (the joined domains').  [f] must not
     depend on shared mutable state; [emit] runs only on the calling
     domain and may raise to abort the fan-out. *)

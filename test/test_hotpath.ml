@@ -540,16 +540,24 @@ let test_decimation_values () =
    for bit, those of evaluators with private plans — probe by probe and
    through sweeps.  Forks of the set share one fresh table the same way. *)
 
-(* [f ()] with tracing on (plan-cache counters count only then), and
-   the plan-cache misses it caused *)
-let counting_misses f =
+(* [f ()] with tracing on (counters count only then), and how far it
+   moved each named counter *)
+let counting names f =
   Obs.enable ();
   Obs.reset ();
   Fun.protect ~finally:Obs.shutdown (fun () ->
       let v = f () in
+      let counters = Obs.counters () in
       ( v,
-        Option.value ~default:0
-          (List.assoc_opt "evaluator.plan_cache.misses" (Obs.counters ())) ))
+        List.map
+          (fun n -> Option.value ~default:0 (List.assoc_opt n counters))
+          names ))
+
+(* [f ()] and the plan-cache misses it caused *)
+let counting_misses f =
+  match counting [ "evaluator.plan_cache.misses" ] f with
+  | v, [ misses ] -> (v, misses)
+  | _ -> assert false
 
 let sensitivity_bits (s, dev) = (Int64.bits_of_float s, Array.to_list (bits dev))
 
@@ -698,6 +706,149 @@ let test_release_sites () =
   Alcotest.(check int) "after an engine run: sites only" 3 misses;
   Alcotest.(check bool) "after an engine run: same bits" true (after_run = first)
 
+(* ------------------------------------------ operating-point memo *)
+
+let report_bits (r : Circuit.Dc.report) =
+  ( Array.to_list (bits r.Circuit.Dc.solution),
+    [ r.Circuit.Dc.newton_iterations; r.Circuit.Dc.pattern_reuses;
+      r.Circuit.Dc.gmin_steps; r.Circuit.Dc.source_steps ] )
+
+let report_testable =
+  Alcotest.(pair (list int64) (list int))
+
+let iv_system () =
+  Circuit.Mna.build (Macros.Macro.nominal_netlist Macros.Iv_converter.macro)
+
+(* A repeated operating point is answered from the workspace: the same
+   report bit for bit as a fresh solve on a workspace of its own, in a
+   solution vector of its own, for each of the last two inputs. *)
+let test_memo_hits_are_fresh_solves () =
+  let sys = iv_system () in
+  let ws = Circuit.Mna.workspace sys in
+  let restamp amps =
+    {
+      Circuit.Mna.stimulus =
+        Some (iv_target.Execute.stimulus_source, Circuit.Waveform.Dc amps);
+      impact = None;
+    }
+  in
+  let solve ?workspace amps =
+    Circuit.Dc.solve ?workspace ~restamp:(restamp amps) sys ~time:`Dc
+  in
+  let (second, third, again), counts =
+    counting [ "solver.dc.op_memo_hits"; "solver.dc.solves" ] (fun () ->
+        let first = solve ~workspace:ws 20e-6 in
+        let second = solve ~workspace:ws (-15e-6) in
+        (* the older of the two entries *)
+        let third = solve ~workspace:ws 20e-6 in
+        first.Circuit.Dc.solution.(0) <- Float.nan;
+        let again = solve ~workspace:ws 20e-6 in
+        (second, third, again))
+  in
+  Alcotest.(check (list int)) "two solves, two hits" [ 2; 2 ] counts;
+  Alcotest.(check bool) "a hit returns a vector of its own" true
+    (third.Circuit.Dc.solution != again.Circuit.Dc.solution);
+  let fresh amps = report_bits (solve amps) in
+  Alcotest.check report_testable "hit = fresh solve" (fresh 20e-6)
+    (report_bits third);
+  Alcotest.check report_testable "hit after the caller's write = fresh solve"
+    (fresh 20e-6) (report_bits again);
+  Alcotest.check report_testable "second input = fresh solve" (fresh (-15e-6))
+    (report_bits second)
+
+(* A failed operating point is remembered too: the repeat re-raises the
+   same message without running the solver again. *)
+let test_memo_failures () =
+  let sys = iv_system () in
+  let ws = Circuit.Mna.workspace sys in
+  let options = { Circuit.Dc.default_options with max_newton = 1 } in
+  let message () =
+    match Circuit.Dc.solve ~options ~workspace:ws sys ~time:`Dc with
+    | _ -> Alcotest.fail "one Newton iteration converged"
+    | exception Circuit.Dc.No_convergence m -> m
+  in
+  let (first, second), counts =
+    counting
+      [ "solver.dc.failures"; "solver.dc.op_memo_hits"; "solver.dc.budget_exhausted" ]
+      (fun () ->
+        let first = message () in
+        (first, message ()))
+  in
+  Alcotest.(check string) "same message" first second;
+  (* the plain attempt and the first gmin stage run out the budget of
+     one iteration; the chain breaks there, and so does source stepping *)
+  Alcotest.(check (list int)) "one failure, one hit, budget-exhausted attempts"
+    [ 1; 1; 3 ] counts
+
+(* The escalated view of an evaluator shares its compiled plans, and
+   with them the workspaces; its options differ, so it must never be
+   answered by an entry the base options made. *)
+let test_memo_keys_options () =
+  let config = Experiments.Iv_configs.by_id 4 in
+  let ev =
+    Evaluator.create ~profile:Execute.fast_profile config ~nominal:iv_target
+      ~box_model:(Tolerance.floor_only config)
+  in
+  let rung = List.hd Resilience.default_policy.Resilience.ladder in
+  let escalated =
+    Evaluator.with_profile ev (Resilience.escalate rung Execute.fast_profile)
+  in
+  let values = Test_param.seeds_of config.Test_config.params in
+  let probe ev () = ignore (Evaluator.faulty_observables ev bridge values) in
+  let (), base = counting [ "solver.dc.op_memo_hits" ] (fun () -> probe ev (); probe ev ()) in
+  Alcotest.(check (list int)) "base repeat hits" [ 1 ] base;
+  let (), esc = counting [ "solver.dc.op_memo_hits" ] (probe escalated) in
+  Alcotest.(check (list int)) "escalated never hits a base entry" [ 0 ] esc;
+  let direct =
+    Execute.observables ~profile:(Evaluator.profile escalated) config
+      (injected bridge) values
+  in
+  check_bitwise "escalated = direct"
+    direct (Evaluator.faulty_observables escalated bridge values)
+
+(* Under an active failure-injection config the memo is bypassed: a hit
+   would skip the solve's failpoint queries. *)
+let test_memo_bypassed_under_injection () =
+  let sys = iv_system () in
+  let ws = Circuit.Mna.workspace sys in
+  let specs =
+    [ { Fp.point = "dc.singular"; probability = 0.; max_triggers = None } ]
+  in
+  let (), counts =
+    counting [ "solver.dc.op_memo_hits"; "solver.dc.solves" ] (fun () ->
+        Fp.with_config ~seed:1L specs (fun () ->
+            for _ = 1 to 3 do
+              ignore (Circuit.Dc.solve ~workspace:ws sys ~time:`Dc)
+            done))
+  in
+  Alcotest.(check (list int)) "no hits, three solves" [ 0; 3 ] counts
+
+(* -------------------------------------------- observation buffers *)
+
+(* A step-train simulation writes into its plan's buffer; every array
+   an evaluator hands out is the caller's own all the same. *)
+let test_observables_owned () =
+  let config = Experiments.Iv_configs.by_id 4 in
+  let ev =
+    Evaluator.create ~profile:Execute.fast_profile config ~nominal:iv_target
+      ~box_model:(Tolerance.floor_only config)
+  in
+  let lo, hi = Test_param.bounds_of config.Test_config.params in
+  let a = Evaluator.faulty_observables ev bridge lo in
+  let a_bits = bits a in
+  let b = Evaluator.faulty_observables ev bridge hi in
+  Alcotest.(check bool) "two results, two arrays" true (a != b);
+  check_bitwise "first result keeps its values" (Array.map Int64.float_of_bits a_bits) a;
+  Alcotest.(check bool) "the results differ" true (bits a <> bits b);
+  let n = Evaluator.nominal_observables ev lo in
+  let n_bits = bits n in
+  ignore (Evaluator.nominal_observables ev hi);
+  ignore (Evaluator.sensitivity ev bridge hi);
+  check_bitwise "nominal entry survives later nominal simulations"
+    (Array.map Int64.float_of_bits n_bits) n;
+  check_bitwise "nominal entry = direct"
+    (Execute.observables ~profile:Execute.fast_profile config iv_target lo) n
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -741,6 +892,21 @@ let () =
             test_transient_allocation;
           Alcotest.test_case "compiled probe words" `Quick
             test_probe_allocation;
+        ] );
+      ( "op memo",
+        [
+          Alcotest.test_case "hits equal fresh solves" `Quick
+            test_memo_hits_are_fresh_solves;
+          Alcotest.test_case "failures re-raise" `Quick test_memo_failures;
+          Alcotest.test_case "escalated options never hit" `Quick
+            test_memo_keys_options;
+          Alcotest.test_case "bypassed under injection" `Quick
+            test_memo_bypassed_under_injection;
+        ] );
+      ( "buffers",
+        [
+          Alcotest.test_case "observables are the caller's own" `Quick
+            test_observables_owned;
         ] );
       ( "decimation",
         [

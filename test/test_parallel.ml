@@ -452,9 +452,99 @@ let test_emit_abort_joins_domains () =
   Alcotest.(check (list int)) "prefix emitted in order" [ 0; 1 ]
     (List.rev !emitted)
 
+(* ------------------------------------------------------- retention *)
+
+(* Lookups count per key, hits and misses alike, summed over forks: a
+   key two forks looked up once each is kept, a key one fork looked up
+   once is not, and counting restarts after each retention. *)
+let test_retained_lookups () =
+  let ev = fresh_dc_evaluator () in
+  let config = Evaluator.config ev in
+  let seeds = Test_param.seeds_of config.Test_config.params in
+  let lo, hi = Test_param.bounds_of config.Test_config.params in
+  let mid = Array.mapi (fun i s -> 0.5 *. (s +. hi.(i))) seeds in
+  let lookup ev p = ignore (Evaluator.nominal_observables ev p) in
+  let a = List.hd (Evaluator.fork [ ev ]) and b = List.hd (Evaluator.fork [ ev ]) in
+  lookup a seeds;
+  lookup a seeds;
+  lookup a lo;
+  lookup b lo;
+  lookup b hi;
+  lookup ev mid;
+  Evaluator.absorb ~into:ev a;
+  Evaluator.absorb ~into:ev b;
+  Evaluator.retain_reused [ ev ];
+  Alcotest.(check int) "kept: looked up twice in one fork, once in each of two" 2
+    (Evaluator.cache_stats ev).Evaluator.entries;
+  let misses () = (Evaluator.cache_stats ev).Evaluator.misses in
+  let before = misses () in
+  lookup ev seeds;
+  lookup ev lo;
+  Alcotest.(check int) "kept keys hit" before (misses ());
+  lookup ev hi;
+  Alcotest.(check int) "a key looked up once was dropped" (before + 1) (misses ());
+  Evaluator.retain_reused [ ev ];
+  Alcotest.(check int) "counting restarts: one lookup each is not enough" 0
+    (Evaluator.cache_stats ev).Evaluator.entries
+
+(* Two runs on one context, on different faults, give what fresh
+   contexts give, and the first run leaves a retained set that does not
+   depend on the job count.  The fast-profile context is calibrated once;
+   forks of its untouched evaluators are fresh contexts. *)
+let test_retention_across_runs () =
+  let ctx = Experiments.Setup.iv ~profile:Testgen.Execute.fast_profile () in
+  let pristine = ctx.Experiments.Setup.evaluators in
+  let fresh () = Evaluator.fork pristine in
+  let ids =
+    List.map
+      (fun e -> e.Faults.Dictionary.fault_id)
+      (Faults.Dictionary.entries ctx.Experiments.Setup.dictionary)
+  in
+  let subset first =
+    let mine = List.filteri (fun i _ -> i >= first && i < first + 3) ids in
+    Faults.Dictionary.filter ctx.Experiments.Setup.dictionary (fun e ->
+        List.mem e.Faults.Dictionary.fault_id mine)
+  in
+  let s1 = subset 0 and s2 = subset 3 in
+  let run ~jobs evs dict =
+    Session.to_string (Engine.run ~jobs ~evaluators:evs dict).Engine.results
+  in
+  let keys evs = List.map Evaluator.nominal_keys evs in
+  let sum f evs = List.fold_left (fun acc ev -> acc + f ev) 0 evs in
+  let context = fresh () in
+  let first = run ~jobs:1 context s1 in
+  let retained = keys context in
+  (* 3 faults, 5 configurations: 151 of the run's 1,332 distinct points
+     are looked up at least twice.  Before retention a context kept all
+     1,332 (every point any worker evaluated), and so grew with every
+     run. *)
+  Alcotest.(check (pair int int)) "retained / distinct points of the run"
+    (151, 1332)
+    ( sum (fun ev -> (Evaluator.cache_stats ev).Evaluator.entries) context,
+      sum (fun ev -> (Evaluator.cache_stats ev).Evaluator.misses) context );
+  List.iter
+    (fun jobs ->
+      let other = fresh () in
+      Alcotest.(check string)
+        (Printf.sprintf "jobs %d results" jobs)
+        first (run ~jobs other s1);
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "jobs %d retains the same keys" jobs)
+        retained (keys other))
+    (List.filter (fun j -> j > 1) job_counts);
+  Alcotest.(check string) "second run = the same faults on a fresh context"
+    (run ~jobs:1 (fresh ()) s2) (run ~jobs:1 context s2)
+
 let () =
   Alcotest.run "parallel"
     [
+      ( "retention",
+        [
+          Alcotest.test_case "lookups summed over forks" `Quick
+            test_retained_lookups;
+          Alcotest.test_case "runs on one context, jobs {1,2,4}" `Slow
+            test_retention_across_runs;
+        ] );
       ( "parity",
         [
           Alcotest.test_case "full dictionary, jobs {1,2,4}" `Slow

@@ -456,6 +456,165 @@ let prop_lu_singular_parity =
              | () -> false
              | exception Invalid_argument _ -> true)))
 
+(* The unchecked kernels against the checked reference they replaced
+   ({!Lu_oracle}): random systems of sizes 1-20 in five shapes, three
+   per case through one workspace so stale state from the previous
+   factorization would show.  Shapes: sparse-ish random (exact zeros, so
+   the zero-multiplier skip runs), rank-deficient (a row copied onto
+   another), a zero column (a [Singular] payload), a diagonally
+   dominant system with its rows shuffled (forced swaps), and small
+   integers (ties in pivot magnitude, so the first-maximum rule
+   shows). *)
+let random_shaped rng n shape =
+  let u lo hi = Numerics.Rng.uniform rng ~lo ~hi in
+  let a =
+    match shape with
+    | 3 ->
+        let a, _ = random_system rng n in
+        let perm = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Numerics.Rng.int rng ~bound:(i + 1) in
+          let t = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- t
+        done;
+        Numerics.Mat.of_rows
+          (Array.init n (fun i ->
+               Array.init n (fun j -> Numerics.Mat.get a perm.(i) j)))
+    | 4 ->
+        Numerics.Mat.of_rows
+          (Array.init n (fun _ ->
+               Array.init n (fun _ ->
+                   float_of_int (Numerics.Rng.int rng ~bound:5 - 2))))
+    | _ ->
+        let a = Numerics.Mat.create n n in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if u 0. 1. < 0.7 then Numerics.Mat.set a i j (u (-1.) 1.)
+          done
+        done;
+        a
+  in
+  (match shape with
+  | 1 when n > 1 ->
+      let src = Numerics.Rng.int rng ~bound:n in
+      let dst = (src + 1 + Numerics.Rng.int rng ~bound:(n - 1)) mod n in
+      for j = 0 to n - 1 do
+        Numerics.Mat.set a dst j (Numerics.Mat.get a src j)
+      done
+  | 2 ->
+      let c = Numerics.Rng.int rng ~bound:n in
+      for i = 0 to n - 1 do
+        Numerics.Mat.set a i c 0.
+      done
+  | _ -> ());
+  (a, Numerics.Vec.init n (fun _ -> u (-10.) 10.))
+
+let prop_lu_kernel_oracle =
+  QCheck.Test.make ~name:"dense kernels match the checked reference bit for bit"
+    ~count:300
+    QCheck.(triple (int_range 1 20) (int_range 0 4) (int_range 0 1_000_000))
+    (fun (n, shape, seed) ->
+      let rng = Numerics.Rng.create (Int64.of_int (seed + 29)) in
+      let ws = Numerics.Mat.lu_workspace n in
+      List.for_all
+        (fun shape ->
+          let a, b = random_shaped rng n shape in
+          Lu_oracle.reference a b = Lu_oracle.kernel ws a b)
+        [ shape; (shape + 1) mod 5; shape ])
+
+(* The systems the paper's transient Newton factors: the IV-converter
+   under a configuration #4 step, assembled at each step's solution with
+   that step's backward-Euler companions, plus the zero-guess systems of
+   the operating point. *)
+let iv_transient_systems () =
+  let target =
+    Experiments.Setup.target_of_macro Macros.Iv_converter.macro
+      Macros.Process.nominal
+  in
+  let nl =
+    Testgen.Execute.with_stimulus target.Testgen.Execute.netlist
+      ~source:target.Testgen.Execute.stimulus_source
+      (Waveform.Step { base = 0.; elev = 25e-6; delay = 100e-9; rise = 10e-9 })
+  in
+  let sys = Mna.build nl in
+  let nodes = Netlist.nodes nl in
+  let dt = 1e-8 and steps = 40 in
+  let r = Tran.simulate sys ~tstop:(dt *. float_of_int steps) ~dt ~observe:nodes in
+  let x_at k =
+    let x = Numerics.Vec.create (Mna.size sys) 0. in
+    List.iter
+      (fun node ->
+        match Mna.node_index sys node with
+        | Some i -> x.(i) <- (Tran.probe_values r node).(k)
+        | None -> ())
+      nodes;
+    x
+  in
+  let companions x_prev =
+    let c = Array.make (Mna.companion_slots sys) 0. in
+    List.iter
+      (function
+        | Device.Capacitor { name; a; b; farads } ->
+            let slot = Mna.companion_slot sys name in
+            let geq = farads /. dt in
+            c.(slot) <- geq;
+            c.(slot + 1) <- geq *. (Mna.voltage sys x_prev a -. Mna.voltage sys x_prev b)
+        | _ -> ())
+      (Netlist.devices nl);
+    c
+  in
+  let zero = Numerics.Vec.create (Mna.size sys) 0. in
+  List.map
+    (fun gmin -> Mna.assemble sys ~x:zero ~time:(`Time 0.) ~gmin ())
+    [ 1e-12; 1e-2 ]
+  @ List.init steps (fun k ->
+        let k = k + 1 in
+        Mna.assemble sys ~x:(x_at k)
+          ~time:(`Time (dt *. float_of_int k))
+          ~companions:(companions (x_at (k - 1)))
+          ~gmin:1e-12 ())
+
+let test_lu_kernel_iv_systems () =
+  let systems = iv_transient_systems () in
+  let ws = Numerics.Mat.lu_workspace (Numerics.Mat.rows (fst (List.hd systems))) in
+  List.iteri
+    (fun i (a, z) ->
+      match Lu_oracle.reference a z with
+      | Lu_oracle.Singular k -> Alcotest.failf "system %d singular at %d" i k
+      | expected ->
+          if expected <> Lu_oracle.kernel ws a z then
+            Alcotest.failf "system %d: kernel differs from the reference" i)
+    systems
+
+(* Every entry check of the unchecked kernels still raises. *)
+let test_lu_entry_checks () =
+  let open Numerics in
+  let raises label f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" label
+    | exception Invalid_argument _ -> ()
+  in
+  let a, b = random_system (Rng.create 5L) 4 in
+  let ws = Mat.lu_workspace 4 in
+  raises "solve on an unfactored workspace" (fun () ->
+      Mat.solve_into ws b (Vec.create 4 0.));
+  raises "pivots of an unfactored workspace" (fun () ->
+      ignore (Mat.lu_pivots ws));
+  raises "non-square" (fun () -> Mat.factor_in_place (Mat.create 4 3) ws);
+  raises "size mismatch" (fun () -> Mat.factor_in_place (Mat.create 5 5) ws);
+  Mat.factor_in_place a ws;
+  raises "aliased b and x" (fun () -> Mat.solve_into ws b b);
+  raises "short b" (fun () -> Mat.solve_into ws (Vec.create 3 0.) (Vec.create 4 0.));
+  raises "short x" (fun () -> Mat.solve_into ws b (Vec.create 3 0.));
+  raises "lu_solve dimension" (fun () -> ignore (Mat.lu_solve ws (Vec.create 5 0.)));
+  (* a Singular raise leaves the workspace unfactored *)
+  (match Mat.factor_in_place (Mat.create 4 4) ws with
+  | () -> Alcotest.fail "zero matrix factored"
+  | exception Mat.Singular 0 -> ()
+  | exception Mat.Singular k -> Alcotest.failf "zero matrix: Singular %d" k);
+  raises "solve after Singular" (fun () -> Mat.solve_into ws b (Vec.create 4 0.))
+
 let () =
   Alcotest.run "properties"
     [
@@ -471,6 +630,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_lu_in_place_parity;
           QCheck_alcotest.to_alcotest prop_lu_singular_parity;
+          QCheck_alcotest.to_alcotest prop_lu_kernel_oracle;
+          Alcotest.test_case "kernel matches the reference on IV systems"
+            `Quick test_lu_kernel_iv_systems;
+          Alcotest.test_case "entry checks raise" `Quick test_lu_entry_checks;
         ] );
       ( "clustering",
         [
