@@ -707,6 +707,44 @@ let baseline_cmd =
     Term.(
       const run $ fast_arg $ macro_arg $ take_arg $ jobs_arg $ trace_arg)
 
+let diff_cmd =
+  let run before after =
+    let load path =
+      match Session.load ~path with
+      | Ok results -> Ok results
+      | Error m ->
+          Printf.eprintf "cannot load session %s: %s\n" path m;
+          Error (Experiments.Runs.session_error_code path)
+    in
+    match (load before, load after) with
+    | Error code, _ | _, Error code -> code
+    | Ok a, Ok b ->
+        let d = Session.diff a b in
+        print_string (Session.render_diff d);
+        if Session.diff_ok d then 0 else Session.exit_verdict_drift
+  in
+  let session_pos n docv =
+    Arg.(required & pos n (some string) None & info [] ~docv)
+  in
+  Cmd.v
+    (Cmd.info "diff" ~doc:"Compare the verdicts of two session files."
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "For every fault whose verdict differs, print its winning \
+              configuration and detectability in A and B, the \
+              critical-impact ratio and the sign of the dictionary \
+              sensitivity; then one summary line.";
+           `P
+             (Printf.sprintf
+                "Exits %d on a winner move, a detectability flip, a fault \
+                 missing from one side or a critical-impact ratio above %g \
+                 (the resolution of the critical-impact bisection)."
+                Session.exit_verdict_drift Generate.critical_resolution);
+         ])
+    Term.(const run $ session_pos 0 "A.session" $ session_pos 1 "B.session")
+
 (* -- profile ------------------------------------------------------------ *)
 
 let render_profile (run_result : Engine.run) =
@@ -1176,6 +1214,7 @@ let main_cmd =
       tps_cmd;
       generate_cmd;
       compact_cmd;
+      diff_cmd;
       baseline_cmd;
       profile_cmd;
       experiment_cmd;

@@ -81,7 +81,7 @@ let c_memo_hits = Obs.Counter.create "solver.dc.op_memo_hits"
 
 let h_newton =
   Obs.Histogram.create "solver.dc.newton_per_solve"
-    ~bounds:[| 2; 4; 8; 16; 32; 64 |]
+    ~bounds:[| 1; 2; 4; 8; 16; 32; 64 |]
 
 let c_reuse = Obs.Counter.create "solver.dc.pattern_reuses"
 

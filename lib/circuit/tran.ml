@@ -103,6 +103,28 @@ let record observed k x =
 let c_simulations = Obs.Counter.create "solver.tran.simulations"
 let c_steps = Obs.Counter.create "solver.tran.steps"
 let c_halvings = Obs.Counter.create "solver.tran.halvings"
+let c_fallbacks = Obs.Counter.create "solver.tran.predictor_fallbacks"
+
+(* Newton's start for a top-level step: the polynomial extrapolation of
+   the last [order + 1] accepted solutions [x] (newest), [x1], [x2],
+   [x3] at the fixed step, written into [guess] — linear
+   [2x - x1], quadratic [3x - 3x1 + x2], cubic [4x - 6x1 + 4x2 - x3].
+   A prediction that moves any node more than [vlimit] (the damping
+   threshold) from [x] overshoots an edge of the stimulus: [false]
+   tells the caller to start from [x] instead. *)
+let predict ~order ~vlimit ~n_nodes ~guess x x1 x2 x3 =
+  for i = 0 to Array.length x - 1 do
+    guess.(i) <-
+      (match order with
+      | 1 -> (2. *. x.(i)) -. x1.(i)
+      | 2 -> (3. *. x.(i)) -. (3. *. x1.(i)) +. x2.(i)
+      | _ -> (4. *. x.(i)) -. (6. *. x1.(i)) +. (4. *. x2.(i)) -. x3.(i))
+  done;
+  let ok = ref true in
+  for i = 0 to n_nodes - 1 do
+    if Float.abs (guess.(i) -. x.(i)) > vlimit then ok := false
+  done;
+  !ok
 
 let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
     ~tstop ~dt ~observe =
@@ -134,12 +156,14 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
     (Dc.solve ?options ?workspace ?restamp sys ~time:(`Time 0.)).Dc.solution
   in
   record observed 0 x0;
-  (* advance from t_prev to t_next; on Newton failure, refine locally *)
-  let rec advance ~depth ~t_prev ~t_next x_prev =
+  (* advance from t_prev to t_next, Newton starting from [start]; on
+     Newton failure, refine locally, each half starting from its own
+     previous solution *)
+  let rec advance ~depth ~t_prev ~t_next ~start x_prev =
     let h = t_next -. t_prev in
     fill_companions comp ~method_ ~h ~x_prev ~cap_currents reactives;
     match
-      Dc.solve ?options ~guess:x_prev ?companions ?workspace ?restamp sys
+      Dc.solve ?options ~guess:start ?companions ?workspace ?restamp sys
         ~time:(`Time t_next)
     with
     | report ->
@@ -150,11 +174,20 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
         else begin
           if Obs.active () then Obs.Counter.add c_halvings 1;
           let t_mid = 0.5 *. (t_prev +. t_next) in
-          let x_mid = advance ~depth:(depth + 1) ~t_prev ~t_next:t_mid x_prev in
-          advance ~depth:(depth + 1) ~t_prev:t_mid ~t_next x_mid
+          let x_mid =
+            advance ~depth:(depth + 1) ~t_prev ~t_next:t_mid ~start:x_prev
+              x_prev
+          in
+          advance ~depth:(depth + 1) ~t_prev:t_mid ~t_next ~start:x_mid x_mid
         end
   in
-  let x = ref x0 in
+  let vlimit = (Option.value options ~default:Dc.default_options).Dc.vlimit in
+  let n_nodes = Mna.n_nodes sys in
+  let guess = Array.make (Mna.size sys) 0. in
+  let fallbacks = ref 0 in
+  (* the last four accepted solutions, newest first: every [Dc.solve]
+     returns a fresh array, so the history holds them without copying *)
+  let x = ref x0 and x1 = ref x0 and x2 = ref x0 and x3 = ref x0 in
   for k = 1 to n_steps do
     let t_prev = dt *. float_of_int (k - 1) in
     let t_next = dt *. float_of_int k in
@@ -162,12 +195,28 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
       raise
         (Step_failure
            { time = t_next; reason = "injected failure at tran.step_failure" });
-    x := advance ~depth:0 ~t_prev ~t_next !x;
-    record observed k !x
+    let start =
+      if k = 1 then !x
+      else if
+        predict ~order:(Int.min (k - 1) 3) ~vlimit ~n_nodes ~guess !x !x1 !x2
+          !x3
+      then guess
+      else begin
+        incr fallbacks;
+        !x
+      end
+    in
+    let x_next = advance ~depth:0 ~t_prev ~t_next ~start !x in
+    x3 := !x2;
+    x2 := !x1;
+    x1 := !x;
+    x := x_next;
+    record observed k x_next
   done;
   if Obs.active () then begin
     Obs.Counter.add c_simulations 1;
-    Obs.Counter.add c_steps n_steps
+    Obs.Counter.add c_steps n_steps;
+    Obs.Counter.add c_fallbacks !fallbacks
   end;
   {
     probes =

@@ -38,6 +38,16 @@ val simulate :
     ["tran.step_failure"] (see {!Numerics.Failpoint}) raises
     {!Step_failure} at the start of a step.
 
+    Each top-level step starts Newton from the extrapolation of the last
+    accepted solutions at the fixed step: cubic from the fourth step on
+    ([4x_k - 6x_{k-1} + 4x_{k-2} - x_{k-3}]), linear and then quadratic
+    before it, the previous solution on the first.  When the prediction
+    moves any node more than the options' [vlimit] from the previous
+    solution, the step starts from the previous solution instead (the
+    [solver.tran.predictor_fallbacks] counter counts those steps while
+    tracing); refined half-steps always do.  The [t = 0] operating point
+    is solved as {!Dc.solve} solves any operating point.
+
     Every Newton solve of every step restamps one preallocated system
     in place: the caller's [workspace] (the compiled hot path) or, without
     it, one workspace created for the simulation.  The reactive elements

@@ -234,13 +234,15 @@ let most_sensitive m impact =
 let pair_by_id m id =
   List.find (fun (_, c) -> c.cand_config_id = id) m.pairs
 
+let critical_resolution = 1.1
+
 (* Find the impact where the given candidate stops detecting:
    lo detects, hi does not; log-space bisection. *)
 let refine_critical m cand ~lo ~hi =
   let ev, _ = pair_by_id m cand.cand_config_id in
   let lo = ref lo and hi = ref hi in
   let rounds = ref 0 in
-  while !hi /. !lo > 1.1 && !rounds < 16 && m.budget > 0 do
+  while !hi /. !lo > critical_resolution && !rounds < 16 && m.budget > 0 do
     incr rounds;
     m.budget <- m.budget - 1;
     let mid = sqrt (!lo *. !hi) in

@@ -70,6 +70,11 @@ type result = {
   trace : trace_step list;  (** impact-convergence history, in order *)
 }
 
+val critical_resolution : float
+(** The ratio (1.1) at which the bisection for a winner's critical
+    impact stops: two runs whose critical impacts differ by less are
+    indistinguishable at the resolution the search resolves. *)
+
 val best_config_id : result -> int
 (** Winning configuration id regardless of outcome flavour. *)
 

@@ -557,3 +557,152 @@ let checkpoint_append ck r =
 
 let checkpoint_close ck = close_out ck.ck_oc
 let checkpoint_abort ck = close_out_noerr ck.ck_oc
+
+(* -- verdict-level comparison ------------------------------------------ *)
+
+type verdict = {
+  winner : int;
+  detectable : bool;
+  impact : float;
+  sensitivity : float;
+}
+
+type change = { fault_id : string; before : verdict option; after : verdict option }
+
+type diff = {
+  changes : change list;
+  faults : int;
+  agreeing : int;
+  winner_moves : int;
+  flips : int;
+  missing : int;
+  worst_ratio : float;
+  worst_fault : string option;
+}
+
+let exit_verdict_drift = 8
+
+let verdict_of (r : Generate.result) =
+  match r.Generate.outcome with
+  | Generate.Unique { config_id; critical_impact; dictionary_sensitivity; _ } ->
+      {
+        winner = config_id;
+        detectable = true;
+        impact = critical_impact;
+        sensitivity = dictionary_sensitivity;
+      }
+  | Generate.Undetectable
+      { most_sensitive_config; strongest_impact; best_sensitivity; _ } ->
+      {
+        winner = most_sensitive_config;
+        detectable = false;
+        impact = strongest_impact;
+        sensitivity = best_sensitivity;
+      }
+
+(* The symmetric critical-impact ratio (>= 1) of two verdicts of the
+   same detectability; a flip has none. *)
+let impact_ratio a b =
+  if a.detectable <> b.detectable then None
+  else
+    let r = b.impact /. a.impact in
+    Some (Float.max r (1. /. r))
+
+let sign x = if x < 0. then '-' else if x > 0. then '+' else '0'
+
+let diff before after =
+  let verdicts results =
+    List.map (fun r -> (r.Generate.fault_id, verdict_of r)) results
+  in
+  let va = verdicts before and vb = verdicts after in
+  let ids =
+    List.map fst va
+    @ List.filter (fun id -> not (List.mem_assoc id va)) (List.map fst vb)
+  in
+  let step d id =
+    let a = List.assoc_opt id va and b = List.assoc_opt id vb in
+    let change = { fault_id = id; before = a; after = b } in
+    match (a, b) with
+    | Some a, Some b ->
+        let moved = a.winner <> b.winner
+        and flipped = a.detectable <> b.detectable in
+        let changed =
+          moved || flipped
+          || (not (Int64.equal (Int64.bits_of_float a.impact)
+                     (Int64.bits_of_float b.impact)))
+          || sign a.sensitivity <> sign b.sensitivity
+        in
+        let worse =
+          match impact_ratio a b with
+          | Some r when r > d.worst_ratio -> Some r
+          | Some _ | None -> None
+        in
+        {
+          d with
+          changes = (if changed then change :: d.changes else d.changes);
+          agreeing = d.agreeing + Bool.to_int (not (moved || flipped));
+          winner_moves = d.winner_moves + Bool.to_int moved;
+          flips = d.flips + Bool.to_int flipped;
+          worst_ratio = Option.value worse ~default:d.worst_ratio;
+          worst_fault = (if Option.is_some worse then Some id else d.worst_fault);
+        }
+    | _ -> { d with changes = change :: d.changes; missing = d.missing + 1 }
+  in
+  let d =
+    List.fold_left step
+      {
+        changes = [];
+        faults = List.length ids;
+        agreeing = 0;
+        winner_moves = 0;
+        flips = 0;
+        missing = 0;
+        worst_ratio = 1.;
+        worst_fault = None;
+      }
+      ids
+  in
+  { d with changes = List.rev d.changes }
+
+let diff_ok d =
+  d.winner_moves = 0 && d.flips = 0 && d.missing = 0
+  && d.worst_ratio <= Generate.critical_resolution
+
+let render_diff d =
+  let b = Buffer.create 1024 in
+  let describe = function
+    | None -> "missing"
+    | Some v ->
+        Printf.sprintf "%s #%d sens %c"
+          (if v.detectable then "detectable" else "undetectable")
+          v.winner (sign v.sensitivity)
+  in
+  List.iter
+    (fun c ->
+      let notes =
+        match (c.before, c.after) with
+        | Some a, Some b ->
+            List.filter_map Fun.id
+              [
+                (if a.winner <> b.winner then Some "WINNER MOVED" else None);
+                (if a.detectable <> b.detectable then Some "FLIP" else None);
+                Option.map (Printf.sprintf "ratio %.4f") (impact_ratio a b);
+                (if sign a.sensitivity <> sign b.sensitivity then
+                   Some "SIGN CHANGED"
+                 else None);
+              ]
+        | _ -> []
+      in
+      Buffer.add_string b
+        (Printf.sprintf "%-20s %s -> %s  %s\n" c.fault_id (describe c.before)
+           (describe c.after) (String.concat ", " notes)))
+    d.changes;
+  Buffer.add_string b
+    (Printf.sprintf
+       "verdicts: compat %.3f (%d/%d), winner moves %d, flips %d, missing %d, \
+        worst critical-impact ratio %.4f%s, %d changed\n"
+       (if d.faults = 0 then 1. else float_of_int d.agreeing /. float_of_int d.faults)
+       d.agreeing d.faults d.winner_moves d.flips d.missing d.worst_ratio
+       (match d.worst_fault with Some id -> " (" ^ id ^ ")" | None -> "")
+       (List.length d.changes));
+  Buffer.contents b

@@ -85,3 +85,58 @@ val checkpoint_close : checkpoint -> unit
 val checkpoint_abort : checkpoint -> unit
 (** Close the underlying channel without flushing guarantees — for
     recovery paths that abandon a checkpoint after {!Torn_write}. *)
+
+(** {2 Verdict-level comparison}
+
+    A change to Newton or to time stepping cannot keep session bytes, so
+    two sessions are also compared on what the paper reports: per fault,
+    the winning configuration, whether it is detectable, its critical
+    impact and the sign of its dictionary sensitivity. *)
+
+type verdict = {
+  winner : int;  (** {!Generate.best_config_id} *)
+  detectable : bool;
+  impact : float;
+      (** the critical impact, or the strongest impact tried when
+          undetectable *)
+  sensitivity : float;
+      (** the dictionary sensitivity, or the best sensitivity when
+          undetectable *)
+}
+
+type change = {
+  fault_id : string;
+  before : verdict option;  (** [None]: the fault is missing from A *)
+  after : verdict option;  (** [None]: the fault is missing from B *)
+}
+
+type diff = {
+  changes : change list;
+      (** faults whose winner, detectability, impact bits or sensitivity
+          sign differ, or that one session lacks; A's order, then B's
+          extra faults *)
+  faults : int;  (** faults in either session *)
+  agreeing : int;
+      (** faults in both with the same winner and detectability *)
+  winner_moves : int;
+  flips : int;  (** detectable in one session, undetectable in the other *)
+  missing : int;  (** faults in one session only *)
+  worst_ratio : float;
+      (** the largest [max (b/a) (a/b)] of the impacts of a fault of the
+          same detectability in both; 1 when none differ *)
+  worst_fault : string option;
+}
+
+val diff : Generate.result list -> Generate.result list -> diff
+(** [diff a b] compares session [b] against session [a]. *)
+
+val diff_ok : diff -> bool
+(** No winner move, flip or missing fault, and [worst_ratio] at most
+    {!Generate.critical_resolution}. *)
+
+val render_diff : diff -> string
+(** One line per change, then the summary line
+    [verdicts: compat ...]. *)
+
+val exit_verdict_drift : int
+(** The exit status (8) of [atpg diff] when {!diff_ok} is false. *)

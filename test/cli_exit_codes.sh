@@ -4,6 +4,7 @@
 #   3 - run completed but left quarantined faults
 #   4 - a fail-fast policy terminated the run
 #   5 - a session or checkpoint file is corrupt
+#   8 - `atpg diff` found verdict drift between two sessions
 # Driven from dune (see the rule in test/dune); $1 is the atpg executable.
 set -u
 
@@ -57,6 +58,25 @@ expect 5 "torn session file" \
 rm -f "$corrupt"
 expect 1 "missing session file" \
   compact --fast --load "$corrupt"
+
+# `atpg diff` compares verdicts: a session against itself is clean; a
+# moved winner, a detectability flip or a missing fault is drift (8); a
+# corrupt side is a corrupt session (5).
+base=cli_exit_codes_base.session
+other=cli_exit_codes_other.session
+printf 'atpg-session 1\nresult bridge:a-b\nfault bridge a b 10000\nunique 1 123456 -12.5 | 1e-05\nend\nresult pinhole:m3\nfault pinhole m3 2000\nundetectable 2 0.75 10 | 0 5e-06\nend\n' > "$base"
+expect 0 "diff of a session with itself" diff "$base" "$base"
+sed 's/^unique 1 /unique 2 /' "$base" > "$other"
+expect 8 "diff: winner moved" diff "$base" "$other"
+sed 's/^undetectable 2 0.75 10 /unique 2 10 0.75 /' "$base" > "$other"
+expect 8 "diff: detectability flip" diff "$base" "$other"
+head -n 5 "$base" > "$other"
+expect 8 "diff: missing fault" diff "$base" "$other"
+sed 's/^unique 1 123456 /unique 1 130000 /' "$base" > "$other"
+expect 0 "diff: critical impact inside 1.1" diff "$base" "$other"
+printf 'atpg-session 99\n' > "$other"
+expect 5 "diff: corrupt session" diff "$base" "$other"
+rm -f "$base" "$other"
 
 # The exit-code contract must hold identically under a worker pool, and
 # probabilistic injection must quarantine the same faults at every job

@@ -65,7 +65,7 @@ reject "removed --grad"      generate --fast --take 1 --grad
 # Every subcommand's help renders cleanly: exit 0 and nothing on stderr
 # (cmdliner reports malformed doc markup there).  The --inject spec is
 # shown as typed.
-for cmd in netlist op simulate sweep noise faults tps generate compact \
+for cmd in netlist op simulate sweep noise faults tps generate compact diff \
   baseline profile experiment fuzz serve client; do
   out=$("$atpg" "$cmd" --help=plain 2>"help_$cmd.err")
   got=$?

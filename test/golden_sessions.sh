@@ -64,10 +64,10 @@ golden() {
 
 # The default rows run on one worker per core; their --jobs 1 twins pin
 # the sequential loop to the same values.
-golden iv   0c348fc64ca663f16e8ca9769403d0a6 3673  --fast --take 6
+golden iv   faa16e57658d23ca53d5f9c9eb2141c0 3662  --fast --take 6
 golden rc16 f412365bd297cd05e4aa03c38df99e18 432   --fast --take 6 --macro rc16
 golden rc48 5cd57d67437e925cdaa40005d2e7f8d5 19276 --fast --take 200 --macro rc48
-golden iv-jobs1   0c348fc64ca663f16e8ca9769403d0a6 3673 \
+golden iv-jobs1   faa16e57658d23ca53d5f9c9eb2141c0 3662 \
   --fast --take 6 --jobs 1
 golden rc16-jobs1 f412365bd297cd05e4aa03c38df99e18 432 \
   --fast --take 6 --macro rc16 --jobs 1
@@ -81,7 +81,7 @@ golden rc16-jobs2 f412365bd297cd05e4aa03c38df99e18 432 \
 golden rc16-resume f412365bd297cd05e4aa03c38df99e18 432 \
   --checkpoint 4e08f66ac67bb78ed78e1118c32b1ff4 --fast --take 6 --macro rc16
 for jobs in 1 2; do
-  golden "iv-inject-jobs$jobs" e683dbd1e6c90b74433543fa5d53432e 1834 \
+  golden "iv-inject-jobs$jobs" 010b3736a6ed04da1c74058d35457ebb 1827 \
     --recovered 3 --fast --take 3 --inject dc.no_convergence=0.5@1 \
     --inject-seed 5 --jobs "$jobs"
 done

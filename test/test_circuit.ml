@@ -390,6 +390,37 @@ let test_tran_rc_charge () =
   check_float ~eps:5e-3 "two tau" (1. -. exp (-2.)) (at 2e-3);
   Alcotest.(check bool) "starts at 0" true (Float.abs v.(0) < 1e-9)
 
+(* Each step's Newton starts from an extrapolation of the last
+   solutions.  After a stimulus edge the extrapolation overshoots, and
+   the guard starts those steps from the previous solution (counted
+   while tracing); a waveform that moves little per step never trips
+   it. *)
+let test_tran_predictor_guard () =
+  let fallbacks wave =
+    let sys =
+      Mna.build
+        (Netlist.add_all (Netlist.empty ~title:"rc")
+           [
+             Device.Vsource { name = "v"; plus = "in"; minus = "0"; wave };
+             r "r1" "in" "out" 1e3;
+             Device.Capacitor { name = "c1"; a = "out"; b = "0"; farads = 1e-9 };
+           ])
+    in
+    Obs.enable ();
+    Fun.protect ~finally:Obs.shutdown (fun () ->
+        ignore (Tran.simulate sys ~tstop:1e-5 ~dt:1e-7 ~observe:[ "out" ]);
+        Option.value ~default:0
+          (List.assoc_opt "solver.tran.predictor_fallbacks" (Obs.counters ())))
+  in
+  let edge =
+    fallbacks (Waveform.Step { base = 0.; elev = 5.; delay = 2e-6; rise = 0. })
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 5 V edge trips the guard (%d steps)" edge)
+    true (edge > 0);
+  Alcotest.(check int) "a slow sine never does" 0
+    (fallbacks (Waveform.Sine { offset = 0.; ampl = 0.1; freq = 1e4; phase = 0. }))
+
 let test_tran_trapezoidal_accuracy () =
   (* smooth (sine) excitation: trapezoidal's O(h^2) should clearly beat
      backward Euler's O(h).  A discontinuous step would not show this --
@@ -665,6 +696,7 @@ let () =
       ( "tran",
         [
           Alcotest.test_case "rc charge" `Quick test_tran_rc_charge;
+          Alcotest.test_case "predictor guard" `Quick test_tran_predictor_guard;
           Alcotest.test_case "trapezoidal accuracy" `Quick test_tran_trapezoidal_accuracy;
           Alcotest.test_case "rl time constant" `Quick test_tran_rl;
           Alcotest.test_case "trapezoidal inductor" `Quick test_tran_trapezoidal_inductor;

@@ -514,12 +514,12 @@ let test_retention_across_runs () =
   let context = fresh () in
   let first = run ~jobs:1 context s1 in
   let retained = keys context in
-  (* 3 faults, 5 configurations: 151 of the run's 1,332 distinct points
+  (* 3 faults, 5 configurations: 153 of the run's 1,323 distinct points
      are looked up at least twice.  Before retention a context kept all
-     1,332 (every point any worker evaluated), and so grew with every
+     1,323 (every point any worker evaluated), and so grew with every
      run. *)
   Alcotest.(check (pair int int)) "retained / distinct points of the run"
-    (151, 1332)
+    (153, 1323)
     ( sum (fun ev -> (Evaluator.cache_stats ev).Evaluator.entries) context,
       sum (fun ev -> (Evaluator.cache_stats ev).Evaluator.misses) context );
   List.iter

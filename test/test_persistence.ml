@@ -266,6 +266,94 @@ let test_checkpoint_text_loads_as_session () =
             (results_equal a b))
         sample_results loaded
 
+(* ------------------------------------------------------------------- diff *)
+
+(* [sample_results] with the first fault's outcome replaced. *)
+let with_outcome outcome =
+  match sample_results with
+  | r :: rest -> { r with Generate.outcome } :: rest
+  | [] -> assert false
+
+let unique ?(config_id = 1) ?(critical_impact = 123456.789)
+    ?(dictionary_sensitivity = -12.5) () =
+  Generate.Unique
+    { config_id; params = [| 1.25e-5 |]; critical_impact; dictionary_sensitivity }
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+let check_diff label d ~ok ~moves ~flips ~missing ~changed =
+  Alcotest.(check (list int))
+    (label ^ ": moves, flips, missing, changed")
+    [ moves; flips; missing; changed ]
+    [
+      d.Session.winner_moves;
+      d.Session.flips;
+      d.Session.missing;
+      List.length d.Session.changes;
+    ];
+  Alcotest.(check bool) (label ^ ": ok") ok (Session.diff_ok d)
+
+let test_diff_self () =
+  let d = Session.diff sample_results sample_results in
+  check_diff "self" d ~ok:true ~moves:0 ~flips:0 ~missing:0 ~changed:0;
+  Alcotest.(check (pair int int)) "agreeing / faults" (2, 2)
+    (d.Session.agreeing, d.Session.faults);
+  Alcotest.(check bool) "summary reads compat 1.000" true
+    (contains (Session.render_diff d) "verdicts: compat 1.000 (2/2)")
+
+let test_diff_winner_move () =
+  let d = Session.diff sample_results (with_outcome (unique ~config_id:2 ())) in
+  check_diff "winner" d ~ok:false ~moves:1 ~flips:0 ~missing:0 ~changed:1;
+  let text = Session.render_diff d in
+  Alcotest.(check bool) "names the fault and the move" true
+    (contains text "bridge:a-b" && contains text "WINNER MOVED")
+
+let test_diff_flip () =
+  let d =
+    Session.diff sample_results
+      (with_outcome
+         (Generate.Undetectable
+            {
+              most_sensitive_config = 1;
+              params = [| 1.25e-5 |];
+              best_sensitivity = 0.5;
+              strongest_impact = 10.;
+            }))
+  in
+  check_diff "flip" d ~ok:false ~moves:0 ~flips:1 ~missing:0 ~changed:1;
+  Alcotest.(check bool) "reported" true
+    (contains (Session.render_diff d) "FLIP")
+
+let test_diff_missing () =
+  let d = Session.diff sample_results [ List.hd sample_results ] in
+  check_diff "missing" d ~ok:false ~moves:0 ~flips:0 ~missing:1 ~changed:1;
+  Alcotest.(check bool) "reported" true
+    (contains (Session.render_diff d) "pinhole:m3")
+
+(* Critical-impact ratios inside the bisection's resolution pass, larger
+   ones fail; a sensitivity sign change is reported but passes. *)
+let test_diff_ratio () =
+  let near = Session.diff sample_results
+      (with_outcome (unique ~critical_impact:(123456.789 *. 1.05) ())) in
+  check_diff "ratio 1.05" near ~ok:true ~moves:0 ~flips:0 ~missing:0 ~changed:1;
+  check_float "worst ratio" near.Session.worst_ratio 1.05;
+  let far = Session.diff sample_results
+      (with_outcome (unique ~critical_impact:(123456.789 /. 1.2) ())) in
+  check_diff "ratio 1.2" far ~ok:false ~moves:0 ~flips:0 ~missing:0 ~changed:1;
+  Alcotest.(check (option string)) "worst fault" (Some "bridge:a-b")
+    far.Session.worst_fault;
+  let flipped_sign = Session.diff sample_results
+      (with_outcome (unique ~dictionary_sensitivity:3. ())) in
+  check_diff "sign" flipped_sign ~ok:true ~moves:0 ~flips:0 ~missing:0
+    ~changed:1;
+  Alcotest.(check bool) "sign reported" true
+    (contains (Session.render_diff flipped_sign) "SIGN CHANGED")
+
 (* ---------------------------------------------------------------- quality *)
 
 let iv_target =
@@ -424,6 +512,14 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_session_file_roundtrip;
           Alcotest.test_case "errors" `Quick test_session_errors;
           QCheck_alcotest.to_alcotest prop_session_roundtrip;
+        ] );
+      ( "diff",
+        [
+          Alcotest.test_case "self diff reads compat 1.0" `Quick test_diff_self;
+          Alcotest.test_case "winner move" `Quick test_diff_winner_move;
+          Alcotest.test_case "flip" `Quick test_diff_flip;
+          Alcotest.test_case "missing fault" `Quick test_diff_missing;
+          Alcotest.test_case "impact ratio and sign" `Quick test_diff_ratio;
         ] );
       ( "corruption",
         [

@@ -394,68 +394,6 @@ let random_system rng n =
   in
   (a, b)
 
-(* The workspace path must reproduce the allocating path bit for bit:
-   same solution bytes, same pivot permutation.  The workspace is reused
-   across iterations of the inner loop on systems of the same size, so
-   stale state from a previous factorization must never leak. *)
-let prop_lu_in_place_parity =
-  QCheck.Test.make ~name:"factor_in_place/solve_into match lu_factor/lu_solve"
-    ~count:100
-    QCheck.(pair (int_range 1 9) (int_range 0 1_000_000))
-    (fun (n, seed) ->
-      let rng = Numerics.Rng.create (Int64.of_int (seed + 7)) in
-      let ws = Numerics.Mat.lu_workspace n in
-      let ok = ref true in
-      (* several systems through one workspace: catches stale pivots *)
-      for _ = 1 to 3 do
-        let a, b = random_system rng n in
-        let lu = Numerics.Mat.lu_factor a in
-        let x_ref = Numerics.Mat.lu_solve lu b in
-        Numerics.Mat.factor_in_place a ws;
-        let x = Numerics.Vec.create n nan in
-        Numerics.Mat.solve_into ws b x;
-        if not (Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) x_ref x)
-        then ok := false;
-        if Numerics.Mat.lu_pivots lu <> Numerics.Mat.lu_pivots ws then
-          ok := false
-      done;
-      !ok)
-
-(* Rank-deficient inputs must fail identically: same [Singular] step
-   from both implementations (the elimination arithmetic is shared, so a
-   duplicated row hits the same zero pivot in both). *)
-let prop_lu_singular_parity =
-  QCheck.Test.make ~name:"factor_in_place Singular payload matches lu_factor"
-    ~count:100
-    QCheck.(pair (int_range 2 9) (int_range 0 1_000_000))
-    (fun (n, seed) ->
-      let rng = Numerics.Rng.create (Int64.of_int (seed + 13)) in
-      let a, _ = random_system rng n in
-      (* duplicate one row onto another: exact linear dependence *)
-      let src = Numerics.Rng.int rng ~bound:n in
-      let dst = (src + 1 + Numerics.Rng.int rng ~bound:(n - 1)) mod n in
-      for j = 0 to n - 1 do
-        Numerics.Mat.set a dst j (Numerics.Mat.get a src j)
-      done;
-      let step_of f =
-        match f () with
-        | () -> None
-        | exception Numerics.Mat.Singular k -> Some k
-      in
-      let ref_step = step_of (fun () -> ignore (Numerics.Mat.lu_factor a)) in
-      let ws = Numerics.Mat.lu_workspace n in
-      let ws_step = step_of (fun () -> Numerics.Mat.factor_in_place a ws) in
-      ref_step = ws_step
-      (* after a Singular raise the workspace must refuse to solve *)
-      && (match ws_step with
-         | None -> true
-         | Some _ -> (
-             let b = Numerics.Vec.create n 0. in
-             let x = Numerics.Vec.create n 0. in
-             match Numerics.Mat.solve_into ws b x with
-             | () -> false
-             | exception Invalid_argument _ -> true)))
-
 (* The unchecked kernels against the checked reference they replaced
    ({!Lu_oracle}): random systems of sizes 1-20 in five shapes, three
    per case through one workspace so stale state from the previous
@@ -628,8 +566,6 @@ let () =
       ("newton", [ QCheck_alcotest.to_alcotest prop_newton_oracle ]);
       ( "lu",
         [
-          QCheck_alcotest.to_alcotest prop_lu_in_place_parity;
-          QCheck_alcotest.to_alcotest prop_lu_singular_parity;
           QCheck_alcotest.to_alcotest prop_lu_kernel_oracle;
           Alcotest.test_case "kernel matches the reference on IV systems"
             `Quick test_lu_kernel_iv_systems;
