@@ -246,9 +246,12 @@ let sweep_cmd =
       value & opt float 50e-6
       & info [ "to" ] ~docv:"VAL" ~doc:"Sweep end value.")
   in
+  (* the slope printed at the midpoint needs three points *)
   let points_arg =
     Arg.(
-      value & opt int 41 & info [ "points" ] ~docv:"N" ~doc:"Grid points.")
+      value
+      & opt (bounded_int ~what:"--points" ~min:3 ()) 41
+      & info [ "points" ] ~docv:"N" ~doc:"Grid points.")
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -258,7 +261,7 @@ let sweep_cmd =
 (* -- noise -------------------------------------------------------------- *)
 
 let noise_cmd =
-  let run macro_name lo hi points =
+  let run macro_name (lo, hi) points =
     with_macro macro_name (fun macro ->
         let nl = Macros.Macro.nominal_netlist macro in
         let sys = Circuit.Mna.build nl in
@@ -303,15 +306,27 @@ let noise_cmd =
       value & opt float 100e6
       & info [ "to" ] ~docv:"HZ" ~doc:"Band end frequency.")
   in
+  let band_arg =
+    let band lo hi =
+      if lo > 0. && lo < hi then `Ok (lo, hi)
+      else
+        `Error
+          ( false,
+            Printf.sprintf "the band needs 0 < --from < --to (got %g .. %g)" lo
+              hi )
+    in
+    Term.(ret (const band $ lo_arg $ hi_arg))
+  in
   let points_arg =
     Arg.(
-      value & opt int 25
+      value
+      & opt (bounded_int ~what:"--points" ~min:2 ()) 25
       & info [ "points" ] ~docv:"N" ~doc:"Log-spaced grid points.")
   in
   Cmd.v
     (Cmd.info "noise"
        ~doc:"Output-referred noise analysis of the macro (adjoint method).")
-    Term.(const run $ macro_arg $ lo_arg $ hi_arg $ points_arg)
+    Term.(const run $ macro_arg $ band_arg $ points_arg)
 
 (* -- context-backed commands ------------------------------------------ *)
 
@@ -331,20 +346,25 @@ let progress ~done_ ~total ~fault_id =
 
 let tps_cmd =
   let run fast fault_id config_id impact grid =
-    let ctx = iv_context ~fast () in
-    match
-      Faults.Dictionary.find ctx.Experiments.Setup.dictionary fault_id
-    with
-    | None ->
-        Printf.eprintf "unknown fault %S\n" fault_id;
+    let ids =
+      List.map (fun c -> c.Test_config.config_id) Experiments.Iv_configs.all
+    in
+    match fault_of_dictionary Macros.Iv_converter.macro fault_id with
+    | Error e ->
+        prerr_endline e;
         1
-    | Some entry ->
+    | Ok _ when not (List.mem config_id ids) ->
+        Printf.eprintf "unknown configuration #%d; valid ids: %s\n" config_id
+          (String.concat ", " (List.map string_of_int ids));
+        1
+    | Ok entry ->
+        let ctx = iv_context ~fast () in
         let fault =
           match impact with
           | None -> entry.Faults.Dictionary.fault
           | Some r -> Faults.Fault.with_impact entry.Faults.Dictionary.fault r
         in
-        let ev = Experiments.Setup.evaluator ctx config_id in
+        let ev = Evaluator.find ctx.Experiments.Setup.evaluators config_id in
         let g = Tps.sweep ev fault ~grid () in
         let arg, s = Tps.argmin g in
         (match g.Tps.axes with
@@ -383,7 +403,10 @@ let tps_cmd =
       & info [ "impact" ] ~docv:"OHMS" ~doc:"Override the model resistance.")
   in
   let grid_arg =
-    Arg.(value & opt int 9 & info [ "grid" ] ~docv:"N" ~doc:"Grid per axis.")
+    Arg.(
+      value
+      & opt (bounded_int ~what:"--grid" ~min:2 ()) 9
+      & info [ "grid" ] ~docv:"N" ~doc:"Grid per axis.")
   in
   Cmd.v
     (Cmd.info "tps"

@@ -90,7 +90,7 @@ let () =
 
   (* where on the frequency axis is the a-b bridge easiest to see? *)
   print_newline ();
-  let ev = Experiments.Setup.evaluator ctx 201 in
+  let ev = Evaluator.find ctx.Experiments.Setup.evaluators 201 in
   let fault = Faults.Fault.bridge "a" "b" ~resistance:10e3 in
   let g = Tps.sweep ev fault ~grid:13 () in
   (match g.Tps.axes with

@@ -25,7 +25,11 @@ let () =
   let target =
     Experiments.Setup.target_of_macro macro Macros.Process.nominal
   in
-  let nominal_obs = Execute.observables config target params in
+  (* compile the target once; each measurement restamps the stimulus *)
+  let measure target =
+    Execute.compiled_observables (Execute.compile config target) params
+  in
+  let nominal_obs = measure target in
   Printf.printf "test: %s at lev = 25uA -> nominal V(Vout) = %.4f V\n"
     config.Test_config.config_name nominal_obs.(0);
 
@@ -35,7 +39,7 @@ let () =
   let faulty_target =
     { target with Execute.netlist = Faults.Inject.apply nl fault }
   in
-  let faulty_obs = Execute.observables config faulty_target params in
+  let faulty_obs = measure faulty_target in
   Printf.printf "faulty V(Vout) = %.4f V (deviation %.4f V)\n" faulty_obs.(0)
     (faulty_obs.(0) -. nominal_obs.(0));
 

@@ -18,7 +18,10 @@ let () =
   let box_model = Tolerance.calibrate config ~nominal ~corners () in
   let seeds = Test_config.param_values_of_seed config in
   let box = Tolerance.box box_model seeds in
-  let nominal_obs = Execute.observables config nominal seeds in
+  let measure target =
+    Execute.compiled_observables (Execute.compile config target) seeds
+  in
+  let nominal_obs = measure nominal in
   Printf.printf "configuration #2 at seed parameters (base=0, elev=20uA):\n";
   Printf.printf "  nominal return values: r1 = %.4f V, r2 = %.4f V\n"
     nominal_obs.(0) nominal_obs.(1);
@@ -32,7 +35,7 @@ let () =
   List.iter
     (fun point ->
       let target = Experiments.Setup.target_of_macro macro point in
-      match Execute.observables config target seeds with
+      match measure target with
       | obs ->
           let dev = Execute.deviations config ~nominal:nominal_obs ~faulty:obs in
           let inside =
@@ -56,7 +59,7 @@ let () =
   let target =
     { nominal with Execute.netlist = Faults.Inject.apply nominal.Execute.netlist fault }
   in
-  let obs = Execute.observables config target seeds in
+  let obs = measure target in
   let dev = Execute.deviations config ~nominal:nominal_obs ~faulty:obs in
   Printf.printf
     "\nfaulty circuit (%s):\n  deviations %.4f V / %.4f V -> %s\n"

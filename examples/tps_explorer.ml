@@ -28,7 +28,7 @@ let () =
         Printf.eprintf "unknown fault %S -- try e.g. %s\n" fault_id default_fault;
         exit 1
   in
-  let ev = Experiments.Setup.evaluator ctx 3 in
+  let ev = Evaluator.find ctx.Experiments.Setup.evaluators 3 in
   let graphs =
     List.map
       (fun r ->

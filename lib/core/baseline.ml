@@ -24,12 +24,6 @@ let seed_tests configs =
       })
     configs
 
-let evaluator_for evaluators cid =
-  match List.find_opt (fun ev -> Evaluator.config_id ev = cid) evaluators with
-  | Some ev -> ev
-  | None ->
-      invalid_arg (Printf.sprintf "Baseline: no evaluator for config #%d" cid)
-
 (* The fault's sensitivity under every seed test, in test order — one
    1x1 sweep per test (seed tests are one point per configuration), each
    value bitwise identical to the sequential [Evaluator.sensitivity]
@@ -39,7 +33,7 @@ let evaluator_for evaluators cid =
 let test_sensitivities ~evaluators ~tests fault =
   Array.map
     (fun (t : Coverage.test) ->
-      let ev = evaluator_for evaluators t.Coverage.test_config_id in
+      let ev = Evaluator.find evaluators t.Coverage.test_config_id in
       let sw =
         Evaluator.sweep ev ~faults:[| fault |]
           ~points:[| t.Coverage.test_params |]

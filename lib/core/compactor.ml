@@ -14,14 +14,8 @@ type result = {
 }
 
 let members_of_run run ~config_id =
-  (* one evaluator lookup per call, not one List.find per result row —
-     same first-match semantics (and Not_found on a foreign config) *)
-  let ev =
-    lazy
-      (List.find
-         (fun ev -> Evaluator.config_id ev = config_id)
-         run.Engine.evaluators)
-  in
+  (* one evaluator lookup per call, not one per result row *)
+  let ev = lazy (Evaluator.find run.Engine.evaluators config_id) in
   Engine.results_for_config run ~config_id
   |> List.map (fun r ->
          match r.Generate.outcome with

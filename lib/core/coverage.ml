@@ -27,21 +27,6 @@ let missed r =
     r.detections
 
 let evaluate ~evaluators dictionary tests =
-  (* index evaluators by configuration once — first binding wins, like
-     the List.find_opt walk this replaces *)
-  let index = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      let cid = Evaluator.config_id ev in
-      if not (Hashtbl.mem index cid) then Hashtbl.add index cid ev)
-    evaluators;
-  let evaluator_for cid =
-    match Hashtbl.find_opt index cid with
-    | Some ev -> ev
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Coverage.evaluate: no evaluator for config #%d" cid)
-  in
   let entries = Array.of_list (Faults.Dictionary.entries dictionary) in
   let faults = Array.map (fun e -> e.Faults.Dictionary.fault) entries in
   let test_arr = Array.of_list tests in
@@ -64,7 +49,7 @@ let evaluate ~evaluators dictionary tests =
         Array.iteri (fun pi ti -> column.(ti) <- pi) cols;
         let points = Array.map (fun ti -> test_arr.(ti).test_params) cols in
         Hashtbl.add sweeps cid
-          (Evaluator.sweep (evaluator_for cid) ~faults ~points)
+          (Evaluator.sweep (Evaluator.find evaluators cid) ~faults ~points)
       end)
     test_arr;
   let detections =

@@ -30,9 +30,9 @@ val evaluate :
   test list ->
   report
 (** Score every dictionary fault (at its dictionary impact) against
-    every test.  Tests referencing a configuration with no evaluator are
-    rejected.
-    @raise Invalid_argument on an unknown configuration id. *)
+    every test.
+    @raise Not_found if a test references a configuration no evaluator
+    has. *)
 
 val essential_tests : report -> string list
 (** Labels of tests that uniquely detect at least one fault (dropping

@@ -162,6 +162,7 @@ let retain_reused ts =
 
 let config t = t.config
 let config_id t = t.config.Test_config.config_id
+let find ts id = List.find (fun t -> config_id t = id) ts
 let nominal_target t = t.nominal
 let profile t = t.profile
 
@@ -263,24 +264,26 @@ let faulty_target t fault =
    plan's sample buffer, valid until the site's next transient, so
    callers here consume it before evaluating anything else. *)
 let measure_faulty t fault values =
-  charge t;
   let key = Faults.Fault.id fault in
   let plan = compiled_plan t ~key (fun () -> faulty_target t fault) in
   Execute.compiled_observables ~profile:t.profile
     ~impact:(Faults.Inject.impact_override fault) plan values
 
 let faulty_observables t fault values =
+  charge t;
   Array.copy (measure_faulty t fault values)
 
-(* A faulty circuit that genuinely cannot be simulated is trivially
-   detected (the sentinel below) — but a failure *injected* by the chaos
-   harness is an infrastructure event that belongs to the retry ladder,
-   not evidence of detection.  The failpoint epoch distinguishes the two:
-   when it moved across the faulty evaluation, re-raise. *)
-let sensitivity_and_deviation t fault values =
+(* One charged measurement scored against the nominal response and box.
+   A circuit that genuinely cannot be simulated is trivially detected
+   (the sentinel below) — but a failure *injected* by the chaos harness
+   is an infrastructure event that belongs to the retry ladder, not
+   evidence of detection.  The failpoint epoch distinguishes the two:
+   when it moved across the measurement, re-raise. *)
+let scored t values measure =
   let nominal = nominal_observables t values in
+  charge t;
   let epoch = Numerics.Failpoint.epoch () in
-  match measure_faulty t fault values with
+  match measure () with
   | faulty ->
       let dev = Execute.deviations t.config ~nominal ~faulty in
       let s =
@@ -290,6 +293,9 @@ let sensitivity_and_deviation t fault values =
   | exception Execute.Execution_failure _
     when Numerics.Failpoint.epoch () = epoch ->
       (detected_sentinel, [||])
+
+let sensitivity_and_deviation t fault values =
+  scored t values (fun () -> measure_faulty t fault values)
 
 let sensitivity t fault values = fst (sensitivity_and_deviation t fault values)
 
@@ -419,17 +425,12 @@ let cell sw f p =
       sensitivity_and_deviation sw.sw_evaluator sw.sw_faults.(f)
         sw.sw_points.(p)
 
-let sensitivity_of_target t target values =
-  let nominal = nominal_observables t values in
-  charge t;
-  let epoch = Numerics.Failpoint.epoch () in
-  match Execute.observables ~profile:t.profile t.config target values with
-  | observed ->
-      Sensitivity.compute t.config ~box:(box t values) ~nominal
-        ~faulty:observed
-  | exception Execute.Execution_failure _
-    when Numerics.Failpoint.epoch () = epoch ->
-      detected_sentinel
+let sensitivity_at t topo values =
+  fst
+    (scored t values (fun () ->
+         Execute.compiled_observables ~profile:t.profile
+           (Execute.with_config topo t.config)
+           values))
 
 let evaluation_count t = Obs.Counter.value t.evals
 

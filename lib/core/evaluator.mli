@@ -14,9 +14,9 @@
     topology part of a plan ({!Execute.topology}) is configuration-free:
     evaluators built together by {!create_all} keep one table of them,
     so a context compiles each site once, not once per configuration.
-    The results are bit-identical to {!Execute.observables} on the
-    fault-injected netlist, the rebuild-per-probe reference the parity
-    tests compare against. *)
+    The results are bit-identical to rewriting and re-indexing the
+    fault-injected netlist for every probe — the reference the parity
+    tests keep in the test tree. *)
 
 type t
 
@@ -108,6 +108,12 @@ val retain_reused : t list -> unit
 
 val config : t -> Test_config.t
 val config_id : t -> int
+
+val find : t list -> int -> t
+(** [find ts id] is the first evaluator of [ts] whose configuration id
+    is [id].
+    @raise Not_found if there is none. *)
+
 val nominal_target : t -> Execute.target
 val profile : t -> Execute.profile
 
@@ -181,12 +187,15 @@ val cell : sweep -> int -> int -> float * float array
     points.(p)], bit for bit: the filled cell of a batched sweep, or —
     on a declined sweep — that call, run (and charged) on every read. *)
 
-val sensitivity_of_target : t -> Execute.target -> Numerics.Vec.t -> float
-(** Score an arbitrary target (e.g. a fault-free circuit at a Monte-Carlo
-    process point) against this evaluator's nominal response and box —
-    the production pass/fail decision: negative means the part fails the
-    test.  Returns {!detected_sentinel} if the target cannot be
-    simulated. *)
+val sensitivity_at : t -> Execute.topology -> Numerics.Vec.t -> float
+(** Score an arbitrary compiled topology (e.g. a fault-free circuit at a
+    Monte-Carlo process point, see {!Execute.topology}) against this
+    evaluator's nominal response and box — the production pass/fail
+    decision: negative means the part fails the test.  Charged and
+    failure-aware exactly as {!sensitivity_and_deviation}; returns
+    {!detected_sentinel} if the topology cannot be simulated.  The
+    topology's workspace is restamped, so it follows the topology's
+    ownership rule. *)
 
 val evaluation_count : t -> int
 (** Number of faulty-circuit simulations performed so far. *)

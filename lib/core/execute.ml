@@ -62,12 +62,13 @@ let check_values config values =
 (* ------------------------------------------------------------------ *)
 
 (* Replacing a device in a netlist moves it to the end of the device
-   list, which shifts its unknown index — so the per-probe direct path
-   ([with_stimulus] then [Mna.build]) always sees the stimulus source
-   last.  A compiled plan must index the same topology, so compilation
-   normalizes the netlist by replacing the stimulus with its own current
-   wave: same devices, same order, same unknown numbering as every probe
-   of the direct path. *)
+   list, which shifts its unknown index.  Compilation replaces the
+   stimulus with its own current wave, so the stimulus source is always
+   last: the unknown numbering (and with it pivoting and arithmetic) is
+   the one a per-probe [with_stimulus] rewrite followed by [Mna.build]
+   produces — the numbering the recorded session and transient goldens
+   were made with, and the one the rebuild-per-probe reference of the
+   parity tests shares. *)
 let normalize_stimulus nl ~source =
   match Netlist.find nl source with
   | Some (Device.Isource { wave; _ }) | Some (Device.Vsource { wave; _ }) ->
@@ -108,54 +109,25 @@ let with_config topo config =
 let compile ?backend config target =
   with_config (topology ?backend target) config
 
-(* How an analysis obtains a simulatable system for one probe wave:
-   the direct path rewrites the netlist and re-indexes it per probe; the
-   compiled path restamps the precompiled plan's workspace. *)
-type engine =
-  | Direct of target
-  | Restamp of { c : compiled; impact : (string * float) option }
+(* Probe waves are rejected as netlist insertion would reject them (same
+   message). *)
+let validate_wave ~source wave =
+  match Waveform.validate wave with
+  | Ok () -> ()
+  | Error e -> invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e)
 
-let engine_target = function
-  | Direct t -> t
-  | Restamp { c; _ } -> c.c_topo.t_target
-
-type inst = {
-  i_sys : Mna.t;
-  i_ws : Mna.workspace option;
-  i_restamp : Mna.restamp option;
-  i_ac : Ac.workspace option;
-}
-
-let instantiate engine wave =
-  match engine with
-  | Direct target ->
-      let nl =
-        with_stimulus target.netlist ~source:target.stimulus_source wave
-      in
-      { i_sys = Mna.build nl; i_ws = None; i_restamp = None; i_ac = None }
-  | Restamp { c; impact } ->
-      let topo = c.c_topo in
-      let source = topo.t_target.stimulus_source in
-      (* the direct path validates each probe wave when it is inserted
-         into the netlist; keep the same rejection (and message shape) *)
-      (match Waveform.validate wave with
-      | Ok () -> ()
-      | Error e ->
-          invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e));
-      {
-        i_sys = topo.t_plan;
-        i_ws = Some topo.t_ws;
-        i_restamp = Some { Mna.stimulus = Some (source, wave); impact };
-        i_ac = c.c_ac;
-      }
+(* A probe wave as a restamp of the plan's stimulus source. *)
+let restamp topo ~impact wave =
+  let source = topo.t_target.stimulus_source in
+  validate_wave ~source wave;
+  { Mna.stimulus = Some (source, wave); impact }
 
 (* The one operating-point helper shared by the DC, noise and AC arms:
    solve at the DC time point and map non-convergence to the uniform
    execution failure. *)
-let operating_point ~options inst =
+let operating_point ~options topo restamp =
   match
-    Dc.solve ~options ?workspace:inst.i_ws ?restamp:inst.i_restamp inst.i_sys
-      ~time:`Dc
+    Dc.solve ~options ~workspace:topo.t_ws ~restamp topo.t_plan ~time:`Dc
   with
   | report -> report.Dc.solution
   | exception Dc.No_convergence msg -> raise (Execution_failure msg)
@@ -164,12 +136,13 @@ let operating_point ~options inst =
    escalation: a stiffer faulty circuit often converges with a finer
    step), then decimate back onto the requested sample grid so callers
    always see the same observable length and timing. *)
-let transient ~options ~dt_divisor inst ~observe ~tstop ~dt =
+let transient ~options ~dt_divisor topo restamp ~tstop ~dt =
   let k = Int.max 1 dt_divisor in
   let dt_fine = dt /. float_of_int k in
+  let observe = topo.t_target.observe_node in
   match
-    Tran.simulate ~options ?workspace:inst.i_ws ?restamp:inst.i_restamp
-      inst.i_sys ~tstop ~dt:dt_fine ~observe:[ observe ]
+    Tran.simulate ~options ~workspace:topo.t_ws ~restamp topo.t_plan ~tstop
+      ~dt:dt_fine ~observe:[ observe ]
   with
   | result ->
       let fine = Tran.probe_values result observe in
@@ -185,56 +158,59 @@ let transient ~options ~dt_divisor inst ~observe ~tstop ~dt =
            (Printf.sprintf "transient step failed at t=%g: %s" time reason))
   | exception Dc.No_convergence msg -> raise (Execution_failure msg)
 
-let observables_body engine ~profile config values =
+(* The THD and IMD window: sampling locked to the fundamental [f0],
+   [settle_periods] simulated and dropped, the last [analyze_periods]
+   returned with their sample interval. *)
+let periodic_window ~profile topo restamp f0 =
+  let spp = profile.samples_per_period in
+  let dt = 1. /. (f0 *. float_of_int spp) in
+  let total = profile.settle_periods + profile.analyze_periods in
+  let tstop = float_of_int total /. f0 in
+  let samples =
+    transient ~options:profile.dc_options ~dt_divisor:profile.dt_divisor topo
+      restamp ~tstop ~dt
+  in
+  let keep = spp * profile.analyze_periods in
+  (Array.sub samples (Array.length samples - keep) keep, dt)
+
+let observables_body ~profile c ~impact values =
+  let config = c.c_config in
   check_values config values;
   if Numerics.Failpoint.should_fail "execute.observables" then
     raise (Execution_failure "injected failure at execute.observables");
   let options = profile.dc_options in
-  let dt_divisor = profile.dt_divisor in
-  let target = engine_target engine in
-  let observe = target.observe_node in
+  let topo = c.c_topo in
+  let observe = topo.t_target.observe_node in
+  let probe wave = restamp topo ~impact wave in
   match config.Test_config.analysis with
   | Test_config.Dc_levels waves ->
       waves values
       |> List.map (fun w ->
-             let inst = instantiate engine w in
-             Mna.voltage inst.i_sys (operating_point ~options inst) observe)
+             Mna.voltage topo.t_plan
+               (operating_point ~options topo (probe w))
+               observe)
       |> Array.of_list
   | Test_config.Tran_thd { stimulus; fundamental } ->
       let f0 = fundamental values in
       if f0 <= 0. then raise (Execution_failure "THD: non-positive fundamental");
-      let spp = profile.samples_per_period in
-      let dt = 1. /. (f0 *. float_of_int spp) in
-      let total = profile.settle_periods + profile.analyze_periods in
-      let tstop = float_of_int total /. f0 in
-      let inst = instantiate engine (stimulus values) in
-      let samples = transient ~options ~dt_divisor inst ~observe ~tstop ~dt in
-      let keep = spp * profile.analyze_periods in
-      let seg = Array.sub samples (Array.length samples - keep) keep in
+      let seg, dt = periodic_window ~profile topo (probe (stimulus values)) f0 in
       let thd =
         Sigproc.Thd.thd_percent ~harmonics:profile.thd_harmonics ~samples:seg
           ~sample_rate:(1. /. dt) ~fundamental_hz:f0 ()
       in
       [| thd |]
   | Test_config.Tran_samples { stimulus; sample_rate; test_time } ->
-      let dt = 1. /. sample_rate in
-      let inst = instantiate engine (stimulus values) in
-      transient ~options ~dt_divisor inst ~observe ~tstop:test_time ~dt
+      transient ~options ~dt_divisor:profile.dt_divisor topo
+        (probe (stimulus values))
+        ~tstop:test_time ~dt:(1. /. sample_rate)
   | Test_config.Tran_imd { stimulus; base_freq; k1; k2 } ->
       let f0 = base_freq values in
       if f0 <= 0. then raise (Execution_failure "IMD: non-positive base frequency");
-      let spp = profile.samples_per_period in
       (* sampling is locked to the base period; the highest product
          2 k2 - k1 must stay below Nyquist *)
-      if (2 * k2) - k1 >= spp / 2 then
+      if (2 * k2) - k1 >= profile.samples_per_period / 2 then
         raise (Execution_failure "IMD: products above Nyquist for this profile");
-      let dt = 1. /. (f0 *. float_of_int spp) in
-      let total = profile.settle_periods + profile.analyze_periods in
-      let tstop = float_of_int total /. f0 in
-      let inst = instantiate engine (stimulus values) in
-      let samples = transient ~options ~dt_divisor inst ~observe ~tstop ~dt in
-      let keep = spp * profile.analyze_periods in
-      let seg = Array.sub samples (Array.length samples - keep) keep in
+      let seg, dt = periodic_window ~profile topo (probe (stimulus values)) f0 in
       let imd3 =
         Sigproc.Imd.imd3_percent ~samples:seg ~sample_rate:(1. /. dt)
           ~base_freq:f0 ~k1 ~k2 ()
@@ -243,11 +219,11 @@ let observables_body engine ~profile config values =
   | Test_config.Noise_psd { bias; freq } ->
       let f = freq values in
       if f <= 0. then raise (Execution_failure "noise: non-positive frequency");
-      let inst = instantiate engine (bias values) in
-      let op = operating_point ~options inst in
+      let restamp = probe (bias values) in
+      let op = operating_point ~options topo restamp in
       (match
-         Noise.output_noise ?workspace:inst.i_ac ?restamp:inst.i_restamp
-           inst.i_sys ~op ~observe ~freqs:[| f |]
+         Noise.output_noise ?workspace:c.c_ac ~restamp topo.t_plan ~op ~observe
+           ~freqs:[| f |]
        with
       | [ point ] -> [| 1e9 *. sqrt point.Noise.total_psd |]
       | _ -> raise (Execution_failure "noise: unexpected result")
@@ -258,11 +234,11 @@ let observables_body engine ~profile config values =
   | Test_config.Ac_gain { bias; freq } ->
       let f = freq values in
       if f <= 0. then raise (Execution_failure "AC: non-positive frequency");
-      let inst = instantiate engine (bias values) in
-      let op = operating_point ~options inst in
+      let restamp = probe (bias values) in
+      let op = operating_point ~options topo restamp in
       (match
-         Ac.sweep ?workspace:inst.i_ac ?restamp:inst.i_restamp inst.i_sys ~op
-           ~source:target.stimulus_source ~freqs:[| f |] ~observe
+         Ac.sweep ?workspace:c.c_ac ~restamp topo.t_plan ~op
+           ~source:topo.t_target.stimulus_source ~freqs:[| f |] ~observe
        with
       | [ point ] ->
           [| Ac.gain_db point.Ac.value; Ac.phase_deg point.Ac.value |]
@@ -272,17 +248,11 @@ let observables_body engine ~profile config values =
 
 (* The span closure is only built when tracing is active, so the
    disabled path is a direct call with no extra allocation. *)
-let observables_of engine ~profile config values =
-  if not (Obs.active ()) then observables_body engine ~profile config values
-  else
-    Obs.Span.timed ~key:(string_of_int config.Test_config.config_id)
-      "execute.solve" (fun () -> observables_body engine ~profile config values)
-
-let observables ?(profile = default_profile) config target values =
-  observables_of (Direct target) ~profile config values
-
 let compiled_observables ?(profile = default_profile) ?impact c values =
-  observables_of (Restamp { c; impact }) ~profile c.c_config values
+  if not (Obs.active ()) then observables_body ~profile c ~impact values
+  else
+    Obs.Span.timed ~key:(string_of_int c.c_config.Test_config.config_id)
+      "execute.solve" (fun () -> observables_body ~profile c ~impact values)
 
 (* ------------------------------------------------------------------ *)
 (* Config-major fault batching: one factorization per fault, the whole  *)
@@ -329,13 +299,7 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
         let { t_target = target; t_plan = plan; t_ws = ws } = c.c_topo in
         let source = target.stimulus_source in
         let wave_rows = Array.map (fun v -> Array.of_list (waves v)) points in
-        Array.iter
-          (Array.iter (fun w ->
-               match Waveform.validate w with
-               | Ok () -> ()
-               | Error e ->
-                   invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e)))
-          wave_rows;
+        Array.iter (Array.iter (validate_wave ~source)) wave_rows;
         let np = Array.length points in
         let n = Mna.size plan in
         let n_nodes = Mna.n_nodes plan in

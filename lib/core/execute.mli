@@ -41,18 +41,6 @@ val with_stimulus :
     @raise Invalid_argument if the device is missing or not an
     independent source. *)
 
-val observables :
-  ?profile:profile -> Test_config.t -> target -> Numerics.Vec.t ->
-  float array
-(** Run the configuration's analysis with the given parameter values.
-    The result length depends on the analysis: one voltage per DC level,
-    one THD value, or the full sample train.  The failure-injection point
-    ["execute.observables"] (see {!Numerics.Failpoint}) raises
-    {!Execution_failure} at entry.
-    @raise Execution_failure on simulator failure.
-    @raise Invalid_argument if the value vector length differs from the
-    configuration's parameter count. *)
-
 type topology
 (** The configuration-free part of a compiled execution plan: the
     target's topology indexed once ({!Circuit.Mna.build}) with a
@@ -67,9 +55,10 @@ type topology
 val topology : ?backend:Circuit.Mna.backend -> target -> topology
 (** Compile the target's topology.  It is built from the
     stimulus-normalized netlist (the stimulus source moved to the end of
-    device order, exactly where every per-probe {!with_stimulus} rewrite
+    device order, exactly where a per-probe {!with_stimulus} rewrite
     puts it), so unknown numbering — and therefore pivoting and
-    arithmetic — matches {!observables} bit for bit.  [backend] forces
+    arithmetic — matches rebuilding the rewritten netlist for every
+    probe, bit for bit.  [backend] forces
     the linear-algebra engine — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count.  Both produce
     bit-identical results (see {!Circuit.Mna.backend}).
@@ -94,13 +83,16 @@ val compiled_observables :
   compiled ->
   Numerics.Vec.t ->
   float array
-(** {!observables} over a compiled plan: bit-identical results, no
+(** Run the configuration's analysis with the given parameter values,
+    restamping the probe's stimulus into the plan's workspace: no
     per-probe netlist rewrite, matrix allocation or LU allocation.
-    [impact] overrides one resistor's value during stamping — the
-    value phase of a fault whose injected topology the plan was compiled
-    from (see [Faults.Inject.impact_override]).  The same failpoint
-    ["execute.observables"] fires at entry, after the same number of
-    draws as the direct path.
+    The result length depends on the analysis: one voltage per DC level,
+    one THD or IMD value, the full sample train, one noise density, or
+    gain and phase.  [impact] overrides one resistor's value during
+    stamping — the value phase of a fault whose injected topology the
+    plan was compiled from (see [Faults.Inject.impact_override]).  The
+    failure-injection point ["execute.observables"] (see
+    {!Numerics.Failpoint}) raises {!Execution_failure} at entry.
 
     The samples of a step-train configuration ({!Test_config.Tran_samples}
     at [dt_divisor = 1]) are returned in the plan's own buffer
@@ -110,7 +102,7 @@ val compiled_observables :
 
     @raise Execution_failure on simulator failure.
     @raise Invalid_argument on value-count mismatch or an invalid probe
-    waveform (same rejection as netlist insertion on the direct path). *)
+    waveform (same rejection as netlist insertion). *)
 
 type fault_batch = {
   fb_obs : float array option array array;

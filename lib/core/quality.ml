@@ -5,12 +5,6 @@ type estimate = {
   worst_sample_margin : float;
 }
 
-let evaluator_for evaluators cid =
-  match List.find_opt (fun ev -> Evaluator.config_id ev = cid) evaluators with
-  | Some ev -> ev
-  | None ->
-      invalid_arg (Printf.sprintf "Quality: no evaluator for config #%d" cid)
-
 let estimate ~evaluators ~tests ~fault_free ~dictionary ?weights () =
   if tests = [] then invalid_arg "Quality.estimate: no tests";
   if fault_free = [] then invalid_arg "Quality.estimate: no samples";
@@ -19,13 +13,13 @@ let estimate ~evaluators ~tests ~fault_free ~dictionary ?weights () =
   let worst = ref 0. in
   List.iter
     (fun target ->
+      (* one topology per sample, shared by every test's configuration *)
+      let topo = Execute.topology target in
       let fails =
         List.exists
           (fun (t : Coverage.test) ->
-            let ev = evaluator_for evaluators t.Coverage.test_config_id in
-            let s =
-              Evaluator.sensitivity_of_target ev target t.Coverage.test_params
-            in
+            let ev = Evaluator.find evaluators t.Coverage.test_config_id in
+            let s = Evaluator.sensitivity_at ev topo t.Coverage.test_params in
             (* margin |dev|/box = 1 - S *)
             worst := Float.max !worst (1. -. s);
             Sensitivity.detects s)

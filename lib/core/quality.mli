@@ -29,8 +29,9 @@ val estimate :
   estimate
 (** [fault_free] are targets built at Monte-Carlo process points;
     [weights] default to uniform over the dictionary.
-    @raise Invalid_argument on an empty test or sample list, or a test
-    referencing an unknown configuration. *)
+    @raise Invalid_argument on an empty test or sample list.
+    @raise Not_found if a test references a configuration no evaluator
+    has. *)
 
 val report : estimate -> string
 (** Short human-readable summary. *)

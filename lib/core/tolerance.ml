@@ -48,19 +48,21 @@ let calibrate_with ~profile ~grid ~guardband ~envelope config ~nominal
   in
   let p_returns = Test_config.return_count config in
   let floors = floors_of config in
+  (* one compiled plan per process point, restamped across the grid *)
+  let nominal = Execute.compile config nominal in
+  let samples = List.map (Execute.compile config) samples in
   let values =
     lattice_indices axes
     |> List.map (fun idx ->
            let values_at = point_of_indices axes idx in
+           (* a copy: a step train comes back in the plan's own buffer *)
            let nominal_obs =
-             Execute.observables ~profile config nominal values_at
+             Array.copy (Execute.compiled_observables ~profile nominal values_at)
            in
            let per_return = Array.make p_returns [] in
            List.iter
              (fun sample ->
-               match
-                 Execute.observables ~profile config sample values_at
-               with
+               match Execute.compiled_observables ~profile sample values_at with
                | sample_obs ->
                    let dev =
                      Execute.deviations config ~nominal:nominal_obs

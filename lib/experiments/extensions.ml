@@ -79,7 +79,7 @@ let iv_with_ac ?profile ?grid () =
     ()
 
 let xac_report ctx =
-  let ev6 = Setup.evaluator ctx 6 in
+  let ev6 = Evaluator.find ctx.Setup.evaluators 6 in
   let seeds = Test_config.param_values_of_seed config6_ac in
   let blind_spots = [ "bridge:n2-vout"; "pinhole:m9"; "bridge:n1-n2" ] in
   let b = Buffer.create 2048 in

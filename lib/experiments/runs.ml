@@ -46,7 +46,7 @@ let render_tps (g : Tps.graph) =
   | _ -> "unsupported tps rank\n"
 
 let fig234 ?(grid = 9) ctx =
-  let ev = Setup.evaluator ctx 3 in
+  let ev = Evaluator.find ctx.Setup.evaluators 3 in
   (* The paper weakens its example bridge over 10k/34k/75k; our macro's
      soft-fault boundary for this bridge sits higher, so the same
      hard/soft/soft progression uses 10k/75k/150k. *)
@@ -97,7 +97,7 @@ let fig234 ?(grid = 9) ctx =
   Buffer.contents b
 
 let fig5 ctx =
-  let ev = Setup.evaluator ctx 2 in
+  let ev = Evaluator.find ctx.Setup.evaluators 2 in
   let config = Evaluator.config ev in
   let seeds = Test_config.param_values_of_seed config in
   let nominal = Evaluator.nominal_observables ev seeds in
@@ -291,7 +291,7 @@ let fig8 ctx run =
     |> List.map (fun r -> (r.Generate.fault_id, Generate.best_params r))
   in
   (* config 1: one parameter -> strip plot *)
-  let c1 = Evaluator.config (Setup.evaluator ctx 1) in
+  let c1 = Evaluator.config (Evaluator.find ctx.Setup.evaluators 1) in
   let p1 = List.hd c1.Test_config.params in
   let pts1 = List.map (fun (_, v) -> v.(0)) (for_config 1) in
   Buffer.add_string b
@@ -305,7 +305,7 @@ let fig8 ctx run =
   (* configs 2, 3: scatter *)
   List.iter
     (fun cid ->
-      let c = Evaluator.config (Setup.evaluator ctx cid) in
+      let c = Evaluator.config (Evaluator.find ctx.Setup.evaluators cid) in
       match c.Test_config.params with
       | [ px; py ] ->
           let pts = List.map (fun (_, v) -> (v.(0), v.(1))) (for_config cid) in
@@ -330,7 +330,7 @@ let fig8 ctx run =
 
 let tab3 ctx run =
   let results = Engine.results_for_config run ~config_id:5 in
-  let c = Evaluator.config (Setup.evaluator ctx 5) in
+  let c = Evaluator.config (Evaluator.find ctx.Setup.evaluators 5) in
   let param_names =
     List.map (fun p -> p.Test_param.param_name) c.Test_config.params
   in

@@ -126,13 +126,6 @@ let probe_options =
     max_impact_steps = 16;
   }
 
-let evaluator t id =
-  match
-    List.find_opt (fun ev -> Evaluator.config_id ev = id) t.evaluators
-  with
-  | Some ev -> ev
-  | None -> raise Not_found
-
 let reduced t ~n_faults =
   { t with dictionary = Faults.Dictionary.take t.dictionary n_faults }
 

@@ -69,9 +69,6 @@ val probe_options : Testgen.Generate.options
 (** Reduced optimizer budgets (coarse brackets, 1e-2 tolerance, short
     impact walks) matched to {!probe}'s floor-only boxes. *)
 
-val evaluator : t -> int -> Testgen.Evaluator.t
-(** By configuration id.  @raise Not_found if absent. *)
-
 val reduced : t -> n_faults:int -> t
 (** Same context with a truncated dictionary — for quick runs and unit
     tests. *)

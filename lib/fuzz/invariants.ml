@@ -100,20 +100,15 @@ let compaction_no_loss ctx =
 (* -- coverage-monotone -------------------------------------------------- *)
 
 let coverage_monotone ctx =
-  let evaluator_for id =
-    List.find_opt
-      (fun ev -> Evaluator.config_id ev = id)
-      ctx.built.Scenario.evaluators
-  in
   let violations, checked =
     List.fold_left
       (fun (bad, n) r ->
         match r.Generate.outcome with
         | Generate.Unique { config_id; params; dictionary_sensitivity; _ }
           when dictionary_sensitivity < 0. -> begin
-            match evaluator_for config_id with
-            | None -> (bad, n)
-            | Some ev -> begin
+            match Evaluator.find ctx.built.Scenario.evaluators config_id with
+            | exception Not_found -> (bad, n)
+            | ev -> begin
                 let harder =
                   Faults.Fault.intensify r.Generate.dictionary_fault ~factor:4.
                 in

@@ -78,6 +78,25 @@ printf 'atpg-session 99\n' > "$other"
 expect 5 "diff: corrupt session" diff "$base" "$other"
 rm -f "$base" "$other"
 
+# Out-of-range grid sizes and noise bands are usage errors (cmdliner's
+# 124, at parse time); an unknown tps fault or configuration is exit 1,
+# reported before any tolerance box is calibrated.
+expect 124 "tps --grid 1" tps --fault bridge:n1-vout --grid 1
+expect 124 "sweep --points 1" sweep --points 1
+expect 124 "sweep --points 2 (no midpoint slope)" sweep --points 2
+expect 124 "noise --points 0" noise --points 0
+expect 124 "noise --from 0" noise --from 0
+expect 124 "noise --from above --to" noise --from 1e6 --to 10
+expect 1 "tps unknown fault" tps --fault bridge:no-such
+expect 1 "tps unknown --config" tps --fault bridge:n1-vout --config 9
+err=$("$atpg" tps --fault bridge:n1-vout --config 9 2>&1 >/dev/null)
+if grep -q calibrating <<<"$err" || ! grep -q "valid ids: 1, 2, 3, 4, 5" <<<"$err"; then
+  echo "FAIL tps unknown --config: calibrated first or no id list: $err" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   tps unknown --config names the valid ids before calibrating"
+fi
+
 # The exit-code contract must hold identically under a worker pool, and
 # probabilistic injection must quarantine the same faults at every job
 # count (per-fault injection scopes make the pattern scheduling-free).

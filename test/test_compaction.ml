@@ -176,7 +176,7 @@ let test_coverage_unknown_config () =
        (Coverage.evaluate ~evaluators:[ Lazy.force ev1 ] dict
           [ { Coverage.test_label = "t"; test_config_id = 9; test_params = [| 0. |] } ]);
      Alcotest.fail "unknown config accepted"
-   with Invalid_argument _ -> ())
+   with Not_found -> ())
 
 (* -------------------------------------------------- Compactor + Baseline *)
 

@@ -91,10 +91,10 @@ let test_setup_evaluators () =
     (List.length ctx.Experiments.Setup.evaluators);
   Alcotest.(check int) "dictionary is the macro's" 55
     (Faults.Dictionary.size ctx.Experiments.Setup.dictionary);
-  let ev = Experiments.Setup.evaluator ctx 2 in
+  let ev = Evaluator.find ctx.Experiments.Setup.evaluators 2 in
   Alcotest.(check int) "lookup by id" 2 (Evaluator.config_id ev);
   (try
-     ignore (Experiments.Setup.evaluator ctx 9);
+     ignore (Evaluator.find ctx.Experiments.Setup.evaluators 9);
      Alcotest.fail "bad id accepted"
    with Not_found -> ())
 

@@ -204,6 +204,10 @@ let iv_target =
   Experiments.Setup.target_of_macro Macros.Iv_converter.macro
     Macros.Process.nominal
 
+(* one measurement through a freshly compiled plan *)
+let observables ?profile config target values =
+  Execute.compiled_observables ?profile (Execute.compile config target) values
+
 let test_mc_calibration () =
   let rng = Numerics.Rng.create 5L in
   let samples =
@@ -269,7 +273,7 @@ let test_ac_config_validation () =
 
 let test_ac_observables () =
   let obs =
-    Execute.observables Experiments.Extensions.config6_ac iv_target
+    observables Experiments.Extensions.config6_ac iv_target
       [| 0.; 1e5 |]
   in
   Alcotest.(check int) "gain and phase" 2 (Array.length obs);
@@ -348,7 +352,7 @@ let test_imd_validation () =
 let test_imd_config_observable () =
   let config = Experiments.Extensions.config7_imd in
   let obs =
-    Execute.observables ~profile:Execute.fast_profile config iv_target
+    observables ~profile:Execute.fast_profile config iv_target
       (Test_config.param_values_of_seed config)
   in
   Alcotest.(check int) "one return" 1 (Array.length obs);
@@ -388,7 +392,7 @@ let test_multisine_parser () =
 let test_noise_config_observable () =
   let config = Experiments.Extensions.config8_noise in
   let obs =
-    Execute.observables config iv_target
+    observables config iv_target
       (Test_config.param_values_of_seed config)
   in
   Alcotest.(check int) "one value" 1 (Array.length obs);

@@ -1,8 +1,9 @@
 (* Compiled hot-path parity: the compile-once/restamp-many execution
-   path must reproduce the direct build-per-probe path bit for bit —
-   per-arm observables, and every probe the engine makes over the full
-   IV dictionary, with and without failure injection — plus the
-   dt_divisor decimation contract. *)
+   path must reproduce the rebuild-per-probe reference
+   ({!Direct_oracle}) bit for bit — per-arm observables, calibrated
+   tolerance boxes, and every probe the engine makes over the full IV
+   dictionary, with and without failure injection — plus the dt_divisor
+   decimation contract. *)
 
 open Testgen
 module Fp = Numerics.Failpoint
@@ -36,7 +37,7 @@ let test_observables_parity () =
     (fun config ->
       let values = Test_param.seeds_of config.Test_config.params in
       let check_target label target impact =
-        let direct = Execute.observables ~profile config target values in
+        let direct = Direct_oracle.observables ~profile config target values in
         let compiled =
           Execute.compiled_observables ~profile ?impact
             (Execute.compile config target)
@@ -63,7 +64,7 @@ let test_impact_restamp_parity () =
   List.iter
     (fun ohms ->
       let variant = Faults.Fault.with_impact bridge ohms in
-      let direct = Execute.observables config (injected variant) values in
+      let direct = Direct_oracle.observables config (injected variant) values in
       let compiled =
         Execute.compiled_observables
           ~impact:(Faults.Inject.impact_override variant)
@@ -78,7 +79,7 @@ let test_impact_restamp_parity () =
 let test_impact_reaches_noise_and_ac () =
   let values fault config =
     let v = Test_param.seeds_of config.Test_config.params in
-    let direct = Execute.observables config (injected fault) v in
+    let direct = Direct_oracle.observables config (injected fault) v in
     let compiled =
       Execute.compiled_observables
         ~impact:(Faults.Inject.impact_override fault)
@@ -99,11 +100,70 @@ let test_impact_reaches_noise_and_ac () =
         [ bridge; Faults.Fault.with_impact bridge 470.; pinhole ])
     [ Experiments.Iv_configs.config1 ]
 
+(* ------------------------------------------------- calibration parity *)
+
+(* Calibration restamps one compiled plan per process point across the
+   lattice: every lattice box must equal, bit for bit, the box built from
+   rebuild-per-probe observables — the guardbanded maximum corner
+   deviation, floored.  The floors are zeroed, so no simulated bit hides
+   under the tester accuracy, and each of the three corners is the
+   maximum somewhere (res+ at config #1's upper level, all+ on the
+   transients, all- at #2's second level and #5's last point). *)
+let test_calibration_parity () =
+  let profile = Execute.fast_profile and guardband = 1.25 in
+  let corners =
+    List.filter
+      (fun p -> List.mem p.Macros.Process.label [ "res+"; "all+"; "all-" ])
+      (Macros.Process.corners ())
+    |> List.map (Experiments.Setup.target_of_macro Macros.Iv_converter.macro)
+  in
+  Alcotest.(check int) "three corners" 3 (List.length corners);
+  List.iter
+    (fun config ->
+      let config =
+        {
+          config with
+          Test_config.accuracy_floor =
+            List.map (fun _ -> 0.) config.Test_config.accuracy_floor;
+        }
+      in
+      let t =
+        Tolerance.calibrate ~profile ~grid:2 ~guardband config
+          ~nominal:iv_target ~corners ()
+      in
+      List.iteri
+        (fun i values ->
+          let nominal = Direct_oracle.observables ~profile config iv_target values in
+          let devs = Array.make (Test_config.return_count config) [] in
+          List.iter
+            (fun corner ->
+              match Direct_oracle.observables ~profile config corner values with
+              | obs ->
+                  Array.iteri
+                    (fun r d -> devs.(r) <- Float.abs d :: devs.(r))
+                    (Execute.deviations config ~nominal ~faulty:obs)
+              | exception Execute.Execution_failure _ -> ())
+            corners;
+          let want =
+            Array.map
+              (fun ds ->
+                Float.max
+                  (guardband *. Numerics.Stats.max_abs (Array.of_list ds))
+                  0.)
+              devs
+          in
+          check_bitwise
+            (Printf.sprintf "config %d, lattice point %d"
+               config.Test_config.config_id i)
+            want (Tolerance.box t values))
+        (Tolerance.lattice_points t))
+    Experiments.Iv_configs.all
+
 (* ---------------------------------------------- per-probe differential *)
 
 (* The engine measures every probe through {!Evaluator.faulty_observables}
    (one compiled plan per fault site, the impact restamped as a value);
-   the reference is {!Execute.observables} on the fault-injected netlist,
+   the reference is {!Direct_oracle.observables} on the fault-injected netlist,
    rebuilt per probe.  For every fault of the full IV dictionary the two
    must agree bit for bit at the probes the engine makes: the seed point,
    each candidate's optimized parameters, and the winning parameters at
@@ -143,7 +203,7 @@ let measure f =
   | exception Execute.Execution_failure m -> Error m
 
 let reference_probe (fault, values) =
-  measure (fun () -> Execute.observables config (injected fault) values)
+  measure (fun () -> Direct_oracle.observables config (injected fault) values)
 
 let engine_probe ev (fault, values) =
   measure (fun () -> Evaluator.faulty_observables ev fault values)
@@ -409,7 +469,7 @@ let test_transient_allocation () =
 (* One optimizer probe of the DC-levels configuration #1 at its seed
    values through one compiled plan, as the engine makes it: about 313
    minor words (311 in the release profile), the solve reports and
-   result records.  The rebuild-per-probe [Execute.observables] of the
+   result records.  The rebuild-per-probe [Direct_oracle.observables] of the
    same probe allocates about 4,100, so a netlist rewrite or a matrix
    allocation creeping back into the compiled probe fails this bound. *)
 let words_per_probe_bound = 500.
@@ -463,7 +523,9 @@ let test_decimation_grid () =
       let values = Test_param.seeds_of config.Test_config.params in
       let with_divisor k =
         let profile = { Execute.default_profile with dt_divisor = k } in
-        Execute.observables ~profile config iv_target values
+        Execute.compiled_observables ~profile
+          (Execute.compile config iv_target)
+          values
       in
       let reference = with_divisor 1 in
       let expected_len =
@@ -503,7 +565,11 @@ let test_decimation_values () =
   let values = Test_param.seeds_of config.Test_config.params in
   let k = 3 in
   let profile = { Execute.default_profile with dt_divisor = k } in
-  let decimated = Execute.observables ~profile config iv_target values in
+  let decimated =
+    Execute.compiled_observables ~profile
+      (Execute.compile config iv_target)
+      values
+  in
   let wave =
     Circuit.Waveform.Step
       { base = 0.; elev = values.(0); delay = 2e-7; rise = 1e-7 }
@@ -801,7 +867,7 @@ let test_memo_keys_options () =
   let (), esc = counting [ "solver.dc.op_memo_hits" ] (probe escalated) in
   Alcotest.(check (list int)) "escalated never hits a base entry" [ 0 ] esc;
   let direct =
-    Execute.observables ~profile:(Evaluator.profile escalated) config
+    Direct_oracle.observables ~profile:(Evaluator.profile escalated) config
       (injected bridge) values
   in
   check_bitwise "escalated = direct"
@@ -848,7 +914,8 @@ let test_observables_owned () =
   check_bitwise "nominal entry survives later nominal simulations"
     (Array.map Int64.float_of_bits n_bits) n;
   check_bitwise "nominal entry = direct"
-    (Execute.observables ~profile:Execute.fast_profile config iv_target lo) n
+    (Direct_oracle.observables ~profile:Execute.fast_profile config iv_target lo)
+    n
 
 let () =
   Alcotest.run "hotpath"
@@ -861,6 +928,8 @@ let () =
             test_impact_restamp_parity;
           Alcotest.test_case "impact reaches noise and AC" `Quick
             test_impact_reaches_noise_and_ac;
+          Alcotest.test_case "calibrated lattice boxes" `Quick
+            test_calibration_parity;
         ] );
       ( "engine",
         [

@@ -210,7 +210,7 @@ let test_soft_region_argmin_stability () =
      already-weakened model (the dictionary impact itself may sit in the
      hard region, exactly as the paper's Fig. 2 vs Figs. 3-4 shows). *)
   let c = Lazy.force ctx in
-  let ev = Experiments.Setup.evaluator c 1 in
+  let ev = Evaluator.find c.Experiments.Setup.evaluators 1 in
   let fault = Faults.Fault.bridge "0" "iin" ~resistance:40e3 in
   let r = Tps.classify_region ev fault ~grid:9 ~factors:[| 2.; 4. |] () in
   Alcotest.(check bool) "soft region" true (r.Tps.region = `Soft)

@@ -406,7 +406,13 @@ let test_quality_estimate () =
     true
     (e.Quality.overkill_rate <= 0.15);
   check_float "escape = half of uniform weight" 0.5 e.Quality.escape_rate;
-  Alcotest.(check bool) "margin positive" true (e.Quality.worst_sample_margin > 0.)
+  Alcotest.(check bool) "margin positive" true (e.Quality.worst_sample_margin > 0.);
+  (* bit patterns recorded when each sample was still rebuilt per probe:
+     scoring through one compiled topology per sample moves neither *)
+  Alcotest.(check int64) "worst margin bits" 4599690581138420120L
+    (Int64.bits_of_float e.Quality.worst_sample_margin);
+  Alcotest.(check int64) "overkill bits" 0L
+    (Int64.bits_of_float e.Quality.overkill_rate)
 
 let test_quality_weighted_escape () =
   let dict =

@@ -40,6 +40,10 @@ let iv_target =
   Experiments.Setup.target_of_macro Macros.Iv_converter.macro
     Macros.Process.nominal
 
+(* one measurement through a freshly compiled plan *)
+let observables ?profile config target values =
+  Execute.compiled_observables ?profile (Execute.compile config target) values
+
 let test_ac_nonpositive_frequency () =
   let config =
     Test_config.create ~id:90 ~name:"bad-ac" ~macro_type:"IV-converter"
@@ -55,7 +59,7 @@ let test_ac_nonpositive_frequency () =
       ~summary:""
   in
   (try
-     ignore (Execute.observables config iv_target [| 0.5 |]);
+     ignore (observables config iv_target [| 0.5 |]);
      Alcotest.fail "zero frequency accepted"
    with Execute.Execution_failure _ -> ())
 
@@ -85,7 +89,7 @@ let test_imd_nyquist_guard () =
   (* fast profile: 64 samples per base period -> Nyquist bin 32 < 42 *)
   (try
      ignore
-       (Execute.observables ~profile:Execute.fast_profile config iv_target
+       (observables ~profile:Execute.fast_profile config iv_target
           [| 2e3 |]);
      Alcotest.fail "above-Nyquist products accepted"
    with Execute.Execution_failure _ -> ())

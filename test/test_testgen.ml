@@ -86,6 +86,10 @@ let iv_target =
   Experiments.Setup.target_of_macro Macros.Iv_converter.macro
     Macros.Process.nominal
 
+(* one measurement through a freshly compiled plan *)
+let observables ?profile config target values =
+  Execute.compiled_observables ?profile (Execute.compile config target) values
+
 let test_with_stimulus () =
   let nl =
     Execute.with_stimulus iv_target.Execute.netlist ~source:"iin_src"
@@ -104,14 +108,14 @@ let test_with_stimulus () =
 
 let test_observables_dc () =
   let obs =
-    Execute.observables Experiments.Iv_configs.config1 iv_target [| 10e-6 |]
+    observables Experiments.Iv_configs.config1 iv_target [| 10e-6 |]
   in
   Alcotest.(check int) "one value" 1 (Array.length obs);
   check_float ~eps:1e-2 "vout = 2.5 - 0.2" 2.3 obs.(0)
 
 let test_observables_dc_pair () =
   let obs =
-    Execute.observables Experiments.Iv_configs.config2 iv_target
+    observables Experiments.Iv_configs.config2 iv_target
       [| 0.; 20e-6 |]
   in
   Alcotest.(check int) "two values" 2 (Array.length obs);
@@ -120,7 +124,7 @@ let test_observables_dc_pair () =
 
 let test_observables_thd () =
   let obs =
-    Execute.observables ~profile:Execute.fast_profile
+    observables ~profile:Execute.fast_profile
       Experiments.Iv_configs.config3 iv_target [| 20e-6; 10e3 |]
   in
   Alcotest.(check int) "one THD value" 1 (Array.length obs);
@@ -131,7 +135,7 @@ let test_observables_thd () =
 
 let test_observables_step_train () =
   let obs =
-    Execute.observables Experiments.Iv_configs.config4 iv_target [| 25e-6 |]
+    observables Experiments.Iv_configs.config4 iv_target [| 25e-6 |]
   in
   (* 7.5 us at 100 MHz -> 750 steps + the initial sample *)
   Alcotest.(check int) "sample count" 751 (Array.length obs);
@@ -139,7 +143,7 @@ let test_observables_step_train () =
 
 let test_observables_param_mismatch () =
   (try
-     ignore (Execute.observables Experiments.Iv_configs.config1 iv_target [| 0.; 0. |]);
+     ignore (observables Experiments.Iv_configs.config1 iv_target [| 0.; 0. |]);
      Alcotest.fail "wrong arity accepted"
    with Invalid_argument _ -> ())
 
