@@ -894,30 +894,31 @@ let render_profile (run_result : Engine.run) =
   Buffer.contents b
 
 let profile_cmd =
-  let run fast take jobs trace =
+  let run fast macro take jobs trace =
     Obs.enable ?trace ();
     Fun.protect ~finally:Obs.shutdown (fun () ->
-        let ctx = iv_context ~fast () in
-        let ctx =
-          match take with
-          | Some n -> Experiments.Setup.reduced ctx ~n_faults:n
-          | None -> ctx
-        in
-        let run_result =
-          Experiments.Runs.engine_run ~progress ~jobs ctx
-        in
-        print_string (render_profile run_result);
-        print_resilience_summary run_result;
-        Engine.exit_status run_result)
+        match generation_context ~macro_name:macro ~fast () with
+        | Error e ->
+            prerr_endline e;
+            1
+        | Ok (ctx, options) ->
+            let ctx =
+              match take with
+              | Some n -> Experiments.Setup.reduced ctx ~n_faults:n
+              | None -> ctx
+            in
+            let run_result =
+              Experiments.Runs.engine_run ~progress ?options ~jobs ctx
+            in
+            print_string (render_profile run_result);
+            print_resilience_summary run_result;
+            Engine.exit_status run_result)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run generation with tracing enabled and render the aggregate \
-          profile: per-phase wall clock, top faults by evaluations, cache \
-          hit rates and solver counters. $(b,--trace) additionally writes \
-          the JSONL trace.")
-    Term.(const run $ fast_arg $ take_arg $ jobs_arg $ trace_arg)
+         "Run generation on $(b,--macro) with tracing enabled and render           the aggregate profile: per-phase wall clock, top faults by           evaluations, cache hit rates and solver counters. $(b,--trace)           additionally writes the JSONL trace.")
+    Term.(const run $ fast_arg $ macro_arg $ take_arg $ jobs_arg $ trace_arg)
 
 let experiment_cmd =
   let run fast which =

@@ -41,8 +41,8 @@ exception Diverged
    bitwise no-op.  Converged means an undamped step whose node updates
    all sit inside the abstol/reltol band.  [s] may alias [x_new] (each
    entry is read before it is overwritten), which is how the Newton
-   loop below calls it; the batch engine's replay of a linear plan calls
-   it with a fixed [s], so the two walks share every expression. *)
+   loop below calls it; {!damped_walk} calls it with a fixed [s], so
+   the two walks share every expression. *)
 let damped_step ~options ~n_nodes ~x ~s ~x_new =
   let dv_max = ref 0. in
   for i = 0 to n_nodes - 1 do
@@ -64,6 +64,26 @@ let damped_step ~options ~n_nodes ~x ~s ~x_new =
     !ok
   end
   else false
+
+(* The Newton walk on a system that does not depend on the iterate (a
+   linear plan, {!Mna.linear}): every iteration would assemble, factor
+   and solve to the same vector [s] bit for bit, so the walk is the
+   damped update alone, from [ws.w_x] toward that fixed [s].  The
+   iterate buffers swap each step as in the Newton loop, so the last
+   iterate is left in [ws.w_x].  Returns the iterations to convergence,
+   or 0 when the walk runs out the [max_newton] budget.  [s] must alias
+   neither iterate buffer. *)
+let damped_walk ~options ~n_nodes (ws : Mna.workspace) ~s =
+  let converged = ref false in
+  let iters = ref 0 in
+  while (not !converged) && !iters < options.max_newton do
+    incr iters;
+    let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
+    converged := damped_step ~options ~n_nodes ~x ~s ~x_new;
+    ws.Mna.w_x <- x_new;
+    ws.Mna.w_x_new <- x
+  done;
+  if !converged then !iters else 0
 
 (* Solver counters, bumped once per [solve] from a per-solve tally —
    never inside the Newton loop — so the hot path stays allocation-free
@@ -96,9 +116,15 @@ type tally = {
 (* One Newton attempt at fixed gmin and source scale, restamping a
    workspace: the system is assembled into the preallocated matrix,
    factored in place, solved into the swap buffer, and the damped update
-   ({!damped_step}) overwrites it — no per-iteration allocation.
-   Returns the solution, iteration count and pattern reuses, or None on
-   failure; every iteration and factorization lands in [tally]. *)
+   ({!damped_step}) overwrites it — no per-iteration allocation.  On a
+   linear plan one assembly, factorization, solve and finiteness check
+   serve the whole attempt and {!damped_walk} does the iterations: the
+   same bits, iteration count and outcome as the loop, with one
+   factorization instead of one per iteration.  Under failure injection
+   the loop runs instead, since it queries the failpoints per
+   iteration.  Returns the solution, iteration count and pattern
+   reuses, or None on failure; every iteration and factorization lands
+   in [tally]. *)
 let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ~tally sys ws
     ~time ~start =
   let n_nodes = Mna.n_nodes sys in
@@ -110,23 +136,41 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ~tally sys ws
   let iters = ref 0 in
   let reuses = ref 0 in
   (try
-     while (not !converged) && !iters < options.max_newton do
-       incr iters;
+     if Mna.linear sys && options.max_newton > 0 && not (Failpoint.active ())
+     then begin
        tally.iterations <- tally.iterations + 1;
-       if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
        Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ?source_scale
          ?restamp ~gmin ();
        if Mna.ws_factor ws then incr reuses;
        tally.factorizations <- tally.factorizations + 1;
-       Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new;
-       let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
-       if Failpoint.should_fail "dc.nan_solution" then
-         Array.fill x_new 0 size Float.nan;
-       if not (finite_solution x_new ~n_nodes) then raise Diverged;
-       converged := damped_step ~options ~n_nodes ~x ~s:x_new ~x_new;
-       ws.Mna.w_x <- x_new;
-       ws.Mna.w_x_new <- x
-     done;
+       (* the right-hand side is spent: it holds the fixed solve *)
+       let s = ws.Mna.w_z in
+       Mna.ws_solve_into ws s ws.Mna.w_x_new;
+       Array.blit ws.Mna.w_x_new 0 s 0 size;
+       if not (finite_solution s ~n_nodes) then raise Diverged;
+       let k = damped_walk ~options ~n_nodes ws ~s in
+       converged := k > 0;
+       iters := if k > 0 then k else options.max_newton;
+       tally.iterations <- tally.iterations + !iters - 1
+     end
+     else
+       while (not !converged) && !iters < options.max_newton do
+         incr iters;
+         tally.iterations <- tally.iterations + 1;
+         if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
+         Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions
+           ?source_scale ?restamp ~gmin ();
+         if Mna.ws_factor ws then incr reuses;
+         tally.factorizations <- tally.factorizations + 1;
+         Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new;
+         let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
+         if Failpoint.should_fail "dc.nan_solution" then
+           Array.fill x_new 0 size Float.nan;
+         if not (finite_solution x_new ~n_nodes) then raise Diverged;
+         converged := damped_step ~options ~n_nodes ~x ~s:x_new ~x_new;
+         ws.Mna.w_x <- x_new;
+         ws.Mna.w_x_new <- x
+       done;
      if not !converged then tally.exhausted <- tally.exhausted + 1
    with Mat.Singular _ | Diverged -> converged := false);
   tally.reuses <- tally.reuses + !reuses;

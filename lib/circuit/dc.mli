@@ -28,12 +28,13 @@ val default_options : options
 type report = {
   solution : Numerics.Vec.t;
   newton_iterations : int;
-      (** iterations of the successful attempt, one LU factorization
-          each *)
+      (** iterations of the successful attempt: one LU factorization
+          each on a nonlinear plan, one for the whole attempt on a
+          linear one ({!solve}) *)
   pattern_reuses : int;
-      (** of those factorizations, how many the sparse backend served by
-          numeric replay on a held pattern ({!Numerics.Smat.refactor});
-          always 0 on the dense backend *)
+      (** of the attempt's factorizations, how many the sparse backend
+          served by numeric replay on a held pattern
+          ({!Numerics.Smat.refactor}); always 0 on the dense backend *)
   gmin_steps : int;  (** gmin-stepping stages used (0 = direct success) *)
   source_steps : int;  (** source-stepping stages used *)
 }
@@ -43,20 +44,24 @@ val finite_solution : Numerics.Vec.t -> n_nodes:int -> bool
     finite — the guard that aborts a Newton attempt on a NaN or
     infinite iterate. *)
 
-val damped_step :
-  options:options ->
-  n_nodes:int ->
-  x:Numerics.Vec.t ->
-  s:Numerics.Vec.t ->
-  x_new:Numerics.Vec.t ->
-  bool
-(** One damped Newton update: [x_new <- x + alpha (s - x)] over every
-    unknown, with [alpha] scaling the largest node-voltage move down to
-    [vlimit].  Returns [true] when the step was undamped and every node
-    update is inside the [abstol]/[reltol] band (converged).  [s] may
-    alias [x_new]; [x] must not.  This is the Newton loop's own update,
-    shared with the config-major batch engine's replay of linear plans,
-    so both walks produce the same bits. *)
+val damped_walk :
+  options:options -> n_nodes:int -> Mna.workspace -> s:Numerics.Vec.t -> int
+(** [damped_walk ~options ~n_nodes ws ~s] repeats the Newton loop's own
+    damped update, [x_new <- x + alpha (s - x)] over every unknown with
+    [alpha] scaling the largest node-voltage move down to [vlimit], from
+    the iterate in [ws.w_x] toward the fixed solve vector [s].  It stops
+    at the first undamped step whose node updates all sit inside the
+    [abstol]/[reltol] band, or after [max_newton] steps, swapping
+    [ws.w_x] and [ws.w_x_new] after each step as the Newton loop does,
+    so the last iterate is in [ws.w_x].  Returns the steps taken to
+    converge, or 0 when the budget ran out.  [s] must alias neither
+    iterate buffer.
+
+    On a linear plan ({!Mna.linear}) every Newton iteration assembles
+    the same system and solves to the same [s], so this walk is the
+    whole Newton attempt after its one factorization: {!solve} runs it
+    on linear plans, and the config-major batch engine runs it for each
+    probe column against one factorization per fault. *)
 
 val solve :
   ?options:options ->
@@ -74,10 +79,18 @@ val solve :
     threaded through to {!Mna.assemble_into} so the transient integrator
     can reuse this solver for its per-step nonlinear systems.
 
-    Every Newton iteration restamps and refactors one preallocated
-    system in place: the caller's [workspace] — the compiled hot path,
-    reused across solves — or, without it, a workspace created for this
-    call.  Either way the arithmetic, pivot order and iteration counts
+    Each Newton attempt restamps one preallocated system in place: the
+    caller's [workspace] — the compiled hot path, reused across solves —
+    or, without it, a workspace created for this call.  On a nonlinear
+    plan every iteration re-assembles and refactors it.  On a linear
+    plan ({!Mna.linear}) the system does not change within an attempt,
+    so the attempt assembles, factors and solves it once, checks that
+    solve for finiteness once, and runs {!damped_walk} toward it: the
+    same iterates, iteration counts and outcome as refactoring every
+    iteration, bit for bit.  While {!Numerics.Failpoint.active} the
+    per-iteration loop runs on linear plans too, since it queries
+    ["dc.singular"] and ["dc.nan_solution"] every iteration.  With or
+    without a workspace the arithmetic, pivot order and iteration counts
     are the same, so the reports are bit-identical.  [restamp]
     substitutes stimulus/fault-impact values at stamp time.
 
@@ -97,11 +110,14 @@ val solve :
     converged, [solver.dc.failures] those that ran and failed, and
     [solver.dc.op_memo_hits] the answers the memo gave (neither).
     [solver.dc.newton_iterations], [solver.dc.lu_factorizations] and
-    [solver.dc.pattern_reuses] count every attempt of every solve that
-    ran — plain attempts that ran out the Newton budget, every gmin and
+    [solver.dc.pattern_reuses] count over every attempt of every solve
+    that ran — plain attempts that ran out the Newton budget, every gmin and
     source stage, and the attempts of failed solves — and
     [solver.dc.budget_exhausted] counts the attempts that ran out the
-    budget.  The [solver.dc.newton_per_solve] histogram observes a
+    budget.  On a linear plan outside injection [lu_factorizations]
+    grows by one per attempt whatever its iteration count, so a traced
+    run of a linear macro reads fewer factorizations than Newton
+    iterations.  The [solver.dc.newton_per_solve] histogram observes a
     converged solve's iterations over all its attempts.
 
     @raise No_convergence when Newton, gmin stepping and source stepping

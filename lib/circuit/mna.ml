@@ -38,6 +38,7 @@ type t = {
   device_array : Device.t array;
   stamp_plan : rstamp array;
   backend : backend;
+  linear : bool;
 }
 
 (* Every (row, col) slot the plan's stamps can touch, resolved when a
@@ -104,6 +105,14 @@ let plan_pattern ~size ~stamp_plan =
    fraction of a second per run, so small netlists stay dense. *)
 let sparse_above_nodes = 24
 
+(* Whether a stamp reads the iterate: only a MOSFET's Newton companion
+   does.  No wildcard, so a new device kind must be classified here. *)
+let reads_iterate = function
+  | R_mosfet _ -> true
+  | R_resistor _ | R_capacitor _ | R_inductor _ | R_vsource _ | R_isource _
+  | R_vcvs _ | R_vccs _ ->
+      false
+
 let build ?backend nl =
   (match Netlist.connectivity_check nl with
   | Ok () -> ()
@@ -168,10 +177,12 @@ let build ?backend nl =
     device_array;
     stamp_plan;
     backend;
+    linear = not (Array.exists reads_iterate stamp_plan);
   }
 
 let netlist t = t.netlist
 let backend t = t.backend
+let linear t = t.linear
 let backend_name = function Dense -> "dense" | Sparse -> "sparse"
 let n_nodes t = t.n_nodes
 let size t = t.size

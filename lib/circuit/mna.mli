@@ -38,6 +38,14 @@ val backend : t -> backend
 val backend_name : backend -> string
 (** ["dense"] or ["sparse"]. *)
 
+val linear : t -> bool
+(** Whether the stamp plan is linear: it holds no MOSFET, the only
+    device whose stamp reads the iterate.  On a linear plan
+    {!assemble} ignores [x], so at fixed time, companions, source scale,
+    overrides and gmin every Newton iteration assembles the same system
+    bit for bit — which {!Dc.solve} and the config-major batch engine
+    exploit by factoring it once. *)
+
 val netlist : t -> Netlist.t
 val n_nodes : t -> int
 val size : t -> int

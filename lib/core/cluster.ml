@@ -19,36 +19,43 @@ let cluster_distance a b =
         acc b)
     0. a
 
+(* Agglomerative merging over one array of clusters, merged in place:
+   each pass scans every pair [i < j] in order for the closest one
+   within [threshold] (the first found wins a tie), merges [j] into [i]
+   as [arr.(i) @ arr.(j)] and closes the gap at [j].  Nothing but the
+   merged cluster is allocated per merge, so a compaction's garbage does
+   not grow with the cluster count. *)
 let group ~params ?(threshold = 0.15) items =
-  let normalized =
-    List.map
-      (fun it -> { it with location = normalize params it.location })
-      items
+  let arr =
+    Array.of_list
+      (List.map
+         (fun it -> [ { it with location = normalize params it.location } ])
+         items)
   in
-  let clusters = ref (List.map (fun it -> [ it ]) normalized) in
+  let n = ref (Array.length arr) in
   let merged = ref true in
   while !merged do
     merged := false;
-    let arr = Array.of_list !clusters in
     (* find the closest admissible pair under complete linkage *)
-    let best = ref None in
-    for i = 0 to Array.length arr - 1 do
-      for j = i + 1 to Array.length arr - 1 do
+    let bi = ref (-1) and bj = ref (-1) and bd = ref 0. in
+    for i = 0 to !n - 1 do
+      for j = i + 1 to !n - 1 do
         let d = cluster_distance arr.(i) arr.(j) in
-        if d <= threshold then
-          match !best with
-          | Some (_, _, d') when d' <= d -> ()
-          | Some _ | None -> best := Some (i, j, d)
+        if d <= threshold && (!bi < 0 || d < !bd) then begin
+          bi := i;
+          bj := j;
+          bd := d
+        end
       done
     done;
-    match !best with
-    | Some (i, j, _) ->
-        clusters :=
-          Array.to_list arr
-          |> List.filteri (fun k _ -> k <> j)
-          |> List.mapi (fun k c -> if k = i then arr.(i) @ arr.(j) else c);
-        merged := true
-    | None -> ()
+    if !bi >= 0 then begin
+      let i = !bi and j = !bj in
+      arr.(i) <- arr.(i) @ arr.(j);
+      Array.blit arr (j + 1) arr j (!n - j - 1);
+      decr n;
+      arr.(!n) <- [];
+      merged := true
+    end
   done;
   let arr_params = Array.of_list params in
   let denormalize (it : item) =
@@ -59,7 +66,7 @@ let group ~params ?(threshold = 0.15) items =
           it.location;
     }
   in
-  List.map (List.map denormalize) !clusters
+  List.init !n (fun k -> List.map denormalize arr.(k))
 
 let centroid members =
   match members with

@@ -270,111 +270,93 @@ type fault_batch = {
    column of every parameter point solves against that held
    factorization through [Mna.ws_solve_into].
 
-   The assembled system of a linear (MOSFET-free) topology does not
-   depend on the Newton iterate, so every iteration of the sequential
-   walk solves to the same vector [s], and its trajectory is a pure
-   damping walk toward it from the zero start.  Replaying that walk
-   with {!Dc.damped_step} — the Newton loop's own update — reproduces the
-   converged operating point bit for bit without touching the
-   factorization again, so results are identical to walking
-   {!compiled_observables} pair by pair.  A fault whose factorization is
-   singular, or a column whose solve is not finite or whose walk does
-   not converge inside the Newton budget (where the sequential path
-   escalates to its gmin/source stepping ladders), leaves [None] cells
-   for the caller's verbatim sequential fallback. *)
+   The assembled system of a linear topology ({!Mna.linear}) does not
+   depend on the Newton iterate, so the sequential walk from the zero
+   start is {!Dc.damped_walk} toward the column's solve vector — the
+   walk {!Dc.solve} itself runs on a linear plan — and the batch engine
+   calls it for each column against the held factorization, so results
+   are identical to walking {!compiled_observables} pair by pair.  A
+   fault whose factorization is singular, or a column whose solve is not
+   finite or whose walk does not converge inside the Newton budget
+   (where the sequential path escalates to its gmin/source stepping
+   ladders), leaves [None] cells for the caller's verbatim sequential
+   fallback. *)
 let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
   match c.c_config.Test_config.analysis with
   | Test_config.Tran_thd _ | Test_config.Tran_samples _ | Test_config.Tran_imd _
   | Test_config.Noise_psd _ | Test_config.Ac_gain _ ->
       None
+  | Test_config.Dc_levels _ when not (Mna.linear c.c_topo.t_plan) -> None
   | Test_config.Dc_levels waves ->
-      let nonlinear =
-        List.exists
-          (function Device.Mosfet _ -> true | _ -> false)
-          (Netlist.devices (Mna.netlist c.c_topo.t_plan))
+      Array.iter (check_values c.c_config) points;
+      let { t_target = target; t_plan = plan; t_ws = ws } = c.c_topo in
+      let source = target.stimulus_source in
+      let wave_rows = Array.map (fun v -> Array.of_list (waves v)) points in
+      Array.iter (Array.iter (validate_wave ~source)) wave_rows;
+      let np = Array.length points in
+      let n = Mna.size plan in
+      let n_nodes = Mna.n_nodes plan in
+      let options = profile.dc_options in
+      let gmin = options.Dc.gmin in
+      let x0 = Numerics.Vec.create n 0. in
+      let obs_row = Mna.node_index plan target.observe_node in
+      let out = Array.map (fun _ -> Array.make np None) impacts in
+      let panels = ref 0 in
+      let zs =
+        Array.map (Array.map (fun _ -> Numerics.Vec.create n 0.)) wave_rows
       in
-      if nonlinear then None
-      else begin
-        Array.iter (check_values c.c_config) points;
-        let { t_target = target; t_plan = plan; t_ws = ws } = c.c_topo in
-        let source = target.stimulus_source in
-        let wave_rows = Array.map (fun v -> Array.of_list (waves v)) points in
-        Array.iter (Array.iter (validate_wave ~source)) wave_rows;
-        let np = Array.length points in
-        let n = Mna.size plan in
-        let n_nodes = Mna.n_nodes plan in
-        let options = profile.dc_options in
-        let gmin = options.Dc.gmin in
-        let x0 = Numerics.Vec.create n 0. in
-        let obs_row = Mna.node_index plan target.observe_node in
-        let out = Array.map (fun _ -> Array.make np None) impacts in
-        let panels = ref 0 in
-        let zs =
-          Array.map (Array.map (fun _ -> Numerics.Vec.create n 0.)) wave_rows
-        in
-        let s = Numerics.Vec.create n 0. in
-        let xa = Numerics.Vec.create n 0. and xb = Numerics.Vec.create n 0. in
-        (* the damping walk from the zero start toward [s]; the converged
-           iterate, or [None] where the sequential path would escalate *)
-        let replay () =
-          if not (Dc.finite_solution s ~n_nodes) then None
-          else begin
-            Array.fill xa 0 n 0.;
-            let cur = ref xa and nxt = ref xb in
-            let converged = ref false and iters = ref 0 in
-            while (not !converged) && !iters < options.Dc.max_newton do
-              incr iters;
-              let x = !cur and x_new = !nxt in
-              converged := Dc.damped_step ~options ~n_nodes ~x ~s ~x_new;
-              cur := x_new;
-              nxt := x
-            done;
-            if !converged then Some !cur else None
-          end
-        in
-        (* a point whose columns all converge against the held
-           factorization yields its observable vector; anything else
-           stays [None] *)
-        let settle_point zrow =
-          let obs = Array.make (Array.length zrow) 0. in
-          let ok = ref true in
-          Array.iteri
-            (fun l z ->
-              if !ok then begin
-                Mna.ws_solve_into ws z s;
-                match replay () with
-                | Some x ->
-                    obs.(l) <- (match obs_row with Some r -> x.(r) | None -> 0.)
-                | None -> ok := false
-              end)
-            zrow;
-          if !ok then Some obs else None
-        in
-        let settle_fault fi impact =
-          Array.iteri
-            (fun p row ->
-              Array.iteri
-                (fun l wave ->
-                  Mna.assemble_into plan ws ~x:x0 ~time:`Dc
-                    ~restamp:{ Mna.stimulus = Some (source, wave); impact }
-                    ~gmin ();
-                  Array.blit ws.Mna.w_z 0 zs.(p).(l) 0 n)
-                row)
-            wave_rows;
-          match Mna.ws_factor ws with
-          | (_ : bool) ->
-              incr panels;
-              out.(fi) <- Array.map settle_point zs
-          | exception Numerics.Mat.Singular _ ->
-              (* the sequential path escalates to its stepping ladders
-                 here: leave the row to the fallback *)
-              ()
-        in
-        (* no probe columns: nothing to factor for *)
-        if Array.exists (fun row -> Array.length row > 0) wave_rows then
-          Array.iteri settle_fault impacts;
-        Some { fb_obs = out; fb_panels = !panels }
-      end
+      let s = Numerics.Vec.create n 0. in
+      (* the damping walk from the zero start toward [s], in the
+         workspace's iterate buffers; whether it converged *)
+      let replay () =
+        Dc.finite_solution s ~n_nodes
+        && begin
+             Array.fill ws.Mna.w_x 0 n 0.;
+             Dc.damped_walk ~options ~n_nodes ws ~s > 0
+           end
+      in
+      (* a point whose columns all converge against the held
+         factorization yields its observable vector; anything else
+         stays [None] *)
+      let settle_point zrow =
+        let obs = Array.make (Array.length zrow) 0. in
+        let ok = ref true in
+        Array.iteri
+          (fun l z ->
+            if !ok then begin
+              Mna.ws_solve_into ws z s;
+              if replay () then
+                obs.(l) <-
+                  (match obs_row with Some r -> ws.Mna.w_x.(r) | None -> 0.)
+              else ok := false
+            end)
+          zrow;
+        if !ok then Some obs else None
+      in
+      let settle_fault fi impact =
+        Array.iteri
+          (fun p row ->
+            Array.iteri
+              (fun l wave ->
+                Mna.assemble_into plan ws ~x:x0 ~time:`Dc
+                  ~restamp:{ Mna.stimulus = Some (source, wave); impact }
+                  ~gmin ();
+                Array.blit ws.Mna.w_z 0 zs.(p).(l) 0 n)
+              row)
+          wave_rows;
+        match Mna.ws_factor ws with
+        | (_ : bool) ->
+            incr panels;
+            out.(fi) <- Array.map settle_point zs
+        | exception Numerics.Mat.Singular _ ->
+            (* the sequential path escalates to its stepping ladders
+               here: leave the row to the fallback *)
+            ()
+      in
+      (* no probe columns: nothing to factor for *)
+      if Array.exists (fun row -> Array.length row > 0) wave_rows then
+        Array.iteri settle_fault impacts;
+      Some { fb_obs = out; fb_panels = !panels }
 
 let deviations config ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then

@@ -128,15 +128,13 @@ val compiled_batch_over_faults :
     level of every parameter point in [points] solves against that held
     factorization ({!Circuit.Mna.ws_solve_into}, on either backend).
     Each column's converged operating point is then recovered by
-    replaying the sequential Newton walk with its own update,
-    {!Circuit.Dc.damped_step} (the system of a linear plan does not
-    depend on the iterate, so the trajectory is a pure damping walk
-    toward the single solve), making every returned observable bitwise
-    identical to {!compiled_observables} on the same (impact, point)
-    pair.
+    {!Circuit.Dc.damped_walk}, the walk the sequential {!Circuit.Dc.solve}
+    itself runs on a linear plan (whose system does not depend on the
+    iterate), making every returned observable bitwise identical to
+    {!compiled_observables} on the same (impact, point) pair.
 
     [None] when the plan is outside the batchable family (non-DC-levels
-    analysis, or a nonlinear MOSFET-bearing topology).  Within a batch,
+    analysis, or a plan that is not {!Circuit.Mna.linear}).  Within a batch,
     a cell is [None] when its fault's factorization was singular or a
     damping walk did not converge — the sequential path escalates to its
     gmin/source stepping ladders there, which the caller must replay

@@ -93,6 +93,26 @@ done
 expect_out "op iv selects dense"     "^operating point of .* (dense, " op --macro iv
 expect_out "op skc32 selects sparse" "^operating point of .* (sparse, " op --macro skc32
 
+# `profile` runs on any --macro through the same context builder as
+# `generate`: an rc16 probe context builds without calibrating tolerance
+# boxes and its counter table carries the DC solver's factorizations.
+err=$("$atpg" profile --macro rc16 --fast --take 2 --jobs 1 2>&1 >profile_rc16.out)
+got=$?
+if [ "$got" -ne 0 ]; then
+  echo "FAIL profile --macro rc16: exited $got" >&2
+  fails=$((fails + 1))
+elif grep -q calibrating <<<"$err"; then
+  echo "FAIL profile --macro rc16: calibrated (ran the IV context?)" >&2
+  fails=$((fails + 1))
+elif ! grep -q "solver.dc.lu_factorizations" profile_rc16.out; then
+  echo "FAIL profile --macro rc16: no solver.dc.lu_factorizations counter" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   profile --macro rc16"
+fi
+rm -f profile_rc16.out
+reject "profile unknown macro" profile --macro nosuch --take 1
+
 # `experiment` validates its id before it builds anything: an unknown
 # id exits 1 at once, naming every report, and the context-free reports
 # never calibrate tolerance boxes.

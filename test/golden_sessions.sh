@@ -67,15 +67,21 @@ golden() {
 golden iv   faa16e57658d23ca53d5f9c9eb2141c0 3662  --fast --take 6
 golden rc16 f412365bd297cd05e4aa03c38df99e18 432   --fast --take 6 --macro rc16
 golden rc48 5cd57d67437e925cdaa40005d2e7f8d5 19276 --fast --take 200 --macro rc48
+golden otac16 5d8df2656fb93c1459c18022c2e438f6 396 --fast --take 6 --macro otac16
 golden iv-jobs1   faa16e57658d23ca53d5f9c9eb2141c0 3662 \
   --fast --take 6 --jobs 1
 golden rc16-jobs1 f412365bd297cd05e4aa03c38df99e18 432 \
   --fast --take 6 --macro rc16 --jobs 1
 golden rc48-jobs1 5cd57d67437e925cdaa40005d2e7f8d5 19276 \
   --fast --take 200 --macro rc48 --jobs 1
+golden otac16-jobs1 5d8df2656fb93c1459c18022c2e438f6 396 \
+  --fast --take 6 --macro otac16 --jobs 1
 
 # The same results at any job count, through a resumed checkpoint, and
-# under seeded failure injection (three faults recover on the ladder).
+# under seeded failure injection (three iv faults and six rc16 faults
+# recover on the ladder; on rc16 injection also switches the linear
+# plans to the per-iteration Newton loop, and the session bytes stay
+# those of the clean run).
 golden rc16-jobs2 f412365bd297cd05e4aa03c38df99e18 432 \
   --fast --take 6 --macro rc16 --jobs 2
 golden rc16-resume f412365bd297cd05e4aa03c38df99e18 432 \
@@ -84,6 +90,9 @@ for jobs in 1 2; do
   golden "iv-inject-jobs$jobs" 010b3736a6ed04da1c74058d35457ebb 1827 \
     --recovered 3 --fast --take 3 --inject dc.no_convergence=0.5@1 \
     --inject-seed 5 --jobs "$jobs"
+  golden "rc16-inject-jobs$jobs" f412365bd297cd05e4aa03c38df99e18 441 \
+    --recovered 6 --fast --take 6 --macro rc16 \
+    --inject dc.no_convergence=0.5@1 --inject-seed 5 --jobs "$jobs"
 done
 
 exit "$fails"

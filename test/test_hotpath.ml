@@ -890,6 +890,58 @@ let test_memo_bypassed_under_injection () =
   in
   Alcotest.(check (list int)) "no hits, three solves" [ 0; 3 ] counts
 
+(* ---------------------------------------------------- linear plans *)
+
+(* On a linear plan a Newton attempt assembles and factors its system
+   once and walks the damped update toward that one solve, so the
+   factorization counter grows by one per attempt however many
+   iterations the walk takes: a plain operating point of rc16 counts one,
+   and a transient on it one per step.  The nonlinear IV plan still
+   factors every iteration. *)
+let dc_counters =
+  [ "solver.dc.solves"; "solver.dc.newton_iterations";
+    "solver.dc.lu_factorizations"; "solver.dc.gmin_steps";
+    "solver.dc.budget_exhausted" ]
+
+let test_linear_factors_once_per_attempt () =
+  let macro = Macros.Rc_ladder.macro ~sections:16 in
+  let rc16 wave =
+    Circuit.Mna.build
+      (Execute.with_stimulus
+         (Macros.Macro.nominal_netlist macro)
+         ~source:macro.Macros.Macro.stimulus_source wave)
+  in
+  let sys = rc16 (Circuit.Waveform.Dc 2.) in
+  Alcotest.(check bool) "rc16 is linear" true (Circuit.Mna.linear sys);
+  Alcotest.(check bool) "iv is not" false (Circuit.Mna.linear (iv_system ()));
+  let r, counts = counting dc_counters (fun () -> Circuit.Dc.solve sys ~time:`Dc) in
+  Alcotest.(check bool) "the walk takes several iterations" true
+    (r.Circuit.Dc.newton_iterations > 1);
+  Alcotest.(check (list int)) "one solve, one attempt, one factorization"
+    [ 1; r.Circuit.Dc.newton_iterations; 1; 0; 0 ] counts;
+  let step =
+    rc16 (Circuit.Waveform.Step { base = 0.; elev = 2.; delay = 1e-6; rise = 0. })
+  in
+  let (_ : Circuit.Tran.result), counts =
+    counting dc_counters (fun () ->
+        Circuit.Tran.simulate step ~tstop:2e-5 ~dt:1e-7 ~observe:[ "out" ])
+  in
+  (match counts with
+  | [ solves; newton; lu; gmin; exhausted ] ->
+      Alcotest.(check (list int)) "every attempt converged first time" [ 0; 0 ]
+        [ gmin; exhausted ];
+      Alcotest.(check int) "one factorization per step attempt" solves lu;
+      Alcotest.(check bool) "fewer factorizations than iterations" true
+        (lu < newton)
+  | _ -> assert false);
+  let _, counts =
+    counting dc_counters (fun () -> Circuit.Dc.solve (iv_system ()) ~time:`Dc)
+  in
+  match counts with
+  | [ _; newton; lu; _; _ ] ->
+      Alcotest.(check int) "iv: one factorization per iteration" newton lu
+  | _ -> assert false
+
 (* -------------------------------------------- observation buffers *)
 
 (* A step-train simulation writes into its plan's buffer; every array
@@ -972,6 +1024,11 @@ let () =
             test_memo_keys_options;
           Alcotest.test_case "bypassed under injection" `Quick
             test_memo_bypassed_under_injection;
+        ] );
+      ( "linear plans",
+        [
+          Alcotest.test_case "one factorization per attempt" `Quick
+            test_linear_factors_once_per_attempt;
         ] );
       ( "buffers",
         [

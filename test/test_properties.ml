@@ -263,6 +263,103 @@ let prop_newton_oracle =
       in
       run solve = run oracle)
 
+(* The same differential on linear plans, where {!Dc.solve} assembles,
+   factors and solves once per attempt and walks the damped update
+   toward that fixed solve ({!Dc.damped_walk}) instead of refactoring
+   every iteration.  Over the RC ladder (rc16 dense, rc48 sparse), the
+   OTA cascade and the Sallen-Key chain, nominal or with a random fault,
+   at a random input level, at [`Dc] or at [`Time] with random
+   companions, from the zero start or from a random guess, the two must
+   agree bit for bit.  A third of the draws inject one singular or NaN
+   iterate, which switches the solver to its per-iteration loop. *)
+
+let linear_macros =
+  [|
+    Macros.Rc_ladder.macro ~sections:16;
+    Macros.Rc_ladder.macro ~sections:48;
+    Macros.Filter_chain.ota_cascade ~stages:16;
+    Macros.Filter_chain.sk_chain ~stages:4;
+  |]
+
+let linear_targets =
+  Array.map
+    (fun m ->
+      ( Experiments.Setup.target_of_macro m Macros.Process.nominal,
+        Array.of_list (Macros.Macro.fault_universe m) ))
+    linear_macros
+
+let prop_newton_oracle_linear =
+  QCheck.Test.make
+    ~name:"Dc.solve on linear plans matches the allocating Newton oracle"
+    ~count:80
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create (Int64.of_int (seed + 11)) in
+      let target, faults =
+        linear_targets.(Numerics.Rng.int rng
+                          ~bound:(Array.length linear_targets))
+      in
+      let nl = target.Testgen.Execute.netlist in
+      let nl =
+        if Numerics.Rng.int rng ~bound:4 = 0 then nl
+        else
+          Faults.Inject.apply nl
+            faults.(Numerics.Rng.int rng ~bound:(Array.length faults))
+      in
+      let level = Numerics.Rng.uniform rng ~lo:(-2.) ~hi:2. in
+      let nl =
+        Testgen.Execute.with_stimulus nl
+          ~source:target.Testgen.Execute.stimulus_source (Waveform.Dc level)
+      in
+      let sys = Mna.build nl in
+      let time, companions =
+        if Numerics.Rng.int rng ~bound:2 = 0 then (`Dc, None)
+        else begin
+          let c = Array.make (Mna.companion_slots sys) 0. in
+          List.iter
+            (fun d ->
+              match d with
+              | Device.Capacitor { name; _ } ->
+                  let k = Mna.companion_slot sys name in
+                  c.(k) <- Numerics.Rng.uniform rng ~lo:1e-6 ~hi:1e-3;
+                  c.(k + 1) <- Numerics.Rng.uniform rng ~lo:(-1e-3) ~hi:1e-3
+              | _ -> ())
+            (Netlist.devices nl);
+          (`Time 1e-6, Some c)
+        end
+      in
+      let guess =
+        if Numerics.Rng.int rng ~bound:2 = 0 then None
+        else
+          Some
+            (Array.init (Mna.size sys) (fun _ ->
+                 Numerics.Rng.uniform rng ~lo:(-3.) ~hi:3.))
+      in
+      let run f =
+        report_bits
+          (match f () with r -> Ok r | exception Dc.No_convergence _ -> Error ())
+      in
+      (* 0, 1: clean; 2, 3: one injected singular or NaN iterate *)
+      let inject = Numerics.Rng.int rng ~bound:6 in
+      let injected f =
+        if inject < 4 then f
+        else
+          let point = if inject = 4 then "dc.singular" else "dc.nan_solution" in
+          let specs =
+            [ { Numerics.Failpoint.point; probability = 0.3; max_triggers = Some 1 } ]
+          in
+          fun () ->
+            Numerics.Failpoint.with_config ~seed:(Int64.of_int seed) specs f
+      in
+      let solve =
+        injected (fun () -> Dc.solve ?guess ?companions sys ~time)
+      in
+      let oracle =
+        injected (fun () ->
+            Newton_oracle.solve ?guess ?companions sys ~time)
+      in
+      Mna.linear sys && run solve = run oracle)
+
 (* -------------------------------------------------------------- clustering *)
 
 let cluster_params =
@@ -309,6 +406,52 @@ let prop_cluster_complete_linkage =
                    g)
                g)
            groups)
+
+(* {!Testgen.Cluster.group} merges in place; the oracle rebuilds its
+   cluster list on every merge.  The groups must be equal, including on
+   the inputs where scan order and tie-breaks decide: repeated
+   locations, exactly tied distances and distances exactly at the
+   threshold.  Half the draws place items on a grid of eighths (exact
+   in binary, as are the bounds [-2, 2] and [0, 1]), so ties and
+   threshold hits are exact. *)
+let prop_cluster_matches_oracle =
+  let params =
+    [
+      Testgen.Test_param.create ~name:"x" ~units:"" ~lower:(-2.) ~upper:2.
+        ~seed:0.;
+      Testgen.Test_param.create ~name:"y" ~units:"" ~lower:0. ~upper:1.
+        ~seed:0.5;
+    ]
+  in
+  QCheck.Test.make ~name:"in-place grouping matches the list-rebuilding oracle"
+    ~count:120
+    QCheck.(pair (int_range 1 40) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Numerics.Rng.create (Int64.of_int (seed + 7)) in
+      let on_grid = Numerics.Rng.int rng ~bound:2 = 0 in
+      let coord () =
+        if on_grid then float_of_int (Numerics.Rng.int rng ~bound:9) /. 8.
+        else Numerics.Rng.uniform rng ~lo:0. ~hi:1.
+      in
+      (* a pool smaller than the item count repeats locations *)
+      let pool =
+        Array.init
+          (1 + Numerics.Rng.int rng ~bound:n)
+          (fun _ -> [| -2. +. (4. *. coord ()); coord () |])
+      in
+      let items =
+        List.init n (fun i ->
+            {
+              Testgen.Cluster.item_id = Printf.sprintf "f%d" i;
+              location =
+                Array.copy pool.(Numerics.Rng.int rng ~bound:(Array.length pool));
+            })
+      in
+      let threshold =
+        [| 0.; 0.125; 0.25; 0.375; 0.2 |].(Numerics.Rng.int rng ~bound:5)
+      in
+      Testgen.Cluster.group ~params ~threshold items
+      = Cluster_oracle.group ~params ~threshold items)
 
 let prop_centroid_inside_hull =
   QCheck.Test.make ~name:"centroid stays within the member bounding box"
@@ -563,7 +706,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_mna_symmetry;
           QCheck_alcotest.to_alcotest prop_linearity;
         ] );
-      ("newton", [ QCheck_alcotest.to_alcotest prop_newton_oracle ]);
+      ( "newton",
+        [
+          QCheck_alcotest.to_alcotest prop_newton_oracle;
+          QCheck_alcotest.to_alcotest prop_newton_oracle_linear;
+        ] );
       ( "lu",
         [
           QCheck_alcotest.to_alcotest prop_lu_kernel_oracle;
@@ -574,6 +721,7 @@ let () =
       ( "clustering",
         [
           QCheck_alcotest.to_alcotest prop_cluster_complete_linkage;
+          QCheck_alcotest.to_alcotest prop_cluster_matches_oracle;
           QCheck_alcotest.to_alcotest prop_centroid_inside_hull;
         ] );
       ( "algebra",
