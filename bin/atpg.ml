@@ -859,24 +859,6 @@ let render_profile (run_result : Engine.run) =
              (value "evaluator.plan_cache.misses");
          ];
        ]);
-  (* config-major batched evaluation: settled vs fallback pairs, and the
-     held-factorization panels the settled pairs shared *)
-  let batched = value "evaluator.batch.faults_batched" in
-  let fallback = value "evaluator.batch.fallback_seq" in
-  if batched + fallback > 0 then
-    section "Batched evaluation"
-      (Report.Table.of_rows
-         ~headers:
-           [ ("metric", Report.Table.Left); ("value", Report.Table.Right) ]
-         [
-           [ "pairs batched"; string_of_int batched ];
-           [ "pairs fallen back"; string_of_int fallback ];
-           [ "factorization panels"; string_of_int (value "evaluator.batch.panels") ];
-           [
-             "batched share";
-             hit_rate batched fallback;
-           ];
-         ]);
   section "Counters"
     (Report.Table.of_rows
        ~headers:[ ("counter", Report.Table.Left); ("value", Report.Table.Right) ]

@@ -120,7 +120,9 @@ type tally = {
    linear plan one assembly, factorization, solve and finiteness check
    serve the whole attempt and {!damped_walk} does the iterations: the
    same bits, iteration count and outcome as the loop, with one
-   factorization instead of one per iteration.  Under failure injection
+   factorization instead of one per iteration — none when the workspace
+   already holds a factorization of the same matrix bits
+   ({!Mna.ws_holds}).  Under failure injection
    the loop runs instead, since it queries the failpoints per
    iteration.  Returns the solution, iteration count and pattern
    reuses, or None on failure; every iteration and factorization lands
@@ -141,8 +143,13 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ~tally sys ws
        tally.iterations <- tally.iterations + 1;
        Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ?source_scale
          ?restamp ~gmin ();
-       if Mna.ws_factor ws then incr reuses;
-       tally.factorizations <- tally.factorizations + 1;
+       (* the stimulus only enters the right-hand side, so a fault's
+          points and levels, and a gmin stage, meet the held matrix
+          again *)
+       if not (Mna.ws_holds ws) then begin
+         if Mna.ws_factor ~hold:true ws then incr reuses;
+         tally.factorizations <- tally.factorizations + 1
+       end;
        (* the right-hand side is spent: it holds the fixed solve *)
        let s = ws.Mna.w_z in
        Mna.ws_solve_into ws s ws.Mna.w_x_new;
@@ -357,10 +364,12 @@ let solve_u ~options ?guess ?companions ?(source_scale = 1.) ?workspace
     | None -> Mna.workspace sys
   in
   (* a hit skips the failpoint queries a solve makes, so injection
-     bypasses the memo *)
+     bypasses the memo; a linear plan re-solves against its held
+     factorization, cheaper than the memo's entries are in memory *)
   let memoizable =
     Option.is_some workspace && Option.is_none guess
     && Option.is_none companions && source_scale = 1.
+    && (not (Mna.linear sys))
     && not (Failpoint.active ())
   in
   if not memoizable then

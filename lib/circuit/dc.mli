@@ -29,8 +29,8 @@ type report = {
   solution : Numerics.Vec.t;
   newton_iterations : int;
       (** iterations of the successful attempt: one LU factorization
-          each on a nonlinear plan, one for the whole attempt on a
-          linear one ({!solve}) *)
+          each on a nonlinear plan, at most one for the whole attempt
+          on a linear one ({!solve}) *)
   pattern_reuses : int;
       (** of the attempt's factorizations, how many the sparse backend
           served by numeric replay on a held pattern
@@ -38,30 +38,6 @@ type report = {
   gmin_steps : int;  (** gmin-stepping stages used (0 = direct success) *)
   source_steps : int;  (** source-stepping stages used *)
 }
-
-val finite_solution : Numerics.Vec.t -> n_nodes:int -> bool
-(** Whether the first [n_nodes] entries (the node voltages) are all
-    finite — the guard that aborts a Newton attempt on a NaN or
-    infinite iterate. *)
-
-val damped_walk :
-  options:options -> n_nodes:int -> Mna.workspace -> s:Numerics.Vec.t -> int
-(** [damped_walk ~options ~n_nodes ws ~s] repeats the Newton loop's own
-    damped update, [x_new <- x + alpha (s - x)] over every unknown with
-    [alpha] scaling the largest node-voltage move down to [vlimit], from
-    the iterate in [ws.w_x] toward the fixed solve vector [s].  It stops
-    at the first undamped step whose node updates all sit inside the
-    [abstol]/[reltol] band, or after [max_newton] steps, swapping
-    [ws.w_x] and [ws.w_x_new] after each step as the Newton loop does,
-    so the last iterate is in [ws.w_x].  Returns the steps taken to
-    converge, or 0 when the budget ran out.  [s] must alias neither
-    iterate buffer.
-
-    On a linear plan ({!Mna.linear}) every Newton iteration assembles
-    the same system and solves to the same [s], so this walk is the
-    whole Newton attempt after its one factorization: {!solve} runs it
-    on linear plans, and the config-major batch engine runs it for each
-    probe column against one factorization per fault. *)
 
 val solve :
   ?options:options ->
@@ -85,9 +61,16 @@ val solve :
     plan every iteration re-assembles and refactors it.  On a linear
     plan ({!Mna.linear}) the system does not change within an attempt,
     so the attempt assembles, factors and solves it once, checks that
-    solve for finiteness once, and runs {!damped_walk} toward it: the
-    same iterates, iteration counts and outcome as refactoring every
-    iteration, bit for bit.  While {!Numerics.Failpoint.active} the
+    solve for finiteness once, and repeats the damped update toward
+    that fixed solve: the same iterates, iteration counts and outcome as
+    refactoring every iteration, bit for bit.  The workspace holds that
+    factorization ({!Mna.ws_factor} [~hold:true]), and a later attempt
+    whose assembled matrix is bit-equal to it ({!Mna.ws_holds}) solves
+    against it without factoring: the stimulus and the transient
+    history enter only the right-hand side, so the levels and points of
+    one fault at one impact, and its gmin stage, share one
+    factorization, as do transient steps whose companions keep their
+    bits.  While {!Numerics.Failpoint.active} the
     per-iteration loop runs on linear plans too, since it queries
     ["dc.singular"] and ["dc.nan_solution"] every iteration.  With or
     without a workspace the arithmetic, pivot order and iteration counts
@@ -103,8 +86,9 @@ val solve :
     options' bits; a repeat returns the remembered report with a fresh
     copy of its solution, or re-raises the remembered {!No_convergence}
     message, without running Newton.  The memo is bypassed while
-    {!Numerics.Failpoint.active}: a hit would skip the solve's failpoint
-    queries.
+    {!Numerics.Failpoint.active}, since a hit would skip the solve's
+    failpoint queries, and on linear plans, whose re-solve against the
+    held factorization is cheap.
 
     Tracing counters: [solver.dc.solves] counts solves that ran and
     converged, [solver.dc.failures] those that ran and failed, and
@@ -115,10 +99,11 @@ val solve :
     source stage, and the attempts of failed solves — and
     [solver.dc.budget_exhausted] counts the attempts that ran out the
     budget.  On a linear plan outside injection [lu_factorizations]
-    grows by one per attempt whatever its iteration count, so a traced
-    run of a linear macro reads fewer factorizations than Newton
-    iterations.  The [solver.dc.newton_per_solve] histogram observes a
-    converged solve's iterations over all its attempts.
+    grows by at most one per attempt whatever its iteration count, and
+    not at all on a held matrix, so a traced run of a linear macro reads
+    fewer factorizations than solves.  The [solver.dc.newton_per_solve]
+    histogram observes a converged solve's iterations over all its
+    attempts.
 
     @raise No_convergence when Newton, gmin stepping and source stepping
     all fail.

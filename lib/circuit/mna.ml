@@ -404,7 +404,14 @@ type workspace = {
   mutable w_samples : float array list;
       (* transient observation buffers, one per length, most recently
          created first *)
+  w_snapshot : float array;
+      (* the matrix values the held factorization was made from *)
+  mutable w_held : bool;
 }
+
+let matrix_values = function
+  | E_dense { ea; _ } -> Mat.data ea
+  | E_sparse { es; _ } -> Smat.values es
 
 let dense_sink a = S_dense { data = Mat.data a; n = Mat.cols a }
 
@@ -430,6 +437,8 @@ let workspace t =
     w_x_new = Vec.create t.size 0.;
     w_solver = No_solver_state;
     w_samples = [];
+    w_snapshot = Array.copy (matrix_values w_eng);
+    w_held = false;
   }
 
 (* A simulation's length is fixed by its configuration and profile, so
@@ -446,21 +455,52 @@ let sample_buffer ws len =
         b :: List.filteri (fun i _ -> i < max_sample_buffers - 1) ws.w_samples;
       b
 
-let ws_factor ws =
-  match ws.w_eng with
-  | E_dense { ea; elu } ->
-      Mat.factor_in_place ea elu;
-      false
-  | E_sparse { es; eslu } ->
-      (* numeric replay on the held pattern when the pivot guard admits
-         it; the fallback is the full symbolic pass.  Both produce the
-         same factorization bit for bit, so which one ran is observable
-         only through the stats. *)
-      if Smat.refactor es eslu then true
-      else begin
-        Smat.factor_in_place es eslu;
+let ws_matrix ws = matrix_values ws.w_eng
+
+(* Both backends factor a copy of the matrix, so the snapshot could be
+   taken after factoring too; taking it first keeps [w_held] false
+   until a factorization of exactly those values has completed, and a
+   [Singular] leaves it false. *)
+let ws_factor ?(hold = false) ws =
+  ws.w_held <- false;
+  if hold then begin
+    let a = ws_matrix ws in
+    Array.blit a 0 ws.w_snapshot 0 (Array.length a)
+  end;
+  let reused =
+    match ws.w_eng with
+    | E_dense { ea; elu } ->
+        Mat.factor_in_place ea elu;
         false
-      end
+    | E_sparse { es; eslu } ->
+        (* numeric replay on the held pattern when the pivot guard
+           admits it; the fallback is the full symbolic pass.  Both
+           produce the same factorization bit for bit, so which one ran
+           is observable only through the stats. *)
+        if Smat.refactor es eslu then true
+        else begin
+          Smat.factor_in_place es eslu;
+          false
+        end
+  in
+  ws.w_held <- hold;
+  reused
+
+(* Bits, not [=]: [-0. = 0.], yet factors made from one need not carry
+   the other's bits. *)
+let ws_holds ws =
+  ws.w_held
+  &&
+  let a = ws_matrix ws and h = ws.w_snapshot in
+  let i = ref 0 in
+  while
+    !i < Array.length a
+    && Int64.bits_of_float (Array.unsafe_get a !i)
+       = Int64.bits_of_float (Array.unsafe_get h !i)
+  do
+    incr i
+  done;
+  !i = Array.length a
 
 let ws_solve_into ws b x =
   match ws.w_eng with

@@ -43,8 +43,9 @@ val linear : t -> bool
     device whose stamp reads the iterate.  On a linear plan
     {!assemble} ignores [x], so at fixed time, companions, source scale,
     overrides and gmin every Newton iteration assembles the same system
-    bit for bit — which {!Dc.solve} and the config-major batch engine
-    exploit by factoring it once. *)
+    bit for bit — which {!Dc.solve} exploits by factoring it once per
+    attempt, and by keeping that factorization across solves whose
+    matrices are bit-equal ({!ws_holds}). *)
 
 val netlist : t -> Netlist.t
 val n_nodes : t -> int
@@ -135,6 +136,10 @@ type workspace = {
   mutable w_solver : solver_state;
   mutable w_samples : float array list;
       (** observation buffers ({!sample_buffer}) *)
+  w_snapshot : float array;
+      (** the matrix values of the last [~hold:true] {!ws_factor} *)
+  mutable w_held : bool;
+      (** whether the factorization was made from [w_snapshot] *)
 }
 (** Preallocated solve state sized for one compiled topology: system,
     factorization and the per-call stamping scratch.  The two iterate
@@ -154,13 +159,29 @@ val sample_buffer : workspace -> int -> float array
     array per run.  Its contents belong to the last simulation that
     wrote it.  The workspace keeps at most four lengths. *)
 
-val ws_factor : workspace -> bool
+val ws_matrix : workspace -> float array
+(** The assembled matrix values, shared (not copied): the dense
+    row-major storage ({!Numerics.Mat.data}) or the sparse pattern
+    slots ({!Numerics.Smat.values}). *)
+
+val ws_factor : ?hold:bool -> workspace -> bool
 (** Factor the workspace's assembled system in place.  Returns [true]
     when the sparse backend replayed a held pattern ({!Numerics.Smat.refactor})
     instead of paying the full symbolic pass — a pure optimization,
     bit-identical either way; always [false] on the dense backend.
+
+    With [~hold:true] the matrix values are snapshotted first and the
+    factorization is held: {!ws_holds} then recognizes a later assembly
+    of the same bits.  Any other call, and a [Singular], drops the
+    hold.
     @raise Numerics.Mat.Singular if the system is numerically singular
     (same payload on both backends). *)
+
+val ws_holds : workspace -> bool
+(** Whether the workspace holds a factorization of exactly the assembled
+    matrix, compared bit for bit ([-0.] and [0.] differ).  The same bits
+    give the same factors, so solving against the held factorization is
+    bit-identical to factoring again. *)
 
 val ws_solve_into : workspace -> Numerics.Vec.t -> Numerics.Vec.t -> unit
 (** Solve against the last {!ws_factor} — {!Numerics.Mat.solve_into} or

@@ -24,21 +24,15 @@ let seed_tests configs =
       })
     configs
 
-(* The fault's sensitivity under every seed test, in test order — one
-   1x1 sweep per test (seed tests are one point per configuration), each
-   value bitwise identical to the sequential [Evaluator.sensitivity]
-   call.  [set_detects]' List.exists early exit becomes a full sweep,
-   which only shifts evaluation counts: the detect verdict and the best
-   sensitivity are order-free reductions. *)
+(* The fault's sensitivity under every seed test, in test order.  Every
+   test is evaluated, even after one detects: the detect verdict and the
+   best sensitivity are order-free reductions over all of them. *)
 let test_sensitivities ~evaluators ~tests fault =
   Array.map
     (fun (t : Coverage.test) ->
-      let ev = Evaluator.find evaluators t.Coverage.test_config_id in
-      let sw =
-        Evaluator.sweep ev ~faults:[| fault |]
-          ~points:[| t.Coverage.test_params |]
-      in
-      fst (Evaluator.cell sw 0 0))
+      Evaluator.sensitivity
+        (Evaluator.find evaluators t.Coverage.test_config_id)
+        fault t.Coverage.test_params)
     (Array.of_list tests)
 
 let set_detects ~evaluators ~tests fault =

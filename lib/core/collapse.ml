@@ -18,28 +18,18 @@ type stats = { proposals : int; accepted : int; splits : int }
 
 let acceptance_bound ~delta s_opt = s_opt +. (delta *. (1. -. s_opt))
 
+(* Members are evaluated in order, and the walk stops at the first
+   that violates its bound: the members after it are never evaluated. *)
 let screen evaluator ~delta members candidate =
-  (* The member sensitivities at the candidate are one sweep (one held
-     factorization per fault site, every member solved against it, when
-     the plan batches); the walk reads them in member order with the
-     early-exit verdict semantics.  Each value is bitwise identical to
-     the sequential [Evaluator.sensitivity] call — a batched sweep merely
-     evaluated members past the first violation, which a declined sweep
-     never reads, so never evaluates. *)
-  let sw =
-    Evaluator.sweep evaluator
-      ~faults:(Array.of_list (List.map (fun m -> m.member_fault) members))
-      ~points:[| candidate |]
-  in
-  let rec walk i acc = function
+  let rec walk acc = function
     | [] -> Some (List.rev acc)
     | m :: rest ->
-        let s = fst (Evaluator.cell sw i 0) in
+        let s = Evaluator.sensitivity evaluator m.member_fault candidate in
         if s <= acceptance_bound ~delta m.member_opt_sensitivity then
-          walk (i + 1) ((m.member_fault_id, s) :: acc) rest
+          walk ((m.member_fault_id, s) :: acc) rest
         else None
   in
-  walk 0 [] members
+  walk [] members
 
 let collapse_config evaluator ~delta ?threshold members =
   if delta < 0. || delta > 1. then

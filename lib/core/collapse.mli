@@ -35,8 +35,10 @@ type stats = { proposals : int; accepted : int; splits : int }
 val screen :
   Evaluator.t -> delta:float -> member list -> Numerics.Vec.t ->
   (string * float) list option
-(** Evaluate the §4.1 inequality for every member at the candidate
-    collapsed parameters; [Some sensitivities] iff all pass. *)
+(** Evaluate the §4.1 inequality for each member, in order, at the
+    candidate collapsed parameters; [Some sensitivities] iff all pass.
+    The walk stops at the first member that fails: the members after it
+    are not evaluated. *)
 
 val collapse_config :
   Evaluator.t ->

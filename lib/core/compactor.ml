@@ -27,17 +27,8 @@ let members_of_run run ~config_id =
                  critical_impact
              in
              (* the optimal sensitivity at the critical impact: evaluated
-                once here so the collapse screen compares like for like —
-                a 1x1 sweep, through the batch engine (one held
-                factorization) when the plan admits it, bit-identical
-                either way *)
-             let s_opt =
-               fst
-                 (Evaluator.cell
-                    (Evaluator.sweep ev ~faults:[| fault_at_critical |]
-                       ~points:[| params |])
-                    0 0)
-             in
+                once here so the collapse screen compares like for like *)
+             let s_opt = Evaluator.sensitivity ev fault_at_critical params in
              {
                Collapse.member_fault_id = r.Generate.fault_id;
                member_fault = fault_at_critical;

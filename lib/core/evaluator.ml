@@ -12,7 +12,6 @@ type t = {
   profile : Execute.profile;
   nominal : Execute.target;
   box_model : Tolerance.t;
-  batching : bool;
   backend : Circuit.Mna.backend option;
   nominal_cache : (string, nominal) Hashtbl.t;
   topologies : (string, Execute.topology) Hashtbl.t;
@@ -32,20 +31,12 @@ let g_cache_misses = Obs.Counter.create "evaluator.nominal_cache.misses"
 let g_plan_hits = Obs.Counter.create "evaluator.plan_cache.hits"
 let g_plan_misses = Obs.Counter.create "evaluator.plan_cache.misses"
 
-(* Batch accounting is unconditional ([Counter.add], not the
-   active-guarded [bump]): the serve daemon's [stats] request and the
-   batch tests read these without tracing enabled. *)
-let g_batch_faults = Obs.Counter.create "evaluator.batch.faults_batched"
-let g_batch_fallback = Obs.Counter.create "evaluator.batch.fallback_seq"
-let g_batch_panels = Obs.Counter.create "evaluator.batch.panels"
-
 exception Budget_exhausted of { config_id : int; budget : int }
 
 (* One topology table for the whole context: every configuration
    injects faults into the same nominal netlist, so a fault site's
    compiled topology is the same whichever configuration asks for it. *)
-let create_all ?(profile = Execute.default_profile) ?(batching = true)
-    ?backend ~nominal configs =
+let create_all ?(profile = Execute.default_profile) ?backend ~nominal configs =
   let topologies = Hashtbl.create 16 in
   List.map
     (fun (config, box_model) ->
@@ -54,7 +45,6 @@ let create_all ?(profile = Execute.default_profile) ?(batching = true)
         profile;
         nominal;
         box_model;
-        batching;
         backend;
         nominal_cache = Hashtbl.create 64;
         topologies;
@@ -66,9 +56,8 @@ let create_all ?(profile = Execute.default_profile) ?(batching = true)
       })
     configs
 
-let create ?profile ?batching ?backend config ~nominal ~box_model =
-  List.hd
-    (create_all ?profile ?batching ?backend ~nominal [ (config, box_model) ])
+let create ?profile ?backend config ~nominal ~box_model =
+  List.hd (create_all ?profile ?backend ~nominal [ (config, box_model) ])
 
 (* Same configuration, target and calibrated box, different execution
    profile — the retry ladder's escalated view of an evaluator.  The
@@ -299,132 +288,6 @@ let sensitivity_and_deviation t fault values =
 
 let sensitivity t fault values = fst (sensitivity_and_deviation t fault values)
 
-(* Config-major batched evaluation of an arbitrary fault set against an
-   arbitrary set of parameter points — the engine behind the coverage,
-   compaction, collapse and lattice-seeding cross-products.  Faults are
-   grouped by site ({!Faults.Fault.id} keys one compiled topology); each
-   group pays one factorization per fault through
-   {!Execute.compiled_batch_over_faults} and the whole point set solves
-   against it.
-
-   Bitwise contract: a cell [(s, dev)] is identical to what
-   [sensitivity_and_deviation] computes for the same (fault, point) pair
-   — same nominal-cache behaviour (one hit-or-miss per pair), one
-   {!charge} per pair, same deviation and box arithmetic on operating
-   points the batch engine reproduced bit for bit.  Pairs the engine
-   could not settle (singular factorization, damping walk that did not
-   converge — where the sequential path escalates to its stepping
-   ladders) are recomputed by the verbatim sequential call, per pair.
-
-   [None] — nothing evaluated; the sweep's cells evaluate on read — when
-   the sweep is empty, batching is disabled, the plan family is
-   non-batchable, or failure injection is active: batching reorders
-   evaluations, so letting it run under an active injection config would
-   change which draw hits which fault and break per-fault injection
-   determinism. *)
-let batched_cells t ~faults ~points =
-  let nf = Array.length faults and np = Array.length points in
-  if nf = 0 || np = 0 || not t.batching then None
-  else if Numerics.Failpoint.active () then begin
-    Obs.Counter.add g_batch_fallback (nf * np);
-    None
-  end
-  else begin
-    (* group fault indices by site, preserving first-occurrence order *)
-    let groups : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    Array.iteri
-      (fun i f ->
-        let key = Faults.Fault.id f in
-        match Hashtbl.find_opt groups key with
-        | Some is -> is := i :: !is
-        | None ->
-            Hashtbl.add groups key (ref [ i ]);
-            order := key :: !order)
-      faults;
-    let cells = Array.make_matrix nf np None in
-    let batchable = ref true in
-    List.iter
-      (fun key ->
-        if !batchable then begin
-          let is = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-          let plan =
-            compiled_plan t ~key (fun () -> faulty_target t faults.(is.(0)))
-          in
-          let impacts =
-            Array.map
-              (fun i -> Some (Faults.Inject.impact_override faults.(i)))
-              is
-          in
-          match
-            Execute.compiled_batch_over_faults ~profile:t.profile plan
-              ~impacts ~points
-          with
-          | None -> batchable := false
-          | Some batch ->
-              Obs.Counter.add g_batch_panels batch.Execute.fb_panels;
-              Array.iteri
-                (fun gi i ->
-                  for p = 0 to np - 1 do
-                    cells.(i).(p) <- batch.Execute.fb_obs.(gi).(p)
-                  done)
-                is
-        end)
-      (List.rev !order);
-    if not !batchable then begin
-      Obs.Counter.add g_batch_fallback (nf * np);
-      None
-    end
-    else begin
-      (* The fill is explicit nested loops, not [Array.init]: each pair's
-         nominal-cache access and {!charge} must happen in a specified
-         order so budget exhaustion raises at the same counter state as
-         the sequential walk the caller replaced. *)
-      let out = Array.make_matrix nf np (0., [||]) in
-      for i = 0 to nf - 1 do
-        for p = 0 to np - 1 do
-          match cells.(i).(p) with
-          | Some faulty ->
-              let nominal = nominal_observables t points.(p) in
-              charge t;
-              Obs.Counter.add g_batch_faults 1;
-              let dev = Execute.deviations t.config ~nominal ~faulty in
-              let s =
-                Sensitivity.compute t.config ~box:(box t points.(p)) ~nominal
-                  ~faulty
-              in
-              out.(i).(p) <- (s, dev)
-          | None ->
-              Obs.Counter.add g_batch_fallback 1;
-              out.(i).(p) <- sensitivity_and_deviation t faults.(i) points.(p)
-        done
-      done;
-      Some out
-    end
-  end
-
-type sweep = {
-  sw_evaluator : t;
-  sw_faults : Faults.Fault.t array;
-  sw_points : Numerics.Vec.t array;
-  sw_cells : (float * float array) array array option;
-}
-
-let sweep t ~faults ~points =
-  {
-    sw_evaluator = t;
-    sw_faults = faults;
-    sw_points = points;
-    sw_cells = batched_cells t ~faults ~points;
-  }
-
-let cell sw f p =
-  match sw.sw_cells with
-  | Some cells -> cells.(f).(p)
-  | None ->
-      sensitivity_and_deviation sw.sw_evaluator sw.sw_faults.(f)
-        sw.sw_points.(p)
-
 let sensitivity_at t topo values =
   fst
     (scored t values (fun () ->
@@ -445,12 +308,3 @@ let cache_stats t =
 
 let nominal_keys t =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.nominal_cache [])
-
-type batch_stats = { faults_batched : int; fallback_seq : int; panels : int }
-
-let batch_stats () =
-  {
-    faults_batched = Obs.Counter.value g_batch_faults;
-    fallback_seq = Obs.Counter.value g_batch_fallback;
-    panels = Obs.Counter.value g_batch_panels;
-  }

@@ -29,7 +29,6 @@ exception Budget_exhausted of { config_id : int; budget : int }
 
 val create :
   ?profile:Execute.profile ->
-  ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   Test_config.t ->
   nominal:Execute.target ->
@@ -38,17 +37,10 @@ val create :
 (** [backend] forces the linear-algebra engine every compiled plan of
     this evaluator is built on — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count.  Results are bit-identical
-    across backends (see {!Circuit.Mna.backend}).
-
-    [batching] (default [true]) admits this evaluator's cross-product
-    {!sweep}s into config-major batched evaluation; disabling it makes
-    every sweep evaluate its cells one (fault, point) pair at a time on
-    the sequential path — the reference implementation batched results
-    are bit-compared against (a test seam, not a user option). *)
+    across backends (see {!Circuit.Mna.backend}). *)
 
 val create_all :
   ?profile:Execute.profile ->
-  ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   nominal:Execute.target ->
   (Test_config.t * Tolerance.t) list ->
@@ -151,42 +143,6 @@ val faulty_observables : t -> Faults.Fault.t -> Numerics.Vec.t -> float array
     compiled plan, in a fresh array the caller owns.
     @raise Execute.Execution_failure on simulator failure. *)
 
-type sweep
-(** A (fault x parameter point) cross-product of one evaluator: the one
-    way the coverage, collapse, compaction, baseline and lattice-seeding
-    loops score many faults against many points. *)
-
-val sweep :
-  t -> faults:Faults.Fault.t array -> points:Numerics.Vec.t array -> sweep
-(** [sweep t ~faults ~points] settles the cross-product through
-    config-major batched evaluation when it can: faults are grouped by
-    site (one compiled topology per {!Faults.Fault.id}), each fault pays
-    one restamp and one factorization — a numeric-only pattern replay on
-    the sparse backend — and every probe level of every point solves
-    against that held factorization
-    ({!Execute.compiled_batch_over_faults}).  Every cell is then filled
-    here, in fault-major order, with exactly one evaluation charged and
-    one nominal-cache access per pair; pairs the batch engine could not
-    settle are recomputed by the verbatim sequential call (counted under
-    [evaluator.batch.fallback_seq]).
-
-    It declines — evaluates nothing here, and each {!cell} read runs
-    {!sensitivity_and_deviation} on its pair instead — when the sweep is
-    empty, batching is disabled, the plan family is non-batchable
-    (nonlinear topology or a non-DC-levels analysis; its pairs are
-    counted under [evaluator.batch.fallback_seq]), or failure injection
-    is active (batching would reorder the injection draws; counted the
-    same way).  So a caller that reads its cells in the order it would
-    have evaluated them pays exactly the sequential walk's evaluations,
-    early exits included, on the declined path.
-    @raise Execute.Execution_failure if the nominal simulation fails.
-    @raise Budget_exhausted as the sequential walk would. *)
-
-val cell : sweep -> int -> int -> float * float array
-(** [cell sw f p] is [sensitivity_and_deviation t faults.(f)
-    points.(p)], bit for bit: the filled cell of a batched sweep, or —
-    on a declined sweep — that call, run (and charged) on every read. *)
-
 val sensitivity_at : t -> Execute.topology -> Numerics.Vec.t -> float
 (** Score an arbitrary compiled topology (e.g. a fault-free circuit at a
     Monte-Carlo process point, see {!Execute.topology}) against this
@@ -209,12 +165,3 @@ val cache_stats : t -> cache_stats
 val nominal_keys : t -> string list
 (** The nominal cache's keys (the exact hex-float spelling of each
     cached parameter point), sorted — what {!retain_reused} kept. *)
-
-type batch_stats = { faults_batched : int; fallback_seq : int; panels : int }
-
-val batch_stats : unit -> batch_stats
-(** Process-wide config-major batching statistics: (fault, point) pairs
-    settled by the batch engine, pairs that fell back to the sequential
-    path (declined batches included), and held-factorization panels
-    actually built.  Backed by the registered [evaluator.batch.*]
-    counters, maintained whether or not tracing is active. *)

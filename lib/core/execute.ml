@@ -109,17 +109,13 @@ let with_config topo config =
 let compile ?backend config target =
   with_config (topology ?backend target) config
 
-(* Probe waves are rejected as netlist insertion would reject them (same
-   message). *)
-let validate_wave ~source wave =
-  match Waveform.validate wave with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e)
-
-(* A probe wave as a restamp of the plan's stimulus source. *)
+(* A probe wave as a restamp of the plan's stimulus source, rejected as
+   netlist insertion would reject it (same message). *)
 let restamp topo ~impact wave =
   let source = topo.t_target.stimulus_source in
-  validate_wave ~source wave;
+  (match Waveform.validate wave with
+  | Ok () -> ()
+  | Error e -> invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e));
   { Mna.stimulus = Some (source, wave); impact }
 
 (* The one operating-point helper shared by the DC, noise and AC arms:
@@ -253,110 +249,6 @@ let compiled_observables ?(profile = default_profile) ?impact c values =
   else
     Obs.Span.timed ~key:(string_of_int c.c_config.Test_config.config_id)
       "execute.solve" (fun () -> observables_body ~profile c ~impact values)
-
-(* ------------------------------------------------------------------ *)
-(* Config-major fault batching: one factorization per fault, the whole  *)
-(* (point x level) probe cross-product solved against it                *)
-(* ------------------------------------------------------------------ *)
-
-type fault_batch = {
-  fb_obs : float array option array array;
-  fb_panels : int;
-}
-
-(* The config-major engine behind {!Evaluator.sweep}: for each fault
-   (impact override) the system is restamped and factored ONCE — a
-   numeric-only pattern replay on the sparse backend — and every probe
-   column of every parameter point solves against that held
-   factorization through [Mna.ws_solve_into].
-
-   The assembled system of a linear topology ({!Mna.linear}) does not
-   depend on the Newton iterate, so the sequential walk from the zero
-   start is {!Dc.damped_walk} toward the column's solve vector — the
-   walk {!Dc.solve} itself runs on a linear plan — and the batch engine
-   calls it for each column against the held factorization, so results
-   are identical to walking {!compiled_observables} pair by pair.  A
-   fault whose factorization is singular, or a column whose solve is not
-   finite or whose walk does not converge inside the Newton budget
-   (where the sequential path escalates to its gmin/source stepping
-   ladders), leaves [None] cells for the caller's verbatim sequential
-   fallback. *)
-let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
-  match c.c_config.Test_config.analysis with
-  | Test_config.Tran_thd _ | Test_config.Tran_samples _ | Test_config.Tran_imd _
-  | Test_config.Noise_psd _ | Test_config.Ac_gain _ ->
-      None
-  | Test_config.Dc_levels _ when not (Mna.linear c.c_topo.t_plan) -> None
-  | Test_config.Dc_levels waves ->
-      Array.iter (check_values c.c_config) points;
-      let { t_target = target; t_plan = plan; t_ws = ws } = c.c_topo in
-      let source = target.stimulus_source in
-      let wave_rows = Array.map (fun v -> Array.of_list (waves v)) points in
-      Array.iter (Array.iter (validate_wave ~source)) wave_rows;
-      let np = Array.length points in
-      let n = Mna.size plan in
-      let n_nodes = Mna.n_nodes plan in
-      let options = profile.dc_options in
-      let gmin = options.Dc.gmin in
-      let x0 = Numerics.Vec.create n 0. in
-      let obs_row = Mna.node_index plan target.observe_node in
-      let out = Array.map (fun _ -> Array.make np None) impacts in
-      let panels = ref 0 in
-      let zs =
-        Array.map (Array.map (fun _ -> Numerics.Vec.create n 0.)) wave_rows
-      in
-      let s = Numerics.Vec.create n 0. in
-      (* the damping walk from the zero start toward [s], in the
-         workspace's iterate buffers; whether it converged *)
-      let replay () =
-        Dc.finite_solution s ~n_nodes
-        && begin
-             Array.fill ws.Mna.w_x 0 n 0.;
-             Dc.damped_walk ~options ~n_nodes ws ~s > 0
-           end
-      in
-      (* a point whose columns all converge against the held
-         factorization yields its observable vector; anything else
-         stays [None] *)
-      let settle_point zrow =
-        let obs = Array.make (Array.length zrow) 0. in
-        let ok = ref true in
-        Array.iteri
-          (fun l z ->
-            if !ok then begin
-              Mna.ws_solve_into ws z s;
-              if replay () then
-                obs.(l) <-
-                  (match obs_row with Some r -> ws.Mna.w_x.(r) | None -> 0.)
-              else ok := false
-            end)
-          zrow;
-        if !ok then Some obs else None
-      in
-      let settle_fault fi impact =
-        Array.iteri
-          (fun p row ->
-            Array.iteri
-              (fun l wave ->
-                Mna.assemble_into plan ws ~x:x0 ~time:`Dc
-                  ~restamp:{ Mna.stimulus = Some (source, wave); impact }
-                  ~gmin ();
-                Array.blit ws.Mna.w_z 0 zs.(p).(l) 0 n)
-              row)
-          wave_rows;
-        match Mna.ws_factor ws with
-        | (_ : bool) ->
-            incr panels;
-            out.(fi) <- Array.map settle_point zs
-        | exception Numerics.Mat.Singular _ ->
-            (* the sequential path escalates to its stepping ladders
-               here: leave the row to the fallback *)
-            ()
-      in
-      (* no probe columns: nothing to factor for *)
-      if Array.exists (fun row -> Array.length row > 0) wave_rows then
-        Array.iteri settle_fault impacts;
-      Some { fb_obs = out; fb_panels = !panels }
 
 let deviations config ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then

@@ -104,45 +104,6 @@ val compiled_observables :
     @raise Invalid_argument on value-count mismatch or an invalid probe
     waveform (same rejection as netlist insertion). *)
 
-type fault_batch = {
-  fb_obs : float array option array array;
-      (** impact-major: [fb_obs.(f).(p)] is the observable vector of
-          fault [f] at parameter point [p], or [None] when that pair
-          must be recomputed sequentially *)
-  fb_panels : int;
-      (** factorizations actually held — one per impact whose restamped
-          system factored successfully *)
-}
-(** Result of a config-major batched sweep: the full
-    (fault x parameter point) cross-product of one configuration. *)
-
-val compiled_batch_over_faults :
-  ?profile:profile ->
-  compiled ->
-  impacts:(string * float) option array ->
-  points:Numerics.Vec.t array ->
-  fault_batch option
-(** Config-major concurrent fault evaluation: for each entry of
-    [impacts] the compiled system is restamped and factored ONCE (a
-    numeric-only pattern replay on the sparse backend), and every probe
-    level of every parameter point in [points] solves against that held
-    factorization ({!Circuit.Mna.ws_solve_into}, on either backend).
-    Each column's converged operating point is then recovered by
-    {!Circuit.Dc.damped_walk}, the walk the sequential {!Circuit.Dc.solve}
-    itself runs on a linear plan (whose system does not depend on the
-    iterate), making every returned observable bitwise identical to
-    {!compiled_observables} on the same (impact, point) pair.
-
-    [None] when the plan is outside the batchable family (non-DC-levels
-    analysis, or a plan that is not {!Circuit.Mna.linear}).  Within a batch,
-    a cell is [None] when its fault's factorization was singular or a
-    damping walk did not converge — the sequential path escalates to its
-    gmin/source stepping ladders there, which the caller must replay
-    verbatim, fault by fault.  Unlike the sequential path this function
-    never raises {!Execution_failure}.
-    @raise Invalid_argument on value-count mismatch or an invalid probe
-    waveform (same rejection as the sequential path). *)
-
 val deviations :
   Test_config.t -> nominal:float array -> faulty:float array -> float array
 (** Per-return-value deviations [delta r_i] between two observable

@@ -121,26 +121,14 @@ let optimize_candidate ?(options = default_options) evaluator fault_low =
            lattice becomes its start — so detecting basins in corners
            the seed's descent path never reaches stay findable. *)
         let scan = lattice_starts ~lower ~upper seed in
-        (* The seed + lattice sweep is a (1 fault x points) cross-product
-           over one configuration, settled by one {!Evaluator.sweep} (one
-           held factorization, all points solved against it, when the
-           plan admits it).  The fold reads the costs seed first, then in
-           scan order, with a strict [<] tie-break, so the winning start
-           (and with it the whole optimizer trajectory) does not depend
-           on whether the sweep batched. *)
+        (* seed first, then scan order, strict [<]: the first of equal
+           costs wins *)
         let start, start_cost =
-          let sw =
-            Evaluator.sweep evaluator ~faults:[| fault_low |]
-              ~points:(Array.of_list (seed :: scan))
-          in
-          let cost_at p = fst (Evaluator.cell sw 0 p) in
-          let best = ref (seed, cost_at 0) in
-          List.iteri
-            (fun i x ->
-              let f = cost_at (i + 1) in
-              if f < snd !best then best := (x, f))
-            scan;
-          !best
+          List.fold_left
+            (fun (_, best as acc) x ->
+              let f = cost x in
+              if f < best then (x, f) else acc)
+            (seed, cost seed) scan
         in
         let r =
           Powell.minimize ~tol:options.optimizer_tol

@@ -15,15 +15,15 @@ let target_of_macro (macro : Macros.Macro.t) point =
     observe_node = macro.Macros.Macro.observe_node;
   }
 
-let create ?(profile = Execute.default_profile) ?batching ?backend ?grid
-    ?guardband ?corners ~macro ~configs () =
+let create ?(profile = Execute.default_profile) ?backend ?grid ?guardband
+    ?corners ~macro ~configs () =
   let corner_points =
     match corners with Some c -> c | None -> Macros.Process.corners ()
   in
   let nominal = target_of_macro macro Macros.Process.nominal in
   let corner_targets = List.map (target_of_macro macro) corner_points in
   let evaluators =
-    Evaluator.create_all ~profile ?batching ?backend ~nominal
+    Evaluator.create_all ~profile ?backend ~nominal
       (List.map
          (fun config ->
            ( config,
@@ -39,8 +39,8 @@ let create ?(profile = Execute.default_profile) ?batching ?backend ?grid
     profile;
   }
 
-let iv ?profile ?batching ?backend ?grid () =
-  create ?profile ?batching ?backend ?grid ~macro:Macros.Iv_converter.macro
+let iv ?profile ?backend ?grid () =
+  create ?profile ?backend ?grid ~macro:Macros.Iv_converter.macro
     ~configs:Iv_configs.all ()
 
 (* -- generic probe contexts -------------------------------------------- *)
@@ -96,14 +96,14 @@ let probe_configs ~configs ~levels ~floor macro =
         ~accuracy_floor:(List.init levels (fun _ -> floor))
         ~summary:"deterministic dc levels at the control node")
 
-let probe ?(profile = Execute.fast_profile) ?batching ?backend ?(configs = 3)
+let probe ?(profile = Execute.fast_profile) ?backend ?(configs = 3)
     ?(levels = 2) ?(floor = 1e-3) ~macro () =
   if configs < 1 then invalid_arg "Setup.probe: configs must be >= 1";
   if levels < 1 then invalid_arg "Setup.probe: levels must be >= 1";
   let configs = probe_configs ~configs ~levels ~floor macro in
   let nominal = target_of_macro macro Macros.Process.nominal in
   let evaluators =
-    Evaluator.create_all ~profile ?batching ?backend ~nominal
+    Evaluator.create_all ~profile ?backend ~nominal
       (List.map (fun config -> (config, Tolerance.floor_only config)) configs)
   in
   {

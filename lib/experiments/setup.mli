@@ -16,7 +16,6 @@ val target_of_macro :
 
 val create :
   ?profile:Testgen.Execute.profile ->
-  ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   ?grid:int ->
   ?guardband:float ->
@@ -27,16 +26,13 @@ val create :
   t
 (** Calibrate a box model per configuration over the process [corners]
     (default {!Macros.Process.corners}) and bundle evaluators plus the
-    macro's exhaustive fault dictionary.  [batching] (default [true]) admits cross-product sweeps into
-    config-major batched evaluation — bit-identical, faster; see
-    {!Testgen.Evaluator.create}.  [backend] forces the evaluators'
+    macro's exhaustive fault dictionary.  [backend] forces the evaluators'
     linear-algebra engine — a test seam; default chosen by
     {!Circuit.Mna.build} from the node count.  Results are bit-identical
     across backends. *)
 
 val iv :
   ?profile:Testgen.Execute.profile ->
-  ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   ?grid:int ->
   unit ->
@@ -46,7 +42,6 @@ val iv :
 
 val probe :
   ?profile:Testgen.Execute.profile ->
-  ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   ?configs:int ->
   ?levels:int ->
@@ -62,7 +57,7 @@ val probe :
     calibration and no random draws — the context is a pure function of
     [(macro, configs, levels, floor)], so the CLI one-shot path
     and the serve daemon construct bit-identical problems from a macro
-    name.  [batching] and [backend] are test seams as in {!create}.  Use
+    name.  [backend] is a test seam as in {!create}.  Use
     {!probe_options} for engine runs over probe contexts. *)
 
 val probe_options : Testgen.Generate.options

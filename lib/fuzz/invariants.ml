@@ -285,7 +285,7 @@ let crash_safety ctx =
                 end
             end))
 
-(* -- batch-parity --------------------------------------------------------- *)
+(* -- backend-parity ------------------------------------------------------- *)
 
 (* Everything a compaction reports, floats in exact hex form. *)
 let compaction_fingerprint (r : Compactor.result) =
@@ -313,7 +313,7 @@ let compaction_fingerprint (r : Compactor.result) =
 (* Two builds of one scenario that a bitwise contract says are
    interchangeable: nothing observable may differ — not the generation
    run, and not the compaction of it, whose coverage, collapse and
-   member checks reach the batch engine and every backend solve. *)
+   member checks reach every backend solve. *)
 let paths_agree label (a_built, (a : Engine.run)) (b_built, (b : Engine.run)) =
   let report_shape (r : Engine.fault_report) =
     match r.Engine.report_outcome with
@@ -342,15 +342,6 @@ let paths_agree label (a_built, (a : Engine.run)) (b_built, (b : Engine.run)) =
         not (String.equal (compaction a_built a) (compaction b_built b))
       then fail "%s: compaction reports differ" label
       else Pass
-
-(* The same scenario with config-major batching switched off walks every
-   (fault, point) pair through the sequential reference path. *)
-let batch_parity ctx =
-  let seq_built = Scenario.build ~batching:false ctx.built.Scenario.spec in
-  paths_agree "batched vs sequential" (ctx.built, ctx.run)
-    (seq_built, base_run seq_built)
-
-(* -- backend-parity ------------------------------------------------------- *)
 
 (* The same scenario forced onto the backend Mna.build did not choose for
    its nominal netlist: dense and sparse LU share pivot choices and
@@ -397,7 +388,6 @@ let all =
     { name = "inject-contract"; check = inject_contract };
     { name = "inject-parity"; check = inject_parity };
     { name = "crash-safety"; check = crash_safety };
-    { name = "batch-parity"; check = batch_parity };
     { name = "backend-parity"; check = backend_parity };
   ]
 

@@ -24,15 +24,12 @@
       [session.torn_write] failure point) recovers with
       {!Testgen.Session.checkpoint_resume} and finishes to a checkpoint
       file byte-identical to an uninterrupted run's;
-    - [batch-parity] — the same scenario built with
-      [~batching:false] (every cross-product pair on the sequential
-      reference path) gives identical session bytes, rung stats, fault
-      reports and fault-simulation counts, and a bit-identical
-      compaction (compact tests and coverage report) at delta 0.1;
     - [backend-parity] — the same scenario built with [~backend] forced
       to the linear-algebra backend {!Circuit.Mna.build} did not select
-      for the nominal netlist agrees with the base run on all of the
-      above. *)
+      for the nominal netlist gives identical session bytes, rung
+      stats, fault reports and fault-simulation counts, and a
+      bit-identical compaction (compact tests and coverage report) at
+      delta 0.1. *)
 
 type outcome = Pass | Skip of string | Fail of string
 

@@ -184,7 +184,7 @@ type built = {
   evaluators : Evaluator.t list;
 }
 
-let build ?batching ?backend s =
+let build ?backend s =
   let macro = macro_of_topology s.topology in
   let configs = configs_of_spec s macro in
   let dictionary = dictionary_of_spec s macro in
@@ -192,7 +192,7 @@ let build ?batching ?backend s =
     Experiments.Setup.target_of_macro macro Macros.Process.nominal
   in
   let evaluators =
-    Evaluator.create_all ~profile:Execute.fast_profile ?batching ?backend
+    Evaluator.create_all ~profile:Execute.fast_profile ?backend
       ~nominal
       (List.map (fun config -> (config, Tolerance.floor_only config)) configs)
   in

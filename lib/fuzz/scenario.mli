@@ -57,15 +57,13 @@ type built = {
 }
 
 val build :
-  ?batching:bool -> ?backend:Circuit.Mna.backend -> spec -> built
+  ?backend:Circuit.Mna.backend -> spec -> built
 (** Expand a spec (deterministically) into a runnable scenario:
     floor-only tolerance boxes, the fast execution profile, compiled
-    evaluators.  [batching] (default true) and [backend] are test seams
-    passed to {!Testgen.Evaluator.create}: [~batching:false] builds the
-    sequential-reference variant the batch-parity invariant compares
-    against, and [backend] — a test seam; default chosen by
-    {!Circuit.Mna.build} from the node count — forces the other backend
-    for the backend-parity invariant. *)
+    evaluators.  [backend] is a test seam passed to
+    {!Testgen.Evaluator.create} (default chosen by {!Circuit.Mna.build}
+    from the node count): the backend-parity invariant forces the other
+    backend with it. *)
 
 val generate_options : Testgen.Generate.options
 (** Reduced optimizer budgets used for all fuzz engine runs. *)

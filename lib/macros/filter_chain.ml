@@ -14,9 +14,9 @@ let ota_c = 1e-9
 
 (* Stage s of the chain: input node [p] (the previous stage's output),
    internal nodes [a] and [b], buffered output [o].  The unity buffer is
-   an ideal VCVS, keeping the whole chain linear: the batched DC-levels
-   solver applies, and the stage still has the Sallen-Key shape (series
-   R1-R2, feedback C1 to the buffered output, C2 to ground). *)
+   an ideal VCVS, keeping the whole chain linear: its DC levels share
+   one held factorization, and the stage still has the Sallen-Key shape
+   (series R1-R2, feedback C1 to the buffered output, C2 to ground). *)
 
 let sk_out ~stages s = if s = stages then "out" else Printf.sprintf "s%do" s
 

@@ -41,6 +41,7 @@ let create n entries =
 let size a = a.n
 let nnz a = Array.length a.ci
 let clear a = Array.fill a.vx 0 (Array.length a.vx) 0.
+let values a = a.vx
 
 (* Binary search for (i, j) within row i's sorted column segment. *)
 let slot a i j =

@@ -47,6 +47,10 @@ val nnz : t -> int
 val clear : t -> unit
 (** Zero all values; the pattern is untouched. *)
 
+val values : t -> float array
+(** The values themselves, one per pattern slot in CSR order, shared
+    (not copied). *)
+
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j x] increments slot [(i,j)] — the MNA stamp primitive.
     @raise Invalid_argument if [(i,j)] is outside the pattern. *)

@@ -303,7 +303,6 @@ let run_op ~send ~req ~macro_name =
 
 let stats_fields t =
   let s = stats t in
-  let b = Evaluator.batch_stats () in
   [
     ("in_flight", Jsonl.Num (float_of_int s.st_in_flight));
     ("budget", Jsonl.Num (float_of_int s.st_budget));
@@ -312,12 +311,6 @@ let stats_fields t =
     ("rejected", Jsonl.Num (float_of_int s.st_rejected));
     ("completed", Jsonl.Num (float_of_int s.st_completed));
     ("uptime_s", Jsonl.Num (Unix.gettimeofday () -. t.started));
-    (* config-major batching across all served requests: maintained
-       unconditionally, so stats see them without tracing enabled *)
-    ( "batch_faults_batched",
-      Jsonl.Num (float_of_int b.Evaluator.faults_batched) );
-    ("batch_fallback_seq", Jsonl.Num (float_of_int b.Evaluator.fallback_seq));
-    ("batch_panels", Jsonl.Num (float_of_int b.Evaluator.panels));
   ]
 
 let profile_fields () =

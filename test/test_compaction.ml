@@ -304,6 +304,114 @@ let test_seed_tests () =
         (Array.length t.Coverage.test_params > 0))
     tests
 
+(* ------------------------------------------------- linear screening *)
+
+let probe_context name =
+  match Macros.Registry.find name with
+  | Ok macro -> Experiments.Setup.probe ~macro ()
+  | Error e -> Alcotest.fail e
+
+(* [Collapse.screen] walks its members in order and stops at the first
+   that violates its bound.  Against a walk that scores each member on a
+   fresh fork of the evaluator (its own compiled sites, so nothing held
+   from the member before): the same verdict and bits, and exactly the
+   members up to the first violation evaluated.  The members were
+   optimized at the seed and are screened at the box's lower bounds. *)
+let test_collapse_screen_verdict_parity () =
+  let c = probe_context "skc2" in
+  let ev = List.hd c.Experiments.Setup.evaluators in
+  let faults =
+    List.filteri (fun i _ -> i < 6)
+      (List.map (fun e -> e.Faults.Dictionary.fault)
+         (Faults.Dictionary.entries c.dictionary))
+  in
+  let seed = Test_config.param_values_of_seed (Evaluator.config ev) in
+  let candidate, _ =
+    Test_param.bounds_of (Evaluator.config ev).Test_config.params
+  in
+  let cold fault point =
+    Evaluator.sensitivity (List.hd (Evaluator.fork [ ev ])) fault point
+  in
+  let members =
+    List.mapi
+      (fun i fault ->
+        {
+          Collapse.member_fault_id = Faults.Fault.id fault ^ string_of_int i;
+          member_fault = fault;
+          member_params = seed;
+          member_opt_sensitivity = cold fault seed;
+        })
+      faults
+  in
+  let reference delta =
+    let rec walk n acc = function
+      | [] -> (Some (List.rev acc), n)
+      | m :: rest ->
+          let s = cold m.Collapse.member_fault candidate in
+          let s_opt = m.Collapse.member_opt_sensitivity in
+          let scored = (m.Collapse.member_fault_id, Int64.bits_of_float s) in
+          if s <= s_opt +. (delta *. (1. -. s_opt)) then
+            walk (n + 1) (scored :: acc) rest
+          else (None, n + 1)
+    in
+    walk 0 [] members
+  in
+  let verdicts = ref [] in
+  List.iter
+    (fun delta ->
+      let before = Evaluator.evaluation_count ev in
+      let got =
+        Option.map
+          (List.map (fun (id, s) -> (id, Int64.bits_of_float s)))
+          (Collapse.screen ev ~delta members candidate)
+      in
+      let want, walked = reference delta in
+      verdicts := Option.is_some got :: !verdicts;
+      Alcotest.(check bool)
+        (Printf.sprintf "screen verdict identical at delta %g" delta)
+        true (got = want);
+      Alcotest.(check int)
+        (Printf.sprintf "members evaluated at delta %g" delta)
+        walked
+        (Evaluator.evaluation_count ev - before))
+    [ 1.0; 0.1; 0. ];
+  Alcotest.(check bool) "an accepted and a rejected screen" true
+    (List.mem true !verdicts && List.mem false !verdicts)
+
+(* ---------------------------------------------- evaluation-count pins *)
+
+(* Faulty-circuit evaluations that [Runs.compact_run ~delta:0.1] adds on
+   top of a probe-options engine run.  Evaluation order and count are
+   part of the contract: budgets and injected draws are keyed to them.
+   The coverage fold evaluates every (fault, test) pair and the
+   baseline every seed test; a collapse screen stops at its first
+   violating member, which on skc4 happens before the last member — an
+   eager screen would raise its count. *)
+let compaction_evaluations (c : Experiments.Setup.t) =
+  let run =
+    Experiments.Runs.engine_run ~options:Experiments.Setup.probe_options
+      ~jobs:1 c
+  in
+  let count () =
+    List.fold_left (fun n ev -> n + Evaluator.evaluation_count ev) 0
+      c.evaluators
+  in
+  let before = count () in
+  ignore (Experiments.Runs.compact_run ~delta:0.1 c run);
+  count () - before
+
+let test_compaction_evaluation_pins () =
+  let pin label expected c =
+    Alcotest.(check int) label expected (compaction_evaluations c)
+  in
+  pin "iv, 4 faults" 16
+    (Experiments.Setup.reduced
+       (Experiments.Setup.iv ~profile:Execute.fast_profile ())
+       ~n_faults:4);
+  pin "rc16" 475 (probe_context "rc16");
+  pin "skc4, 80 faults" 156
+    (Experiments.Setup.reduced (probe_context "skc4") ~n_faults:80)
+
 let () =
   Alcotest.run "compaction"
     [
@@ -323,11 +431,18 @@ let () =
           Alcotest.test_case "rejects worse point" `Quick test_screen_rejects_bad_point;
           Alcotest.test_case "collapse groups" `Quick test_collapse_config_groups;
           Alcotest.test_case "delta validation" `Quick test_collapse_delta_validation;
+          Alcotest.test_case "screen verdict parity" `Quick
+            test_collapse_screen_verdict_parity;
         ] );
       ( "coverage",
         [
           Alcotest.test_case "evaluate" `Quick test_coverage;
           Alcotest.test_case "unknown config" `Quick test_coverage_unknown_config;
+        ] );
+      ( "counts",
+        [
+          Alcotest.test_case "compaction evaluations" `Quick
+            test_compaction_evaluation_pins;
         ] );
       ( "engine",
         [

@@ -72,20 +72,38 @@ let test_build_deterministic () =
       <= spec.Scenario.fault_count)
   done
 
-(* A second parameter sends the engine run's optimizer through its
-   lattice sweep, which the batch engine settles; a single-parameter
-   scenario reaches the batch engine only in compaction. *)
+(* A second parameter sends a scenario's optimizer through its seed +
+   lattice scan, whose two-parameter product includes the box's four
+   corners: each must be among the points the evaluator measured the
+   nominal at. *)
 let test_two_params_reach_the_lattice () =
-  let batched_by_engine_run spec =
-    let before = Testgen.Evaluator.batch_stats () in
-    ignore (Invariants.make_ctx ~jobs:1 ~inject:[] ~inject_seed:0L spec);
-    (Testgen.Evaluator.batch_stats ()).Testgen.Evaluator.faults_batched
-    - before.Testgen.Evaluator.faults_batched
+  let built = Scenario.build { Scenario.minimal with Scenario.params = 2 } in
+  let ev = List.hd built.Scenario.evaluators in
+  let fault =
+    (List.hd (Faults.Dictionary.entries built.Scenario.dictionary))
+      .Faults.Dictionary.fault
   in
-  Alcotest.(check int) "one parameter: Brent, no sweep" 0
-    (batched_by_engine_run Scenario.minimal);
-  Alcotest.(check bool) "two parameters: lattice pairs batched" true
-    (batched_by_engine_run { Scenario.minimal with Scenario.params = 2 } > 0)
+  ignore
+    (Testgen.Generate.optimize_candidate ~options:Scenario.generate_options ev
+       fault);
+  let lower, upper =
+    Testgen.Test_param.bounds_of
+      (Testgen.Evaluator.config ev).Testgen.Test_config.params
+  in
+  Alcotest.(check int) "two parameters" 2 (Array.length lower);
+  let keys = Testgen.Evaluator.nominal_keys ev in
+  List.iter
+    (fun corner ->
+      let key =
+        String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") corner))
+      in
+      Alcotest.(check bool) (key ^ " evaluated") true (List.mem key keys))
+    [
+      [| lower.(0); lower.(1) |];
+      [| lower.(0); upper.(1) |];
+      [| upper.(0); lower.(1) |];
+      [| upper.(0); upper.(1) |];
+    ]
 
 (* ----------------------------------------------------------- invariants *)
 

@@ -535,6 +535,63 @@ let test_retention_across_runs () =
   Alcotest.(check string) "second run = the same faults on a fresh context"
     (run ~jobs:1 (fresh ()) s2) (run ~jobs:1 context s2)
 
+(* ------------------------------------------- linear probe contexts *)
+
+(* The Sallen-Key chain and the RC ladder are linear plans, whose
+   workspaces keep their factorization from solve to solve; a domain's
+   forks compile their own. *)
+let chain = Macros.Filter_chain.sk_chain ~stages:2
+let ladder = Macros.Rc_ladder.macro ~sections:4
+
+let probe_run ?jobs macro n_faults =
+  let c =
+    Experiments.Setup.reduced (Experiments.Setup.probe ~macro ()) ~n_faults
+  in
+  Engine.run ~options:Experiments.Setup.probe_options ?jobs
+    ~evaluators:c.evaluators c.dictionary
+
+let test_linear_pool_size_parity () =
+  let reference = fingerprint (probe_run chain 6) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d identical to sequential" jobs)
+        true
+        (fingerprint (probe_run ~jobs chain 6) = reference))
+    job_counts
+
+(* Injection switches a linear plan to the per-iteration loop, which
+   factors without holding.  An injected run on a context whose
+   workspaces already solved the same faults uninjected must be the
+   injected run of a fresh context. *)
+let test_linear_injected_warm_cold () =
+  let injected c =
+    Fp.with_config ~seed:23L
+      [
+        { Fp.point = "dc.no_convergence"; probability = 0.35; max_triggers = Some 2 };
+        { Fp.point = "execute.observables"; probability = 0.05; max_triggers = None };
+      ]
+      (fun () ->
+        Engine.run ~options:Experiments.Setup.probe_options
+          ~evaluators:c.Experiments.Setup.evaluators c.dictionary)
+  in
+  let context () =
+    Experiments.Setup.reduced (Experiments.Setup.probe ~macro:ladder ())
+      ~n_faults:6
+  in
+  let cold = injected (context ()) in
+  let warm =
+    let c = context () in
+    ignore
+      (Engine.run ~options:Experiments.Setup.probe_options
+         ~evaluators:c.evaluators c.dictionary);
+    injected c
+  in
+  Alcotest.(check bool) "injection exercised the ladder" true
+    (cold.Engine.recovered_count > 0 || cold.Engine.failed_faults <> []);
+  Alcotest.(check bool) "warm injected run = cold injected run" true
+    (fingerprint warm = fingerprint cold)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -555,6 +612,13 @@ let () =
             test_kill_and_resume_across_job_counts;
           Alcotest.test_case "fail-fast in a pool" `Quick
             test_fail_fast_parallel;
+        ] );
+      ( "end-to-end",
+        [
+          Alcotest.test_case "pool-size parity" `Quick
+            test_linear_pool_size_parity;
+          Alcotest.test_case "under failure injection" `Quick
+            test_linear_injected_warm_cold;
         ] );
       ( "merge",
         [

@@ -265,7 +265,7 @@ let prop_newton_oracle =
 
 (* The same differential on linear plans, where {!Dc.solve} assembles,
    factors and solves once per attempt and walks the damped update
-   toward that fixed solve ({!Dc.damped_walk}) instead of refactoring
+   toward that fixed solve instead of refactoring
    every iteration.  Over the RC ladder (rc16 dense, rc48 sparse), the
    OTA cascade and the Sallen-Key chain, nominal or with a random fault,
    at a random input level, at [`Dc] or at [`Time] with random
@@ -359,6 +359,122 @@ let prop_newton_oracle_linear =
             Newton_oracle.solve ?guess ?companions sys ~time)
       in
       Mna.linear sys && run solve = run oracle)
+
+(* A linear plan's workspace keeps its last factorization and solves
+   against it while the assembled matrix is bit-equal to the one it was
+   made from ({!Mna.ws_holds}).  Over the same four linear macros, a
+   sequence of solves on one workspace — stimulus levels, two fault
+   impacts, two gmins, [`Dc] or [`Time] with one of two companion
+   conductance sets — must give, solve by solve, the bits a fresh
+   workspace gives.  Each sequence holds a solve, then one on a
+   different matrix while injection is armed (the per-iteration loop,
+   which factors without holding), then one on the first solve's matrix
+   again.  Finally a held matrix whose zero entry flips its sign must
+   not count as held: [-0. = 0.], but the two are different bits. *)
+let prop_held_factorization =
+  QCheck.Test.make
+    ~name:"a held factorization solves as a fresh workspace does" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create (Int64.of_int (seed + 29)) in
+      let target, faults =
+        linear_targets.(Numerics.Rng.int rng
+                          ~bound:(Array.length linear_targets))
+      in
+      let fault = faults.(Numerics.Rng.int rng ~bound:(Array.length faults)) in
+      let source = target.Testgen.Execute.stimulus_source in
+      let sys =
+        Mna.build
+          (Testgen.Execute.with_stimulus
+             (Faults.Inject.apply target.Testgen.Execute.netlist fault)
+             ~source (Waveform.Dc 0.))
+      in
+      let ws = Mna.workspace sys in
+      let impacts = [| 200.; 47e3 |] and gmins = [| 1e-12; 1e-9 |] in
+      let conductances =
+        Array.init 2 (fun _ ->
+            Array.init (Mna.companion_slots sys) (fun k ->
+                if k mod 2 = 0 then Numerics.Rng.uniform rng ~lo:1e-6 ~hi:1e-3
+                else 0.))
+      in
+      (* a matrix is (impact, gmin, companion set or none) *)
+      let draw_matrix () =
+        ( Numerics.Rng.int rng ~bound:2,
+          Numerics.Rng.int rng ~bound:2,
+          Numerics.Rng.int rng ~bound:3 )
+      in
+      let solve ~workspace (i, g, c) level =
+        let restamp =
+          {
+            Mna.stimulus = Some (source, Waveform.Dc level);
+            impact =
+              Some
+                (Faults.Inject.impact_override
+                   (Faults.Fault.with_impact fault impacts.(i)));
+          }
+        in
+        let options = { Dc.default_options with gmin = gmins.(g) } in
+        let time, companions =
+          if c = 2 then (`Dc, None)
+          else
+            (* the history currents vary per solve; they enter the
+               right-hand side only *)
+            ( `Time 1e-6,
+              Some
+                (Array.mapi
+                   (fun k geq ->
+                     if k mod 2 = 0 then geq
+                     else Numerics.Rng.uniform rng ~lo:(-1e-3) ~hi:1e-3)
+                   conductances.(c)) )
+        in
+        let run ws =
+          report_bits
+            (match
+               Dc.solve ~options ?companions ~workspace:ws ~restamp sys ~time
+             with
+            | r -> Ok r
+            | exception Dc.No_convergence _ -> Error ())
+        in
+        (run workspace, run (Mna.workspace sys))
+      in
+      let level () = Numerics.Rng.uniform rng ~lo:(-2.) ~hi:2. in
+      let agree (held, fresh) = held = fresh in
+      let clean () = agree (solve ~workspace:ws (draw_matrix ()) (level ())) in
+      let first = draw_matrix () in
+      let other =
+        let i, g, c = first in
+        (1 - i, g, c)
+      in
+      let armed =
+        [ { Numerics.Failpoint.point = "dc.singular"; probability = 0.;
+            max_triggers = None } ]
+      in
+      let ok =
+        List.for_all Fun.id
+          [
+            clean ();
+            agree (solve ~workspace:ws first (level ()));
+            Numerics.Failpoint.with_config ~seed:1L armed (fun () ->
+                agree (solve ~workspace:ws other (level ())));
+            agree (solve ~workspace:ws first (level ()));
+            clean ();
+            clean ();
+            agree (solve ~workspace:ws first (level ()));
+          ]
+      in
+      (* the workspace now holds [first]'s matrix; flip a zero's sign *)
+      let values = Mna.ws_matrix ws in
+      let held = Mna.ws_holds ws in
+      let zero = ref (-1) in
+      Array.iteri (fun k v -> if !zero < 0 && v = 0. then zero := k) values;
+      let sign_sensitive =
+        !zero < 0
+        || begin
+             values.(!zero) <- -.values.(!zero);
+             not (Mna.ws_holds ws)
+           end
+      in
+      Mna.linear sys && ok && held && sign_sensitive)
 
 (* -------------------------------------------------------------- clustering *)
 
@@ -710,6 +826,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_newton_oracle;
           QCheck_alcotest.to_alcotest prop_newton_oracle_linear;
+          QCheck_alcotest.to_alcotest prop_held_factorization;
         ] );
       ( "lu",
         [
