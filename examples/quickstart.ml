@@ -27,7 +27,7 @@ let () =
   in
   (* compile the target once; each measurement restamps the stimulus *)
   let measure target =
-    Execute.compiled_observables (Execute.compile config target) params
+    Execute.compiled_observables (Execute.topology target) config params
   in
   let nominal_obs = measure target in
   Printf.printf "test: %s at lev = 25uA -> nominal V(Vout) = %.4f V\n"

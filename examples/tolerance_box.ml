@@ -19,7 +19,7 @@ let () =
   let seeds = Test_config.param_values_of_seed config in
   let box = Tolerance.box box_model seeds in
   let measure target =
-    Execute.compiled_observables (Execute.compile config target) seeds
+    Execute.compiled_observables (Execute.topology target) config seeds
   in
   let nominal_obs = measure nominal in
   Printf.printf "configuration #2 at seed parameters (base=0, elev=20uA):\n";

@@ -16,7 +16,6 @@ let default_options =
 type report = {
   solution : Vec.t;
   newton_iterations : int;
-  pattern_reuses : int;
   gmin_steps : int;
   source_steps : int;
 }
@@ -41,8 +40,8 @@ exception Diverged
    bitwise no-op.  Converged means an undamped step whose node updates
    all sit inside the abstol/reltol band.  [s] may alias [x_new] (each
    entry is read before it is overwritten), which is how the Newton
-   loop below calls it; {!damped_walk} calls it with a fixed [s], so
-   the two walks share every expression. *)
+   loop below calls it on a nonlinear plan; on a linear plan [s] is the
+   attempt's one fixed solve. *)
 let damped_step ~options ~n_nodes ~x ~s ~x_new =
   let dv_max = ref 0. in
   for i = 0 to n_nodes - 1 do
@@ -64,26 +63,6 @@ let damped_step ~options ~n_nodes ~x ~s ~x_new =
     !ok
   end
   else false
-
-(* The Newton walk on a system that does not depend on the iterate (a
-   linear plan, {!Mna.linear}): every iteration would assemble, factor
-   and solve to the same vector [s] bit for bit, so the walk is the
-   damped update alone, from [ws.w_x] toward that fixed [s].  The
-   iterate buffers swap each step as in the Newton loop, so the last
-   iterate is left in [ws.w_x].  Returns the iterations to convergence,
-   or 0 when the walk runs out the [max_newton] budget.  [s] must alias
-   neither iterate buffer. *)
-let damped_walk ~options ~n_nodes (ws : Mna.workspace) ~s =
-  let converged = ref false in
-  let iters = ref 0 in
-  while (not !converged) && !iters < options.max_newton do
-    incr iters;
-    let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
-    converged := damped_step ~options ~n_nodes ~x ~s ~x_new;
-    ws.Mna.w_x <- x_new;
-    ws.Mna.w_x_new <- x
-  done;
-  if !converged then !iters else 0
 
 (* Solver counters, bumped once per [solve] from a per-solve tally —
    never inside the Newton loop — so the hot path stays allocation-free
@@ -116,73 +95,62 @@ type tally = {
 (* One Newton attempt at fixed gmin and source scale, restamping a
    workspace: the system is assembled into the preallocated matrix,
    factored in place, solved into the swap buffer, and the damped update
-   ({!damped_step}) overwrites it — no per-iteration allocation.  On a
-   linear plan one assembly, factorization, solve and finiteness check
-   serve the whole attempt and {!damped_walk} does the iterations: the
-   same bits, iteration count and outcome as the loop, with one
-   factorization instead of one per iteration — none when the workspace
-   already holds a factorization of the same matrix bits
-   ({!Mna.ws_holds}).  Under failure injection
-   the loop runs instead, since it queries the failpoints per
-   iteration.  Returns the solution, iteration count and pattern
-   reuses, or None on failure; every iteration and factorization lands
-   in [tally]. *)
+   ({!damped_step}) overwrites it — no per-iteration allocation.  A
+   linear plan's system does not depend on the iterate, so its first
+   iteration's solve serves the whole attempt: it assembles, factors
+   (not at all when the workspace already holds a factorization of the
+   same matrix bits, {!Mna.ws_holds}) and solves once, into the spent
+   right-hand side, and every iteration steps toward that fixed solve —
+   the same bits, iteration count and outcome as refactoring every
+   iteration.  Under failure injection every iteration draws
+   ["dc.singular"] and then ["dc.nan_solution"], whichever the plan.
+   Returns the solution and iteration count, or None on failure; every
+   iteration and factorization lands in [tally]. *)
 let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ~tally sys ws
     ~time ~start =
   let n_nodes = Mna.n_nodes sys in
   let size = Vec.dim start in
+  let linear = Mna.linear sys in
+  let injected = Failpoint.active () in
   (* boxed once per attempt, not once per iteration *)
   let source_scale = Some source_scale in
   Array.blit start 0 ws.Mna.w_x 0 size;
   let converged = ref false in
   let iters = ref 0 in
-  let reuses = ref 0 in
   (try
-     if Mna.linear sys && options.max_newton > 0 && not (Failpoint.active ())
-     then begin
+     while (not !converged) && !iters < options.max_newton do
+       incr iters;
        tally.iterations <- tally.iterations + 1;
-       Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ?source_scale
-         ?restamp ~gmin ();
-       (* the stimulus only enters the right-hand side, so a fault's
-          points and levels, and a gmin stage, meet the held matrix
-          again *)
-       if not (Mna.ws_holds ws) then begin
-         if Mna.ws_factor ~hold:true ws then incr reuses;
-         tally.factorizations <- tally.factorizations + 1
-       end;
-       (* the right-hand side is spent: it holds the fixed solve *)
-       let s = ws.Mna.w_z in
-       Mna.ws_solve_into ws s ws.Mna.w_x_new;
-       Array.blit ws.Mna.w_x_new 0 s 0 size;
-       if not (finite_solution s ~n_nodes) then raise Diverged;
-       let k = damped_walk ~options ~n_nodes ws ~s in
-       converged := k > 0;
-       iters := if k > 0 then k else options.max_newton;
-       tally.iterations <- tally.iterations + !iters - 1
-     end
-     else
-       while (not !converged) && !iters < options.max_newton do
-         incr iters;
-         tally.iterations <- tally.iterations + 1;
-         if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
+       if injected && Failpoint.should_fail "dc.singular" then
+         raise (Mat.Singular 0);
+       let fresh = !iters = 1 || not linear in
+       if fresh then begin
          Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions
            ?source_scale ?restamp ~gmin ();
-         if Mna.ws_factor ws then incr reuses;
-         tally.factorizations <- tally.factorizations + 1;
+         (* the stimulus only enters the right-hand side, so a fault's
+            points and levels, and a gmin stage, meet a linear plan's
+            held matrix again *)
+         if not (linear && Mna.ws_holds ws) then begin
+           if Mna.ws_factor ~hold:linear ws then
+             tally.reuses <- tally.reuses + 1;
+           tally.factorizations <- tally.factorizations + 1
+         end;
          Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new;
-         let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
-         if Failpoint.should_fail "dc.nan_solution" then
-           Array.fill x_new 0 size Float.nan;
-         if not (finite_solution x_new ~n_nodes) then raise Diverged;
-         converged := damped_step ~options ~n_nodes ~x ~s:x_new ~x_new;
-         ws.Mna.w_x <- x_new;
-         ws.Mna.w_x_new <- x
-       done;
+         if linear then Array.blit ws.Mna.w_x_new 0 ws.Mna.w_z 0 size
+       end;
+       let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
+       let s = if linear then ws.Mna.w_z else x_new in
+       if injected && Failpoint.should_fail "dc.nan_solution" then
+         Array.fill s 0 size Float.nan;
+       if (fresh || injected) && not (finite_solution s ~n_nodes) then
+         raise Diverged;
+       converged := damped_step ~options ~n_nodes ~x ~s ~x_new;
+       ws.Mna.w_x <- x_new;
+       ws.Mna.w_x_new <- x
+     done;
      if not !converged then tally.exhausted <- tally.exhausted + 1
    with Mat.Singular _ | Diverged -> converged := false);
-  tally.reuses <- tally.reuses + !reuses;
-  if !converged then Some (Vec.copy ws.Mna.w_x, !iters, !reuses)
-  else None
+  if !converged then Some (Vec.copy ws.Mna.w_x, !iters) else None
 
 let ladder ~options ~companions ~source_scale ~restamp ~tally sys ws ~time
     ~start =
@@ -191,18 +159,11 @@ let ladder ~options ~companions ~source_scale ~restamp ~tally sys ws ~time
     newton_ws ~options ~companions ~source_scale ~restamp ~gmin ~tally sys ws
       ~time ~start
   in
-  let finish ~x ~it ~reuses ~gmin_steps ~source_steps =
-    {
-      solution = x;
-      newton_iterations = it;
-      pattern_reuses = reuses;
-      gmin_steps;
-      source_steps;
-    }
+  let finish ~x ~it ~gmin_steps ~source_steps =
+    { solution = x; newton_iterations = it; gmin_steps; source_steps }
   in
   match attempt ~gmin:options.gmin ~scale:1. ~start with
-  | Some (x, it, reuses) ->
-      finish ~x ~it ~reuses ~gmin_steps:0 ~source_steps:0
+  | Some (x, it) -> finish ~x ~it ~gmin_steps:0 ~source_steps:0
   | None -> begin
       (* gmin stepping: relax then tighten *)
       let gmins = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; options.gmin ] in
@@ -210,7 +171,7 @@ let ladder ~options ~companions ~source_scale ~restamp ~tally sys ws ~time
         | [] -> (x_opt, steps)
         | g :: rest -> begin
             let start =
-              match x_opt with Some (x, _, _) -> x | None -> start
+              match x_opt with Some (x, _) -> x | None -> start
             in
             match attempt ~gmin:g ~scale:1. ~start with
             | Some r -> gmin_walk (Some r) (steps + 1) rest
@@ -218,8 +179,7 @@ let ladder ~options ~companions ~source_scale ~restamp ~tally sys ws ~time
           end
       in
       match gmin_walk None 0 gmins with
-      | Some (x, it, reuses), steps ->
-          finish ~x ~it ~reuses ~gmin_steps:steps ~source_steps:0
+      | Some (x, it), steps -> finish ~x ~it ~gmin_steps:steps ~source_steps:0
       | None, _ -> begin
           (* source stepping at final gmin *)
           let scales = [ 0.; 0.1; 0.2; 0.35; 0.5; 0.65; 0.8; 0.9; 1. ] in
@@ -227,7 +187,7 @@ let ladder ~options ~companions ~source_scale ~restamp ~tally sys ws ~time
             | [] -> (x_opt, steps)
             | s :: rest -> begin
                 let start =
-                  match x_opt with Some (x, _, _) -> x | None -> start
+                  match x_opt with Some (x, _) -> x | None -> start
                 in
                 match attempt ~gmin:options.gmin ~scale:s ~start with
                 | Some r -> src_walk (Some r) (steps + 1) rest
@@ -235,8 +195,8 @@ let ladder ~options ~companions ~source_scale ~restamp ~tally sys ws ~time
               end
           in
           match src_walk None 0 scales with
-          | Some (x, it, reuses), steps ->
-              finish ~x ~it ~reuses ~gmin_steps:(List.length gmins)
+          | Some (x, it), steps ->
+              finish ~x ~it ~gmin_steps:(List.length gmins)
                 ~source_steps:steps
           | None, _ ->
               raise

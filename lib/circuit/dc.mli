@@ -31,10 +31,6 @@ type report = {
       (** iterations of the successful attempt: one LU factorization
           each on a nonlinear plan, at most one for the whole attempt
           on a linear one ({!solve}) *)
-  pattern_reuses : int;
-      (** of the attempt's factorizations, how many the sparse backend
-          served by numeric replay on a held pattern
-          ({!Numerics.Smat.refactor}); always 0 on the dense backend *)
   gmin_steps : int;  (** gmin-stepping stages used (0 = direct success) *)
   source_steps : int;  (** source-stepping stages used *)
 }
@@ -70,9 +66,11 @@ val solve :
     history enter only the right-hand side, so the levels and points of
     one fault at one impact, and its gmin stage, share one
     factorization, as do transient steps whose companions keep their
-    bits.  While {!Numerics.Failpoint.active} the
-    per-iteration loop runs on linear plans too, since it queries
-    ["dc.singular"] and ["dc.nan_solution"] every iteration.  With or
+    bits.  Both kinds of plan run the one Newton loop: while
+    {!Numerics.Failpoint.active} each of its iterations queries
+    ["dc.singular"] and then ["dc.nan_solution"] (a corrupted iterate
+    fails the attempt however late it comes), and a linear plan still
+    factors at most once per attempt.  With or
     without a workspace the arithmetic, pivot order and iteration counts
     are the same, so the reports are bit-identical.  [restamp]
     substitutes stimulus/fault-impact values at stamp time.
@@ -94,11 +92,13 @@ val solve :
     converged, [solver.dc.failures] those that ran and failed, and
     [solver.dc.op_memo_hits] the answers the memo gave (neither).
     [solver.dc.newton_iterations], [solver.dc.lu_factorizations] and
-    [solver.dc.pattern_reuses] count over every attempt of every solve
+    [solver.dc.pattern_reuses] (factorizations the sparse backend served
+    by numeric replay on a held pattern, {!Numerics.Smat.refactor})
+    count over every attempt of every solve
     that ran — plain attempts that ran out the Newton budget, every gmin and
     source stage, and the attempts of failed solves — and
     [solver.dc.budget_exhausted] counts the attempts that ran out the
-    budget.  On a linear plan outside injection [lu_factorizations]
+    budget.  On a linear plan [lu_factorizations]
     grows by at most one per attempt whatever its iteration count, and
     not at all on a held matrix, so a traced run of a linear macro reads
     fewer factorizations than solves.  The [solver.dc.newton_per_solve]

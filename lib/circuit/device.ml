@@ -87,36 +87,6 @@ let validate d =
       if w <= 0. || l <= 0. then Error (name ^ ": W and L must be > 0")
       else Ok ()
 
-let rename_node ~old_name ~new_name d =
-  let s n = if String.equal n old_name then new_name else n in
-  match d with
-  | Resistor r -> Resistor { r with a = s r.a; b = s r.b }
-  | Capacitor c -> Capacitor { c with a = s c.a; b = s c.b }
-  | Inductor l -> Inductor { l with a = s l.a; b = s l.b }
-  | Vsource v -> Vsource { v with plus = s v.plus; minus = s v.minus }
-  | Isource i ->
-      Isource { i with from_node = s i.from_node; to_node = s i.to_node }
-  | Vcvs e ->
-      Vcvs
-        {
-          e with
-          plus = s e.plus;
-          minus = s e.minus;
-          ctrl_plus = s e.ctrl_plus;
-          ctrl_minus = s e.ctrl_minus;
-        }
-  | Vccs g ->
-      Vccs
-        {
-          g with
-          plus = s g.plus;
-          minus = s g.minus;
-          ctrl_plus = s g.ctrl_plus;
-          ctrl_minus = s g.ctrl_minus;
-        }
-  | Mosfet m ->
-      Mosfet { m with drain = s m.drain; gate = s m.gate; source = s m.source }
-
 let to_spice d =
   let wv w = Format.asprintf "%a" Waveform.pp w in
   match d with

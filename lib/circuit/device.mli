@@ -67,8 +67,5 @@ val validate : t -> (unit, string) result
 (** Structural checks: positive R/C/L values, positive MOS geometry,
     well-formed waveforms. *)
 
-val rename_node : old_name:string -> new_name:string -> t -> t
-(** Substitute a node name everywhere it appears in the device. *)
-
 val to_spice : t -> string
 (** One SPICE-deck-style line describing the device. *)

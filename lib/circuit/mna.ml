@@ -234,8 +234,6 @@ type restamp = {
   impact : (string * float) option;
 }
 
-let no_restamp = { stimulus = None; impact = None }
-
 let[@inline] restamp_wave restamp name wave =
   match restamp with
   | Some { stimulus = Some (s, w); _ } when String.equal s name -> w

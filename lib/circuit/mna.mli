@@ -100,8 +100,6 @@ type restamp = {
     sequence is unchanged, so the assembled system is bit-identical to
     one built from a netlist carrying the overridden values. *)
 
-val no_restamp : restamp
-
 val restamp_wave : restamp option -> string -> Waveform.t -> Waveform.t
 (** The wave a named source stamps under an override set (identity
     without a matching override). *)

@@ -1,13 +1,3 @@
-let tera = 1e12
-let giga = 1e9
-let mega = 1e6
-let kilo = 1e3
-let milli = 1e-3
-let micro = 1e-6
-let nano = 1e-9
-let pico = 1e-12
-let femto = 1e-15
-
 let prefixes =
   [ (1e12, "T"); (1e9, "G"); (1e6, "Meg"); (1e3, "k"); (1., "");
     (1e-3, "m"); (1e-6, "u"); (1e-9, "n"); (1e-12, "p"); (1e-15, "f") ]

@@ -1,15 +1,5 @@
 (** SI prefixes and engineering-notation formatting for circuit values. *)
 
-val tera : float
-val giga : float
-val mega : float
-val kilo : float
-val milli : float
-val micro : float
-val nano : float
-val pico : float
-val femto : float
-
 val format_eng : ?unit_symbol:string -> float -> string
 (** [format_eng ~unit_symbol:"A" 2.5e-5] is ["25u A" → "25uA"]-style
     engineering notation: mantissa in [\[1, 1000)] with the closest SI

@@ -52,8 +52,7 @@ val run :
 (** Generate the optimal test for every fault of the dictionary.
 
     [policy] governs retries and quarantine (default
-    {!Resilience.default_policy}; use {!Resilience.abort_policy} for the
-    historical abort-on-first-failure behaviour).  Faults whose id
+    {!Resilience.default_policy}).  Faults whose id
     appears in [resume] are not re-simulated — the stored result is
     reused, so an interrupted run restarts where it left off.
     [checkpoint] is invoked with each freshly generated (non-resumed)

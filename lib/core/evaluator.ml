@@ -17,8 +17,6 @@ type t = {
   topologies : (string, Execute.topology) Hashtbl.t;
       (* shared by every evaluator of one context (and by their forks
          within one domain) *)
-  plans : (string, Execute.compiled) Hashtbl.t;
-      (* this configuration's shells over [topologies] *)
   evals : Obs.Counter.t;
   budget : int option ref;
   cache_hits : Obs.Counter.t;
@@ -48,7 +46,6 @@ let create_all ?(profile = Execute.default_profile) ?backend ~nominal configs =
         backend;
         nominal_cache = Hashtbl.create 64;
         topologies;
-        plans = Hashtbl.create 16;
         evals = Obs.Counter.unregistered "evaluator.evals";
         budget = ref None;
         cache_hits = Obs.Counter.unregistered "evaluator.cache_hits";
@@ -100,7 +97,6 @@ let fork ts =
         t with
         nominal_cache = uncounted t.nominal_cache;
         topologies = table_for t.topologies;
-        plans = Hashtbl.create 16;
         evals = Obs.Counter.fork t.evals;
         budget = ref None;
         cache_hits = Obs.Counter.fork t.cache_hits;
@@ -152,7 +148,6 @@ let retain_reused ts =
 let config t = t.config
 let config_id t = t.config.Test_config.config_id
 let find ts id = List.find (fun t -> config_id t = id) ts
-let nominal_target t = t.nominal
 let profile t = t.profile
 
 let set_budget t budget = t.budget := budget
@@ -178,39 +173,28 @@ let cache_key values =
    depend on the impact resistance), so [Fault.id] — which excludes the
    resistance — is exactly the right key; the resistance itself is a
    value-phase override applied at stamp time.  The nominal topology
-   lives under a key no fault id can collide with.  The topology comes
-   from the context's shared table, so it is compiled once whichever
-   configuration asks first (a plan-cache miss); this configuration's
-   shell over it is kept alongside. *)
+   lives under a key no fault id can collide with.  The table is the
+   context's, so a site is compiled once whichever configuration asks
+   first (a plan-cache miss). *)
 let nominal_plan_key = "@nominal"
 
 let compiled_plan t ~key target =
-  match Hashtbl.find_opt t.plans key with
-  | Some plan ->
+  match Hashtbl.find_opt t.topologies key with
+  | Some topo ->
       Obs.Counter.bump g_plan_hits 1;
-      plan
+      topo
   | None ->
-      let topo =
-        match Hashtbl.find_opt t.topologies key with
-        | Some topo ->
-            Obs.Counter.bump g_plan_hits 1;
-            topo
-        | None ->
-            Obs.Counter.bump g_plan_misses 1;
-            let topo = Execute.topology ?backend:t.backend (target ()) in
-            Hashtbl.replace t.topologies key topo;
-            topo
-      in
-      let plan = Execute.with_config topo t.config in
-      Hashtbl.replace t.plans key plan;
-      plan
+      Obs.Counter.bump g_plan_misses 1;
+      let topo = Execute.topology ?backend:t.backend (target ()) in
+      Hashtbl.replace t.topologies key topo;
+      topo
 
 let release_sites ts =
-  let nominal_only key v = if key = nominal_plan_key then Some v else None in
   List.iter
     (fun t ->
-      Hashtbl.filter_map_inplace nominal_only t.plans;
-      Hashtbl.filter_map_inplace nominal_only t.topologies)
+      Hashtbl.filter_map_inplace
+        (fun key v -> if key = nominal_plan_key then Some v else None)
+        t.topologies)
     ts
 
 let nominal_observables t values =
@@ -234,7 +218,7 @@ let nominal_observables t values =
             Array.copy
               (Execute.compiled_observables ~profile:t.profile
                  (compiled_plan t ~key:nominal_plan_key (fun () -> t.nominal))
-                 values))
+                 t.config values))
       in
       Hashtbl.replace t.nominal_cache key { obs; lookups = 1 };
       obs
@@ -256,7 +240,7 @@ let measure_faulty t fault values =
   let key = Faults.Fault.id fault in
   let plan = compiled_plan t ~key (fun () -> faulty_target t fault) in
   Execute.compiled_observables ~profile:t.profile
-    ~impact:(Faults.Inject.impact_override fault) plan values
+    ~impact:(Faults.Inject.impact_override fault) plan t.config values
 
 let faulty_observables t fault values =
   charge t;
@@ -291,8 +275,7 @@ let sensitivity t fault values = fst (sensitivity_and_deviation t fault values)
 let sensitivity_at t topo values =
   fst
     (scored t values (fun () ->
-         Execute.compiled_observables ~profile:t.profile
-           (Execute.with_config topo t.config)
+         Execute.compiled_observables ~profile:t.profile topo t.config
            values))
 
 let evaluation_count t = Obs.Counter.value t.evals

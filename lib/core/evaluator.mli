@@ -10,10 +10,10 @@
     per topology — the nominal netlist, and one per fault {e site}
     ({!Faults.Fault.id} excludes the impact resistance, which restamps
     as a value) — so each optimizer probe restamps a preallocated
-    workspace instead of rewriting and re-indexing the netlist.  The
-    topology part of a plan ({!Execute.topology}) is configuration-free:
-    evaluators built together by {!create_all} keep one table of them,
-    so a context compiles each site once, not once per configuration.
+    workspace instead of rewriting and re-indexing the netlist.  A plan
+    ({!Execute.topology}) is configuration-free: evaluators built
+    together by {!create_all} keep one table of them, so a context
+    compiles each site once, not once per configuration.
     The results are bit-identical to rewriting and re-indexing the
     fault-injected netlist for every probe — the reference the parity
     tests keep in the test tree. *)
@@ -74,8 +74,8 @@ val fork : t list -> t list
     results. *)
 
 val release_sites : t list -> unit
-(** Drop the compiled fault sites of the evaluators' plan caches and of
-    their topology tables, keeping the nominal netlist's.  Results do not
+(** Drop the compiled fault sites of the evaluators' topology tables,
+    keeping the nominal netlist's.  Results do not
     depend on it: a released site is compiled again when it is next
     evaluated.  Each site holds a solver workspace, so a table that keeps
     every site it ever saw grows with the dictionary. *)
@@ -106,7 +106,6 @@ val find : t list -> int -> t
     is [id].
     @raise Not_found if there is none. *)
 
-val nominal_target : t -> Execute.target
 val profile : t -> Execute.profile
 
 val set_budget : t -> int option -> unit

@@ -78,36 +78,26 @@ let normalize_stimulus nl ~source =
          canonical error *)
       with_stimulus nl ~source (Waveform.Dc 0.)
 
-(* A compiled plan has two parts.  The topology — indexed system plus
-   solver workspace — depends only on the target, so every configuration
-   of a context can share one per fault site; the shell adds what one
-   configuration needs on top (the small-signal workspace of AC and
-   noise analyses). *)
-type topology = { t_target : target; t_plan : Mna.t; t_ws : Mna.workspace }
+(* A compiled plan depends only on the target, so every configuration
+   of a context shares one per fault site: the indexed system, its
+   solver workspace and, made by the first AC or noise probe, a
+   small-signal workspace. *)
+type topology = {
+  t_target : target;
+  t_plan : Mna.t;
+  t_ws : Mna.workspace;
+  t_ac : Ac.workspace Lazy.t;
+}
 
 let topology ?backend target =
   let nl = normalize_stimulus target.netlist ~source:target.stimulus_source in
   let plan = Mna.build ?backend nl in
-  { t_target = target; t_plan = plan; t_ws = Mna.workspace plan }
-
-type compiled = {
-  c_config : Test_config.t;
-  c_topo : topology;
-  c_ac : Ac.workspace option;
-}
-
-let with_config topo config =
-  let c_ac =
-    match config.Test_config.analysis with
-    | Test_config.Noise_psd _ | Test_config.Ac_gain _ ->
-        Some (Ac.workspace topo.t_plan)
-    | Test_config.Dc_levels _ | Test_config.Tran_thd _
-    | Test_config.Tran_samples _ | Test_config.Tran_imd _ -> None
-  in
-  { c_config = config; c_topo = topo; c_ac }
-
-let compile ?backend config target =
-  with_config (topology ?backend target) config
+  {
+    t_target = target;
+    t_plan = plan;
+    t_ws = Mna.workspace plan;
+    t_ac = lazy (Ac.workspace plan);
+  }
 
 (* A probe wave as a restamp of the plan's stimulus source, rejected as
    netlist insertion would reject it (same message). *)
@@ -169,13 +159,11 @@ let periodic_window ~profile topo restamp f0 =
   let keep = spp * profile.analyze_periods in
   (Array.sub samples (Array.length samples - keep) keep, dt)
 
-let observables_body ~profile c ~impact values =
-  let config = c.c_config in
+let observables_body ~profile topo config ~impact values =
   check_values config values;
   if Numerics.Failpoint.should_fail "execute.observables" then
     raise (Execution_failure "injected failure at execute.observables");
   let options = profile.dc_options in
-  let topo = c.c_topo in
   let observe = topo.t_target.observe_node in
   let probe wave = restamp topo ~impact wave in
   match config.Test_config.analysis with
@@ -218,8 +206,8 @@ let observables_body ~profile c ~impact values =
       let restamp = probe (bias values) in
       let op = operating_point ~options topo restamp in
       (match
-         Noise.output_noise ?workspace:c.c_ac ~restamp topo.t_plan ~op ~observe
-           ~freqs:[| f |]
+         Noise.output_noise ~workspace:(Lazy.force topo.t_ac) ~restamp
+           topo.t_plan ~op ~observe ~freqs:[| f |]
        with
       | [ point ] -> [| 1e9 *. sqrt point.Noise.total_psd |]
       | _ -> raise (Execution_failure "noise: unexpected result")
@@ -233,7 +221,7 @@ let observables_body ~profile c ~impact values =
       let restamp = probe (bias values) in
       let op = operating_point ~options topo restamp in
       (match
-         Ac.sweep ?workspace:c.c_ac ~restamp topo.t_plan ~op
+         Ac.sweep ~workspace:(Lazy.force topo.t_ac) ~restamp topo.t_plan ~op
            ~source:topo.t_target.stimulus_source ~freqs:[| f |] ~observe
        with
       | [ point ] ->
@@ -244,11 +232,14 @@ let observables_body ~profile c ~impact values =
 
 (* The span closure is only built when tracing is active, so the
    disabled path is a direct call with no extra allocation. *)
-let compiled_observables ?(profile = default_profile) ?impact c values =
-  if not (Obs.active ()) then observables_body ~profile c ~impact values
+let compiled_observables ?(profile = default_profile) ?impact topo config
+    values =
+  if not (Obs.active ()) then
+    observables_body ~profile topo config ~impact values
   else
-    Obs.Span.timed ~key:(string_of_int c.c_config.Test_config.config_id)
-      "execute.solve" (fun () -> observables_body ~profile c ~impact values)
+    Obs.Span.timed ~key:(string_of_int config.Test_config.config_id)
+      "execute.solve" (fun () ->
+        observables_body ~profile topo config ~impact values)
 
 let deviations config ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then

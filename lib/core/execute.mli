@@ -42,11 +42,13 @@ val with_stimulus :
     independent source. *)
 
 type topology
-(** The configuration-free part of a compiled execution plan: the
-    target's topology indexed once ({!Circuit.Mna.build}) with a
-    preallocated solver workspace.  Every probe of the optimizer then
-    restamps stimulus values into the same workspace instead of
-    rewriting and re-indexing the netlist.
+(** A compiled execution plan: the target's topology indexed once
+    ({!Circuit.Mna.build}) with a preallocated solver workspace, and a
+    small-signal workspace made by the first AC or noise probe.  It
+    depends on the target only, so every configuration of a context
+    probes one plan per fault site: each optimizer probe restamps
+    stimulus values into the same workspace instead of rewriting and
+    re-indexing the netlist.
 
     A topology owns mutable buffers: share it freely across sequential
     probes — of any configuration — but never across domains.  Results
@@ -65,27 +67,17 @@ val topology : ?backend:Circuit.Mna.backend -> target -> topology
     @raise Invalid_argument if the stimulus source is missing or not an
     independent source. *)
 
-type compiled
-(** A compiled execution plan: a shared {!topology} plus the small
-    per-configuration shell — the configuration and, for AC and noise
-    analyses, a small-signal workspace.  Same ownership rule as the
-    topology. *)
-
-val with_config : topology -> Test_config.t -> compiled
-(** The plan of one configuration over a compiled topology. *)
-
-val compile : ?backend:Circuit.Mna.backend -> Test_config.t -> target -> compiled
-(** [with_config (topology ?backend target) config]. *)
-
 val compiled_observables :
   ?profile:profile ->
   ?impact:string * float ->
-  compiled ->
+  topology ->
+  Test_config.t ->
   Numerics.Vec.t ->
   float array
-(** Run the configuration's analysis with the given parameter values,
-    restamping the probe's stimulus into the plan's workspace: no
-    per-probe netlist rewrite, matrix allocation or LU allocation.
+(** Run the configuration's analysis with the given parameter values
+    on a compiled topology, restamping the probe's stimulus into its
+    workspace: no per-probe netlist rewrite, matrix allocation or LU
+    allocation.
     The result length depends on the analysis: one voltage per DC level,
     one THD or IMD value, the full sample train, one noise density, or
     gain and phase.  [impact] overrides one resistor's value during
@@ -95,10 +87,9 @@ val compiled_observables :
     {!Numerics.Failpoint}) raises {!Execution_failure} at entry.
 
     The samples of a step-train configuration ({!Test_config.Tran_samples}
-    at [dt_divisor = 1]) are returned in the plan's own buffer
+    at [dt_divisor = 1]) are returned in the topology's own buffer
     ({!Circuit.Tran.simulate}): the next transient of the same length on
-    the plan's topology overwrites them, so a caller that keeps them
-    copies them.
+    it overwrites them, so a caller that keeps them copies them.
 
     @raise Execution_failure on simulator failure.
     @raise Invalid_argument on value-count mismatch or an invalid probe

@@ -82,9 +82,6 @@ let default_policy =
     fail_fast = false;
   }
 
-let abort_policy =
-  { ladder = []; max_retries = 0; attempt_budget = None; fail_fast = true }
-
 type attempt = { attempt_rung : string; attempt_error : string option }
 
 type diagnosis = {

@@ -52,10 +52,6 @@ val default_policy : policy
 (** The full {!default_ladder}, [max_retries = 4],
     [attempt_budget = Some 4000], [fail_fast = false]. *)
 
-val abort_policy : policy
-(** No retries and [fail_fast = true]: the pre-resilience behaviour
-    (first simulator failure aborts the run). *)
-
 type attempt = {
   attempt_rung : string;  (** {!baseline_label} or a ladder rung label *)
   attempt_error : string option;

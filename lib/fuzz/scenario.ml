@@ -43,8 +43,6 @@ let to_string s =
     s.fault_count s.bridge_weight s.config_count s.params s.levels
     s.floor_exp s.value_seed
 
-let pp ppf s = Format.pp_print_string ppf (to_string s)
-
 (* The spec's contribution to scenario cost, used to order shrink
    candidates and guarantee shrink termination (every candidate is
    strictly smaller). *)
@@ -284,16 +282,3 @@ let shrink s =
   List.sort_uniq compare candidates
   |> List.filter (fun c -> size c < size s)
   |> List.sort (fun a b -> compare (size a) (size b))
-
-(* -- QCheck integration ------------------------------------------------- *)
-
-let qcheck_gen =
-  QCheck.Gen.map
-    (fun i ->
-      gen (Numerics.Rng.of_key ~seed:(Int64.of_int i) ~key:"fuzz.qcheck"))
-    (QCheck.Gen.int_bound 1_000_000)
-
-let arbitrary =
-  QCheck.make ~print:to_string
-    ~shrink:(fun s -> QCheck.Iter.of_list (shrink s))
-    qcheck_gen

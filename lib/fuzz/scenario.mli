@@ -42,8 +42,6 @@ val minimal : spec
 val to_string : spec -> string
 (** Compact one-line form, e.g. ["rc2/f3/bw75/c2/p2/l1/e3/v417"]. *)
 
-val pp : Format.formatter -> spec -> unit
-
 val size : spec -> int
 (** Scenario cost measure; every {!shrink} candidate is strictly
     smaller, so greedy shrinking terminates. *)
@@ -74,8 +72,3 @@ val gen : Numerics.Rng.t -> spec
 val shrink : spec -> spec list
 (** Strictly smaller candidate specs, smallest first, deduplicated.
     Empty exactly at {!minimal}-like fixed points. *)
-
-val qcheck_gen : spec QCheck.Gen.t
-
-val arbitrary : spec QCheck.arbitrary
-(** QCheck arbitrary with printing and shrinking wired in. *)

@@ -10,10 +10,6 @@ let node i = if i = 0 then "in" else Printf.sprintf "n%d" i
 let section_r = 10e3
 let section_c = 1e-9
 
-let cutoff_hz ~sections =
-  ignore sections;
-  1. /. (2. *. Float.pi *. section_r *. section_c)
-
 let fault_nodes ~sections =
   "0" :: List.init sections (fun i -> node i) @ [ "out" ]
 

@@ -13,9 +13,6 @@ val max_sections : int
     the quadratic bridge dictionary, not the linear solve, is the cost
     that grows. *)
 
-val cutoff_hz : sections:int -> float
-(** Per-section pole frequency, [1 / (2 pi R C)]. *)
-
 val fault_nodes : sections:int -> string list
 
 val build : sections:int -> Process.point -> Circuit.Netlist.t

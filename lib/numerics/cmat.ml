@@ -6,9 +6,6 @@ let create r c =
   if r < 0 || c < 0 then invalid_arg "Cmat.create";
   { r; c; a = Array.make (r * c) Complex.zero }
 
-let rows m = m.r
-let cols m = m.c
-let get m i j = m.a.((i * m.c) + j)
 let set m i j x = m.a.((i * m.c) + j) <- x
 let add_to m i j x = m.a.((i * m.c) + j) <- Complex.add m.a.((i * m.c) + j) x
 let fill m x = Array.fill m.a 0 (Array.length m.a) x

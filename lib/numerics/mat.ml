@@ -90,8 +90,6 @@ let lu_workspace n =
     factored = false;
   }
 
-let lu_size ws = ws.n
-
 let factored name ws =
   if not ws.factored then invalid_arg (name ^ ": workspace not factored")
 
@@ -220,26 +218,3 @@ let det m =
       done;
       !d
 
-let norm_inf m =
-  let best = ref 0. in
-  for i = 0 to m.r - 1 do
-    let s = ref 0. in
-    for j = 0 to m.c - 1 do
-      s := !s +. Float.abs m.a.((i * m.c) + j)
-    done;
-    best := Float.max !best !s
-  done;
-  !best
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.c - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done;
-    Format.fprintf ppf "]";
-    if i < m.r - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -84,8 +84,6 @@ val solve_into : lu -> Vec.t -> Vec.t -> unit
     @raise Invalid_argument on dimension mismatch, aliasing, or an
     unfactored workspace. *)
 
-val lu_size : lu -> int
-
 val lu_pivots : lu -> int array
 (** The pivot permutation of a factorization (copied) — row [i] of the
     permuted system came from row [lu_pivots.(i)] of the input. *)
@@ -105,8 +103,3 @@ val solve : t -> Vec.t -> Vec.t
 
 val det : t -> float
 (** Determinant via LU; [0.] for singular matrices. *)
-
-val norm_inf : t -> float
-(** Maximum absolute row sum. *)
-
-val pp : Format.formatter -> t -> unit

@@ -172,8 +172,6 @@ let lu_workspace n =
     n_reuse = 0;
   }
 
-let lu_size ws = ws.ln
-
 let lu_pivots ws =
   if not ws.factored then invalid_arg "Smat.lu_pivots: workspace not factored";
   Array.copy ws.piv

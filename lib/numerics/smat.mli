@@ -75,8 +75,6 @@ val lu_workspace : int -> lu
     grows on first factorization and is reused afterwards, so the
     restamp-many loop settles into zero allocation. *)
 
-val lu_size : lu -> int
-
 val lu_pivots : lu -> int array
 (** The pivot permutation (copied) — same convention as
     {!Mat.lu_pivots}.  @raise Invalid_argument if unfactored. *)

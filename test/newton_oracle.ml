@@ -68,8 +68,7 @@ let newton_alloc ~(options : Dc.options) ~companions ~source_scale ~restamp
   if !converged then Some (!x, !iters) else None
 
 (* {!Circuit.Dc.solve}'s ladder over [newton_alloc]: direct attempt,
-   then gmin stepping, then source stepping at the final gmin.
-   [pattern_reuses] is always 0 (dense factorization). *)
+   then gmin stepping, then source stepping at the final gmin. *)
 let solve ?(options = Dc.default_options) ?guess ?companions
     ?(source_scale = 1.) ?restamp sys ~time =
   if Failpoint.should_fail "dc.no_convergence" then
@@ -82,13 +81,7 @@ let solve ?(options = Dc.default_options) ?guess ?companions
       ~restamp ~gmin sys ~time ~start
   in
   let report (x, it) ~gmin_steps ~source_steps =
-    {
-      Dc.solution = x;
-      newton_iterations = it;
-      pattern_reuses = 0;
-      gmin_steps;
-      source_steps;
-    }
+    { Dc.solution = x; newton_iterations = it; gmin_steps; source_steps }
   in
   let rec walk ~gmin_of ~scale_of prev steps = function
     | [] -> (prev, steps)

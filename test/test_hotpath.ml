@@ -40,8 +40,7 @@ let test_observables_parity () =
         let direct = Direct_oracle.observables ~profile config target values in
         let compiled =
           Execute.compiled_observables ~profile ?impact
-            (Execute.compile config target)
-            values
+            (Execute.topology target) config values
         in
         check_bitwise
           (Printf.sprintf "config %d %s" config.Test_config.config_id label)
@@ -60,7 +59,7 @@ let test_observables_parity () =
 let test_impact_restamp_parity () =
   let config = Experiments.Iv_configs.config1 in
   let values = Test_param.seeds_of config.Test_config.params in
-  let plan = Execute.compile config (injected bridge) in
+  let plan = Execute.topology (injected bridge) in
   List.iter
     (fun ohms ->
       let variant = Faults.Fault.with_impact bridge ohms in
@@ -68,7 +67,7 @@ let test_impact_restamp_parity () =
       let compiled =
         Execute.compiled_observables
           ~impact:(Faults.Inject.impact_override variant)
-          plan values
+          plan config values
       in
       check_bitwise (Printf.sprintf "bridge at %g ohm" ohms) direct compiled)
     [ 10e3; 3e3; 330.; 1e6 ]
@@ -83,8 +82,8 @@ let test_impact_reaches_noise_and_ac () =
     let compiled =
       Execute.compiled_observables
         ~impact:(Faults.Inject.impact_override fault)
-        (Execute.compile config (injected fault))
-        v
+        (Execute.topology (injected fault))
+        config v
     in
     (direct, compiled)
   in
@@ -359,8 +358,7 @@ let test_iv_transient_goldens () =
                  (fun (label, target, impact) ->
                    ( Printf.sprintf "config%d/p%d/%s" id p label,
                      Execute.compiled_observables ?impact
-                       (Execute.compile config target)
-                       values ))
+                       (Execute.topology target) config values ))
                  targets)
              points))
       golden_points
@@ -476,11 +474,12 @@ let words_per_probe_bound = 500.
 
 let test_probe_allocation () =
   let config = Experiments.Iv_configs.config1 in
-  let plan = Execute.compile config iv_target in
+  let plan = Execute.topology iv_target in
   let values = Test_param.seeds_of config.Test_config.params in
   let probe () =
     ignore
-      (Execute.compiled_observables ~profile:Execute.fast_profile plan values)
+      (Execute.compiled_observables ~profile:Execute.fast_profile plan config
+         values)
   in
   let words = minor_words_per_call ~calls:100 probe in
   Printf.printf "config #1 probe: %.1f minor words\n" words;
@@ -523,9 +522,8 @@ let test_decimation_grid () =
       let values = Test_param.seeds_of config.Test_config.params in
       let with_divisor k =
         let profile = { Execute.default_profile with dt_divisor = k } in
-        Execute.compiled_observables ~profile
-          (Execute.compile config iv_target)
-          values
+        Execute.compiled_observables ~profile (Execute.topology iv_target)
+          config values
       in
       let reference = with_divisor 1 in
       let expected_len =
@@ -566,9 +564,8 @@ let test_decimation_values () =
   let k = 3 in
   let profile = { Execute.default_profile with dt_divisor = k } in
   let decimated =
-    Execute.compiled_observables ~profile
-      (Execute.compile config iv_target)
-      values
+    Execute.compiled_observables ~profile (Execute.topology iv_target)
+      config values
   in
   let wave =
     Circuit.Waveform.Step
@@ -777,8 +774,8 @@ let test_release_sites () =
 
 let report_bits (r : Circuit.Dc.report) =
   ( Array.to_list (bits r.Circuit.Dc.solution),
-    [ r.Circuit.Dc.newton_iterations; r.Circuit.Dc.pattern_reuses;
-      r.Circuit.Dc.gmin_steps; r.Circuit.Dc.source_steps ] )
+    [ r.Circuit.Dc.newton_iterations; r.Circuit.Dc.gmin_steps;
+      r.Circuit.Dc.source_steps ] )
 
 let report_testable =
   Alcotest.(pair (list int64) (list int))

@@ -560,10 +560,10 @@ let test_linear_pool_size_parity () =
         (fingerprint (probe_run ~jobs chain 6) = reference))
     job_counts
 
-(* Injection switches a linear plan to the per-iteration loop, which
-   factors without holding.  An injected run on a context whose
-   workspaces already solved the same faults uninjected must be the
-   injected run of a fresh context. *)
+(* Injection runs the same Newton loop, which keeps a linear plan's
+   held factorizations.  An injected run on a context whose workspaces
+   already solved the same faults uninjected must be the injected run of
+   a fresh context. *)
 let test_linear_injected_warm_cold () =
   let injected c =
     Fp.with_config ~seed:23L

@@ -264,14 +264,14 @@ let prop_newton_oracle =
       run solve = run oracle)
 
 (* The same differential on linear plans, where {!Dc.solve} assembles,
-   factors and solves once per attempt and walks the damped update
+   factors and solves once per attempt and steps the damped update
    toward that fixed solve instead of refactoring
    every iteration.  Over the RC ladder (rc16 dense, rc48 sparse), the
    OTA cascade and the Sallen-Key chain, nominal or with a random fault,
    at a random input level, at [`Dc] or at [`Time] with random
    companions, from the zero start or from a random guess, the two must
    agree bit for bit.  A third of the draws inject one singular or NaN
-   iterate, which switches the solver to its per-iteration loop. *)
+   iterate, which both loops query on every iteration. *)
 
 let linear_macros =
   [|
@@ -367,9 +367,8 @@ let prop_newton_oracle_linear =
    impacts, two gmins, [`Dc] or [`Time] with one of two companion
    conductance sets — must give, solve by solve, the bits a fresh
    workspace gives.  Each sequence holds a solve, then one on a
-   different matrix while injection is armed (the per-iteration loop,
-   which factors without holding), then one on the first solve's matrix
-   again.  Finally a held matrix whose zero entry flips its sign must
+   different matrix while injection is armed (the same loop, drawing on
+   every iteration), then one on the first solve's matrix again.  Finally a held matrix whose zero entry flips its sign must
    not count as held: [-0. = 0.], but the two are different bits. *)
 let prop_held_factorization =
   QCheck.Test.make
@@ -475,6 +474,121 @@ let prop_held_factorization =
            end
       in
       Mna.linear sys && ok && held && sign_sensitive)
+
+(* Injection runs the production loop.  Inside a
+   {!Numerics.Failpoint.with_config} bracket whose specs never fire, the
+   solves of a linear plan give the bits, Newton iterations and traced
+   factorizations they give outside it: the loop draws on every
+   iteration but still factors at most once per attempt.  And a NaN
+   iterate injected on a later iteration of a linear attempt, after its
+   one solve, still fails that attempt; the gmin ladder then recovers
+   with the oracle's bits. *)
+
+let never_fire =
+  List.map
+    (fun point ->
+      { Numerics.Failpoint.point; probability = 0.; max_triggers = None })
+    [ "dc.singular"; "dc.nan_solution" ]
+
+let late_nan =
+  [ { Numerics.Failpoint.point = "dc.nan_solution"; probability = 0.5;
+      max_triggers = Some 1 } ]
+
+(* [f ()] traced, and the LU factorizations it counted *)
+let traced_factorizations f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.shutdown (fun () ->
+      let v = f () in
+      ( v,
+        Option.value ~default:0
+          (List.assoc_opt "solver.dc.lu_factorizations" (Obs.counters ())) ))
+
+(* The query index at which [late_nan] first fires under [seed]. *)
+let first_firing seed =
+  Numerics.Failpoint.with_config ~seed late_nan (fun () ->
+      let rec go k =
+        if Numerics.Failpoint.should_fail "dc.nan_solution" then k
+        else go (k + 1)
+      in
+      go 1)
+
+let test_injection_runs_the_linear_loop () =
+  Array.iteri
+    (fun m (target, _) ->
+      let name = linear_macros.(m).Macros.Macro.macro_name in
+      let source = target.Testgen.Execute.stimulus_source in
+      let sys =
+        Mna.build
+          (Testgen.Execute.with_stimulus target.Testgen.Execute.netlist ~source
+             (Waveform.Dc 0.))
+      in
+      let restamp level =
+        { Mna.stimulus = Some (source, Waveform.Dc level); impact = None }
+      in
+      (* one workspace for the levels, so later ones meet the held
+         factorization *)
+      let run () =
+        let ws = Mna.workspace sys in
+        traced_factorizations (fun () ->
+            List.map
+              (fun level ->
+                Dc.solve ~workspace:ws ~restamp:(restamp level) sys ~time:`Dc)
+              [ 2.; -1.5; 0.7 ])
+      in
+      let clean, clean_lu = run () in
+      let armed, armed_lu =
+        Numerics.Failpoint.with_config ~seed:1L never_fire run
+      in
+      let bits = List.map (fun r -> report_bits (Ok r)) in
+      let iterations =
+        List.fold_left (fun n r -> n + r.Dc.newton_iterations) 0 clean
+      in
+      Alcotest.(check bool)
+        (name ^ ": fewer factorizations than iterations")
+        true (clean_lu < iterations);
+      Alcotest.(check bool)
+        (name ^ ": armed solves keep their bits and iterations")
+        true
+        (bits clean = bits armed);
+      Alcotest.(check int)
+        (name ^ ": armed solves factor as often")
+        clean_lu armed_lu;
+      (* a seed whose NaN fires on a later iteration of the first attempt *)
+      let first_attempt = (List.hd clean).Dc.newton_iterations in
+      let seed =
+        List.find
+          (fun seed ->
+            let k = first_firing seed in
+            k >= 2 && k <= first_attempt)
+          (List.init 64 (fun i -> Int64.of_int (i + 1)))
+      in
+      let solve f =
+        Numerics.Failpoint.with_config ~seed late_nan (fun () ->
+            let r =
+              match f () with
+              | r -> Ok r
+              | exception Dc.No_convergence _ -> Error ()
+            in
+            (r, Numerics.Failpoint.trigger_count "dc.nan_solution"))
+      in
+      let restamp = restamp 2. in
+      let late, fired =
+        solve (fun () ->
+            Dc.solve ~workspace:(Mna.workspace sys) ~restamp sys ~time:`Dc)
+      in
+      let oracle, _ =
+        solve (fun () -> Newton_oracle.solve ~restamp sys ~time:`Dc)
+      in
+      Alcotest.(check int) (name ^ ": the NaN fired once") 1 fired;
+      Alcotest.(check bool)
+        (name ^ ": the attempt failed and gmin stepping recovered")
+        true
+        (match late with Ok r -> r.Dc.gmin_steps > 0 | Error () -> false);
+      Alcotest.(check bool)
+        (name ^ ": recovered as the oracle does")
+        true
+        (report_bits late = report_bits oracle))
+    linear_targets
 
 (* -------------------------------------------------------------- clustering *)
 
@@ -827,6 +941,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_newton_oracle;
           QCheck_alcotest.to_alcotest prop_newton_oracle_linear;
           QCheck_alcotest.to_alcotest prop_held_factorization;
+          Alcotest.test_case "injection runs the linear-plan loop" `Quick
+            test_injection_runs_the_linear_loop;
         ] );
       ( "lu",
         [

@@ -42,7 +42,7 @@ let iv_target =
 
 (* one measurement through a freshly compiled plan *)
 let observables ?profile config target values =
-  Execute.compiled_observables ?profile (Execute.compile config target) values
+  Execute.compiled_observables ?profile (Execute.topology target) config values
 
 let test_ac_nonpositive_frequency () =
   let config =

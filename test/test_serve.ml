@@ -252,6 +252,64 @@ let test_admission () =
 let drain_macro = "rc16"
 let drain_take = 40
 
+(* The drain test reads its replies through a socket with a receive
+   deadline, so a daemon that stalls fails the test — naming the last
+   line the client saw and the server's admission counters — instead of
+   hanging the suite.  The whole test takes well under a second. *)
+let reply_deadline_s = 60.
+
+let stats_line server =
+  let s = Sv.stats server in
+  Printf.sprintf
+    "in_flight %d/%d, draining %b, accepted %d, rejected %d, completed %d"
+    s.Sv.st_in_flight s.Sv.st_budget s.Sv.st_draining s.Sv.st_accepted
+    s.Sv.st_rejected s.Sv.st_completed
+
+(* {!Cl.roundtrip} over a socket with [SO_RCVTIMEO] *)
+let roundtrip_within_deadline server ~socket ~req json =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO reply_deadline_s;
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let oc = Unix.out_channel_of_descr fd in
+      (match json with
+      | J.Obj fields ->
+          output_string oc (J.to_string (J.Obj (("req", J.Str req) :: fields)))
+      | other -> output_string oc (J.to_string other));
+      output_char oc '\n';
+      flush oc;
+      let ic = Unix.in_channel_of_descr fd in
+      let rec read last acc =
+        match input_line ic with
+        | exception End_of_file -> Ok { Cl.events = List.rev acc; status = 1 }
+        | exception (Sys_blocked_io | Sys_error _ | Unix.Unix_error _) ->
+            Error
+              (Printf.sprintf "%s: no line within %.0f s after %s; server: %s"
+                 req reply_deadline_s last (stats_line server))
+        | line -> (
+            match J.of_string line with
+            | Error _ -> read last acc
+            | Ok event -> (
+                let ev = Option.value ~default:"?" (J.str_member "ev" event) in
+                let last = Printf.sprintf "the %S line" ev in
+                if J.str_member "req" event <> Some req then read last acc
+                else
+                  let events = List.rev (event :: acc) in
+                  match ev with
+                  | "done" ->
+                      Ok
+                        {
+                          Cl.events;
+                          status =
+                            Option.value ~default:1 (J.int_member "status" event);
+                        }
+                  | "rejected" -> Ok { Cl.events; status = P.exit_rejected }
+                  | _ -> read last (event :: acc)))
+      in
+      read "connecting" [])
+
 let test_drain_resume () =
   let socket1, spool = fresh_paths () in
   let session = "drainy" in
@@ -260,14 +318,13 @@ let test_drain_resume () =
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
-  let reply1 = ref None in
+  let reply1 = ref (Error "no reply") in
   let th =
     Thread.create
       (fun () ->
         reply1 :=
-          Result.to_option
-            (Cl.roundtrip ~socket:socket1 ~req:"d1"
-               (gen_req ~macro:drain_macro ~take:drain_take ~session ())))
+          roundtrip_within_deadline server1 ~socket:socket1 ~req:"d1"
+            (gen_req ~macro:drain_macro ~take:drain_take ~session ()))
       ()
   in
   (* wait for the first checkpointed block, then drain: the engine's
@@ -284,8 +341,8 @@ let test_drain_resume () =
   await_block 0;
   Sv.drain server1;
   Thread.join th;
+  let reply1 = match !reply1 with Ok r -> r | Error m -> Alcotest.fail m in
   Sv.stop server1;
-  let reply1 = match !reply1 with Some r -> r | None -> Alcotest.fail "no reply" in
   let completed =
     match Cl.drained_event reply1 with
     | Some e -> Option.value ~default:(-1) (J.int_member "completed" e)
@@ -306,16 +363,21 @@ let test_drain_resume () =
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
+  let roundtrip_ok ~req json =
+    match roundtrip_within_deadline server2 ~socket:socket2 ~req json with
+    | Ok reply -> reply
+    | Error m -> Alcotest.fail m
+  in
   Fun.protect
     ~finally:(fun () -> Sv.stop server2)
     (fun () ->
       let resumed =
-        roundtrip_ok ~socket:socket2 ~req:"d2"
+        roundtrip_ok ~req:"d2"
           (gen_req ~macro:drain_macro ~take:drain_take ~session ())
       in
       Alcotest.(check int) "resumed status" 0 resumed.Cl.status;
       let uninterrupted =
-        roundtrip_ok ~socket:socket2 ~req:"d3"
+        roundtrip_ok ~req:"d3"
           (gen_req ~macro:drain_macro ~take:drain_take ~session:"fresh" ())
       in
       Alcotest.(check int) "uninterrupted status" 0 uninterrupted.Cl.status;

@@ -355,14 +355,20 @@ let test_workspace_validation () =
    trajectories, and a reduced IV generation run must write the same
    session bytes on either backend. *)
 let test_backend_end_to_end_identity () =
+  (* the report, and the pattern reuses the traced solve counted *)
   let solve backend nl restamp =
     let sys = Circuit.Mna.build ~backend nl in
     let ws = Circuit.Mna.workspace sys in
-    Circuit.Dc.solve ~workspace:ws ?restamp sys ~time:`Dc
+    Obs.enable ();
+    Fun.protect ~finally:Obs.shutdown (fun () ->
+        let r = Circuit.Dc.solve ~workspace:ws ?restamp sys ~time:`Dc in
+        ( r,
+          Option.value ~default:0
+            (List.assoc_opt "solver.dc.pattern_reuses" (Obs.counters ())) ))
   in
   let check ?restamp name nl =
-    let d = solve Circuit.Mna.Dense nl restamp in
-    let s = solve Circuit.Mna.Sparse nl restamp in
+    let d, d_reuses = solve Circuit.Mna.Dense nl restamp in
+    let s, _ = solve Circuit.Mna.Sparse nl restamp in
     let label suffix = name ^ " " ^ suffix in
     Alcotest.(check bool)
       (label "operating points bit-identical")
@@ -373,7 +379,7 @@ let test_backend_end_to_end_identity () =
       d.Circuit.Dc.newton_iterations s.Circuit.Dc.newton_iterations;
     Alcotest.(check int)
       (label "dense path never replays a pattern")
-      0 d.Circuit.Dc.pattern_reuses
+      0 d_reuses
   in
   let check_macro ?restamp (macro : Macros.Macro.t) =
     check ?restamp macro.Macros.Macro.macro_name
