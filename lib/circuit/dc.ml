@@ -43,12 +43,9 @@ exception Diverged
    loop below calls it on a nonlinear plan; on a linear plan [s] is the
    attempt's one fixed solve. *)
 let damped_step ~options ~n_nodes ~x ~s ~x_new =
-  let dv_max = ref 0. in
-  for i = 0 to n_nodes - 1 do
-    dv_max := Float.max !dv_max (Float.abs (s.(i) -. x.(i)))
-  done;
+  let dv_max = Vec.dist_inf_prefix ~len:n_nodes s x in
   let alpha =
-    if !dv_max > options.vlimit then options.vlimit /. !dv_max else 1.
+    if dv_max > options.vlimit then options.vlimit /. dv_max else 1.
   in
   for i = 0 to Array.length x - 1 do
     x_new.(i) <- x.(i) +. (alpha *. (s.(i) -. x.(i)))

@@ -41,64 +41,6 @@ type t = {
   linear : bool;
 }
 
-(* Every (row, col) slot the plan's stamps can touch, resolved when a
-   sparse workspace is created — the symbolic half of the sparse
-   backend.  Not kept on [t]: a compiled plan creates one workspace, and
-   the reference path builds topologies that never create one.  Mirrors
-   [assemble_core] stamp for stamp (ground terminals dropped), plus the
-   full diagonal: gmin lands there for nodes, and branch rows need their
-   structurally-zero diagonal present so sparse elimination visits the
-   same slots dense partial pivoting can reach. *)
-let plan_pattern ~size ~stamp_plan =
-  let acc = ref [] in
-  let p i j = if i >= 0 && j >= 0 then acc := (i, j) :: !acc in
-  let conductance i j =
-    p i i;
-    p j j;
-    p i j;
-    p j i
-  in
-  for i = 0 to size - 1 do
-    p i i
-  done;
-  Array.iter
-    (fun r ->
-      match r with
-      | R_resistor { i; j; _ } | R_capacitor { i; j; _ } -> conductance i j
-      | R_inductor { i; j; br; _ } ->
-          p i br;
-          p j br;
-          p br i;
-          p br j;
-          p br br
-      | R_vsource { i; j; br; _ } ->
-          p i br;
-          p j br;
-          p br i;
-          p br j
-      | R_isource _ -> ()  (* right-hand side only *)
-      | R_vcvs { i; j; cp; cn; br; _ } ->
-          p i br;
-          p j br;
-          p br i;
-          p br j;
-          p br cp;
-          p br cn
-      | R_vccs { i; j; cp; cn; _ } ->
-          p i cp;
-          p i cn;
-          p j cp;
-          p j cn
-      | R_mosfet { di; gi; si; _ } ->
-          p di gi;
-          p di di;
-          p di si;
-          p si gi;
-          p si di;
-          p si si)
-    stamp_plan;
-  !acc
-
 (* Above this node count the sparse backend wins: a dense factorization
    pays O(n^3) per Newton step for a matrix that is almost all structural
    zeros.  Below it dense wins (the 10-node IV-converter) or the gap is a
@@ -260,22 +202,58 @@ let idx t n =
 let[@inline] inject z i v = if i >= 0 then z.(i) <- z.(i) +. v
 let[@inline] volt x i = if i < 0 then 0. else x.(i)
 
-(* Where stamps accumulate: the dense arm writes the row-major storage
-   of a {!Mat.t} directly; the sparse arm goes through {!Smat.add_to}.
-   A value rather than an [add] closure, so that with the helpers below
-   inlined no stamp boxes its float.  The dense arm indexes unchecked:
-   [i] and [j] come from the resolved plan (unknowns below [size], ground
-   filtered out by [stamp]), and a dense sink is only ever made over a
-   [size] x [size] matrix — [assemble] creates one, [assemble_into]
-   checks the workspace's size first. *)
-type sink = S_dense of { data : float array; n : int } | S_sparse of Smat.t
+(* What a recording sink saw: every stamp's (row, column), most recent
+   first, and at each group mark the number of stamps before it. *)
+type recorder = {
+  mutable stamps : (int * int) list;
+  mutable count : int;
+  marks : int array;
+}
+
+(* Where stamps accumulate.  Assembly is a sequence of groups — group 0
+   is the gmin diagonal, group [k + 1] plan entry [k] — and
+   [sink_seek] opens each one.  The dense arm writes the row-major
+   storage of a {!Mat.t} at [i*n+j].  The sparse arm writes the value
+   slot its workspace recorded for this stamp: [slots] lists the slot of
+   every stamp of a recorded assembly, [bases] where each group starts
+   in it, and [cur] is the next stamp — the same additions in the same
+   order as a per-stamp pattern search, without the search.  The
+   recording arm notes each stamp's (row, column); it is run once per
+   sparse workspace.  A value rather than an [add] closure, so that
+   with the helpers below inlined no stamp boxes its float.  The dense
+   arm indexes unchecked: [i] and [j] come from the resolved plan
+   (unknowns below [size], ground filtered out by [stamp]), and a dense
+   sink is only ever made over a [size] x [size] matrix — [assemble]
+   creates one, [assemble_into] checks the workspace's size first. *)
+type sink =
+  | S_dense of { data : float array; n : int }
+  | S_sparse of {
+      vx : float array;
+      slots : int array;
+      bases : int array;
+      mutable cur : int;
+      plan : rstamp array;  (* the plan the slots were recorded from *)
+    }
+  | S_record of recorder
+
+let[@inline] sink_seek s g =
+  match s with
+  | S_dense _ -> ()
+  | S_sparse r -> r.cur <- r.bases.(g)
+  | S_record r -> r.marks.(g) <- r.count
 
 let[@inline] sink_add s i j v =
   match s with
   | S_dense { data; n } ->
       let k = (i * n) + j in
       Array.unsafe_set data k (Array.unsafe_get data k +. v)
-  | S_sparse m -> Smat.add_to m i j v
+  | S_sparse r ->
+      let k = r.slots.(r.cur) in
+      r.cur <- r.cur + 1;
+      r.vx.(k) <- r.vx.(k) +. v
+  | S_record r ->
+      r.stamps <- (i, j) :: r.stamps;
+      r.count <- r.count + 1
 
 let[@inline] stamp s i j v = if i >= 0 && j >= 0 then sink_add s i j v
 
@@ -289,15 +267,20 @@ let[@inline] stamp_conductance s i j g =
    operations, in the same order, as stamping straight off the device
    records, so the assembled system is bit-identical whichever value
    overrides are active.  Both backends go through [sink_add], which is
-   what keeps them on one stamp sequence.  [mos] is the 4-slot scratch
+   what keeps them on one stamp sequence.  Each plan entry seeks its
+   group first: without companions a capacitor stamps nothing and an
+   inductor one stamp fewer than recorded, and the seek keeps the
+   entries after them on their own slots.  [mos] is the 4-slot scratch
    {!Mos_model.eval_into} works in. *)
 let assemble_core t ~sink ~mos ~z ~x ~time ~companions ~source_scale ~restamp
     ~gmin =
+  sink_seek sink 0;
   for i = 0 to t.n_nodes - 1 do
     sink_add sink i i gmin
   done;
   let plan = t.stamp_plan in
   for k = 0 to Array.length plan - 1 do
+    sink_seek sink (k + 1);
     match plan.(k) with
     | R_resistor { name; i; j; ohms } ->
         let ohms = restamp_ohms restamp name ohms in
@@ -413,17 +396,39 @@ let matrix_values = function
 
 let dense_sink a = S_dense { data = Mat.data a; n = Mat.cols a }
 
+(* The symbolic half of the sparse backend, made once per workspace:
+   assemble once through a recording sink, with companions so that every
+   capacitor and inductor stamps all it can — a companion-free assembly
+   stamps a prefix of each entry's group.  The recorded (row, column)
+   pairs plus the full diagonal are the matrix pattern: gmin lands on
+   the node diagonal, and branch rows need their structurally-zero
+   diagonal present so sparse elimination visits the same slots dense
+   partial pivoting can reach.  Each recorded stamp is then resolved to
+   its value slot, once. *)
+let sparse_engine t =
+  let marks = Array.make (Array.length t.stamp_plan + 1) 0 in
+  let r = { stamps = []; count = 0; marks } in
+  assemble_core t ~sink:(S_record r) ~mos:(Array.make 4 0.)
+    ~z:(Vec.create t.size 0.) ~x:(Vec.create t.size 0.) ~time:`Dc
+    ~companions:(Some (Array.make (companion_slots t) 0.)) ~source_scale:1.
+    ~restamp:None ~gmin:0.;
+  let stamps = List.rev r.stamps in
+  let es = Smat.create t.size (List.init t.size (fun i -> (i, i)) @ stamps) in
+  let slots =
+    Array.of_list (List.map (fun (i, j) -> Smat.slot es i j) stamps)
+  in
+  ( E_sparse { es; eslu = Smat.lu_workspace t.size },
+    S_sparse
+      { vx = Smat.values es; slots; bases = marks; cur = 0; plan = t.stamp_plan }
+  )
+
 let workspace t =
   let w_eng, w_sink =
     match t.backend with
     | Dense ->
         let ea = Mat.create t.size t.size in
         (E_dense { ea; elu = Mat.lu_workspace t.size }, dense_sink ea)
-    | Sparse ->
-        let es =
-          Smat.create t.size (plan_pattern ~size:t.size ~stamp_plan:t.stamp_plan)
-        in
-        (E_sparse { es; eslu = Smat.lu_workspace t.size }, S_sparse es)
+    | Sparse -> sparse_engine t
   in
   {
     w_size = t.size;
@@ -523,6 +528,10 @@ let assemble_into t ws ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin
     () =
   if Vec.dim x <> t.size then invalid_arg "Mna.assemble_into: bad iterate size";
   if ws.w_size <> t.size then invalid_arg "Mna.assemble_into: workspace size";
+  (match ws.w_sink with
+  | S_sparse { plan; _ } when plan != t.stamp_plan ->
+      invalid_arg "Mna.assemble_into: sparse workspace of another plan"
+  | S_sparse _ | S_dense _ | S_record _ -> ());
   check_companions t companions;
   (match ws.w_eng with
   | E_dense { ea; _ } -> Mat.fill ea 0.

@@ -11,9 +11,9 @@ type t
 
 type backend = Dense | Sparse
 (** Linear-algebra backend of a compiled topology.  [Dense] factors
-    through {!Numerics.Mat}; [Sparse] compiles the stamp plan's slot
-    pattern once and factors through {!Numerics.Smat}.  Both perform the
-    same pivot choices and the same per-entry update sequence, so detect
+    through {!Numerics.Mat}; [Sparse] records the stamp plan's slots
+    once per {!workspace} and factors through {!Numerics.Smat}.  Both
+    perform the same pivot choices and the same per-entry update sequence, so detect
     verdicts and session bytes are bit-identical across backends — the
     backend is a pure time/space trade, invisible to results. *)
 
@@ -113,8 +113,11 @@ type engine
 (** A backend's paired system matrix and factorization state. *)
 
 type sink
-(** Where assembly accumulates stamps: the dense matrix storage or the
-    sparse matrix, matching the engine. *)
+(** Where assembly accumulates stamps, matching the engine: the dense
+    matrix storage at [i*n+j], or the sparse matrix's values through a
+    slot table — the value slot of every stamp, in stamp order, with the
+    offset where each plan entry's stamps start — recorded when the
+    workspace was made.  No stamp searches the sparse pattern. *)
 
 type solver_state = ..
 (** Per-workspace state of a solver built on this module — the DC
@@ -148,7 +151,12 @@ type workspace = {
     backend-agnostic through {!ws_factor} / {!ws_solve_into}. *)
 
 val workspace : t -> workspace
-(** A workspace on the topology's backend. *)
+(** A workspace on the topology's backend.  A sparse one runs the stamp
+    plan once through a recording sink, with companions so that every
+    capacitor and inductor stamps: the recorded index pairs plus the
+    full diagonal are its matrix pattern, and each stamp's value slot
+    is resolved there once.  It assembles only the plan it was made
+    from. *)
 
 val sample_buffer : workspace -> int -> float array
 (** [sample_buffer ws len] is the workspace's observation buffer of
@@ -216,11 +224,12 @@ val assemble_into :
   unit
 (** {!assemble} into the workspace's preallocated system — the zero
     allocation restamp path: stamps accumulate through the workspace's
-    sink and MOSFETs are evaluated in its scratch array, so on the dense
+    sink and MOSFETs are evaluated in its scratch array, so on either
     backend a call allocates nothing beyond what the source waveforms
     return.  The workspace matrix and right-hand side are zeroed first,
     so the result is bit-identical to {!assemble}.
-    @raise Invalid_argument on a size mismatch. *)
+    @raise Invalid_argument on a size mismatch, or when a sparse
+    workspace was made from another topology. *)
 
 val op_inputs : t -> int
 (** The number of slots {!op_inputs_into} writes: one per independent

@@ -10,7 +10,10 @@ let normalize params v =
 
 let distance = Vec.dist_inf
 
-(* complete linkage: distance between clusters = max pairwise distance *)
+(* complete linkage: distance between clusters = max pairwise distance.
+   The [Float.max] fold stays until the benchmark fixes its round
+   counts: a faster grouping fits more rounds into a timed run, and the
+   extra rounds' results raise its peak memory. *)
 let cluster_distance a b =
   List.fold_left
     (fun acc (x : item) ->

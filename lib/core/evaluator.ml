@@ -160,13 +160,25 @@ let charge t =
   Obs.Counter.incr t.evals;
   Obs.Counter.bump g_evals 1
 
-(* Exact (hex-float) keys: a rounded key would let parameter points that
-   differ only in the last bits share an entry, making the memoized
-   nominal depend on which point was evaluated first — and a resumed run
-   would then diverge from the uninterrupted one in the last digits. *)
+(* Exact keys, each value's IEEE bits packed into 8 bytes: a rounded key
+   would let parameter points that differ only in the last bits share an
+   entry, making the memoized nominal depend on which point was
+   evaluated first — and a resumed run would then diverge from the
+   uninterrupted one in the last digits.  Bits also keep [-0.] apart
+   from [0.]. *)
 let cache_key values =
+  let key = Bytes.create (8 * Array.length values) in
+  for i = 0 to Array.length values - 1 do
+    Bytes.set_int64_le key (8 * i) (Int64.bits_of_float values.(i))
+  done;
+  Bytes.unsafe_to_string key
+
+(* A key as the hex-float spelling of its values, comma-separated. *)
+let render_key key =
   String.concat ","
-    (Array.to_list (Array.map (Printf.sprintf "%h") values))
+    (List.init (String.length key / 8) (fun i ->
+         let bits = String.get_int64_le key (8 * i) in
+         Printf.sprintf "%h" (Int64.float_of_bits bits)))
 
 (* Compiled plans are cached per topology.  Faults at the same site
    share a topology (the injected device names and node numbering do not
@@ -290,4 +302,5 @@ let cache_stats t =
   }
 
 let nominal_keys t =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.nominal_cache [])
+  List.sort String.compare
+    (Hashtbl.fold (fun k _ acc -> render_key k :: acc) t.nominal_cache [])

@@ -1,5 +1,5 @@
-(* Sparse MNA matrices: fixed CSR pattern with precompiled stamp slots,
-   and a right-looking row-major sparse LU whose pivot choices and
+(* Sparse MNA matrices: fixed CSR pattern whose value slots a caller
+   resolves once ({!slot}), and a right-looking row-major sparse LU whose pivot choices and
    per-entry update sequence replicate the dense Crout sweep of
    [Mat.factor_in_place] exactly.  Skipping structurally-zero work is a
    bitwise no-op (subtracting an exact zero product never changes a
@@ -45,6 +45,7 @@ let values a = a.vx
 
 (* Binary search for (i, j) within row i's sorted column segment. *)
 let slot a i j =
+  if i < 0 || i >= a.n then invalid_arg "Smat.slot: index out of range";
   let lo = ref a.rp.(i) and hi = ref (a.rp.(i + 1) - 1) in
   let res = ref (-1) in
   while !res < 0 && !lo <= !hi do

@@ -3,9 +3,11 @@
     The sparse counterpart of {!Mat} for modified-nodal-analysis systems
     beyond a few tens of unknowns.  A matrix is created once from the
     union of every index pair its stamps can touch (the compile phase of
-    the compile-once/restamp-many hot path); {!add_to} then hits a
-    precompiled CSR slot by binary search, and {!clear} resets the values
-    without touching the pattern.
+    the compile-once/restamp-many hot path); {!slot} finds an entry's
+    value slot by binary search, so a caller that repeats one stamp
+    sequence resolves each stamp's slot once and adds into {!values}
+    directly, and {!clear} resets the values without touching the
+    pattern.
 
     The factorization is a right-looking row-major LU with partial
     pivoting that performs the {e same pivot choices and the same
@@ -51,8 +53,15 @@ val values : t -> float array
 (** The values themselves, one per pattern slot in CSR order, shared
     (not copied). *)
 
+val slot : t -> int -> int -> int
+(** [slot m i j] is the index in {!values} of entry [(i,j)], found by
+    binary search in row [i]'s sorted columns, or [-1] when [(i,j)] is
+    outside the pattern.
+    @raise Invalid_argument if [i] is out of range. *)
+
 val add_to : t -> int -> int -> float -> unit
-(** [add_to m i j x] increments slot [(i,j)] — the MNA stamp primitive.
+(** [add_to m i j x] increments slot [(i,j)], searching for it on every
+    call.
     @raise Invalid_argument if [(i,j)] is outside the pattern. *)
 
 val set : t -> int -> int -> float -> unit

@@ -31,15 +31,29 @@ let dot a b =
 
 let norm2 v = sqrt (dot v v)
 
-let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v
+(* [Float.max m d] for a running maximum [m] of absolute values: [m] is
+   never [-0.], so the sign-bit tie-break [Float.max] settles with two
+   calls to the C primitive [caml_signbit] never decides, and the
+   comparison alone gives the same bits, a NaN [d] included. *)
+let[@inline] max_abs m d = if d > m || Float.is_nan d then d else m
+
+let norm_inf v =
+  let m = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    m := max_abs !m (Float.abs v.(i))
+  done;
+  !m
+
+let dist_inf_prefix ~len a b =
+  let m = ref 0. in
+  for i = 0 to len - 1 do
+    m := max_abs !m (Float.abs (a.(i) -. b.(i)))
+  done;
+  !m
 
 let dist_inf a b =
   check_dims a b;
-  let m = ref 0. in
-  for i = 0 to Array.length a - 1 do
-    m := Float.max !m (Float.abs (a.(i) -. b.(i)))
-  done;
-  !m
+  dist_inf_prefix ~len:(Array.length a) a b
 
 let clamp ~lower ~upper v =
   check_dims lower v;

@@ -39,6 +39,13 @@ val norm_inf : t -> float
 val dist_inf : t -> t -> float
 (** [dist_inf x y = norm_inf (sub x y)]. *)
 
+val dist_inf_prefix : len:int -> t -> t -> float
+(** [dist_inf_prefix ~len x y] is the largest [|x.(i) -. y.(i)|] over
+    [i < len]: {!dist_inf} of the first [len] components.  These
+    maxima give the bits a fold of [Float.max] over [Float.abs] gives, a
+    NaN component included, without its calls into the C runtime.
+    @raise Invalid_argument if either vector is shorter than [len]. *)
+
 val map2 : (float -> float -> float) -> t -> t -> t
 
 val clamp : lower:t -> upper:t -> t -> t

@@ -439,8 +439,11 @@ let test_assembly_allocation () =
    at 100 MHz, through a compiled plan's workspace as the engine runs
    it.  What remains per step is the solve report, its solution vector,
    the time and guess wrappers and the recursion's float arguments:
-   about 57 words.  Boxing the stamped float again (a non-inlined
-   [sink_add]) costs 122 words per assembly and ~460 per step. *)
+   about 64 words, and about 68 in the dev profile, whose [-opaque]
+   boxes the damped step's infinity norm ({!Numerics.Vec.dist_inf_prefix})
+   once per Newton iteration.  Boxing the stamped float again (a
+   non-inlined [sink_add]) costs 122 words per assembly and ~460 per
+   step. *)
 let words_per_step_bound = 100.
 
 let test_transient_allocation () =
@@ -486,6 +489,68 @@ let test_probe_allocation () =
   if words >= words_per_probe_bound then
     Alcotest.failf "config #1 probe allocates %.1f words (bound %.0f)" words
       words_per_probe_bound
+
+let rc48 =
+  match Macros.Registry.find "rc48" with Ok m -> m | Error e -> failwith e
+
+(* A sparse workspace adds each stamp into the value slot it recorded
+   when it was made, so restamping the 48-section ladder allocates
+   nothing either.  The per-stamp pattern search it replaced took the
+   stamped float across a module boundary, which the dev profile boxes. *)
+let test_sparse_assembly_allocation () =
+  let sys = Circuit.Mna.build (Macros.Macro.nominal_netlist rc48) in
+  Alcotest.(check string) "rc48 runs sparse" "sparse"
+    (Circuit.Mna.backend_name (Circuit.Mna.backend sys));
+  let ws = Circuit.Mna.workspace sys in
+  let x = (Circuit.Dc.solve sys ~time:`Dc).Circuit.Dc.solution in
+  let companions = Array.make (Circuit.Mna.companion_slots sys) 1e-4 in
+  let words time companions =
+    minor_words_per_call ~calls:1000 (fun () ->
+        Circuit.Mna.assemble_into sys ws ~x ~time ?companions ~gmin:1e-12 ())
+  in
+  List.iter
+    (fun (label, w) ->
+      Printf.printf "rc48 assemble_into, %s: %.3f minor words per call\n" label
+        w;
+      if w >= 1. then
+        Alcotest.failf "rc48 assemble_into (%s) allocates %.2f words per call"
+          label w)
+    [
+      ("dc", words `Dc None);
+      ("companions", words (`Time 1e-6) (Some companions));
+    ]
+
+(* What one compiled rc48 fault site holds after one evaluation: stamp
+   plan, workspace (matrix, slot table, LU fill and replay schedule) and
+   buffers, 51,016 bytes before the slot table.  Compaction keeps about
+   700 sites live on the rc48 ladder, so site bytes become peak memory. *)
+let site_bytes_bound = 56_000
+
+let test_site_bytes () =
+  let ctx = Experiments.Setup.probe ~macro:rc48 () in
+  let ev = List.hd ctx.Experiments.Setup.evaluators in
+  let fault =
+    (List.hd (Faults.Dictionary.entries ctx.Experiments.Setup.dictionary))
+      .Faults.Dictionary.fault
+  in
+  let nominal = Experiments.Setup.target_of_macro rc48 Macros.Process.nominal in
+  let site =
+    Execute.topology
+      {
+        nominal with
+        Execute.netlist = Faults.Inject.apply nominal.Execute.netlist fault;
+      }
+  in
+  let config = Evaluator.config ev in
+  ignore
+    (Execute.compiled_observables ~profile:ctx.Experiments.Setup.profile
+       ~impact:(Faults.Inject.impact_override fault) site config
+       (Test_param.seeds_of config.Test_config.params));
+  let bytes = Obj.reachable_words (Obj.repr site) * (Sys.word_size / 8) in
+  Printf.printf "compiled rc48 site: %d bytes\n" bytes;
+  if bytes > site_bytes_bound then
+    Alcotest.failf "a compiled rc48 site holds %d bytes (bound %d)" bytes
+      site_bytes_bound
 
 (* --------------------------------------------- dt_divisor decimation *)
 
@@ -1016,6 +1081,9 @@ let () =
             test_transient_allocation;
           Alcotest.test_case "compiled probe words" `Quick
             test_probe_allocation;
+          Alcotest.test_case "rc48 sparse assembly" `Quick
+            test_sparse_assembly_allocation;
+          Alcotest.test_case "compiled rc48 site bytes" `Quick test_site_bytes;
         ] );
       ( "op memo",
         [

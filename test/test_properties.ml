@@ -590,6 +590,118 @@ let test_injection_runs_the_linear_loop () =
         (report_bits late = report_bits oracle))
     linear_targets
 
+(* ------------------------------------------------ slot-table assembly *)
+
+(* A sparse workspace records the value slot of every stamp once and
+   assembles through that table; [Stamp_oracle] searches the pattern for
+   every stamp instead.  Over the RC ladder (rc16 dense, rc48 sparse),
+   the Sallen-Key chain (skc32, sparse), the OTA cascade and the
+   IV-converter, nominal or with a random fault, a workspace assembles a
+   run of random systems — [`Dc] or [`Time] with random companions, a
+   random iterate, gmin and source scale, with or without an impact and
+   a stimulus restamp — and each must equal the oracle's bit for bit,
+   matrix values and right-hand side.  A companion-free assembly stamps
+   nothing for a capacitor, so an entry that does not seek its own slots
+   shifts every stamp after it. *)
+
+let slot_targets =
+  Array.map
+    (fun m ->
+      ( Experiments.Setup.target_of_macro m Macros.Process.nominal,
+        Array.of_list (Macros.Macro.fault_universe m) ))
+    [|
+      Macros.Rc_ladder.macro ~sections:16;
+      Macros.Rc_ladder.macro ~sections:48;
+      Macros.Filter_chain.sk_chain ~stages:32;
+      Macros.Filter_chain.ota_cascade ~stages:16;
+      Macros.Iv_converter.macro;
+    |]
+
+let bits a = Array.map Int64.bits_of_float a
+
+let prop_slot_table =
+  QCheck.Test.make
+    ~name:"slot-table assembly matches per-stamp binary search" ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create (Int64.of_int (seed + 37)) in
+      let u lo hi = Numerics.Rng.uniform rng ~lo ~hi in
+      let coin () = Numerics.Rng.int rng ~bound:2 = 0 in
+      let target, faults =
+        slot_targets.(Numerics.Rng.int rng ~bound:(Array.length slot_targets))
+      in
+      let fault =
+        if Numerics.Rng.int rng ~bound:4 = 0 then None
+        else Some faults.(Numerics.Rng.int rng ~bound:(Array.length faults))
+      in
+      let nl = target.Testgen.Execute.netlist in
+      let nl =
+        match fault with None -> nl | Some f -> Faults.Inject.apply nl f
+      in
+      let source = target.Testgen.Execute.stimulus_source in
+      let sys =
+        Mna.build (Testgen.Execute.with_stimulus nl ~source (Waveform.Dc 0.))
+      in
+      let ws = Mna.workspace sys in
+      let assembly () =
+        let time, companions =
+          if coin () then (`Dc, None)
+          else
+            ( `Time (u 0. 1e-5),
+              Some
+                (Array.init (Mna.companion_slots sys) (fun k ->
+                     if k mod 2 = 0 then u 1e-6 1e-3 else u (-1e-3) 1e-3)) )
+        in
+        let x = Array.init (Mna.size sys) (fun _ -> u (-3.) 3.) in
+        let gmin = 10. ** u (-12.) (-2.) in
+        let source_scale = if coin () then 1. else u 0. 1. in
+        let stimulus =
+          if coin () then None else Some (source, Waveform.Dc (u (-2.) 2.))
+        in
+        let impact =
+          match fault with
+          | Some f when coin () ->
+              Some
+                (Faults.Inject.impact_override
+                   (Faults.Fault.with_impact f (10. ** u 1. 6.)))
+          | Some _ | None -> None
+        in
+        let restamp =
+          match (stimulus, impact) with
+          | None, None when coin () -> None
+          | _ -> Some { Mna.stimulus; impact }
+        in
+        Mna.assemble_into sys ws ~x ~time ?companions ~source_scale ?restamp
+          ~gmin ();
+        let m, z =
+          Stamp_oracle.assemble sys ~x ~time ?companions ~source_scale ?restamp
+            ~gmin ()
+        in
+        let expected =
+          match Mna.backend sys with
+          | Mna.Dense -> Numerics.Mat.data (Numerics.Smat.to_dense m)
+          | Mna.Sparse -> Numerics.Smat.values m
+        in
+        bits (Mna.ws_matrix ws) = bits expected && bits ws.Mna.w_z = bits z
+      in
+      List.for_all (fun () -> assembly ()) [ (); (); (); () ])
+
+(* A sparse workspace's slot table belongs to the plan it was recorded
+   from: another plan of the same size is refused, not stamped into the
+   wrong slots. *)
+let test_slot_table_owner () =
+  let target, _ = slot_targets.(1) in
+  let build () = Mna.build target.Testgen.Execute.netlist in
+  let sys = build () and other = build () in
+  Alcotest.(check string) "rc48 runs sparse" "sparse"
+    (Mna.backend_name (Mna.backend sys));
+  let x = Numerics.Vec.create (Mna.size sys) 0. in
+  let ws = Mna.workspace sys in
+  Mna.assemble_into sys ws ~x ~time:`Dc ~gmin:1e-12 ();
+  match Mna.assemble_into other ws ~x ~time:`Dc ~gmin:1e-12 () with
+  | () -> Alcotest.fail "assembled another plan into the workspace"
+  | exception Invalid_argument _ -> ()
+
 (* -------------------------------------------------------------- clustering *)
 
 let cluster_params =
@@ -962,5 +1074,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_acceptance_monotone_in_delta;
           QCheck_alcotest.to_alcotest prop_sensitivity_min;
           QCheck_alcotest.to_alcotest prop_sensitivity_scaling;
+        ] );
+      ( "assembly",
+        [
+          QCheck_alcotest.to_alcotest prop_slot_table;
+          Alcotest.test_case "a slot table serves its own plan" `Quick
+            test_slot_table_owner;
         ] );
     ]
