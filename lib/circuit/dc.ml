@@ -2,16 +2,11 @@ open Numerics
 
 exception No_convergence of string
 
-type options = {
-  abstol : float;
-  reltol : float;
-  max_newton : int;
-  gmin : float;
-  vlimit : float;
-}
+type options = { reltol : float; max_newton : int; gmin : float }
 
-let default_options =
-  { abstol = 1e-9; reltol = 1e-6; max_newton = 150; gmin = 1e-12; vlimit = 0.6 }
+let default_options = { reltol = 1e-6; max_newton = 150; gmin = 1e-12 }
+let abstol = 1e-9
+let vlimit = 0.6
 
 type report = {
   solution : Vec.t;
@@ -38,14 +33,14 @@ exception Diverged
    more than [vlimit], and the update keeps the
    [x +. alpha *. (s -. x)] form even at [alpha = 1.], where it is not a
    bitwise no-op.  Converged means an undamped step whose node updates
-   all sit inside the abstol/reltol band.  [s] may alias [x_new] (each
+   all sit inside the [abstol]/reltol band.  [s] may alias [x_new] (each
    entry is read before it is overwritten), which is how the Newton
    loop below calls it on a nonlinear plan; on a linear plan [s] is the
    attempt's one fixed solve. *)
 let damped_step ~options ~n_nodes ~x ~s ~x_new =
   let dv_max = Vec.dist_inf_prefix ~len:n_nodes s x in
   let alpha =
-    if dv_max > options.vlimit then options.vlimit /. dv_max else 1.
+    if dv_max > vlimit then vlimit /. dv_max else 1.
   in
   for i = 0 to Array.length x - 1 do
     x_new.(i) <- x.(i) +. (alpha *. (s.(i) -. x.(i)))
@@ -54,7 +49,7 @@ let damped_step ~options ~n_nodes ~x ~s ~x_new =
     let ok = ref true in
     for i = 0 to n_nodes - 1 do
       let dx = Float.abs (x_new.(i) -. x.(i)) in
-      if dx > options.abstol +. (options.reltol *. Float.abs x_new.(i)) then
+      if dx > abstol +. (options.reltol *. Float.abs x_new.(i)) then
         ok := false
     done;
     !ok
@@ -231,11 +226,9 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let same_options a b =
   a == b
-  || same_bits a.abstol b.abstol
-     && same_bits a.reltol b.reltol
+  || same_bits a.reltol b.reltol
      && a.max_newton = b.max_newton
      && same_bits a.gmin b.gmin
-     && same_bits a.vlimit b.vlimit
 
 (* The workspace's memo, made for [sys] on first use (and again should
    the workspace meet a topology with a different input count). *)

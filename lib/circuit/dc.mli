@@ -16,14 +16,20 @@
 exception No_convergence of string
 
 type options = {
-  abstol : float;  (** absolute node-voltage tolerance (V), default 1e-9 *)
   reltol : float;  (** relative tolerance, default 1e-6 *)
   max_newton : int;  (** iterations per Newton attempt, default 150 *)
   gmin : float;  (** final diagonal conductance, default 1e-12 *)
-  vlimit : float;  (** max node-voltage update per damped step, default 0.6 V *)
 }
+(** The settings the engine's retry ladder escalates. *)
 
 val default_options : options
+
+val abstol : float
+(** Absolute node-voltage tolerance of Newton convergence: 1e-9 V. *)
+
+val vlimit : float
+(** Largest node-voltage update of one damped Newton step: 0.6 V.  The
+    transient predictor ({!Tran.simulate}) uses it as its guard too. *)
 
 type report = {
   solution : Numerics.Vec.t;

@@ -1,14 +1,3 @@
-type method_ = Backward_euler | Trapezoidal
-
-type probe = { node : string; values : float array }
-
-type result = { probes : probe list }
-
-let probe_values r node =
-  match List.find_opt (fun p -> String.equal p.node node) r.probes with
-  | Some p -> p.values
-  | None -> raise Not_found
-
 exception Step_failure of { time : float; reason : string }
 
 (* A reactive element resolved once per simulation: the first of its two
@@ -16,7 +5,7 @@ exception Step_failure of { time : float; reason : string }
    No step looks a name up. *)
 type reactive =
   | Cap of { slot : int; a : int; b : int; c : float }
-  | Ind of { slot : int; a : int; b : int; br : int; l : float }
+  | Ind of { slot : int; br : int; l : float }
 
 (* @raise Not_found for an unknown node name *)
 let node_unknown sys n =
@@ -29,16 +18,10 @@ let reactives sys =
          match d with
          | Device.Capacitor { name; a; b; farads } ->
              Some (Cap { slot = slot name; a = node a; b = node b; c = farads })
-         | Device.Inductor { name; a; b; henries } ->
+         | Device.Inductor { name; henries; _ } ->
              Some
                (Ind
-                  {
-                    slot = slot name;
-                    a = node a;
-                    b = node b;
-                    br = Mna.branch_index sys name;
-                    l = henries;
-                  })
+                  { slot = slot name; br = Mna.branch_index sys name; l = henries })
          | Device.Resistor _ | Device.Vsource _ | Device.Isource _
          | Device.Vcvs _ | Device.Vccs _ | Device.Mosfet _ -> None)
   |> Array.of_list
@@ -48,54 +31,19 @@ let[@inline] volt x i = if i < 0 then 0. else x.(i)
 (* Voltage across (a, b) in a solution. *)
 let[@inline] vab x a b = volt x a -. volt x b
 
-(* Overwrite every reactive element's companion for a step of length [h]
-   from the previous solution.  [cap_currents.(r)] is the current of the
-   [r]-th reactive element (a capacitor) at [x_prev] — trapezoidal
-   integration needs it; it is 0 before the first step. *)
-let fill_companions comp ~method_ ~h ~x_prev ~cap_currents reactives =
+(* Overwrite every reactive element's backward-Euler companion for a
+   step of length [h] from the previous solution. *)
+let fill_companions comp ~h ~x_prev reactives =
   for r = 0 to Array.length reactives - 1 do
     match reactives.(r) with
-    | Cap { slot; a; b; c } -> begin
-        let v_prev = vab x_prev a b in
-        match method_ with
-        | Backward_euler ->
-            let geq = c /. h in
-            comp.(slot) <- geq;
-            comp.(slot + 1) <- geq *. v_prev
-        | Trapezoidal ->
-            let geq = 2. *. c /. h in
-            comp.(slot) <- geq;
-            comp.(slot + 1) <- (geq *. v_prev) +. cap_currents.(r)
-      end
-    | Ind { slot; a; b; br; l } -> begin
-        let i_prev = x_prev.(br) in
-        match method_ with
-        | Backward_euler ->
-            let req = l /. h in
-            comp.(slot) <- req;
-            comp.(slot + 1) <- -.req *. i_prev
-        | Trapezoidal ->
-            let req = 2. *. l /. h in
-            let v_prev = vab x_prev a b in
-            comp.(slot) <- req;
-            comp.(slot + 1) <- (-.req *. i_prev) -. v_prev
-      end
-  done
-
-(* Capacitor currents at an accepted solution, under the companions that
-   produced it: [geq*(va - vb) - ieq]. *)
-let update_cap_currents comp ~cap_currents ~x reactives =
-  for r = 0 to Array.length reactives - 1 do
-    match reactives.(r) with
-    | Cap { slot; a; b; _ } ->
-        cap_currents.(r) <- (comp.(slot) *. vab x a b) -. comp.(slot + 1)
-    | Ind _ -> ()
-  done
-
-let record observed k x =
-  for o = 0 to Array.length observed - 1 do
-    let i, values = observed.(o) in
-    values.(k) <- volt x i
+    | Cap { slot; a; b; c } ->
+        let geq = c /. h in
+        comp.(slot) <- geq;
+        comp.(slot + 1) <- geq *. vab x_prev a b
+    | Ind { slot; br; l } ->
+        let req = l /. h in
+        comp.(slot) <- req;
+        comp.(slot + 1) <- -.req *. x_prev.(br)
   done
 
 (* Bumped once per simulation (accepted top-level steps; local refinement
@@ -109,10 +57,10 @@ let c_fallbacks = Obs.Counter.create "solver.tran.predictor_fallbacks"
    the last [order + 1] accepted solutions [x] (newest), [x1], [x2],
    [x3] at the fixed step, written into [guess] — linear
    [2x - x1], quadratic [3x - 3x1 + x2], cubic [4x - 6x1 + 4x2 - x3].
-   A prediction that moves any node more than [vlimit] (the damping
+   A prediction that moves any node more than {!Dc.vlimit} (the damping
    threshold) from [x] overshoots an edge of the stimulus: [false]
    tells the caller to start from [x] instead. *)
-let predict ~order ~vlimit ~n_nodes ~guess x x1 x2 x3 =
+let predict ~order ~n_nodes ~guess x x1 x2 x3 =
   for i = 0 to Array.length x - 1 do
     guess.(i) <-
       (match order with
@@ -122,27 +70,23 @@ let predict ~order ~vlimit ~n_nodes ~guess x x1 x2 x3 =
   done;
   let ok = ref true in
   for i = 0 to n_nodes - 1 do
-    if Float.abs (guess.(i) -. x.(i)) > vlimit then ok := false
+    if Float.abs (guess.(i) -. x.(i)) > Dc.vlimit then ok := false
   done;
   !ok
 
-let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
-    ~tstop ~dt ~observe =
+let simulate ?options ?workspace ?restamp sys ~tstop ~dt ~observe =
   if tstop <= 0. then invalid_arg "Tran.simulate: tstop must be > 0";
   if dt <= 0. then invalid_arg "Tran.simulate: dt must be > 0";
   let reactives = reactives sys in
   let n_steps = int_of_float (Float.round (tstop /. dt)) in
   let n_steps = Int.max n_steps 1 in
-  (* a caller's workspace lends its buffer to a one-node observation:
-     the engine's simulations then allocate no sample array per run *)
-  let buffer n =
-    match (workspace, observe) with
-    | Some ws, [ _ ] -> Mna.sample_buffer ws n
-    | _ -> Array.make n 0.
-  in
-  let observed =
-    Array.of_list
-      (List.map (fun n -> (node_unknown sys n, buffer (n_steps + 1))) observe)
+  let out = node_unknown sys observe in
+  (* a caller's workspace lends its buffer: the engine's simulations
+     then allocate no sample array per run *)
+  let samples =
+    match workspace with
+    | Some ws -> Mna.sample_buffer ws (n_steps + 1)
+    | None -> Array.make (n_steps + 1) 0.
   in
   (* one workspace and one companion array serve every step; the option
      wrappers are built once here, not per solve *)
@@ -151,24 +95,21 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
   in
   let comp = Array.make (Mna.companion_slots sys) 0. in
   let companions = Some comp in
-  let cap_currents = Array.make (Array.length reactives) 0. in
   let x0 =
     (Dc.solve ?options ?workspace ?restamp sys ~time:(`Time 0.)).Dc.solution
   in
-  record observed 0 x0;
+  samples.(0) <- volt x0 out;
   (* advance from t_prev to t_next, Newton starting from [start]; on
      Newton failure, refine locally, each half starting from its own
      previous solution *)
   let rec advance ~depth ~t_prev ~t_next ~start x_prev =
     let h = t_next -. t_prev in
-    fill_companions comp ~method_ ~h ~x_prev ~cap_currents reactives;
+    fill_companions comp ~h ~x_prev reactives;
     match
       Dc.solve ?options ~guess:start ?companions ?workspace ?restamp sys
         ~time:(`Time t_next)
     with
-    | report ->
-        update_cap_currents comp ~cap_currents ~x:report.Dc.solution reactives;
-        report.Dc.solution
+    | report -> report.Dc.solution
     | exception Dc.No_convergence reason ->
         if depth >= 4 then raise (Step_failure { time = t_next; reason })
         else begin
@@ -181,7 +122,6 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
           advance ~depth:(depth + 1) ~t_prev:t_mid ~t_next ~start:x_mid x_mid
         end
   in
-  let vlimit = (Option.value options ~default:Dc.default_options).Dc.vlimit in
   let n_nodes = Mna.n_nodes sys in
   let guess = Array.make (Mna.size sys) 0. in
   let fallbacks = ref 0 in
@@ -198,8 +138,7 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
     let start =
       if k = 1 then !x
       else if
-        predict ~order:(Int.min (k - 1) 3) ~vlimit ~n_nodes ~guess !x !x1 !x2
-          !x3
+        predict ~order:(Int.min (k - 1) 3) ~n_nodes ~guess !x !x1 !x2 !x3
       then guess
       else begin
         incr fallbacks;
@@ -211,14 +150,11 @@ let simulate ?options ?(method_ = Backward_euler) ?workspace ?restamp sys
     x2 := !x1;
     x1 := !x;
     x := x_next;
-    record observed k x_next
+    samples.(k) <- volt x_next out
   done;
   if Obs.active () then begin
     Obs.Counter.add c_simulations 1;
     Obs.Counter.add c_steps n_steps;
     Obs.Counter.add c_fallbacks !fallbacks
   end;
-  {
-    probes =
-      List.mapi (fun o node -> { node; values = snd observed.(o) }) observe;
-  }
+  samples

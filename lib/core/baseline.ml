@@ -38,11 +38,9 @@ let test_sensitivities ~evaluators ~tests fault =
 let set_detects ~evaluators ~tests fault =
   Array.exists Sensitivity.detects (test_sensitivities ~evaluators ~tests fault)
 
-let best_sensitivity ~evaluators ~tests fault =
-  Array.fold_left Float.min infinity
-    (test_sensitivities ~evaluators ~tests fault)
-
-let critical_impact_of_tests ~evaluators ~tests fault ?(span = 1e3)
+(* The walk of {!critical_impact_of_tests}, given whether the set
+   detects the fault at its dictionary impact. *)
+let critical_impact_walk ~evaluators ~tests ~detected fault ?(span = 1e3)
     ?(steps = 40) () =
   let r_dict = Faults.Fault.impact_resistance fault in
   let r_min = r_dict /. span and r_max = r_dict *. span in
@@ -52,12 +50,12 @@ let critical_impact_of_tests ~evaluators ~tests fault ?(span = 1e3)
   let budget = ref steps in
   let spend () = decr budget; !budget >= 0 in
   (* find a detecting impact *)
-  let rec find_detect r =
-    if detects r then Some r
+  let rec find_detect r detected =
+    if detected then Some r
     else if r <= r_min || not (spend ()) then None
-    else find_detect (r /. 2.)
+    else find_detect (r /. 2.) (detects (r /. 2.))
   in
-  match find_detect r_dict with
+  match find_detect r_dict detected with
   | None -> None
   | Some r_detect ->
       (* walk up while still detecting *)
@@ -79,6 +77,11 @@ let critical_impact_of_tests ~evaluators ~tests fault ?(span = 1e3)
           done;
           Some (sqrt (!lo *. !hi)))
 
+let critical_impact_of_tests ~evaluators ~tests fault ?span ?steps () =
+  critical_impact_walk ~evaluators ~tests
+    ~detected:(set_detects ~evaluators ~tests fault)
+    fault ?span ?steps ()
+
 let compare ~evaluators dictionary run =
   let configs = List.map Evaluator.config evaluators in
   let tests = seed_tests configs in
@@ -96,12 +99,16 @@ let compare ~evaluators dictionary run =
       (fun entry ->
         let fault = entry.Faults.Dictionary.fault in
         let fid = entry.Faults.Dictionary.fault_id in
+        (* one evaluation of the seed tests at the dictionary impact
+           serves the verdict, the best sensitivity and the walk's start *)
+        let at_dict = test_sensitivities ~evaluators ~tests fault in
+        let detected = Array.exists Sensitivity.detects at_dict in
         {
           cmp_fault_id = fid;
-          seed_detects = set_detects ~evaluators ~tests fault;
-          seed_best_sensitivity = best_sensitivity ~evaluators ~tests fault;
+          seed_detects = detected;
+          seed_best_sensitivity = Array.fold_left Float.min infinity at_dict;
           seed_critical_impact =
-            critical_impact_of_tests ~evaluators ~tests fault ();
+            critical_impact_walk ~evaluators ~tests ~detected fault ();
           optimized_critical_impact =
             Option.join (List.assoc_opt fid opt_by_fault);
         })

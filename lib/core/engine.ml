@@ -140,25 +140,20 @@ let run ?options ?(policy = Resilience.default_policy) ?(resume = []) ?checkpoin
      attempt budget is a fixed per-attempt slack, and failure injection is
      bracketed in a per-fault Failpoint scope so its draws depend only on
      (seed, fault id, query index) — never on which worker runs the fault
-     or in what order.
+     or in what order.  Cache warmth cannot shift a draw either: nominal
+     simulations run under [Failpoint.without], the operating-point memo
+     is bypassed while injection is configured, and a fault's site is
+     released when the fault is done, so an injected run shares the
+     production cache path.
 
-     With failure injection active, one extra isolation step is needed:
-     a nominal-cache hit skips a simulation and with it that simulation's
-     failpoint queries, so cache warmth — which depends on which faults
-     ran earlier, i.e. on scheduling — would shift every later draw in
-     the fault's scope.  So under injection every task runs on a fresh
-     fork of the run-start evaluators (cache state a pure function of the
-     fault), absorbed into its worker afterwards.  Injection is a testing
-     hook; production runs keep full cross-fault cache amortization.
-
-     Tracing reuses the same isolation step for the same reason: cache
+     Tracing is the one case that isolates each task on a fresh fork of
+     the run-start evaluators, absorbed into its worker afterwards: cache
      hit/miss counters (and through them solver counters) depend on cache
-     warmth, so isolating each fault on run-start forks makes every
-     counter contribution a pure function of the fault — aggregate
-     counters then match between sequential and --jobs N runs exactly.
-     With tracing off, nothing changes and the engine's bit-identity
-     contract is untouched. *)
-  let isolate_tasks = Numerics.Failpoint.active () || Obs.active () in
+     warmth, so isolation makes every counter contribution a pure
+     function of the fault — aggregate counters then match between
+     sequential and --jobs N runs exactly.  With tracing off, nothing
+     changes and the engine's bit-identity contract is untouched. *)
+  let isolate_tasks = Obs.active () in
   (* Span events of task i, buffered on the worker and flushed through
      the in-order emit funnel below, so the trace-file event order is
      deterministic under any worker count.  The slot for task i is

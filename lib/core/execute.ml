@@ -10,7 +10,6 @@ type profile = {
   samples_per_period : int;
   settle_periods : int;
   analyze_periods : int;
-  thd_harmonics : int;
   dc_options : Dc.options;
   dt_divisor : int;
 }
@@ -20,7 +19,6 @@ let default_profile =
     samples_per_period = 128;
     settle_periods = 2;
     analyze_periods = 2;
-    thd_harmonics = 5;
     dc_options = Dc.default_options;
     dt_divisor = 1;
   }
@@ -30,7 +28,6 @@ let fast_profile =
     samples_per_period = 64;
     settle_periods = 1;
     analyze_periods = 1;
-    thd_harmonics = 5;
     dc_options = Dc.default_options;
     dt_divisor = 1;
   }
@@ -125,13 +122,11 @@ let operating_point ~options topo restamp =
 let transient ~options ~dt_divisor topo restamp ~tstop ~dt =
   let k = Int.max 1 dt_divisor in
   let dt_fine = dt /. float_of_int k in
-  let observe = topo.t_target.observe_node in
   match
     Tran.simulate ~options ~workspace:topo.t_ws ~restamp topo.t_plan ~tstop
-      ~dt:dt_fine ~observe:[ observe ]
+      ~dt:dt_fine ~observe:topo.t_target.observe_node
   with
-  | result ->
-      let fine = Tran.probe_values result observe in
+  | fine ->
       if k = 1 then fine
       else begin
         let n_coarse = Int.max 1 (int_of_float (Float.round (tstop /. dt))) in
@@ -179,8 +174,8 @@ let observables_body ~profile topo config ~impact values =
       if f0 <= 0. then raise (Execution_failure "THD: non-positive fundamental");
       let seg, dt = periodic_window ~profile topo (probe (stimulus values)) f0 in
       let thd =
-        Sigproc.Thd.thd_percent ~harmonics:profile.thd_harmonics ~samples:seg
-          ~sample_rate:(1. /. dt) ~fundamental_hz:f0 ()
+        Sigproc.Thd.thd_percent ~samples:seg ~sample_rate:(1. /. dt)
+          ~fundamental_hz:f0 ()
       in
       [| thd |]
   | Test_config.Tran_samples { stimulus; sample_rate; test_time } ->

@@ -16,7 +16,6 @@ type profile = {
   samples_per_period : int;  (** THD transient resolution (default 128) *)
   settle_periods : int;  (** periods simulated before the THD window (2) *)
   analyze_periods : int;  (** periods inside the THD window (2) *)
-  thd_harmonics : int;  (** highest harmonic order (5) *)
   dc_options : Circuit.Dc.options;
   dt_divisor : int;
       (** transient integration-step subdivision (default 1).  Values > 1
@@ -24,6 +23,8 @@ type profile = {
           requested sample grid — a retry-ladder escalation for stiff
           faulty circuits that preserves observable length and timing. *)
 }
+(** The transient window and solver settings of a run.  THD always sums
+    harmonics 2 to 5 ({!Sigproc.Thd.thd_percent}'s default). *)
 
 val default_profile : profile
 

@@ -58,7 +58,6 @@ let escalate rung (p : Execute.profile) =
     p with
     Execute.dc_options =
       {
-        o with
         Circuit.Dc.max_newton =
           int_of_float (Float.round (float_of_int o.Circuit.Dc.max_newton *. rung.newton_scale));
         gmin = Float.max o.Circuit.Dc.gmin rung.gmin_floor;

@@ -28,13 +28,13 @@ let lattice_indices axes =
 let point_of_indices axes idx =
   Array.mapi (fun d i -> axes.(d).(i)) idx
 
-(* common calibration skeleton: [envelope] turns the per-sample absolute
-   deviations of one return value into the box half-width *)
-let calibrate_with ~profile ~grid ~guardband ~envelope config ~nominal
-    ~samples =
+(* inflation of the raw corner envelope *)
+let guardband = 1.25
+
+let calibrate ?(profile = Execute.default_profile) ?(grid = 3) config ~nominal
+    ~corners () =
   if grid < 2 then invalid_arg "Tolerance.calibrate: grid < 2";
-  if guardband < 1. then invalid_arg "Tolerance.calibrate: guardband < 1";
-  if samples = [] then invalid_arg "Tolerance.calibrate: no process points";
+  if corners = [] then invalid_arg "Tolerance.calibrate: no process points";
   let params = Array.of_list config.Test_config.params in
   let axes =
     Array.map
@@ -50,7 +50,7 @@ let calibrate_with ~profile ~grid ~guardband ~envelope config ~nominal
   let floors = floors_of config in
   (* one compiled plan per process point, restamped across the grid *)
   let nominal = Execute.topology nominal in
-  let samples = List.map Execute.topology samples in
+  let corners = List.map Execute.topology corners in
   let values =
     lattice_indices axes
     |> List.map (fun idx ->
@@ -61,44 +61,29 @@ let calibrate_with ~profile ~grid ~guardband ~envelope config ~nominal
            in
            let per_return = Array.make p_returns [] in
            List.iter
-             (fun sample ->
+             (fun corner ->
                match
-                 Execute.compiled_observables ~profile sample config values_at
+                 Execute.compiled_observables ~profile corner config values_at
                with
-               | sample_obs ->
+               | corner_obs ->
                    let dev =
                      Execute.deviations config ~nominal:nominal_obs
-                       ~faulty:sample_obs
+                       ~faulty:corner_obs
                    in
                    Array.iteri
                      (fun i d ->
                        per_return.(i) <- Float.abs d :: per_return.(i))
                      dev
                | exception Execute.Execution_failure _ -> ())
-             samples;
+             corners;
            Array.map
-             (fun devs ->
-               guardband *. envelope (Array.of_list devs))
+             (function
+               | [] -> 0.
+               | devs -> guardband *. Stats.max_abs (Array.of_list devs))
              per_return)
     |> Array.of_list
   in
   { config; axes; values; floors }
-
-let calibrate ?(profile = Execute.default_profile) ?(grid = 3)
-    ?(guardband = 1.25) config ~nominal ~corners () =
-  let envelope devs = if Array.length devs = 0 then 0. else Numerics.Stats.max_abs devs in
-  calibrate_with ~profile ~grid ~guardband ~envelope config ~nominal
-    ~samples:corners
-
-let calibrate_monte_carlo ?(profile = Execute.default_profile) ?(grid = 3)
-    ?(guardband = 1.1) ?(quantile = 100.) config ~nominal ~samples () =
-  if quantile <= 0. || quantile > 100. then
-    invalid_arg "Tolerance.calibrate_monte_carlo: quantile outside (0, 100]";
-  let envelope devs =
-    if Array.length devs = 0 then 0.
-    else Numerics.Stats.percentile devs quantile
-  in
-  calibrate_with ~profile ~grid ~guardband ~envelope config ~nominal ~samples
 
 (* multilinear interpolation on the lattice, clamped to its hull *)
 let box t values_at =

@@ -18,38 +18,19 @@ type t
 val calibrate :
   ?profile:Execute.profile ->
   ?grid:int ->
-  ?guardband:float ->
   Test_config.t ->
   nominal:Execute.target ->
   corners:Execute.target list ->
   unit ->
   t
 (** [grid] (default 3) is the number of lattice points per parameter
-    axis; [guardband] (default 1.25) inflates the raw corner envelope.
+    axis.  Each lattice point's box is 1.25 (the guardband) times the
+    largest absolute deviation of a corner from the nominal response.
     Corners that fail to simulate at some lattice point are skipped at
     that point (a corner so extreme it breaks the solver would be
     screened out at production test anyway).
-    @raise Invalid_argument if [grid < 2], [guardband < 1] or [corners]
-    is empty.
+    @raise Invalid_argument if [grid < 2] or [corners] is empty.
     @raise Execute.Execution_failure if the {e nominal} circuit fails. *)
-
-val calibrate_monte_carlo :
-  ?profile:Execute.profile ->
-  ?grid:int ->
-  ?guardband:float ->
-  ?quantile:float ->
-  Test_config.t ->
-  nominal:Execute.target ->
-  samples:Execute.target list ->
-  unit ->
-  t
-(** Monte-Carlo variant of {!calibrate}: the per-lattice-point envelope is
-    the [quantile] (default 100, i.e. the maximum) of the absolute
-    deviations over the given process {e samples} instead of the corner
-    maximum.  With a large sample count and a sub-100 quantile this trades
-    a controlled overkill rate for a tighter box.
-    @raise Invalid_argument on an empty sample list or a quantile outside
-    (0, 100]. *)
 
 val box : t -> Numerics.Vec.t -> float array
 (** Tolerance-box half-widths (one per return value) at a parameter

@@ -15,8 +15,8 @@ let target_of_macro (macro : Macros.Macro.t) point =
     observe_node = macro.Macros.Macro.observe_node;
   }
 
-let create ?(profile = Execute.default_profile) ?backend ?grid ?guardband
-    ?corners ~macro ~configs () =
+let create ?(profile = Execute.default_profile) ?backend ?grid ?corners ~macro
+    ~configs () =
   let corner_points =
     match corners with Some c -> c | None -> Macros.Process.corners ()
   in
@@ -27,7 +27,7 @@ let create ?(profile = Execute.default_profile) ?backend ?grid ?guardband
       (List.map
          (fun config ->
            ( config,
-             Tolerance.calibrate ~profile ?grid ?guardband config ~nominal
+             Tolerance.calibrate ~profile ?grid config ~nominal
                ~corners:corner_targets () ))
          configs)
   in

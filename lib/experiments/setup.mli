@@ -18,7 +18,6 @@ val create :
   ?profile:Testgen.Execute.profile ->
   ?backend:Circuit.Mna.backend ->
   ?grid:int ->
-  ?guardband:float ->
   ?corners:Macros.Process.point list ->
   macro:Macros.Macro.t ->
   configs:Testgen.Test_config.t list ->

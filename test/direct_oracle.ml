@@ -18,9 +18,8 @@ let operating_point ~options sys =
 let transient ~options ~dt_divisor sys ~observe ~tstop ~dt =
   let k = Int.max 1 dt_divisor in
   let dt_fine = dt /. float_of_int k in
-  match Tran.simulate ~options sys ~tstop ~dt:dt_fine ~observe:[ observe ] with
-  | result ->
-      let fine = Tran.probe_values result observe in
+  match Tran.simulate ~options sys ~tstop ~dt:dt_fine ~observe with
+  | fine ->
       if k = 1 then fine
       else begin
         let n_coarse = Int.max 1 (int_of_float (Float.round (tstop /. dt))) in
@@ -70,7 +69,7 @@ let observables ?(profile = Execute.default_profile) config
       if f0 <= 0. then fail "THD: non-positive fundamental";
       let seg, dt = window ~profile (build (stimulus values)) ~observe f0 in
       [|
-        Sigproc.Thd.thd_percent ~harmonics:profile.thd_harmonics ~samples:seg
+        Sigproc.Thd.thd_percent ~harmonics:5 ~samples:seg
           ~sample_rate:(1. /. dt) ~fundamental_hz:f0 ();
       |]
   | Test_config.Tran_samples { stimulus; sample_rate; test_time } ->

@@ -78,10 +78,9 @@ golden otac16-jobs1 5d8df2656fb93c1459c18022c2e438f6 396 \
   --fast --take 6 --macro otac16 --jobs 1
 
 # The same results at any job count, through a resumed checkpoint, and
-# under seeded failure injection (three iv faults and six rc16 faults
-# recover on the ladder; on rc16 injection also switches the linear
-# plans to the per-iteration Newton loop, and the session bytes stay
-# those of the clean run).
+# under seeded failure injection (three iv faults and six rc16 and six
+# otac16 faults recover on the ladder; the rc16 and the sparse otac16
+# session bytes stay those of the clean run).
 golden rc16-jobs2 f412365bd297cd05e4aa03c38df99e18 432 \
   --fast --take 6 --macro rc16 --jobs 2
 golden rc16-resume f412365bd297cd05e4aa03c38df99e18 432 \
@@ -92,6 +91,9 @@ for jobs in 1 2; do
     --inject-seed 5 --jobs "$jobs"
   golden "rc16-inject-jobs$jobs" f412365bd297cd05e4aa03c38df99e18 441 \
     --recovered 6 --fast --take 6 --macro rc16 \
+    --inject dc.no_convergence=0.5@1 --inject-seed 5 --jobs "$jobs"
+  golden "otac16-inject-jobs$jobs" 5d8df2656fb93c1459c18022c2e438f6 404 \
+    --recovered 6 --fast --take 6 --macro otac16 \
     --inject dc.no_convergence=0.5@1 --inject-seed 5 --jobs "$jobs"
 done
 

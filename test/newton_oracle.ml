@@ -46,7 +46,7 @@ let newton_alloc ~(options : Dc.options) ~companions ~source_scale ~restamp
          dv_max := Float.max !dv_max (Float.abs (x_new.(i) -. !x.(i)))
        done;
        let alpha =
-         if !dv_max > options.vlimit then options.vlimit /. !dv_max else 1.
+         if !dv_max > Dc.vlimit then Dc.vlimit /. !dv_max else 1.
        in
        let x_next =
          Vec.init (Vec.dim x_new) (fun i ->
@@ -57,7 +57,7 @@ let newton_alloc ~(options : Dc.options) ~companions ~source_scale ~restamp
          let ok = ref true in
          for i = 0 to n_nodes - 1 do
            let dx = Float.abs (x_next.(i) -. !x.(i)) in
-           if dx > options.abstol +. (options.reltol *. Float.abs x_next.(i))
+           if dx > Dc.abstol +. (options.reltol *. Float.abs x_next.(i))
            then ok := false
          done;
          converged := !ok

@@ -342,26 +342,6 @@ let test_dc_gmin_stepping_path () =
   check_float ~eps:1e-3 "same operating point" 2.4997
     (Mna.voltage sys report.Dc.solution "vout")
 
-let test_tran_trapezoidal_inductor () =
-  (* RL step response under trapezoidal integration *)
-  let nl =
-    Netlist.add_all (Netlist.empty ~title:"rl")
-      [
-        Device.Vsource
-          { name = "v"; plus = "in"; minus = "0";
-            wave = Waveform.Step { base = 0.; elev = 1.; delay = 0.; rise = 0. } };
-        r "r1" "in" "mid" 1e3;
-        Device.Inductor { name = "l1"; a = "mid"; b = "0"; henries = 1. };
-      ]
-  in
-  let sys = Mna.build nl in
-  let result =
-    Tran.simulate ~method_:Tran.Trapezoidal sys ~tstop:3e-3 ~dt:5e-6
-      ~observe:[ "mid" ]
-  in
-  let v = Tran.probe_values result "mid" in
-  check_float ~eps:2e-2 "v(mid) at tau" (exp (-1.)) v.(200)
-
 let test_dc_guess_dimension () =
   let sys = Mna.build (divider 1. 1e3 1e3) in
   (try
@@ -383,8 +363,7 @@ let test_tran_rc_charge () =
       ]
   in
   let sys = Mna.build nl in
-  let result = Tran.simulate sys ~tstop:5e-3 ~dt:5e-6 ~observe:[ "out" ] in
-  let v = Tran.probe_values result "out" in
+  let v = Tran.simulate sys ~tstop:5e-3 ~dt:5e-6 ~observe:"out" in
   let at t = v.(int_of_float (t /. 5e-6)) in
   check_float ~eps:5e-3 "one tau" (1. -. exp (-1.)) (at 1e-3);
   check_float ~eps:5e-3 "two tau" (1. -. exp (-2.)) (at 2e-3);
@@ -408,7 +387,7 @@ let test_tran_predictor_guard () =
     in
     Obs.enable ();
     Fun.protect ~finally:Obs.shutdown (fun () ->
-        ignore (Tran.simulate sys ~tstop:1e-5 ~dt:1e-7 ~observe:[ "out" ]);
+        ignore (Tran.simulate sys ~tstop:1e-5 ~dt:1e-7 ~observe:"out");
         Option.value ~default:0
           (List.assoc_opt "solver.tran.predictor_fallbacks" (Obs.counters ())))
   in
@@ -420,40 +399,6 @@ let test_tran_predictor_guard () =
     true (edge > 0);
   Alcotest.(check int) "a slow sine never does" 0
     (fallbacks (Waveform.Sine { offset = 0.; ampl = 0.1; freq = 1e4; phase = 0. }))
-
-let test_tran_trapezoidal_accuracy () =
-  (* smooth (sine) excitation: trapezoidal's O(h^2) should clearly beat
-     backward Euler's O(h).  A discontinuous step would not show this --
-     the jump resets both methods to first order. *)
-  let freq = 200. in
-  let make method_ =
-    let nl =
-      Netlist.add_all (Netlist.empty ~title:"rc")
-        [
-          Device.Vsource
-            { name = "v"; plus = "in"; minus = "0";
-              wave = Waveform.Sine { offset = 0.; ampl = 1.; freq; phase = 0. } };
-          r "r1" "in" "out" 1e3;
-          Device.Capacitor { name = "c1"; a = "out"; b = "0"; farads = 1e-6 };
-        ]
-    in
-    let sys = Mna.build nl in
-    let result =
-      Tran.simulate ~method_ sys ~tstop:30e-3 ~dt:1e-4 ~observe:[ "out" ]
-    in
-    let v = Tran.probe_values result "out" in
-    (* steady-state amplitude over the last two periods (100 samples) *)
-    let n = Array.length v in
-    let lo, hi = Numerics.Stats.min_max (Array.sub v (n - 100) 100) in
-    (hi -. lo) /. 2.
-  in
-  let w = 2. *. Float.pi *. freq in
-  let exact = 1. /. sqrt (1. +. ((w *. 1e-3) ** 2.)) in
-  let be_err = Float.abs (make Tran.Backward_euler -. exact) in
-  let tr_err = Float.abs (make Tran.Trapezoidal -. exact) in
-  Alcotest.(check bool)
-    (Printf.sprintf "trapezoidal (%.2e) beats BE (%.2e)" tr_err be_err)
-    true (tr_err < be_err /. 3.)
 
 let test_tran_rl () =
   (* series RL driven by a step: i(t) = V/R (1 - e^{-tR/L}) *)
@@ -469,8 +414,7 @@ let test_tran_rl () =
   in
   let sys = Mna.build nl in
   (* tau = L/R = 1 ms; check v(mid) decays like e^{-t/tau} *)
-  let result = Tran.simulate sys ~tstop:3e-3 ~dt:5e-6 ~observe:[ "mid" ] in
-  let v = Tran.probe_values result "mid" in
+  let v = Tran.simulate sys ~tstop:3e-3 ~dt:5e-6 ~observe:"mid" in
   check_float ~eps:1e-2 "v(mid) at tau" (exp (-1.)) v.(200)
 
 let test_tran_sine_amplitude () =
@@ -486,19 +430,18 @@ let test_tran_sine_amplitude () =
       ]
   in
   let sys = Mna.build nl in
-  let result = Tran.simulate sys ~tstop:0.02 ~dt:1e-5 ~observe:[ "out" ] in
-  let v = Tran.probe_values result "out" in
+  let v = Tran.simulate sys ~tstop:0.02 ~dt:1e-5 ~observe:"out" in
   let lo, hi = Numerics.Stats.min_max (Array.sub v 500 1500) in
   check_float ~eps:2e-2 "amplitude preserved" 2. (hi -. lo)
 
 let test_tran_bad_args () =
   let sys = Mna.build (divider 1. 1e3 1e3) in
   (try
-     ignore (Tran.simulate sys ~tstop:0. ~dt:1e-6 ~observe:[]);
+     ignore (Tran.simulate sys ~tstop:0. ~dt:1e-6 ~observe:"out");
      Alcotest.fail "expected rejection"
    with Invalid_argument _ -> ());
   try
-    ignore (Tran.simulate sys ~tstop:1e-5 ~dt:1e-6 ~observe:[ "nope" ]);
+    ignore (Tran.simulate sys ~tstop:1e-5 ~dt:1e-6 ~observe:"nope");
     Alcotest.fail "expected an unknown observed node to raise"
   with Not_found -> ()
 
@@ -697,9 +640,7 @@ let () =
         [
           Alcotest.test_case "rc charge" `Quick test_tran_rc_charge;
           Alcotest.test_case "predictor guard" `Quick test_tran_predictor_guard;
-          Alcotest.test_case "trapezoidal accuracy" `Quick test_tran_trapezoidal_accuracy;
           Alcotest.test_case "rl time constant" `Quick test_tran_rl;
-          Alcotest.test_case "trapezoidal inductor" `Quick test_tran_trapezoidal_inductor;
           Alcotest.test_case "sine through" `Quick test_tran_sine_amplitude;
           Alcotest.test_case "bad args" `Quick test_tran_bad_args;
         ] );

@@ -274,10 +274,19 @@ let test_members_of_run_carry_critical_impact () =
         (m.Collapse.member_opt_sensitivity < 1.))
     members
 
+(* The seed tests are evaluated once per fault at its dictionary impact:
+   that one evaluation gives the verdict, the best sensitivity and the
+   start of the critical-impact walk.  Evaluating them once for each of
+   the three reads 16 more here (two tests, four faults). *)
 let test_baseline () =
   let run = Lazy.force small_run in
   let evaluators = [ Lazy.force ev1; Lazy.force ev2 ] in
+  let count () =
+    List.fold_left (fun n ev -> n + Evaluator.evaluation_count ev) 0 evaluators
+  in
+  let before = count () in
   let summary = Baseline.compare ~evaluators small_dictionary run in
+  Alcotest.(check int) "evaluations" 98 (count () - before);
   Alcotest.(check int) "total" 4 summary.Baseline.total;
   Alcotest.(check bool) "optimized >= seed coverage" true
     (summary.Baseline.optimized_covered >= summary.Baseline.seed_covered);

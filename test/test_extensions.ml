@@ -1,5 +1,5 @@
 (* Tests for the extension features: IFA weighting, scheduling, fault
-   equivalence, Monte-Carlo box calibration, the AC configuration kind
+   equivalence, the AC configuration kind
    and the Sallen-Key macro. *)
 
 open Testgen
@@ -198,7 +198,7 @@ let test_equivalence_impact_gate () =
   in
   Alcotest.(check int) "impact ratio separates" 2 (List.length classes)
 
-(* ----------------------------------------------- Monte-Carlo calibration *)
+(* ------------------------------------------------------ shared fixtures *)
 
 let iv_target =
   Experiments.Setup.target_of_macro Macros.Iv_converter.macro
@@ -207,44 +207,6 @@ let iv_target =
 (* one measurement through a freshly compiled plan *)
 let observables ?profile config target values =
   Execute.compiled_observables ?profile (Execute.topology target) config values
-
-let test_mc_calibration () =
-  let rng = Numerics.Rng.create 5L in
-  let samples =
-    List.map
-      (Experiments.Setup.target_of_macro Macros.Iv_converter.macro)
-      (Macros.Process.monte_carlo rng ~n:30)
-  in
-  let model =
-    Tolerance.calibrate_monte_carlo Experiments.Iv_configs.config1
-      ~nominal:iv_target ~samples ~grid:2 ()
-  in
-  let b = Tolerance.box model [| 25e-6 |] in
-  Alcotest.(check bool) "box above floor" true (b.(0) >= 1e-3);
-  (* a sub-max quantile produces a box no wider than the max envelope *)
-  let model90 =
-    Tolerance.calibrate_monte_carlo Experiments.Iv_configs.config1
-      ~nominal:iv_target ~samples ~grid:2 ~quantile:90. ()
-  in
-  let b90 = Tolerance.box model90 [| 25e-6 |] in
-  Alcotest.(check bool)
-    (Printf.sprintf "quantile tightens the box (%.4g <= %.4g)" b90.(0) b.(0))
-    true
-    (b90.(0) <= b.(0) +. 1e-12)
-
-let test_mc_calibration_validation () =
-  (try
-     ignore
-       (Tolerance.calibrate_monte_carlo Experiments.Iv_configs.config1
-          ~nominal:iv_target ~samples:[] ());
-     Alcotest.fail "no samples accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore
-       (Tolerance.calibrate_monte_carlo Experiments.Iv_configs.config1
-          ~nominal:iv_target ~samples:[ iv_target ] ~quantile:0. ());
-     Alcotest.fail "zero quantile accepted"
-   with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------- AC configuration *)
 
@@ -489,11 +451,6 @@ let () =
         [
           Alcotest.test_case "classes" `Quick test_equivalence_classes;
           Alcotest.test_case "impact gate" `Quick test_equivalence_impact_gate;
-        ] );
-      ( "tolerance-mc",
-        [
-          Alcotest.test_case "calibrates" `Quick test_mc_calibration;
-          Alcotest.test_case "validation" `Quick test_mc_calibration_validation;
         ] );
       ( "ac-config",
         [

@@ -127,7 +127,7 @@ let test_calibration_parity () =
         }
       in
       let t =
-        Tolerance.calibrate ~profile ~grid:2 ~guardband config
+        Tolerance.calibrate ~profile ~grid:2 config
           ~nominal:iv_target ~corners ()
       in
       List.iteri
@@ -277,8 +277,8 @@ let test_differential_injected () =
    step's Newton began starting from the extrapolated solution); any
    reordering of the transient arithmetic changes them.  Each row is (case, length, MD5 of the
    little-endian [Int64.bits_of_float] of every value, bits of the last
-   value).  The IV netlist has no inductor and runs backward Euler only,
-   so an RLC fixture pins the inductor and trapezoidal companions. *)
+   value).  The IV netlist has no inductor, so an RLC fixture pins the
+   inductor companion. *)
 
 let digest values =
   let b = Buffer.create (8 * Array.length values) in
@@ -326,8 +326,6 @@ let rlc_goldens =
   [
     ("rlc/be/a", 501, "4b310a5f154f0e1fe362a9a2ccab7a61", 4602126758221741320L);
     ("rlc/be/b", 501, "c86d290760914d9f8d6ab6cf81c702bc", -4611364513359841473L);
-    ("rlc/trap/a", 501, "932c557bfc9a58c1171c6eb09887d03f", 4601949870474137000L);
-    ("rlc/trap/b", 501, "3f63d6da89dc9d22f26f7950823d58e7", -4610207603670832289L);
   ]
 
 let golden_points =
@@ -385,17 +383,11 @@ let rlc_system () =
 let test_rlc_transient_goldens () =
   let sys = rlc_system () in
   let got =
-    List.concat_map
-      (fun (label, method_) ->
-        let r =
-          Circuit.Tran.simulate ~method_ sys ~tstop:1e-3 ~dt:2e-6
-            ~observe:[ "a"; "b" ]
-        in
-        [
-          (label ^ "/a", Circuit.Tran.probe_values r "a");
-          (label ^ "/b", Circuit.Tran.probe_values r "b");
-        ])
-      [ ("rlc/be", Circuit.Tran.Backward_euler); ("rlc/trap", Circuit.Tran.Trapezoidal) ]
+    List.map
+      (fun node ->
+        ( "rlc/be/" ^ node,
+          Circuit.Tran.simulate sys ~tstop:1e-3 ~dt:2e-6 ~observe:node ))
+      [ "a"; "b" ]
   in
   check_goldens rlc_goldens got
 
@@ -459,7 +451,7 @@ let test_transient_allocation () =
   let simulate () =
     ignore
       (Circuit.Tran.simulate ~workspace:ws sys ~tstop:7.5e-6 ~dt:1e-8
-         ~observe:[ iv_target.Execute.observe_node ])
+         ~observe:iv_target.Execute.observe_node)
   in
   let words = minor_words_per_call ~calls:3 simulate /. float_of_int steps in
   Printf.printf "transient: %.1f minor words per step\n" words;
@@ -642,13 +634,12 @@ let test_decimation_values () =
   in
   let sys = Circuit.Mna.build nl in
   let dt = 1. /. sample_rate in
-  let result =
+  let fine =
     Circuit.Tran.simulate ~options:Circuit.Dc.default_options sys
       ~tstop:test_time
       ~dt:(dt /. float_of_int k)
-      ~observe:[ iv_target.Execute.observe_node ]
+      ~observe:iv_target.Execute.observe_node
   in
-  let fine = Circuit.Tran.probe_values result iv_target.Execute.observe_node in
   Alcotest.(check bool) "decimation drops samples" true
     (Array.length decimated < Array.length fine);
   Array.iteri
@@ -988,9 +979,9 @@ let test_linear_factors_once_per_attempt () =
   let step =
     rc16 (Circuit.Waveform.Step { base = 0.; elev = 2.; delay = 1e-6; rise = 0. })
   in
-  let (_ : Circuit.Tran.result), counts =
+  let (_ : float array), counts =
     counting dc_counters (fun () ->
-        Circuit.Tran.simulate step ~tstop:2e-5 ~dt:1e-7 ~observe:[ "out" ])
+        Circuit.Tran.simulate step ~tstop:2e-5 ~dt:1e-7 ~observe:"out")
   in
   (match counts with
   | [ solves; newton; lu; gmin; exhausted ] ->
@@ -1070,7 +1061,7 @@ let () =
         [
           Alcotest.test_case "IV configs #3-#5 bit patterns" `Quick
             test_iv_transient_goldens;
-          Alcotest.test_case "RLC backward Euler and trapezoidal" `Quick
+          Alcotest.test_case "RLC backward Euler" `Quick
             test_rlc_transient_goldens;
         ] );
       ( "allocation",

@@ -560,37 +560,68 @@ let test_linear_pool_size_parity () =
         (fingerprint (probe_run ~jobs chain 6) = reference))
     job_counts
 
-(* Injection runs the same Newton loop, which keeps a linear plan's
-   held factorizations.  An injected run on a context whose workspaces
-   already solved the same faults uninjected must be the injected run of
-   a fresh context. *)
-let test_linear_injected_warm_cold () =
-  let injected c =
-    Fp.with_config ~seed:23L
-      [
-        { Fp.point = "dc.no_convergence"; probability = 0.35; max_triggers = Some 2 };
-        { Fp.point = "execute.observables"; probability = 0.05; max_triggers = None };
-      ]
-      (fun () ->
-        Engine.run ~options:Experiments.Setup.probe_options
-          ~evaluators:c.Experiments.Setup.evaluators c.dictionary)
+(* Injection runs the production Newton loop and cache path: a linear
+   plan's held factorizations and the nominal cache.  An injected run on
+   a context whose caches and workspaces already served the same faults
+   uninjected must be the injected run of a fresh context. *)
+let check_injected_warm_cold label ?options specs context =
+  let generate (c : Experiments.Setup.t) =
+    Engine.run ?options ~evaluators:c.evaluators c.dictionary
   in
-  let context () =
-    Experiments.Setup.reduced (Experiments.Setup.probe ~macro:ladder ())
-      ~n_faults:6
-  in
+  let injected c = Fp.with_config ~seed:23L specs (fun () -> generate c) in
   let cold = injected (context ()) in
   let warm =
     let c = context () in
-    ignore
-      (Engine.run ~options:Experiments.Setup.probe_options
-         ~evaluators:c.evaluators c.dictionary);
+    ignore (generate c);
     injected c
   in
-  Alcotest.(check bool) "injection exercised the ladder" true
+  Alcotest.(check bool) (label ^ ": injection exercised the ladder") true
     (cold.Engine.recovered_count > 0 || cold.Engine.failed_faults <> []);
-  Alcotest.(check bool) "warm injected run = cold injected run" true
+  Alcotest.(check bool) (label ^ ": warm injected run = cold injected run")
+    true
     (fingerprint warm = fingerprint cold)
+
+(* The operating-point memo answers repeats on the IV's nonlinear plans,
+   but not while injection is configured: a hit would skip the failpoint
+   queries of the solve it replaces.  Every fault starts on a fresh site,
+   so warmth alone cannot show a memo that ignores injection; its hit
+   counter does. *)
+let memo_hits f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.shutdown (fun () ->
+      ignore (f ());
+      Option.value ~default:0
+        (List.assoc_opt "solver.dc.op_memo_hits" (Obs.counters ())))
+
+let test_injected_warm_cold () =
+  check_injected_warm_cold "rc ladder" ~options:Experiments.Setup.probe_options
+    [
+      { Fp.point = "dc.no_convergence"; probability = 0.35; max_triggers = Some 2 };
+      { Fp.point = "execute.observables"; probability = 0.05; max_triggers = None };
+    ]
+    (fun () ->
+      Experiments.Setup.reduced (Experiments.Setup.probe ~macro:ladder ())
+        ~n_faults:6);
+  (* one calibration: a fork of a context nothing has run on is a fresh
+     context (empty caches, no compiled sites) *)
+  let pristine =
+    Experiments.Setup.reduced
+      (Experiments.Setup.iv ~profile:Execute.fast_profile ())
+      ~n_faults:2
+  in
+  let iv () = { pristine with evaluators = Evaluator.fork pristine.evaluators } in
+  let specs =
+    [ { Fp.point = "dc.no_convergence"; probability = 0.5; max_triggers = Some 1 } ]
+  in
+  check_injected_warm_cold "iv --fast" specs iv;
+  let generate (c : Experiments.Setup.t) () =
+    Engine.run ~evaluators:c.evaluators c.dictionary
+  in
+  let plain = generate (iv ()) and injected = generate (iv ()) in
+  Alcotest.(check bool) "iv --fast: the memo answers an uninjected run" true
+    (memo_hits plain > 0);
+  Alcotest.(check int) "iv --fast: and nothing under injection" 0
+    (memo_hits (fun () -> Fp.with_config ~seed:23L specs injected))
 
 let () =
   Alcotest.run "parallel"
@@ -618,7 +649,7 @@ let () =
           Alcotest.test_case "pool-size parity" `Quick
             test_linear_pool_size_parity;
           Alcotest.test_case "under failure injection" `Quick
-            test_linear_injected_warm_cold;
+            test_injected_warm_cold;
         ] );
       ( "merge",
         [

@@ -216,7 +216,7 @@ let corner_targets =
 let calibrated_config1 =
   lazy
     (Tolerance.calibrate Experiments.Iv_configs.config1 ~nominal:iv_target
-       ~corners:corner_targets ~grid:3 ~guardband:1.25 ())
+       ~corners:corner_targets ~grid:3 ())
 
 let test_calibrate_respects_floor () =
   let model = Lazy.force calibrated_config1 in
